@@ -27,15 +27,14 @@
 //! backend configuration share one memoizing engine, and output lines
 //! stay in submission order regardless.
 
-use crate::commands::{
-    profiler_for, trace_for, write_metrics, write_profile, write_trace, Backend,
-};
+use crate::commands::Backend;
 use crate::spec::{node, LinkQuality, NetworkSpec};
+use crate::telemetry::TelemetryFlags;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
 use whart_json::Json;
 use whart_model::{LinkDynamics, NetworkModel, Outage};
 use whart_net::Hop;
-use whart_obs::{Metrics, MetricsSnapshot};
+use whart_obs::MetricsSnapshot;
 
 /// One decoded batch entry: the scenario, which measures its output
 /// lines should carry, and the solver backend it runs on.
@@ -350,36 +349,27 @@ fn metrics_line(backend: &str, snapshot: &MetricsSnapshot) -> Json {
 
 /// Runs `batch`: evaluates every scenario in the list through a shared
 /// engine and returns one compact JSON line per scenario (submission
-/// order), plus a final `stats` line when requested. With
-/// `metrics_path`, all engines record into one registry whose snapshot
-/// is written there as JSON, and one `metrics` summary line per backend
-/// is appended to the output. With `trace_path`, all engines record
-/// into one journal (per-scenario spans, per-path solve spans, per-hop
-/// provenance) written there after the drains. With `profile_path`, the
-/// whole run (decode through drain, on every engine's workers) executes
-/// under a `profile_hz` sampling capture written there afterwards.
+/// order), plus a final `stats` line when requested. All engines record
+/// into one set of `telemetry` handles: with `--metrics`, one `metrics`
+/// summary line per backend is appended to the output and the snapshot
+/// is written; with `--trace`, the journal (per-scenario spans,
+/// per-path solve spans, per-hop provenance) is written after the
+/// drains; with `--profile`, the whole run (decode through drain, on
+/// every engine's workers) is sampled.
 pub fn batch(
     text: &str,
     threads: usize,
     with_stats: bool,
-    metrics_path: Option<&str>,
-    trace_path: Option<&str>,
-    profile_path: Option<&str>,
-    profile_hz: u32,
+    telemetry: &TelemetryFlags,
 ) -> Result<String, String> {
-    let profiler = profiler_for(profile_path);
-    let capture = profiler.start_capture(profile_hz);
+    let telemetry = telemetry.start();
+    let profiler = &telemetry.profiler;
     let batch_guard = profiler.enter(profiler.frame("cli.batch"));
     let entries = decode_fleet(text)?;
     let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
     // One engine per distinct backend configuration; scenarios sharing a
     // backend share its caches. `placements` remembers where each entry
     // went so the output stays in submission order.
-    let metrics = match metrics_path {
-        Some(_) => Metrics::new(),
-        None => Metrics::disabled(),
-    };
-    let trace = trace_for(trace_path);
     let mut engines: Vec<(Backend, Engine)> = Vec::new();
     let mut placements: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
     for entry in entries {
@@ -387,8 +377,8 @@ pub fn batch(
             Some(i) => i,
             None => {
                 let mut engine = Engine::with_solver(threads, entry.backend.solver());
-                engine.set_metrics(metrics.clone());
-                engine.set_trace(trace.clone());
+                engine.set_metrics(telemetry.metrics.clone());
+                engine.set_trace(telemetry.trace.clone());
                 engine.set_profiler(profiler.clone());
                 engines.push((entry.backend, engine));
                 engines.len() - 1
@@ -413,8 +403,8 @@ pub fn batch(
             out.push('\n');
         }
     }
-    if let Some(path) = metrics_path {
-        let snapshot = metrics.snapshot();
+    if telemetry.metrics.is_enabled() {
+        let snapshot = telemetry.metrics.snapshot();
         // One summary line per backend *name*: differently-seeded sim
         // configurations run separate engines but share the registry's
         // per-backend instruments.
@@ -427,14 +417,8 @@ pub fn batch(
                 out.push('\n');
             }
         }
-        out.push_str(&write_metrics(path, &metrics)?);
     }
-    if let Some(path) = trace_path {
-        out.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (profile_path, capture) {
-        out.push_str(&write_profile(path, &capture.stop())?);
-    }
+    out.push_str(&telemetry.finish()?);
     Ok(out)
 }
 
@@ -442,8 +426,8 @@ pub fn batch(
 mod tests {
     use super::*;
 
-    /// The shape most tests use: no profiling attached. Shadows the glob
-    /// import so existing call sites stay on the un-profiled path.
+    /// The shape most tests use: optional metrics and trace
+    /// destinations, no profiling. Shadows the glob import.
     fn batch(
         text: &str,
         threads: usize,
@@ -451,15 +435,12 @@ mod tests {
         metrics_path: Option<&str>,
         trace_path: Option<&str>,
     ) -> Result<String, String> {
-        super::batch(
-            text,
-            threads,
-            with_stats,
-            metrics_path,
-            trace_path,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
+        let telemetry = TelemetryFlags {
+            metrics: metrics_path.map(String::from),
+            trace: trace_path.map(String::from),
+            ..TelemetryFlags::default()
+        };
+        super::batch(text, threads, with_stats, &telemetry)
     }
 
     #[test]
@@ -468,16 +449,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("profile.folded");
         let plain = batch(&fleet_json(), 2, false, None, None).unwrap();
-        let profiled = super::batch(
-            &fleet_json(),
-            2,
-            false,
-            None,
-            None,
-            Some(path.to_str().unwrap()),
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let telemetry = TelemetryFlags {
+            profile: Some(path.to_str().unwrap().into()),
+            ..TelemetryFlags::default()
+        };
+        let profiled = super::batch(&fleet_json(), 2, false, &telemetry).unwrap();
         // The sampler only observes: every scenario line must match the
         // un-profiled run byte for byte.
         assert_eq!(plain, profiled);

@@ -1,82 +1,23 @@
 //! The CLI subcommands.
 
 use crate::spec::NetworkSpec;
+use crate::telemetry::TelemetryFlags;
 use std::sync::Arc;
 use whart_json::Json;
 use whart_model::{
     compose, explain_path, explicit::explicit_chain, DelayConvention, ExplicitSolver, FastSolver,
     MeasurePlan, Solver, UtilizationConvention,
 };
-use whart_obs::Metrics;
-use whart_prof::Profiler;
 use whart_sim::{MonteCarloSolver, PhyMode, Simulator};
-use whart_trace::Trace;
 
 /// Writes `text` to `path`, or returns it for the caller to append to
 /// stdout when `path` is `-`.
-fn write_or_passthrough(path: &str, text: String, what: &str) -> Result<String, String> {
+pub(crate) fn write_or_passthrough(path: &str, text: String, what: &str) -> Result<String, String> {
     if path == "-" {
         return Ok(text);
     }
     std::fs::write(path, text).map_err(|e| format!("cannot write {what} to {path}: {e}"))?;
     Ok(String::new())
-}
-
-/// Writes a pretty-printed [`whart_obs::MetricsSnapshot`] to `path`
-/// (`-` returns it for stdout).
-pub fn write_metrics(path: &str, metrics: &Metrics) -> Result<String, String> {
-    let mut text = metrics.snapshot().to_json().to_pretty();
-    text.push('\n');
-    write_or_passthrough(path, text, "metrics")
-}
-
-/// Serializes a drained trace journal to `path`: JSON Lines when the
-/// path ends in `.jsonl` or is `-` (stdout), Chrome `trace_event` JSON
-/// (Perfetto / `chrome://tracing` loadable) otherwise.
-pub fn write_trace(path: &str, trace: &Trace) -> Result<String, String> {
-    let log = trace.drain();
-    let text = if path == "-" || path.ends_with(".jsonl") {
-        log.to_jsonl()
-    } else {
-        let mut text = log.to_chrome_json().to_pretty();
-        text.push('\n');
-        text
-    };
-    write_or_passthrough(path, text, "trace")
-}
-
-/// The trace handle for an optional `--trace` argument: enabled exactly
-/// when a destination was given.
-pub fn trace_for(trace_path: Option<&str>) -> Trace {
-    match trace_path {
-        Some(_) => Trace::new(),
-        None => Trace::disabled(),
-    }
-}
-
-/// The profiler handle for an optional `--profile` argument: enabled
-/// exactly when a destination was given, so an absent flag keeps every
-/// instrumented site on the zero-cost disabled path.
-pub fn profiler_for(profile_path: Option<&str>) -> Profiler {
-    match profile_path {
-        Some(_) => Profiler::new(),
-        None => Profiler::disabled(),
-    }
-}
-
-/// Serializes a stopped capture to `path`: per-thread JSON when the path
-/// ends in `.json`, flamegraph collapsed-stack text (`a;b;c N` lines,
-/// `flamegraph.pl` / speedscope loadable) otherwise. `-` returns the
-/// text for stdout.
-pub fn write_profile(path: &str, profile: &whart_prof::Profile) -> Result<String, String> {
-    let text = if path != "-" && path.ends_with(".json") {
-        let mut text = profile.to_json().to_pretty();
-        text.push('\n');
-        text
-    } else {
-        profile.to_folded()
-    };
-    write_or_passthrough(path, text, "profile")
 }
 
 /// The solver backend selected on the command line (`--backend`) or in a
@@ -134,49 +75,35 @@ impl Backend {
 }
 
 /// Runs `analyze`: per-path measures and network aggregates, solved
-/// through the selected backend. With `metrics_path`, solver timings
-/// and counters are recorded and written there as snapshot JSON; with
-/// `trace_path`, the structured event journal (per-path solve spans,
-/// per-hop provenance) is recorded and written there; with
-/// `profile_path`, the whole command runs under a `profile_hz` sampling
-/// capture and the folded profile is written there.
+/// through the selected backend. The `telemetry` flags record solver
+/// metrics, the event journal (per-path solve spans, per-hop
+/// provenance) and a sampled profile of the whole command, each written
+/// to its destination after the solve.
 pub fn analyze(
     spec: &NetworkSpec,
     json: bool,
     backend: &Backend,
-    metrics_path: Option<&str>,
-    trace_path: Option<&str>,
-    profile_path: Option<&str>,
-    profile_hz: u32,
+    telemetry: &TelemetryFlags,
 ) -> Result<String, String> {
     let model = spec.to_model()?;
     let problem = model.compile().map_err(|e| e.to_string())?;
-    let metrics = match metrics_path {
-        Some(_) => Metrics::new(),
-        None => Metrics::disabled(),
-    };
-    let trace = trace_for(trace_path);
-    let profiler = profiler_for(profile_path);
-    let capture = profiler.start_capture(profile_hz);
+    let telemetry = telemetry.start();
+    let profiler = &telemetry.profiler;
     let solve_frame = profiler.frame(&format!("solver.{}", backend.solver().name()));
     let eval = {
         let _analyze = profiler.enter(profiler.frame("cli.analyze"));
         let _solve = profiler.enter(solve_frame);
         backend
             .solver()
-            .solve_network_traced(&problem, MeasurePlan::default(), &metrics, &trace)
+            .solve_network_traced(
+                &problem,
+                MeasurePlan::default(),
+                &telemetry.metrics,
+                &telemetry.trace,
+            )
             .map_err(|e| e.to_string())?
     };
-    let mut appended = String::new();
-    if let Some(path) = metrics_path {
-        appended.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = trace_path {
-        appended.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (profile_path, capture) {
-        appended.push_str(&write_profile(path, &capture.stop())?);
-    }
+    let appended = telemetry.finish()?;
     let mut out = render_analyze(json, backend, &eval);
     out.push_str(&appended);
     Ok(out)
@@ -365,7 +292,7 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
     if let Backend::Sim { seed, intervals } = *backend {
         let solver = MonteCarloSolver::new(seed, intervals);
         let sim = solver
-            .solve_path_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
+            .solve_path(&problem, MeasurePlan::SCALAR)
             .map_err(|e| e.to_string())?;
         out.push_str(&format!(
             "\nsim cross-check (seed {seed}, {intervals} intervals)\n"
@@ -581,15 +508,8 @@ pub struct OptimizeOptions {
     /// Write the optimized network as an `analyze`/`batch`-compatible
     /// spec to this path (`-` appends it to stdout).
     pub emit_spec: Option<String>,
-    /// Metrics snapshot destination.
-    pub metrics_path: Option<String>,
-    /// Trace journal destination.
-    pub trace_path: Option<String>,
-    /// Sampled profile destination (`.json` for per-thread JSON, anything
-    /// else for folded stacks).
-    pub profile_path: Option<String>,
-    /// Sampling frequency for `profile_path` captures.
-    pub profile_hz: u32,
+    /// Metrics, trace and profile artifact destinations.
+    pub telemetry: TelemetryFlags,
 }
 
 /// Runs `optimize`: generates a seeded random mesh, builds the greedy
@@ -598,17 +518,11 @@ pub struct OptimizeOptions {
 /// spec for `analyze`/`batch` what-if follow-ups.
 pub fn optimize(options: &OptimizeOptions) -> Result<String, String> {
     let net = whart_opt::generate(&options.generator).map_err(|e| e.to_string())?;
-    let metrics = match options.metrics_path {
-        Some(_) => Metrics::new(),
-        None => Metrics::disabled(),
-    };
-    let trace = trace_for(options.trace_path.as_deref());
-    let profiler = profiler_for(options.profile_path.as_deref());
-    let capture = profiler.start_capture(options.profile_hz);
+    let telemetry = options.telemetry.start();
     let mut engine = whart_engine::Engine::new(options.threads);
-    engine.set_metrics(metrics.clone());
-    engine.set_trace(trace.clone());
-    engine.set_profiler(profiler);
+    engine.set_metrics(telemetry.metrics.clone());
+    engine.set_trace(telemetry.trace.clone());
+    engine.set_profiler(telemetry.profiler.clone());
     let result =
         whart_opt::optimize(&mut engine, &net, &options.search).map_err(|e| e.to_string())?;
 
@@ -620,15 +534,7 @@ pub fn optimize(options: &OptimizeOptions) -> Result<String, String> {
         }
         appended.push_str(&write_or_passthrough(path, text, "spec")?);
     }
-    if let Some(path) = &options.metrics_path {
-        appended.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = &options.trace_path {
-        appended.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (&options.profile_path, capture) {
-        appended.push_str(&write_profile(path, &capture.stop())?);
-    }
+    appended.push_str(&telemetry.finish()?);
     let mut out = if options.json {
         let mut text = result.to_json().to_pretty();
         if !text.ends_with('\n') {
@@ -729,16 +635,7 @@ mod tests {
     #[test]
     fn analyze_typical_text_output() {
         let spec = NetworkSpec::typical(0.83);
-        let out = analyze(
-            &spec,
-            false,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, false, &Backend::Fast, &TelemetryFlags::default()).unwrap();
         assert!(out.contains("overall mean delay E[Gamma] = 235"), "{out}");
         assert!(out.contains("network utilization U = 0.28"), "{out}");
         assert!(out.lines().count() >= 13);
@@ -749,16 +646,7 @@ mod tests {
     #[test]
     fn analyze_json_output_parses() {
         let spec = NetworkSpec::section_v(0.75);
-        let out = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, true, &Backend::Fast, &TelemetryFlags::default()).unwrap();
         let value = Json::parse(&out).unwrap();
         let r = value["paths"][0]["reachability"].as_f64().unwrap();
         assert!((r - 0.9624).abs() < 1e-4);
@@ -768,16 +656,7 @@ mod tests {
     #[test]
     fn analyze_report_is_byte_identical_with_profiling_enabled() {
         let spec = NetworkSpec::section_v(0.75);
-        let plain = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let plain = analyze(&spec, true, &Backend::Fast, &TelemetryFlags::default()).unwrap();
         let dir = std::env::temp_dir().join(format!("whart-prof-parity-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let out_path = dir.join("analyze.folded");
@@ -785,10 +664,10 @@ mod tests {
             &spec,
             true,
             &Backend::Fast,
-            None,
-            None,
-            Some(out_path.to_str().unwrap()),
-            whart_prof::DEFAULT_HZ,
+            &TelemetryFlags {
+                profile: Some(out_path.to_str().unwrap().into()),
+                ..TelemetryFlags::default()
+            },
         )
         .unwrap();
         // The sampler only observes; the report must not change by a byte.
@@ -803,26 +682,9 @@ mod tests {
     #[test]
     fn analyze_explicit_backend_matches_fast() {
         let spec = NetworkSpec::section_v(0.75);
-        let fast = analyze(
-            &spec,
-            true,
-            &Backend::Fast,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
-        let explicit = analyze(
-            &spec,
-            true,
-            &Backend::Explicit,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let fast = analyze(&spec, true, &Backend::Fast, &TelemetryFlags::default()).unwrap();
+        let explicit =
+            analyze(&spec, true, &Backend::Explicit, &TelemetryFlags::default()).unwrap();
         let f = Json::parse(&fast).unwrap();
         let e = Json::parse(&explicit).unwrap();
         assert_eq!(e["backend"].as_str().unwrap(), "explicit");
@@ -838,27 +700,9 @@ mod tests {
             seed: 7,
             intervals: 50_000,
         };
-        let out = analyze(
-            &spec,
-            false,
-            &backend,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let out = analyze(&spec, false, &backend, &TelemetryFlags::default()).unwrap();
         assert!(out.starts_with("backend: sim (seed 7"), "{out}");
-        let json = analyze(
-            &spec,
-            true,
-            &backend,
-            None,
-            None,
-            None,
-            whart_prof::DEFAULT_HZ,
-        )
-        .unwrap();
+        let json = analyze(&spec, true, &backend, &TelemetryFlags::default()).unwrap();
         let value = Json::parse(&json).unwrap();
         assert_eq!(value["backend"].as_str().unwrap(), "sim");
         let r = value["paths"][0]["reachability"].as_f64().unwrap();
@@ -981,10 +825,7 @@ mod tests {
             threads: 2,
             json: true,
             emit_spec: Some("-".into()),
-            metrics_path: None,
-            trace_path: None,
-            profile_path: None,
-            profile_hz: whart_prof::DEFAULT_HZ,
+            telemetry: TelemetryFlags::default(),
         };
         let out = optimize(&options).unwrap();
         // Two pretty JSON documents: the report, then the emitted spec.

@@ -5,24 +5,17 @@
 //! This library backs the `whart` binary; [`run`] is the argv-level entry
 //! point the binary (and the tests) drive.
 //!
-//! ```text
-//! whart analyze  <spec.json> [--backend fast|explicit|sim] [--seed S] [--intervals N] [--json] [--metrics <out.json>]
-//! whart batch    <scenarios.json> [--threads N] [--stats] [--metrics <out.json>]
-//! whart serve    [--addr <ip:port>] [--threads N] [--keepalive-timeout S] [--max-queue N] [--metrics <out.json>] [--trace <out.json>]
-//! whart dot      <spec.json> --path <i>
-//! whart simulate <spec.json> [--intervals N] [--seed S] [--threads W] [--json]
-//! whart predict  <spec.json> --path <i> --snr <EbN0>
-//! whart optimize [--seed S] [--nodes N] [--objective reachability|delay] [--rounds R]
-//! whart example  <typical|section-v>
-//! ```
+//! `whart help` prints the full command and flag reference (`USAGE`).
 
 mod batch;
 mod commands;
 mod serve_app;
 mod spec;
+mod telemetry;
 
 use spec::NetworkSpec;
 use std::process::ExitCode;
+use telemetry::TelemetryFlags;
 
 const USAGE: &str = "usage:
   whart analyze  <spec.json> [--backend fast|explicit|sim] [--seed S] [--intervals N] [--json] [--metrics <out.json>] [--trace <out.json>] [--profile <out.folded>] [--profile-hz HZ]
@@ -111,59 +104,6 @@ pub fn main_entry() -> ExitCode {
     }
 }
 
-/// Rejects flag combinations whose output would interleave: more than
-/// one of the given streams (`--metrics`, `--trace`, `--log`, ...)
-/// pointed at stdout via `-`.
-fn reject_stdout_interleave(streams: &[(&str, Option<&str>)]) -> Result<(), String> {
-    let dashed: Vec<String> = streams
-        .iter()
-        .filter(|(_, value)| *value == Some("-"))
-        .map(|(flag, _)| format!("{flag} -"))
-        .collect();
-    if dashed.len() > 1 {
-        return Err(format!(
-            "{} both stream to stdout and would interleave; give at \
-             least one of them a file path",
-            dashed.join(" and ")
-        ));
-    }
-    Ok(())
-}
-
-/// The artifact-stream trio every profiling-capable command shares:
-/// any two of `--metrics`/`--trace`/`--profile` on stdout interleave.
-fn reject_artifact_stdout(
-    metrics: Option<&str>,
-    trace: Option<&str>,
-    profile: Option<&str>,
-) -> Result<(), String> {
-    reject_stdout_interleave(&[
-        ("--metrics", metrics),
-        ("--trace", trace),
-        ("--profile", profile),
-    ])
-}
-
-/// Largest accepted sampling rate: comfortably above useful resolution,
-/// low enough that the sampler thread cannot degenerate into a busy
-/// loop.
-const MAX_PROFILE_HZ: u32 = 50_000;
-
-/// Parses `--profile-hz` (default [`whart_prof::DEFAULT_HZ`]), bounding
-/// it to `1..=`[`MAX_PROFILE_HZ`].
-fn parse_profile_hz(args: &[String]) -> Result<u32, String> {
-    let hz: u32 = parse_or(args, "--profile-hz", whart_prof::DEFAULT_HZ)?;
-    if hz == 0 {
-        return Err("--profile-hz must be at least 1".into());
-    }
-    if hz > MAX_PROFILE_HZ {
-        return Err(format!(
-            "--profile-hz must be at most {MAX_PROFILE_HZ} (got {hz})"
-        ));
-    }
-    Ok(hz)
-}
-
 /// Runs one `whart` invocation and returns what it prints to stdout.
 ///
 /// # Errors
@@ -181,31 +121,12 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let threads = parse_threads(args, "--threads")?;
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
-            let profile = flag_value(args, "--profile")?;
-            reject_artifact_stdout(metrics.as_deref(), trace.as_deref(), profile.as_deref())?;
-            batch::batch(
-                &text,
-                threads,
-                has_flag(args, "--stats"),
-                metrics.as_deref(),
-                trace.as_deref(),
-                profile.as_deref(),
-                parse_profile_hz(args)?,
-            )
+            let telemetry = TelemetryFlags::parse(args, &[])?;
+            batch::batch(&text, threads, has_flag(args, "--stats"), &telemetry)
         }
         "serve" => {
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
             let log = flag_value(args, "--log")?;
-            let profile = flag_value(args, "--profile")?;
-            reject_stdout_interleave(&[
-                ("--metrics", metrics.as_deref()),
-                ("--trace", trace.as_deref()),
-                ("--log", log.as_deref()),
-                ("--profile", profile.as_deref()),
-            ])?;
+            let telemetry = TelemetryFlags::parse(args, &[("--log", log.as_deref())])?;
             let log_level = match flag_value(args, "--log-level")? {
                 Some(v) => Some(whart_log::Level::parse(&v)?),
                 None => None,
@@ -246,8 +167,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     Some(v) => Some(parse(&v, "--max-queue")?),
                     None => None,
                 },
-                metrics_path: metrics,
-                trace_path: trace,
                 cache_capacity: match flag_value(args, "--metrics-capacity")? {
                     Some(v) => Some(parse(&v, "--metrics-capacity")?),
                     None => None,
@@ -260,26 +179,13 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 log_level,
                 slo_target_ms,
                 flight_threshold_ms,
-                profile_path: profile,
-                profile_hz: parse_profile_hz(args)?,
+                telemetry,
             };
             serve_app::serve(options)
         }
         "optimize" => {
-            let metrics = flag_value(args, "--metrics")?;
-            let trace = flag_value(args, "--trace")?;
-            let profile = flag_value(args, "--profile")?;
-            reject_artifact_stdout(metrics.as_deref(), trace.as_deref(), profile.as_deref())?;
             let emit_spec = flag_value(args, "--emit-spec")?;
-            if emit_spec.as_deref() == Some("-")
-                && (metrics.as_deref() == Some("-")
-                    || trace.as_deref() == Some("-")
-                    || profile.as_deref() == Some("-"))
-            {
-                return Err("--emit-spec - shares stdout with another JSON stream and \
-                     would interleave; give at least one of them a file path"
-                    .into());
-            }
+            let telemetry = TelemetryFlags::parse(args, &[("--emit-spec", emit_spec.as_deref())])?;
             let defaults = whart_opt::GeneratorConfig::default();
             let availability = match flag_value(args, "--availability")? {
                 Some(v) => {
@@ -318,10 +224,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 threads: parse_threads(args, "--threads")?,
                 json: has_flag(args, "--json"),
                 emit_spec,
-                metrics_path: metrics,
-                trace_path: trace,
-                profile_path: profile,
-                profile_hz: parse_profile_hz(args)?,
+                telemetry,
             })
         }
         "analyze" | "explain" | "dot" | "simulate" | "predict" | "sensitivity" => {
@@ -335,23 +238,8 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     let seed = parse_or(args, "--seed", 42u64)?;
                     let intervals = parse_or(args, "--intervals", 100_000u64)?;
                     let backend = commands::Backend::parse(&name, seed, intervals)?;
-                    let metrics = flag_value(args, "--metrics")?;
-                    let trace = flag_value(args, "--trace")?;
-                    let profile = flag_value(args, "--profile")?;
-                    reject_artifact_stdout(
-                        metrics.as_deref(),
-                        trace.as_deref(),
-                        profile.as_deref(),
-                    )?;
-                    commands::analyze(
-                        &spec,
-                        has_flag(args, "--json"),
-                        &backend,
-                        metrics.as_deref(),
-                        trace.as_deref(),
-                        profile.as_deref(),
-                        parse_profile_hz(args)?,
-                    )
+                    let telemetry = TelemetryFlags::parse(args, &[])?;
+                    commands::analyze(&spec, has_flag(args, "--json"), &backend, &telemetry)
                 }
                 "explain" => {
                     let name = flag_value(args, "--backend")?.unwrap_or_else(|| "fast".into());

@@ -44,10 +44,9 @@
 //!   `--metrics`/`--trace` artifacts, exit.
 
 use crate::batch::{decode_fleet, result_line, stats_line, BatchEntry};
-use crate::commands::{
-    example, render_analyze, write_metrics, write_profile, write_trace, Backend,
-};
+use crate::commands::{example, render_analyze, Backend};
 use crate::spec::NetworkSpec;
+use crate::telemetry::{TelemetryFlags, MAX_PROFILE_HZ};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
@@ -72,10 +71,6 @@ pub(crate) struct ServeOptions {
     /// Dispatch-queue capacity (`--max-queue`); requests beyond it are
     /// rejected with 503 + Retry-After.
     pub max_queue: Option<usize>,
-    /// Where to write the final metrics snapshot at shutdown.
-    pub metrics_path: Option<String>,
-    /// Where to write the final trace journal at shutdown.
-    pub trace_path: Option<String>,
     /// Engine path/link cache capacity bound (entries per layer).
     pub cache_capacity: Option<usize>,
     /// Trace journal capacity bound (retained events).
@@ -91,18 +86,33 @@ pub(crate) struct ServeOptions {
     /// Flight-recorder tail-sampling threshold, milliseconds
     /// (`--flight-threshold-ms`).
     pub flight_threshold_ms: Option<f64>,
-    /// Where to write a whole-lifetime sampled profile at shutdown
-    /// (`--profile`). The live `/v1/debug/profile` endpoint works with
-    /// or without this.
-    pub profile_path: Option<String>,
-    /// Sampling frequency for the lifetime capture, and the default for
-    /// `/v1/debug/profile` (`--profile-hz`).
-    pub profile_hz: u32,
+    /// Where to write the final metrics snapshot, trace journal and
+    /// whole-lifetime sampled profile at shutdown. `--profile-hz` is
+    /// also the default rate of `/v1/debug/profile`, which works with
+    /// or without `--profile`.
+    pub telemetry: TelemetryFlags,
 }
 
 /// Longest `/v1/debug/profile` capture one request may hold a worker
 /// thread for.
 const MAX_PROFILE_SECONDS: u64 = 30;
+
+/// Largest Monte-Carlo replication count (`intervals`) one `sim` solve
+/// may ask the service for, on `/v1/analyze` and per `/v1/batch`
+/// scenario: ten times the CLI default, so one request cannot pin a
+/// worker indefinitely.
+const MAX_SIM_INTERVALS: u64 = 1_000_000;
+
+/// Rejects a `sim` backend whose replication count exceeds
+/// [`MAX_SIM_INTERVALS`].
+fn check_sim_intervals(backend: Backend) -> Result<Backend, String> {
+    match backend {
+        Backend::Sim { intervals, .. } if intervals > MAX_SIM_INTERVALS => Err(format!(
+            "'intervals' is capped at {MAX_SIM_INTERVALS} for the service"
+        )),
+        backend => Ok(backend),
+    }
+}
 
 /// How often the background resource sampler re-reads `/proc/self`.
 const RESOURCE_PERIOD: std::time::Duration = std::time::Duration::from_secs(1);
@@ -388,7 +398,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
     let name = request.query_param("backend").unwrap_or("fast");
     let seed = query_u64(request, "seed", 42)?;
     let intervals = query_u64(request, "intervals", 100_000)?;
-    let backend = Backend::parse(name, seed, intervals)?;
+    let backend = check_sim_intervals(Backend::parse(name, seed, intervals)?)?;
     let json = match request.query_param("format") {
         None | Some("json") => true,
         Some("text") => false,
@@ -439,6 +449,9 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
 fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
     let _frame = app.profiler.enter(app.frames.batch);
     let entries = decode_fleet(request.body_text()?)?;
+    for (index, entry) in entries.iter().enumerate() {
+        check_sim_intervals(entry.backend).map_err(|e| format!("scenario {}: {e}", index + 1))?;
+    }
     let with_stats = matches!(request.query_param("stats"), Some("true") | Some("1"));
     let scenarios = entries.len();
     let request_id = request.request_id().unwrap_or("-").to_owned();
@@ -806,11 +819,8 @@ fn debug_profile_handler(app: &App, request: &Request) -> Result<Response, Strin
         ));
     }
     let hz = query_u64(request, "hz", app.profile_hz as u64)?;
-    if hz == 0 || hz > crate::MAX_PROFILE_HZ as u64 {
-        return Err(format!(
-            "'hz' must be between 1 and {}",
-            crate::MAX_PROFILE_HZ
-        ));
+    if hz == 0 || hz > MAX_PROFILE_HZ as u64 {
+        return Err(format!("'hz' must be between 1 and {MAX_PROFILE_HZ}"));
     }
     let json = match request.query_param("format") {
         None | Some("folded") => false,
@@ -949,11 +959,10 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     // The profiler rides along for the whole process lifetime so the
     // debug endpoint can capture at any moment; an explicit `--profile`
     // additionally runs one lifetime capture written at shutdown.
-    let profiler = Profiler::new();
-    let lifetime_capture = options
-        .profile_path
-        .as_ref()
-        .and_then(|_| profiler.start_capture(options.profile_hz));
+    let telemetry = options
+        .telemetry
+        .start_with(metrics.clone(), trace.clone(), Profiler::new());
+    let profiler = telemetry.profiler.clone();
     let frames = ServeFrames {
         analyze: profiler.frame("serve.analyze"),
         batch: profiler.frame("serve.batch"),
@@ -968,7 +977,7 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
         started: Instant::now(),
         profiler: profiler.clone(),
         frames,
-        profile_hz: options.profile_hz,
+        profile_hz: options.telemetry.profile_hz,
         resources: ResourceSampler::spawn(RESOURCE_PERIOD),
         engines: Mutex::new(EngineStore::new(
             threads,
@@ -1010,14 +1019,6 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
         .emit();
     log.flush();
     let mut out = format!("whart serve: drained after {requests} requests\n");
-    if let Some(path) = &options.metrics_path {
-        out.push_str(&write_metrics(path, &metrics)?);
-    }
-    if let Some(path) = &options.trace_path {
-        out.push_str(&write_trace(path, &trace)?);
-    }
-    if let (Some(path), Some(capture)) = (&options.profile_path, lifetime_capture) {
-        out.push_str(&write_profile(path, &capture.stop())?);
-    }
+    out.push_str(&telemetry.finish()?);
     Ok(out)
 }

@@ -419,6 +419,39 @@ fn error_paths_answer_with_client_errors() {
 }
 
 #[test]
+fn monte_carlo_replication_counts_are_capped_server_side() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    let spec = section_v_spec();
+    // The CLI default and the CI traffic load are admitted...
+    for intervals in [20_000, 100_000] {
+        let target = format!("/v1/analyze?backend=sim&seed=1&intervals={intervals}");
+        let (status, body) = http(&serve.addr, "POST", &target, &spec);
+        assert_eq!(status, 200, "{intervals}: {body}");
+    }
+    // ...while a count past the cap is a client error, not a pinned
+    // worker.
+    for intervals in ["1000001", "18446744073709551615"] {
+        let target = format!("/v1/analyze?backend=sim&seed=1&intervals={intervals}");
+        let (status, body) = http(&serve.addr, "POST", &target, &spec);
+        assert_eq!(status, 400, "{intervals}: {body}");
+        assert!(body.contains("'intervals' is capped"), "{body}");
+    }
+    // Batch applies the same cap per scenario.
+    let fleet = r#"[
+        {"network":"section-v"},
+        {"network":"section-v","backend":"sim","seed":1,"intervals":1000001}
+    ]"#;
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", fleet);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("scenario 2"), "{body}");
+    assert!(body.contains("'intervals' is capped"), "{body}");
+    let fleet = r#"[{"network":"section-v","backend":"sim","seed":1,"intervals":100000}]"#;
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", fleet);
+    assert_eq!(status, 200, "{body}");
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_work_and_writes_final_artifacts() {
     let dir = std::env::temp_dir().join("whart-serve-shutdown-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -207,7 +207,6 @@ mod tests {
     use crate::sweeps::section_v_model;
     use whart_channel::LinkModel;
     use whart_net::ReportingInterval;
-    use whart_obs::Metrics;
 
     fn problem(availability: f64) -> PathProblem {
         section_v_model(availability, ReportingInterval::REGULAR)
@@ -235,7 +234,7 @@ mod tests {
         let problem = problem(0.83);
         let ex = explain_path(&problem, DelayConvention::Absolute);
         let baseline = FastSolver
-            .solve_path_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
+            .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
         assert_eq!(
             ex.evaluation().cycle_probabilities().as_slice(),

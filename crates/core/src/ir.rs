@@ -336,100 +336,42 @@ pub trait Solver: Send + Sync {
         false
     }
 
-    /// Solves one compiled path problem, recording backend
-    /// observability into `obs`: every backend times the solve into the
-    /// `solver.<name>.solve_ns` histogram, plus backend-specific work
-    /// counters (transient steps, chain sizes, Monte-Carlo draws). With
-    /// a disabled handle this must behave exactly like an
-    /// uninstrumented solve — bit-identical results, no clock reads.
+    /// Solves one compiled path problem — the one method every backend
+    /// implements. Backend observability goes to `obs`: every backend
+    /// times the solve into the `solver.<name>.solve_ns` histogram, plus
+    /// backend-specific work counters (transient steps, chain sizes,
+    /// Monte-Carlo draws). Structured provenance goes to `trace`: a
+    /// `path_solve` span per solve plus backend-specific events (per-hop
+    /// link provenance, per-cycle transition mass, chain sizes,
+    /// Monte-Carlo seeds).
+    ///
+    /// Telemetry only observes: the evaluation is bit-identical whatever
+    /// the handles, and with disabled handles the solve reads no clock
+    /// and allocates nothing for telemetry.
     ///
     /// # Errors
     ///
     /// Backend-specific solver failures (the fast evaluator is total;
     /// the explicit chain propagates linear-solver errors).
-    fn solve_path_observed(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<PathEvaluation>;
-
-    /// Solves one compiled path problem without observability.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve_path_observed`].
-    fn solve_path(&self, problem: &PathProblem, plan: MeasurePlan) -> Result<PathEvaluation> {
-        self.solve_path_observed(problem, plan, &Metrics::disabled())
-    }
-
-    /// Solves one compiled path problem, recording metrics into `obs`
-    /// and structured provenance into `trace`: a `path_solve` span per
-    /// solve plus backend-specific events (per-hop link provenance,
-    /// per-cycle transition mass, chain sizes, Monte-Carlo seeds).
-    ///
-    /// The contract mirrors the metrics one: with a disabled trace
-    /// handle this must behave exactly like
-    /// [`Solver::solve_path_observed`] — bit-identical results, no
-    /// extra clock reads or allocation. The default implementation
-    /// ignores the trace entirely, so backends without provenance stay
-    /// correct.
-    ///
-    /// # Errors
-    ///
-    /// As [`Solver::solve_path_observed`].
     fn solve_path_traced(
         &self,
         problem: &PathProblem,
         plan: MeasurePlan,
         obs: &Metrics,
         trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        let _ = trace;
-        self.solve_path_observed(problem, plan, obs)
-    }
+    ) -> Result<PathEvaluation>;
 
-    /// Solves a compiled network problem path by path, recording
-    /// backend observability into `obs`.
+    /// Solves one compiled path problem without telemetry.
     ///
     /// # Errors
     ///
-    /// Propagates the first path-solve failure.
-    fn solve_network_observed(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<NetworkEvaluation> {
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .map(|(path, p)| {
-                Ok(PathReport {
-                    path: path.clone(),
-                    evaluation: Arc::new(self.solve_path_observed(p, plan, obs)?),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NetworkEvaluation::from_reports(reports))
+    /// As [`Solver::solve_path_traced`].
+    fn solve_path(&self, problem: &PathProblem, plan: MeasurePlan) -> Result<PathEvaluation> {
+        self.solve_path_traced(problem, plan, &Metrics::disabled(), &Trace::disabled())
     }
 
-    /// Solves a compiled network problem without observability.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first path-solve failure.
-    fn solve_network(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-    ) -> Result<NetworkEvaluation> {
-        self.solve_network_observed(problem, plan, &Metrics::disabled())
-    }
-
-    /// Solves a compiled network problem path by path with metrics and
-    /// provenance tracing; see [`Solver::solve_path_traced`].
+    /// Solves a compiled network problem path by path, in path order,
+    /// through [`Solver::solve_path_traced`].
     ///
     /// # Errors
     ///
@@ -441,9 +383,6 @@ pub trait Solver: Send + Sync {
         obs: &Metrics,
         trace: &Trace,
     ) -> Result<NetworkEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_network_observed(problem, plan, obs);
-        }
         let reports = problem
             .paths()
             .iter()
@@ -456,6 +395,19 @@ pub trait Solver: Send + Sync {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(NetworkEvaluation::from_reports(reports))
+    }
+
+    /// Solves a compiled network problem without telemetry.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first path-solve failure.
+    fn solve_network(
+        &self,
+        problem: &NetworkProblem,
+        plan: MeasurePlan,
+    ) -> Result<NetworkEvaluation> {
+        self.solve_network_traced(problem, plan, &Metrics::disabled(), &Trace::disabled())
     }
 }
 
@@ -494,8 +446,11 @@ pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue
 
 /// Emits one `hop` provenance instant per hop of `problem` (the static
 /// part — backends with per-hop solve statistics extend the args
-/// instead of calling this).
+/// instead of calling this). Computes nothing on a disabled handle.
 pub fn trace_hops(problem: &PathProblem, cat: &'static str, trace: &Trace) {
+    if !trace.is_enabled() {
+        return;
+    }
     for (hop, h) in problem.hops().iter().enumerate() {
         trace.instant("hop", cat, hop_provenance(hop, h));
     }
@@ -515,41 +470,9 @@ impl Solver for FastSolver {
         true
     }
 
-    fn solve_path_observed(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<PathEvaluation> {
-        let span = obs.timer("solver.fast.solve_ns");
-        let (evaluation, steps) = fast_evaluate_counted(problem, plan);
-        span.stop();
-        obs.counter("solver.fast.transient_steps").add(steps);
-        Ok(evaluation)
-    }
-
-    fn solve_network_observed(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<NetworkEvaluation> {
-        let evaluations = evaluate_parallel(problem.path_problems(), plan, obs);
-        let reports = problem
-            .paths()
-            .iter()
-            .cloned()
-            .zip(evaluations)
-            .map(|(path, evaluation)| PathReport {
-                path,
-                evaluation: Arc::new(evaluation),
-            })
-            .collect();
-        Ok(NetworkEvaluation::from_reports(reports))
-    }
-
-    /// The traced fast solve: the identical transient iteration, with a
-    /// step observer feeding the journal. Per solve it emits one
+    /// The transient iteration of Eq. 5. Untraced solves run the
+    /// counted kernel; traced solves run the identical iteration with a
+    /// step observer feeding the journal. Per traced solve it emits one
     /// `path_solve` span, one `hop` instant per hop (link provenance
     /// plus the hop's expected attempts/failures and discard-attributed
     /// loss mass), one `cycle` instant per completed cycle (transition
@@ -563,7 +486,11 @@ impl Solver for FastSolver {
         trace: &Trace,
     ) -> Result<PathEvaluation> {
         if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
+            let span = obs.timer("solver.fast.solve_ns");
+            let (evaluation, steps) = fast_evaluate_counted(problem, plan);
+            span.stop();
+            obs.counter("solver.fast.transient_steps").add(steps);
+            return Ok(evaluation);
         }
         let mut span = trace.span("path_solve", "solver.fast");
         let n = problem.hop_count();
@@ -623,53 +550,6 @@ impl Solver for FastSolver {
     }
 }
 
-/// Solves a batch of compiled path problems on scoped worker threads
-/// (one chunk per available core, bounded by the batch size). Each
-/// solve is timed into `solver.fast.solve_ns`; instrument handles are
-/// resolved once, so the per-solve cost is two atomic updates (none
-/// when `obs` is disabled).
-pub(crate) fn evaluate_parallel(
-    problems: &[PathProblem],
-    plan: MeasurePlan,
-    obs: &Metrics,
-) -> Vec<PathEvaluation> {
-    let latency = obs.histogram("solver.fast.solve_ns");
-    let steps_total = obs.counter("solver.fast.transient_steps");
-    let solve = |problem: &PathProblem| {
-        let span = latency.start();
-        let (evaluation, steps) = fast_evaluate_counted(problem, plan);
-        span.stop();
-        steps_total.add(steps);
-        evaluation
-    };
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let workers = workers.min(problems.len()).max(1);
-    if workers <= 1 {
-        return problems.iter().map(solve).collect();
-    }
-    let chunk = problems.len().div_ceil(workers);
-    let mut out: Vec<Option<PathEvaluation>> = vec![None; problems.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (problems_chunk, out_chunk) in problems.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            let solve = &solve;
-            handles.push(scope.spawn(move || {
-                for (problem, slot) in problems_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(solve(problem));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("path evaluation workers do not panic");
-        }
-    });
-    out.into_iter()
-        .map(|e| e.expect("every slot filled"))
-        .collect()
-}
-
 /// The reference backend: Algorithm 1's explicit unrolled DTMC (Figs.
 /// 4-5), solved by absorbing-state analysis. Slower than [`FastSolver`]
 /// but independent of the transient iteration, so it serves as the exact
@@ -684,37 +564,16 @@ impl Solver for ExplicitSolver {
         "explicit"
     }
 
-    fn solve_path_observed(
+    /// The absorbing-state solve of the enumerated chain. Traced solves
+    /// add a `path_solve` span carrying the chain's state/transition
+    /// counts and one `hop` provenance instant per hop.
+    fn solve_path_traced(
         &self,
         problem: &PathProblem,
         _plan: MeasurePlan,
         obs: &Metrics,
-    ) -> Result<PathEvaluation> {
-        let span = obs.timer("solver.explicit.solve_ns");
-        let chain = explicit_chain_of(problem);
-        obs.counter("solver.explicit.states")
-            .add(chain.state_count() as u64);
-        obs.counter("solver.explicit.transitions")
-            .add(chain.transition_count() as u64);
-        let (cycle_probabilities, discard) = chain.solve()?;
-        let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
-        span.stop();
-        Ok(evaluation)
-    }
-
-    /// The traced explicit solve: identical numerics, plus a `path_solve`
-    /// span carrying the enumerated chain's state/transition counts and
-    /// one `hop` provenance instant per hop.
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
         trace: &Trace,
     ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
-        }
         let mut tspan = trace.span("path_solve", "solver.explicit");
         let span = obs.timer("solver.explicit.solve_ns");
         let chain = explicit_chain_of(problem);
@@ -883,7 +742,7 @@ mod tests {
     }
 
     #[test]
-    fn default_solve_network_matches_fast_override() {
+    fn solve_network_agrees_across_analytical_backends() {
         use whart_net::typical::TypicalNetwork;
         let net = TypicalNetwork::new(LinkModel::from_availability(0.83, 0.9).unwrap());
         let model = crate::NetworkModel::from_typical(
@@ -896,8 +755,7 @@ mod tests {
         let fast = FastSolver
             .solve_network(&problem, MeasurePlan::SCALAR)
             .unwrap();
-        // The default per-path implementation through ExplicitSolver
-        // agrees to solver round-off.
+        // Both backends agree to solver round-off, path by path.
         let explicit = ExplicitSolver
             .solve_network(&problem, MeasurePlan::SCALAR)
             .unwrap();

@@ -5,6 +5,7 @@ use whart_model::sweeps::{chain_model, section_v_model};
 use whart_model::{ExplicitSolver, FastSolver, MeasurePlan, Solver};
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
+use whart_trace::Trace;
 
 #[test]
 fn fast_solver_is_inert_when_observability_is_off() {
@@ -16,7 +17,7 @@ fn fast_solver_is_inert_when_observability_is_off() {
         .solve_path(&problem, MeasurePlan::SCALAR)
         .unwrap();
     let observed = FastSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &disabled)
+        .solve_path_traced(&problem, MeasurePlan::SCALAR, &disabled, &Trace::disabled())
         .unwrap();
     assert_eq!(plain, observed, "bit-identical evaluation");
     assert!(
@@ -36,7 +37,7 @@ fn fast_solver_records_timing_and_steps_without_perturbing_results() {
         .solve_path(&problem, MeasurePlan::SCALAR)
         .unwrap();
     let observed = FastSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &metrics)
+        .solve_path_traced(&problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
         .unwrap();
     assert_eq!(plain, observed, "metrics must not perturb the solve");
     let snapshot = metrics.snapshot();
@@ -55,7 +56,7 @@ fn explicit_solver_reports_chain_dimensions() {
         .compile();
     let metrics = Metrics::new();
     let observed = ExplicitSolver
-        .solve_path_observed(&problem, MeasurePlan::SCALAR, &metrics)
+        .solve_path_traced(&problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
         .unwrap();
     let plain = ExplicitSolver
         .solve_path(&problem, MeasurePlan::SCALAR)
@@ -85,7 +86,7 @@ fn network_solves_share_the_registry_across_paths() {
     let network = model.compile().unwrap();
     let metrics = Metrics::new();
     let observed = FastSolver
-        .solve_network_observed(&network, MeasurePlan::SCALAR, &metrics)
+        .solve_network_traced(&network, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
         .unwrap();
     let plain = FastSolver
         .solve_network(&network, MeasurePlan::SCALAR)

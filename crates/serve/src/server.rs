@@ -8,14 +8,15 @@
 //! One event loop (the thread calling [`Server::serve`]) owns a poll
 //! set holding the nonblocking listener, a wake pipe, and every idle
 //! keep-alive connection. When a parked connection turns readable it is
-//! dispatched to a fixed pool of worker threads over a **bounded**
-//! channel of capacity [`ServerConfig::max_queue`]; a full queue is
-//! answered immediately with `503` + `Retry-After` instead of buffering
-//! without bound (finite-queue admission, the degradation mode the
-//! finite-queue mesh models in the related work prescribe). A worker
-//! serves requests back-to-back while more are buffered or in flight on
-//! the socket (pipelining), then hands the connection back to the event
-//! loop for parking and wakes its poll via the wake pipe. Idle
+//! dispatched to a fixed pool of worker threads over a work queue.
+//! Admission is **bounded**: once every worker is busy and
+//! [`ServerConfig::max_queue`] connections are already waiting, the
+//! next one is answered immediately with `503` + `Retry-After` instead
+//! of buffering without bound (finite-queue admission, the degradation
+//! mode the finite-queue mesh models in the related work prescribe). A
+//! worker serves requests back-to-back while more are buffered or in
+//! flight on the socket (pipelining), then hands the connection back to
+//! the event loop for parking and wakes its poll via the wake pipe. Idle
 //! connections past [`ServerConfig::keepalive_timeout`] are closed by
 //! the event loop.
 //!
@@ -210,6 +211,11 @@ struct Ctx {
     in_flight: AtomicU64,
     open: AtomicU64,
     queued: AtomicU64,
+    /// Connections dispatched and not yet handed back by a worker:
+    /// the queued ones plus the ones in service.
+    admitted: AtomicU64,
+    /// Admission bound on `admitted`: worker threads plus `max_queue`.
+    capacity: u64,
     read_timeout: Duration,
     write_timeout: Duration,
     keepalive_timeout: Duration,
@@ -363,6 +369,8 @@ impl Server {
             in_flight: AtomicU64::new(0),
             open: AtomicU64::new(0),
             queued: AtomicU64::new(0),
+            admitted: AtomicU64::new(0),
+            capacity: (self.threads + self.max_queue) as u64,
             read_timeout: self.read_timeout,
             write_timeout: self.write_timeout,
             keepalive_timeout: self.keepalive_timeout,
@@ -381,7 +389,7 @@ impl Server {
         signal::install();
         self.listener.set_nonblocking(true)?;
         let ctx = self.make_ctx();
-        let (work_tx, work_rx) = mpsc::sync_channel::<Tracked>(self.max_queue);
+        let (work_tx, work_rx) = mpsc::channel::<Tracked>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let (park_tx, park_rx) = mpsc::channel::<Tracked>();
         let mut wake = poll::WakePipe::new()?;
@@ -503,7 +511,7 @@ impl Server {
         signal::install();
         self.listener.set_nonblocking(true)?;
         let ctx = self.make_ctx();
-        let (work_tx, work_rx) = mpsc::sync_channel::<Tracked>(self.max_queue);
+        let (work_tx, work_rx) = mpsc::channel::<Tracked>();
         let work_rx = Arc::new(Mutex::new(work_rx));
         let workers: Vec<_> = (0..self.threads)
             .map(|i| {
@@ -557,42 +565,41 @@ impl std::fmt::Debug for Server {
     }
 }
 
-/// Admits a readable connection into the bounded work queue, or rejects
-/// it with `503` + `Retry-After` when the queue is full.
-fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::SyncSender<Tracked>) {
+/// Admits a readable connection into the work queue, or rejects it
+/// with `503` + `Retry-After` when every worker is busy and `max_queue`
+/// connections are already waiting.
+fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::Sender<Tracked>) {
+    if ctx.admitted.fetch_add(1, Ordering::SeqCst) >= ctx.capacity {
+        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
+        ctx.metrics
+            .counter("http.rejected_total{reason=queue_full}")
+            .increment();
+        // No request was parsed, so the overflow gets a fresh
+        // correlation id: the rejected client can still quote an id
+        // that the server's log line carries.
+        let request_id = next_request_id();
+        let response = Response::text(503, "server busy: request queue is full\n")
+            .with_header("Retry-After", "1")
+            .with_header("X-Request-Id", request_id.clone());
+        let _ = tracked.write_response(&response, false, false, REJECT_WRITE_TIMEOUT);
+        ctx.log
+            .event(Level::Warn, "queue_overflow")
+            .field("request_id", request_id.as_str())
+            .field("code", 503u64)
+            .field("queue_depth", ctx.queued.load(Ordering::SeqCst))
+            .emit();
+        ctx.log.flush();
+        return;
+    }
     // Count before sending so a worker's decrement can never observe
     // the queue below zero.
     let depth = ctx.queued.fetch_add(1, Ordering::SeqCst) + 1;
     ctx.metrics.gauge("http.queue_depth").set(depth);
     tracked.enqueued_at = Some(Instant::now());
-    match work_tx.try_send(tracked) {
-        Ok(()) => {}
-        Err(mpsc::TrySendError::Full(mut rejected)) => {
-            let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-            ctx.metrics.gauge("http.queue_depth").set(depth);
-            ctx.metrics
-                .counter("http.rejected_total{reason=queue_full}")
-                .increment();
-            // No request was parsed, so the overflow gets a fresh
-            // correlation id: the rejected client can still quote an id
-            // that the server's log line carries.
-            let request_id = next_request_id();
-            let response = Response::text(503, "server busy: request queue is full\n")
-                .with_header("Retry-After", "1")
-                .with_header("X-Request-Id", request_id.clone());
-            let _ = rejected.write_response(&response, false, false, REJECT_WRITE_TIMEOUT);
-            ctx.log
-                .event(Level::Warn, "queue_overflow")
-                .field("request_id", request_id.as_str())
-                .field("code", 503u64)
-                .field("queue_depth", depth)
-                .emit();
-            ctx.log.flush();
-        }
-        Err(mpsc::TrySendError::Disconnected(_)) => {
-            let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-            ctx.metrics.gauge("http.queue_depth").set(depth);
-        }
+    if work_tx.send(tracked).is_err() {
+        let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
+        ctx.metrics.gauge("http.queue_depth").set(depth);
+        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -624,7 +631,11 @@ fn worker_loop(
         let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
         ctx.metrics.gauge("http.queue_depth").set(depth);
         let queue_ns = tracked.enqueued_at.take().map_or(0, elapsed_ns);
-        match serve_conn(ctx, &mut tracked.conn, queue_ns) {
+        let disposition = serve_conn(ctx, &mut tracked.conn, queue_ns);
+        // Free the admission slot before parking, so the connection's
+        // next request is admitted against the current load.
+        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
+        match disposition {
             Disposition::Park => {
                 if park_tx.send(tracked).is_ok() {
                     waker.wake();
@@ -651,6 +662,7 @@ fn worker_loop_blocking(ctx: &Arc<Ctx>, work_rx: &Mutex<mpsc::Receiver<Tracked>>
         // serve_conn never returns Park off-Unix (idle waits loop
         // inside it at the keep-alive timeout).
         let _ = serve_conn(ctx, &mut tracked.conn, queue_ns);
+        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 }
 

@@ -104,13 +104,21 @@ impl MonteCarloSolver {
             .wrapping_add(SEED_MIX.wrapping_mul(index.wrapping_add(1)))
     }
 
+    /// Solves `problem` from `seed`: one sequential RNG stream across
+    /// all replications (replication `k` consumes the draws replication
+    /// `k-1` left off at — reseeding per replication would change the
+    /// estimates). With an enabled `trace` it also emits a `path_solve`
+    /// span carrying the seed and the aggregate draw statistics, and one
+    /// `hop` provenance instant per hop; the estimates are identical
+    /// either way.
     fn solve_path_seeded(
         &self,
         problem: &PathProblem,
         seed: u64,
-        _plan: MeasurePlan,
         obs: &Metrics,
+        trace: &Trace,
     ) -> PathEvaluation {
+        let mut tspan = trace.span("path_solve", "solver.sim");
         let span = obs.timer("solver.sim.solve_ns");
         let cycles = problem.interval().cycles() as usize;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -136,34 +144,17 @@ impl MonteCarloSolver {
         // One Bernoulli draw per attempted transmission.
         obs.counter("solver.sim.draws").add(attempts);
         obs.counter("solver.sim.replications").add(self.intervals);
-        evaluation
-    }
-
-    /// The traced counterpart of [`MonteCarloSolver::solve_path_seeded`]:
-    /// the identical single sequential RNG stream (replication `k`
-    /// consumes the draws replication `k-1` left off at — reseeding per
-    /// replication would change the estimates), plus a `path_solve` span
-    /// carrying the replication seed and the aggregate draw statistics,
-    /// and one `hop` provenance instant per hop.
-    fn solve_path_traced_seeded(
-        &self,
-        problem: &PathProblem,
-        seed: u64,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> PathEvaluation {
-        let mut span = trace.span("path_solve", "solver.sim");
-        let evaluation = self.solve_path_seeded(problem, seed, plan, obs);
-        whart_model::ir::trace_hops(problem, "solver.sim", trace);
-        span.arg("seed", seed);
-        span.arg("replications", self.intervals);
-        span.arg(
-            "draws",
-            (evaluation.expected_transmissions() * self.intervals as f64).round() as u64,
-        );
-        span.arg("reachability", evaluation.reachability());
-        span.arg("discard_probability", evaluation.discard_probability());
+        if tspan.is_recording() {
+            whart_model::ir::trace_hops(problem, "solver.sim", trace);
+            tspan.arg("seed", seed);
+            tspan.arg("replications", self.intervals);
+            tspan.arg(
+                "draws",
+                (evaluation.expected_transmissions() * self.intervals as f64).round() as u64,
+            );
+            tspan.arg("reachability", evaluation.reachability());
+            tspan.arg("discard_probability", evaluation.discard_probability());
+        }
         evaluation
     }
 }
@@ -176,36 +167,26 @@ impl Solver for MonteCarloSolver {
     /// Statistical estimates of the path measures. Total — never fails.
     /// Trajectory requests are ignored (the estimator keeps no per-slot
     /// record); the returned evaluation carries scalars only.
-    fn solve_path_observed(
-        &self,
-        problem: &PathProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-    ) -> Result<PathEvaluation> {
-        Ok(self.solve_path_seeded(problem, self.path_seed(0), plan, obs))
-    }
-
-    /// The traced statistical solve; the RNG stream and therefore the
-    /// estimates are bit-identical to [`Solver::solve_path_observed`];
-    /// the seeded worker behind both entry points is shared.
     fn solve_path_traced(
         &self,
         problem: &PathProblem,
-        plan: MeasurePlan,
+        _plan: MeasurePlan,
         obs: &Metrics,
         trace: &Trace,
     ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_path_observed(problem, plan, obs);
-        }
-        Ok(self.solve_path_traced_seeded(problem, self.path_seed(0), plan, obs, trace))
+        Ok(self.solve_path_seeded(problem, self.path_seed(0), obs, trace))
     }
 
-    fn solve_network_observed(
+    /// Seeds each path from its position in the network (`path_seed(i)`
+    /// for the path at index `i`), so the per-path streams are
+    /// independent; the trait default would solve every path from
+    /// `path_seed(0)`.
+    fn solve_network_traced(
         &self,
         problem: &whart_model::NetworkProblem,
-        plan: MeasurePlan,
+        _plan: MeasurePlan,
         obs: &Metrics,
+        trace: &Trace,
     ) -> Result<whart_model::NetworkEvaluation> {
         use std::sync::Arc;
         let reports = problem
@@ -218,40 +199,6 @@ impl Solver for MonteCarloSolver {
                 evaluation: Arc::new(self.solve_path_seeded(
                     p,
                     self.path_seed(i as u64),
-                    plan,
-                    obs,
-                )),
-            })
-            .collect();
-        Ok(whart_model::NetworkEvaluation::from_reports(reports))
-    }
-
-    /// The traced network solve. Must mirror the per-path-index seeding
-    /// of [`Solver::solve_network_observed`] — the trait default routes
-    /// through `solve_path_traced`, which always uses `path_seed(0)`
-    /// and would break traced/untraced bit-parity for network problems.
-    fn solve_network_traced(
-        &self,
-        problem: &whart_model::NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<whart_model::NetworkEvaluation> {
-        if !trace.is_enabled() {
-            return self.solve_network_observed(problem, plan, obs);
-        }
-        use std::sync::Arc;
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .enumerate()
-            .map(|(i, (path, p))| whart_model::PathReport {
-                path: path.clone(),
-                evaluation: Arc::new(self.solve_path_traced_seeded(
-                    p,
-                    self.path_seed(i as u64),
-                    plan,
                     obs,
                     trace,
                 )),
@@ -337,9 +284,7 @@ mod tests {
                 .compile()
                 .unwrap();
         let solver = MonteCarloSolver::new(7, 5_000);
-        let plain = solver
-            .solve_network_observed(&problem, MeasurePlan::SCALAR, &Metrics::disabled())
-            .unwrap();
+        let plain = solver.solve_network(&problem, MeasurePlan::SCALAR).unwrap();
         let trace = Trace::new();
         let traced = solver
             .solve_network_traced(&problem, MeasurePlan::SCALAR, &Metrics::disabled(), &trace)

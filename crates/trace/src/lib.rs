@@ -485,13 +485,20 @@ mod tests {
     fn events_accumulate_across_threads_with_distinct_tids() {
         let trace = Trace::new();
         std::thread::scope(|scope| {
-            for worker in 0..4 {
-                let trace = trace.clone();
-                scope.spawn(move || {
-                    for i in 0..10 {
-                        trace.instant(format!("w{worker}"), "test", [("i", (i as u64).into())]);
-                    }
-                });
+            let workers: Vec<_> = (0..4)
+                .map(|worker| {
+                    let trace = trace.clone();
+                    scope.spawn(move || {
+                        for i in 0..10 {
+                            trace.instant(format!("w{worker}"), "test", [("i", (i as u64).into())]);
+                        }
+                    })
+                })
+                .collect();
+            // Join explicitly: the scope's implicit join does not wait
+            // for the thread-exit TLS flush that publishes the events.
+            for worker in workers {
+                worker.join().unwrap();
             }
         });
         let log = trace.drain();
@@ -569,7 +576,11 @@ mod tests {
             drop(span);
             std::thread::scope(|s| {
                 let worker = trace.clone();
-                s.spawn(move || worker.instant("hop", "solver.fast", [("slot", 3u64.into())]));
+                // Join explicitly: the scope's implicit join does not wait
+                // for the thread-exit TLS flush that publishes the event.
+                s.spawn(move || worker.instant("hop", "solver.fast", [("slot", 3u64.into())]))
+                    .join()
+                    .unwrap();
             });
         }
         // After the scope: no stamping.
