@@ -7,19 +7,22 @@
 //! ```
 //!
 //! Runs the engine-throughput groups (serial loop, cold and warm engine
-//! drains at 1/2/4/8 workers, plus the profiler-attached `profiled/4`
+//! drains at 1/2/4/8 workers, the cold 1-worker drain traced into a
+//! full journal `traced/1`, and the profiler-attached `profiled/4`
 //! drain) over the 18-scenario acceptance fleet, derives one JSON line
 //! per group plus the first-class scaling-ratio rows (`scale/cold/N` vs
 //! the serial loop, `scale/warm/N` vs `warm/1`, `scale/profiled/4` vs
-//! `warm/4`) from the `whart-obs` snapshot, and — with `--check` —
-//! fails (exit 1) when any group's serial-loop-normalized mean grew
-//! beyond the tolerance (default 0.25 = 25%), when a scaling ratio
-//! drifted beyond it, or when any scale row in the fresh run exceeds
-//! its hard ceiling: 1.25 for the parallel-path rows (losing outright
-//! to the code it replaces is a regression no baseline can excuse),
-//! 1.05 for `scale/profiled/4` (a profiler too costly to leave on
-//! defeats its purpose). The self-profile captured during the warm
-//! phase is printed to stderr as a frame-attribution table.
+//! `warm/4`, `scale/traced/1` vs `cold/1`) from the `whart-obs`
+//! snapshot, and — with `--check` — fails (exit 1) when any group's
+//! serial-loop-normalized mean grew beyond the tolerance (default 0.25
+//! = 25%), when a scaling ratio drifted beyond it, or when any scale
+//! row in the fresh run exceeds its hard ceiling: 1.25 for the
+//! parallel-path rows (losing outright to the code it replaces is a
+//! regression no baseline can excuse), 1.05 for `scale/profiled/4` (a
+//! profiler too costly to leave on defeats its purpose), 2.5 for
+//! `scale/traced/1` (a journal that refuses every event must not cost
+//! the solver its provenance). The self-profile captured during the
+//! warm phase is printed to stderr as a frame-attribution table.
 
 use std::process::ExitCode;
 use whart_bench::harness::{

@@ -11,6 +11,10 @@
 //! Groups match the Criterion benchmark of the same name:
 //! * `serial-loop` — `NetworkModel::evaluate` per scenario, no sharing;
 //! * `cold/{workers}` — a fresh engine per iteration;
+//! * `traced/1` — the cold 1-worker drain with an enabled trace journal
+//!   that is already full, as `whart serve`'s is in steady state:
+//!   every event is refused, so this pins what tracing costs when it
+//!   records nothing (gated at [`TRACED_CEILING`] of the `cold/1` time);
 //! * `warm/{workers}` — a pre-warmed engine (pure cache traffic);
 //! * `profiled/4` — the warm 4-worker drain with a `whart-prof`
 //!   profiler attached and a live capture sampling at the default rate,
@@ -32,6 +36,7 @@ use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
 use whart_obs::{Metrics, MetricsSnapshot};
 use whart_prof::{Profile, Profiler};
+use whart_trace::Trace;
 
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
@@ -41,13 +46,18 @@ const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// worker count's `warm/…` group).
 const PROFILED_WORKERS: usize = 4;
 
+/// Worker count of the `traced/…` group (compared against the same
+/// worker count's `cold/…` group).
+const TRACED_WORKERS: usize = 1;
+
 /// The benchmark groups, in the order their lines are emitted.
-pub const GROUPS: [&str; 10] = [
+pub const GROUPS: [&str; 11] = [
     "serial-loop",
     "cold/1",
     "cold/2",
     "cold/4",
     "cold/8",
+    "traced/1",
     "warm/1",
     "warm/2",
     "warm/4",
@@ -70,6 +80,14 @@ pub const SCALE_CEILING: f64 = 1.25;
 /// "cheap enough to leave on in production"; this row is that pitch,
 /// measured on every CI run.
 pub const PROFILED_CEILING: f64 = 1.05;
+
+/// Hard ceiling on the `scale/traced/N` row: a cold drain traced into a
+/// full journal may cost at most 2.5x the untraced one. The traced
+/// engine solves every path unshared (no slot-shift canonicalization),
+/// so some tax is structural; a refused event must not build anything,
+/// and a solver that builds its provenance anyway reads tens of times
+/// the untraced drain.
+pub const TRACED_CEILING: f64 = 2.5;
 
 /// Iteration counts for one harness run.
 #[derive(Debug, Clone, Copy)]
@@ -176,23 +194,35 @@ pub fn run_engine_throughput(
             black_box(black_box(model).evaluate().expect("valid"));
         }
     };
-    let cold = |workers: usize| {
+    // The traced group's journal admits nothing: its single slot is
+    // taken before the first drain and never released.
+    let full_journal = Trace::with_capacity(1);
+    full_journal.instant("fill", "bench", []);
+    let cold = |workers: usize, trace: &Trace| {
         let mut engine = Engine::new(workers);
+        engine.set_trace(trace.clone());
         submit_fleet(&mut engine, models);
         black_box(engine.drain().expect("valid"));
     };
+    let untraced = Trace::disabled();
 
     for _ in 0..config.warmup {
         serial();
         for workers in WORKER_COUNTS {
-            cold(workers);
+            cold(workers, &untraced);
         }
+        cold(TRACED_WORKERS, &full_journal);
     }
     for _ in 0..config.iterations {
         time_one(&metrics, "serial-loop", serial);
         for workers in WORKER_COUNTS {
-            time_one(&metrics, &format!("cold/{workers}"), || cold(workers));
+            time_one(&metrics, &format!("cold/{workers}"), || {
+                cold(workers, &untraced)
+            });
         }
+        time_one(&metrics, &format!("traced/{TRACED_WORKERS}"), || {
+            cold(TRACED_WORKERS, &full_journal)
+        });
     }
 
     let mut engines: Vec<(usize, Engine)> = WORKER_COUNTS
@@ -334,6 +364,10 @@ pub fn attribution_lines(profile: &Profile) -> String {
 /// * `scale/profiled/{N}` — the profiled warm drain over the same
 ///   worker count's plain `warm/{N}` drain: the profiler facade's
 ///   overhead in isolation, gated at [`PROFILED_CEILING`].
+/// * `scale/traced/{N}` — the cold drain traced into a full journal
+///   over the same worker count's untraced `cold/{N}` drain: the
+///   tracing tax when every event is refused, gated at
+///   [`TRACED_CEILING`].
 ///
 /// Ratios divide the groups' **minimum** iteration times, not their
 /// means: preemption and scheduler noise only ever add time, so the
@@ -384,6 +418,16 @@ fn scale_rows(snapshot: &MetricsSnapshot) -> Vec<(String, f64, &'static str)> {
             format!("engine_throughput/scale/profiled/{PROFILED_WORKERS}"),
             profiled / warm,
             "warm/4",
+        ));
+    }
+    if let (Some(traced), Some(cold)) = (
+        best(&format!("traced/{TRACED_WORKERS}")),
+        best(&format!("cold/{TRACED_WORKERS}")),
+    ) {
+        rows.push((
+            format!("engine_throughput/scale/traced/{TRACED_WORKERS}"),
+            traced / cold,
+            "cold/1",
         ));
     }
     rows
@@ -446,7 +490,9 @@ fn parse_bench_lines(text: &str) -> Result<BenchRows, String> {
 ///    the parallel path is actively losing to the code it replaces.
 ///    `scale/profiled/N` rows use the tighter [`PROFILED_CEILING`]
 ///    instead: an attached profiler must stay within 5% of the plain
-///    warm drain or it is too expensive to leave on.
+///    warm drain or it is too expensive to leave on. `scale/traced/N`
+///    rows use [`TRACED_CEILING`]: a full journal may cost at most 2.5x
+///    the untraced cold drain.
 ///    When the baseline carries scale rows too, each one additionally
 ///    gates drift at `tolerance`, and a scale row missing from the
 ///    current run is a failure.
@@ -529,13 +575,15 @@ pub fn check_regression(
     for (id, ratio) in &cur_scales {
         let ceiling = if id.contains("/scale/profiled/") {
             PROFILED_CEILING
+        } else if id.contains("/scale/traced/") {
+            TRACED_CEILING
         } else {
             SCALE_CEILING
         };
         if *ratio > ceiling {
             failures.push(format!(
                 "{id}: ratio {ratio:.3} exceeds the hard ceiling {ceiling} \
-                 (the parallel path must not lose to its denominator)"
+                 (no baseline excuses it)"
             ));
         }
     }
@@ -582,9 +630,9 @@ mod tests {
         };
         let (snapshot, profile) = run_engine_throughput(config, &tiny_fleet());
         let lines = bench_lines(&snapshot, 1);
-        // 10 mean rows plus 8 scale rows: scale/cold/{1,2,4,8},
-        // scale/warm/{2,4,8} and scale/profiled/4.
-        assert_eq!(lines.lines().count(), GROUPS.len() + 8);
+        // 11 mean rows plus 9 scale rows: scale/cold/{1,2,4,8},
+        // scale/warm/{2,4,8}, scale/profiled/4 and scale/traced/1.
+        assert_eq!(lines.lines().count(), GROUPS.len() + 9);
         for (line, group) in lines.lines().zip(GROUPS) {
             let value = Json::parse(line).unwrap();
             assert_eq!(
@@ -616,6 +664,7 @@ mod tests {
             "scale/warm/4",
             "scale/warm/8",
             "scale/profiled/4",
+            "scale/traced/1",
         ];
         for (line, id) in scale_lines.iter().zip(expected_ids) {
             let value = Json::parse(line).unwrap();
@@ -628,6 +677,8 @@ mod tests {
                 "serial-loop"
             } else if id.starts_with("scale/profiled") {
                 "warm/4"
+            } else if id.starts_with("scale/traced") {
+                "cold/1"
             } else {
                 "warm/1"
             };
@@ -784,6 +835,31 @@ mod tests {
 {{\"id\":\"engine_throughput/scale/profiled/4\",\"ratio\":1.02,\"of\":\"warm/4\"}}\n"
         );
         assert!(check_regression(&cheap, &cheap, 0.25).unwrap().is_empty());
+    }
+
+    #[test]
+    fn traced_scale_row_is_gated_at_its_own_ceiling() {
+        let means = "\
+{\"id\":\"engine_throughput/serial-loop\",\"mean_ns\":1000.0,\"elements\":18}\n";
+        let row = |ratio: f64| {
+            format!(
+                "{means}\
+{{\"id\":\"engine_throughput/scale/traced/1\",\"ratio\":{ratio},\"of\":\"cold/1\"}}\n"
+            )
+        };
+        // A solver that builds every refused event reads tens of times
+        // the untraced drain; a ratio just past the line fails as well.
+        for taxed in [64.8, 2.6] {
+            let failures = check_regression(&row(taxed), &row(taxed), 0.25).unwrap();
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("scale/traced/1"), "{failures:?}");
+            assert!(failures[0].contains("2.5"), "{failures:?}");
+        }
+        // 1.5x would fail the general 1.25 ceiling, but an unshared
+        // traced drain legitimately costs that much.
+        assert!(check_regression(&row(1.5), &row(1.5), 0.25)
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

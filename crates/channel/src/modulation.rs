@@ -44,6 +44,10 @@ impl Modulation {
     /// The `Eb/N0` (linear) required to reach a target BER, found by
     /// bisection on the monotone BER curve.
     ///
+    /// The bisection keeps `ber(lo) > target >= ber(hi)` and stops once
+    /// the midpoint rounds onto an endpoint: from there no step can move
+    /// the bracket, so the result is the one the full 200 steps reach.
+    ///
     /// Returns `None` for targets outside `(0, 0.5)`.
     pub fn required_snr(self, target_ber: f64) -> Option<EbN0> {
         if !(0.0..0.5).contains(&target_ber) || target_ber == 0.0 {
@@ -58,6 +62,9 @@ impl Modulation {
         }
         for _ in 0..200 {
             let mid = 0.5 * (lo + hi);
+            if mid == lo || mid == hi {
+                break;
+            }
             if self.ber(EbN0::from_linear(mid)) > target_ber {
                 lo = mid;
             } else {
@@ -153,6 +160,49 @@ mod tests {
             let snr = Modulation::Oqpsk.required_snr(target).unwrap();
             let back = Modulation::Oqpsk.ber(snr);
             assert!(((back - target) / target).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn required_snr_early_exit_matches_the_full_bisection_bit_for_bit() {
+        // The bisection as it ran before stopping on a collapsed bracket:
+        // a fixed 200 steps from the same doubling bracket.
+        fn full_bisection(m: Modulation, target: f64) -> Option<f64> {
+            let (mut lo, mut hi) = (0.0f64, 1.0f64);
+            while m.ber(EbN0::from_linear(hi)) > target {
+                hi *= 2.0;
+                if hi > 1e6 {
+                    return None;
+                }
+            }
+            for _ in 0..200 {
+                let mid = 0.5 * (lo + hi);
+                if m.ber(EbN0::from_linear(mid)) > target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            Some(0.5 * (lo + hi))
+        }
+        // Log-spaced BERs from 1e-12 up to 0.49, both ends included.
+        let (first, last, n) = (1e-12f64, 0.49f64, 97);
+        let step = (last / first).ln() / (n - 1) as f64;
+        for m in [
+            Modulation::Oqpsk,
+            Modulation::NoncoherentBfsk,
+            Modulation::Dbpsk,
+        ] {
+            for i in 0..n {
+                let target = if i == n - 1 {
+                    last
+                } else {
+                    first * (step * i as f64).exp()
+                };
+                let fast = m.required_snr(target).map(|e| e.linear().to_bits());
+                let full = full_bisection(m, target).map(f64::to_bits);
+                assert_eq!(fast, full, "{m} at BER {target:e}");
+            }
         }
     }
 

@@ -18,10 +18,9 @@
 //! delay contributions sum to `E[delay | delivered]`, so the breakdown
 //! is a true decomposition, not an approximation.
 
-use whart_channel::{ber_from_failure_probability, Modulation, WIRELESSHART_MESSAGE_BITS};
 use whart_net::NodeId;
 
-use crate::ir::{MeasurePlan, PathProblem};
+use crate::ir::{channel_figures, MeasurePlan, PathProblem};
 use crate::measures::DelayConvention;
 use crate::path::{fast_evaluate_observed, PathEvaluation, StepEvent};
 
@@ -152,11 +151,7 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
         .enumerate()
         .map(|(hop, h)| {
             let model = h.dynamics().model();
-            let ber = if model.p_fl() < 1.0 {
-                ber_from_failure_probability(model.p_fl(), WIRELESSHART_MESSAGE_BITS)
-            } else {
-                1.0
-            };
+            let (ber, snr) = channel_figures(model.p_fl());
             HopBreakdown {
                 hop,
                 link: h.link(),
@@ -166,7 +161,7 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
                 availability: model.availability(),
                 initial_up: h.dynamics().initial().up(),
                 ber,
-                snr: Modulation::Oqpsk.required_snr(ber).map(|e| e.linear()),
+                snr,
                 outages: h.dynamics().outages().len(),
                 expected_attempts: attempts[hop],
                 expected_failures: failures[hop],
@@ -205,7 +200,7 @@ mod tests {
     use super::*;
     use crate::ir::{FastSolver, Solver};
     use crate::sweeps::section_v_model;
-    use whart_channel::LinkModel;
+    use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
     use whart_net::ReportingInterval;
 
     fn problem(availability: f64) -> PathProblem {

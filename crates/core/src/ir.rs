@@ -411,18 +411,26 @@ pub trait Solver: Send + Sync {
     }
 }
 
-/// The per-hop link provenance every traced backend emits: scheduling,
-/// the resolved transition probabilities, and the channel figures they
-/// imply (stationary availability, the Eq. 2-inverted BER at the
-/// standard 127-byte message and — when the BER is invertible through
-/// the OQPSK AWGN curve — the implied `Eb/N0`).
-pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {
-    let model = h.dynamics().model();
-    let ber = if model.p_fl() < 1.0 {
-        ber_from_failure_probability(model.p_fl(), WIRELESSHART_MESSAGE_BITS)
+/// The channel figures a link's failure probability implies: the bit
+/// error rate at the standard 127-byte message (Eq. 2 inverted; 1.0
+/// when `p_fl` is 1) and, when that BER is invertible through the
+/// OQPSK AWGN curve (Eq. 1), the implied `Eb/N0` (linear).
+pub(crate) fn channel_figures(p_fl: f64) -> (f64, Option<f64>) {
+    let ber = if p_fl < 1.0 {
+        ber_from_failure_probability(p_fl, WIRELESSHART_MESSAGE_BITS)
     } else {
         1.0
     };
+    (ber, Modulation::Oqpsk.required_snr(ber).map(|e| e.linear()))
+}
+
+/// The per-hop link provenance every traced backend emits: scheduling,
+/// the resolved transition probabilities, and the [`channel_figures`]
+/// they imply (stationary availability, BER and — when defined — the
+/// implied `Eb/N0`).
+pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {
+    let model = h.dynamics().model();
+    let (ber, snr) = channel_figures(model.p_fl());
     let mut args = vec![
         ("hop", ArgValue::from(hop)),
         ("frame_slot", ArgValue::from(h.frame_slot())),
@@ -433,8 +441,8 @@ pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue
         ("initial_up", ArgValue::from(h.dynamics().initial().up())),
         ("outages", ArgValue::from(h.dynamics().outages().len())),
     ];
-    if let Some(snr) = Modulation::Oqpsk.required_snr(ber) {
-        args.push(("snr", ArgValue::from(snr.linear())));
+    if let Some(snr) = snr {
+        args.push(("snr", ArgValue::from(snr)));
     }
     if let Some((a, b)) = h.link() {
         // The attached identity is the undirected canonical key, so the
@@ -446,13 +454,12 @@ pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue
 
 /// Emits one `hop` provenance instant per hop of `problem` (the static
 /// part — backends with per-hop solve statistics extend the args
-/// instead of calling this). Computes nothing on a disabled handle.
+/// instead of calling this). Builds the provenance only for events the
+/// journal admits, so a disabled handle or a full journal computes
+/// nothing.
 pub fn trace_hops(problem: &PathProblem, cat: &'static str, trace: &Trace) {
-    if !trace.is_enabled() {
-        return;
-    }
     for (hop, h) in problem.hops().iter().enumerate() {
-        trace.instant("hop", cat, hop_provenance(hop, h));
+        trace.instant_with("hop", cat, || hop_provenance(hop, h));
     }
 }
 
@@ -511,37 +518,35 @@ impl Solver for FastSolver {
                 delivered,
                 in_flight,
             } => {
-                trace.instant(
-                    "cycle",
-                    "solver.fast",
+                trace.instant_with("cycle", "solver.fast", || {
                     [
                         ("cycle", ArgValue::from(cycle as u64 + 1)),
                         ("goal_mass", ArgValue::from(goal_mass)),
                         ("delivered", ArgValue::from(delivered)),
                         ("residual", ArgValue::from(in_flight)),
-                    ],
-                );
+                    ]
+                });
             }
             StepEvent::Discard { step, in_flight } => {
                 loss.copy_from_slice(in_flight);
-                trace.instant(
-                    "discard",
-                    "solver.fast",
+                trace.instant_with("discard", "solver.fast", || {
                     [
                         ("step", ArgValue::from(step)),
                         ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
-                    ],
-                );
+                    ]
+                });
             }
         });
         timer.stop();
         obs.counter("solver.fast.transient_steps").add(steps);
         for (hop, h) in problem.hops().iter().enumerate() {
-            let mut args = hop_provenance(hop, h);
-            args.push(("expected_attempts", ArgValue::from(attempts[hop])));
-            args.push(("expected_failures", ArgValue::from(failures[hop])));
-            args.push(("loss_mass", ArgValue::from(loss[hop])));
-            trace.instant("hop", "solver.fast", args);
+            trace.instant_with("hop", "solver.fast", || {
+                let mut args = hop_provenance(hop, h);
+                args.push(("expected_attempts", ArgValue::from(attempts[hop])));
+                args.push(("expected_failures", ArgValue::from(failures[hop])));
+                args.push(("loss_mass", ArgValue::from(loss[hop])));
+                args
+            });
         }
         span.arg("hops", n);
         span.arg("transient_steps", steps);

@@ -41,33 +41,23 @@ fn results_are_bit_identical_with_profiler_enabled() {
 
 #[test]
 fn sampled_drains_attribute_time_to_engine_frames() {
-    // Cold-drain fresh engines under a fast capture until the sampler
-    // has observed the execute stage; every drain plans real solves, so
-    // a handful of iterations is enough at 20 kHz even on slow machines.
+    // Cold-drain fresh engines, each under its own fast capture, until
+    // a capture has observed the execute stage; that capture is the one
+    // asserted on below. Every drain plans real solves, so a handful of
+    // attempts is enough at 20 kHz even on slow machines.
     let profiler = Profiler::new();
-    let capture = profiler.start_capture(20_000).unwrap();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
     let profile = loop {
+        let capture = profiler.start_capture(20_000).unwrap();
         let mut engine = Engine::new(4);
         engine.set_profiler(profiler.clone());
         for scenario in fleet() {
             engine.submit(scenario);
         }
         engine.drain().unwrap();
-        if std::time::Instant::now() >= deadline {
-            break capture.stop();
-        }
-        // Peek cheaply: run a short side capture to see if frames are
-        // landing yet. The main capture keeps accumulating either way.
-        let probe = profiler.start_capture(20_000).unwrap();
-        let mut engine = Engine::new(4);
-        engine.set_profiler(profiler.clone());
-        for scenario in fleet() {
-            engine.submit(scenario);
-        }
-        engine.drain().unwrap();
-        if probe.stop().frame_total("engine.execute") > 0 {
-            break capture.stop();
+        let profile = capture.stop();
+        if profile.frame_total("engine.execute") > 0 || std::time::Instant::now() >= deadline {
+            break profile;
         }
     };
     assert!(profile.total_samples() > 0, "no samples at 20 kHz");

@@ -19,7 +19,9 @@
 //! * The journal is bounded: once `capacity` events have been admitted
 //!   between drains, further events are counted in
 //!   [`TraceLog::dropped`] instead of stored, so a runaway per-slot
-//!   instrumentation cannot exhaust memory.
+//!   instrumentation cannot exhaust memory. [`Trace::instant_with`]
+//!   reserves the slot before building its event, so a refused instant
+//!   builds nothing.
 //!
 //! Tracing must never perturb results: traced solves are bit-identical
 //! to untraced ones (asserted by the backend parity tests in
@@ -175,14 +177,16 @@ fn buffer_event(shared: &Arc<Shared>, event: TraceEvent) {
     }
 }
 
-fn emit(shared: &Arc<Shared>, event: TraceEvent) {
+/// Takes one capacity slot of `shared`'s journal, or counts the event
+/// as dropped and returns false when the journal is full.
+fn admit(shared: &Shared) -> bool {
     let admitted = shared.admitted.fetch_add(1, Ordering::Relaxed);
     if admitted >= shared.capacity {
         shared.admitted.fetch_sub(1, Ordering::Relaxed);
         shared.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
+        return false;
     }
-    buffer_event(shared, event);
+    true
 }
 
 /// A cloneable handle to a structured event journal, or a no-op
@@ -288,30 +292,53 @@ impl Trace {
         }
     }
 
-    /// Records an instant provenance event. On a disabled handle the
-    /// name is not materialized and `args` is not consumed.
+    /// Records an instant provenance event: a forward to
+    /// [`Trace::instant_with`] with ready-made args. On a disabled handle
+    /// or a full journal the name is not materialized and `args` is
+    /// dropped unconsumed.
     ///
-    /// Hot loops should guard the whole call with
-    /// [`Trace::is_enabled`] so argument values are not even computed —
-    /// that guard is the "one branch per event site" the disabled mode
-    /// promises.
+    /// The args are evaluated before the call, so wherever computing
+    /// them costs more than a copy, use [`Trace::instant_with`] instead:
+    /// it builds them only for an event the journal admits.
     pub fn instant<I>(&self, name: impl Into<String>, cat: &'static str, args: I)
     where
         I: IntoIterator<Item = (&'static str, ArgValue)>,
     {
-        if let Some(shared) = &self.shared {
-            let mut all = shared.context_args();
-            all.extend(args);
-            let event = TraceEvent {
-                name: name.into(),
-                cat,
-                ph: Phase::Instant,
-                ts_ns: shared.now_ns(),
-                tid: 0,
-                args: all,
-            };
-            emit(shared, event);
+        self.instant_with(name, cat, || args);
+    }
+
+    /// Records an instant provenance event whose args are built by
+    /// `args` — called only once the journal has admitted the event.
+    ///
+    /// The capacity slot is reserved first. On a disabled handle nothing
+    /// happens; on a journal full until the next [`Trace::drain`] the
+    /// event costs three atomic operations and is counted in
+    /// [`TraceLog::dropped`]. Either way `args` never runs, the ambient
+    /// context is not cloned and the name is not materialized. An
+    /// admitted event carries the context args first, then `args`'
+    /// items, and is timestamped after they are built.
+    pub fn instant_with<F, I>(&self, name: impl Into<String>, cat: &'static str, args: F)
+    where
+        F: FnOnce() -> I,
+        I: IntoIterator<Item = (&'static str, ArgValue)>,
+    {
+        let Some(shared) = &self.shared else {
+            return;
+        };
+        if !admit(shared) {
+            return;
         }
+        let mut all = shared.context_args();
+        all.extend(args());
+        let event = TraceEvent {
+            name: name.into(),
+            cat,
+            ph: Phase::Instant,
+            ts_ns: shared.now_ns(),
+            tid: 0,
+            args: all,
+        };
+        buffer_event(shared, event);
     }
 
     /// Events refused so far by the capacity bound.
@@ -426,6 +453,9 @@ impl TraceSpan {
 impl Drop for TraceSpan {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
+            if !admit(&inner.shared) {
+                return;
+            }
             let end_ns = inner.shared.now_ns();
             let event = TraceEvent {
                 name: inner.name,
@@ -437,7 +467,7 @@ impl Drop for TraceSpan {
                 tid: 0,
                 args: inner.args,
             };
-            emit(&inner.shared, event);
+            buffer_event(&inner.shared, event);
         }
     }
 }
@@ -522,6 +552,69 @@ mod tests {
         assert_eq!(trace.drain().len(), 1);
         let text = trace.drain().to_jsonl();
         assert!(text.contains("trace.dropped"), "{text}");
+    }
+
+    #[test]
+    fn refused_instants_never_build_their_args() {
+        let trace = Trace::with_capacity(1);
+        trace.instant("fill", "test", []);
+        let built = std::cell::Cell::new(0);
+        for expected_dropped in 1..=3 {
+            trace.instant_with("refused", "test", || {
+                built.set(built.get() + 1);
+                [("k", 1u64.into())]
+            });
+            assert_eq!(trace.dropped(), expected_dropped);
+        }
+        assert_eq!(built.get(), 0, "a refused event ran its args closure");
+        // Draining releases the slot: the same event is admitted again.
+        assert_eq!(trace.drain().len(), 1);
+        trace.instant_with("admitted", "test", || {
+            built.set(built.get() + 1);
+            [("k", 1u64.into())]
+        });
+        assert_eq!(built.get(), 1);
+        let log = trace.drain();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.events[0].name, "admitted");
+        assert_eq!(log.dropped, 3);
+    }
+
+    #[test]
+    fn disabled_handles_never_build_instant_args() {
+        let trace = Trace::disabled();
+        trace.instant_with("e", "test", || -> [(&'static str, ArgValue); 0] {
+            panic!("a disabled handle ran its args closure")
+        });
+        assert!(trace.drain().is_empty());
+        assert_eq!(trace.dropped(), 0);
+    }
+
+    #[test]
+    fn instant_with_builds_the_same_event_as_instant() {
+        let trace = Trace::new();
+        let _scope = trace.context_scope([("request_id", "req-1".into())]);
+        let args = || {
+            [
+                ("p_fl", ArgValue::from(0.25)),
+                ("hop", ArgValue::from(2u64)),
+            ]
+        };
+        trace.instant("hop", "solver.fast", args());
+        trace.instant_with("hop", "solver.fast", args);
+        let log = trace.drain();
+        assert_eq!(log.len(), 2);
+        let (eager, lazy) = (&log.events[0], &log.events[1]);
+        let lazy_at_eager_ts = TraceEvent {
+            ts_ns: eager.ts_ns,
+            ..lazy.clone()
+        };
+        assert_eq!(&lazy_at_eager_ts, eager, "only the timestamp differs");
+        assert_eq!(
+            lazy.args.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
+            ["request_id", "p_fl", "hop"],
+            "context args come first"
+        );
     }
 
     #[test]
