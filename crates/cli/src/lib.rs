@@ -128,7 +128,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let log = flag_value(args, "--log")?;
             let telemetry = TelemetryFlags::parse(args, &[("--log", log.as_deref())])?;
             let log_level = match flag_value(args, "--log-level")? {
-                Some(v) => Some(whart_log::Level::parse(&v)?),
+                Some(v) => Some(whart_serve::log::Level::parse(&v)?),
                 None => None,
             };
             let positive_ms = |flag: &str| -> Result<Option<f64>, String> {

@@ -50,12 +50,12 @@ use crate::telemetry::{TelemetryFlags, MAX_PROFILE_HZ};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
-use whart_log::{Level, Logger};
 use whart_model::{MeasurePlan, NetworkModel};
 use whart_obs::prometheus::{self, DerivedGauge};
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler, ResourceSampler};
 use whart_serve::flight::{DEFAULT_RECENT, DEFAULT_SLOW};
+use whart_serve::log::{Level, Logger};
 use whart_serve::windows::DEFAULT_WINDOW;
 use whart_serve::{FlightRecorder, HttpWindows, Request, Response, Router, Server, ServerConfig};
 use whart_trace::Trace;
@@ -1001,11 +1001,12 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     // The address goes to stderr so stdout stays clean for the final
     // artifacts (tests and scripts parse the port from this line).
     eprintln!("whart serve: listening on http://{addr} ({threads} worker threads)");
-    log.event(Level::Info, "server_listening")
-        .field("addr", addr.to_string())
-        .field("threads", threads as u64)
-        .emit();
-    log.flush();
+    log.emit(Level::Info, "server_listening", || {
+        [
+            ("addr", whart_json::Json::from(addr.to_string())),
+            ("threads", whart_json::Json::from(threads as u64)),
+        ]
+    });
     server.serve().map_err(|e| format!("serve failed: {e}"))?;
     let snapshot = metrics.snapshot();
     let requests: u64 = snapshot
@@ -1014,10 +1015,9 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
         .filter(|(name, _)| name.starts_with("http.requests_total"))
         .map(|(_, count)| count)
         .sum();
-    log.event(Level::Info, "server_drained")
-        .field("requests", requests)
-        .emit();
-    log.flush();
+    log.emit(Level::Info, "server_drained", || {
+        [("requests", whart_json::Json::from(requests))]
+    });
     let mut out = format!("whart serve: drained after {requests} requests\n");
     out.push_str(&telemetry.finish()?);
     Ok(out)

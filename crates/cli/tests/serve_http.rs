@@ -718,6 +718,25 @@ fn structured_logging_does_not_change_report_bytes() {
     }
 }
 
+#[cfg(target_os = "linux")]
+#[test]
+fn log_write_failures_are_counted_and_never_fail_a_request() {
+    // Every write to /dev/full fails with ENOSPC.
+    let serve = spawn_serve(&["--log", "/dev/full"]);
+    await_ready(&serve.addr);
+    let (status, _) = http(&serve.addr, "POST", "/v1/analyze", &section_v_spec());
+    assert_eq!(status, 200);
+    let (status, page) = http(&serve.addr, "GET", "/statusz", "");
+    assert_eq!(status, 200);
+    let errors: u64 = page
+        .lines()
+        .find_map(|l| l.strip_prefix("log_write_errors: "))
+        .expect("log_write_errors on statusz")
+        .parse()
+        .unwrap();
+    assert!(errors >= 1, "{page}");
+}
+
 #[test]
 fn debug_profile_captures_live_and_process_gauges_are_exposed() {
     let serve = spawn_serve(&[]);

@@ -425,7 +425,7 @@ pub(crate) fn channel_figures(p_fl: f64) -> (f64, Option<f64>) {
 }
 
 /// The per-hop link provenance every traced backend emits: scheduling,
-/// the resolved transition probabilities, and the [`channel_figures`]
+/// the resolved transition probabilities, and the channel figures
 /// they imply (stationary availability, BER and — when defined — the
 /// implied `Eb/N0`).
 pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {

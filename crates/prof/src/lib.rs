@@ -1,7 +1,7 @@
 //! Zero-cost-when-disabled sampling profiler for the whart workspace.
 //!
-//! The fourth observability facade, alongside `whart-obs` (metrics),
-//! `whart-trace` (event journal) and `whart-log` (structured logs). A
+//! An observability facade alongside `whart-obs` (metrics) and
+//! `whart-trace` (event journal). A
 //! [`Profiler`] is a handle around `Option<Arc<Shared>>`: the default
 //! [`Profiler::disabled`] handle records nothing, allocates nothing and
 //! reads no clocks, so instrumented hot paths cost a branch when

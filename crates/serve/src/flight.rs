@@ -9,82 +9,27 @@
 //!   threshold — the tail sample, retained even as fast traffic churns
 //!   the recent ring (until slow traffic itself overflows it).
 //!
-//! Each entry carries the request's correlation id, summary fields, and
-//! a per-hop [`TraceEvent`] timeline (queue wait, handler, write)
-//! rendered with the same JSONL machinery as the trace journal, so one
-//! id links the response header, the log line, the journal spans and
-//! the flight entry.
+//! Each entry is the request's [`RequestRecord`]: the same record the
+//! middleware renders the journal event and the log line from, so one
+//! id links the response header, the log line, the journal and the
+//! flight entry. Its summary and per-stage timeline are rendered only
+//! when someone looks it up.
 
+use crate::record::RequestRecord;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
-use whart_json::Json;
-use whart_trace::{TraceEvent, TraceLog};
 
 /// Default size of the recent-requests ring.
 pub const DEFAULT_RECENT: usize = 64;
 /// Default size of the retained-slow ring.
 pub const DEFAULT_SLOW: usize = 64;
 
-/// One finished request's summary and per-hop timeline.
-#[derive(Debug, Clone)]
-pub struct FlightEntry {
-    /// The request's correlation id (`X-Request-Id`).
-    pub id: String,
-    /// Request method.
-    pub method: String,
-    /// Route label (the registered path, or an error label).
-    pub route: String,
-    /// Response status code.
-    pub status: u16,
-    /// Wall-clock start, Unix milliseconds.
-    pub started_unix_ms: u64,
-    /// Time spent queued before a worker picked the connection up
-    /// (first request after dispatch only; 0 on pipelined follow-ups).
-    pub queue_ns: u64,
-    /// Total service time, read to written.
-    pub total_ns: u64,
-    /// Whether the connection had already served earlier requests.
-    pub reused_connection: bool,
-    /// The per-hop timeline (queue wait, handler, response write),
-    /// timestamped on the trace clock.
-    pub events: Vec<TraceEvent>,
-}
-
-impl FlightEntry {
-    /// The one-line summary object for `GET /v1/debug/requests`.
-    pub fn summary_json(&self) -> Json {
-        Json::object([
-            ("id", Json::from(self.id.as_str())),
-            ("method", Json::from(self.method.as_str())),
-            ("route", Json::from(self.route.as_str())),
-            ("status", Json::from(self.status)),
-            ("started_unix_ms", Json::from(self.started_unix_ms)),
-            ("queue_ns", Json::from(self.queue_ns)),
-            ("total_ns", Json::from(self.total_ns)),
-            ("reused_connection", Json::from(self.reused_connection)),
-        ])
-    }
-
-    /// The full trace for `GET /v1/debug/requests/<id>`: the summary
-    /// plus the per-hop timeline as trace-journal JSONL.
-    pub fn detail_jsonl(&self) -> String {
-        let mut out = self.summary_json().to_compact();
-        out.push('\n');
-        let log = TraceLog {
-            events: self.events.clone(),
-            dropped: 0,
-        };
-        out.push_str(&log.to_jsonl());
-        out
-    }
-}
-
 struct Shared {
     recent_capacity: usize,
     slow_capacity: usize,
     threshold_ns: u64,
-    recent: Mutex<VecDeque<FlightEntry>>,
-    slow: Mutex<VecDeque<FlightEntry>>,
+    recent: Mutex<VecDeque<RequestRecord>>,
+    slow: Mutex<VecDeque<RequestRecord>>,
 }
 
 /// A cloneable handle to the two rings. The default handle is disabled
@@ -126,7 +71,7 @@ impl FlightRecorder {
 
     /// Records one finished request: always into the recent ring, and
     /// into the retained-slow ring when it exceeded the threshold.
-    pub fn record(&self, entry: FlightEntry) {
+    pub fn record(&self, entry: RequestRecord) {
         let Some(shared) = &self.shared else {
             return;
         };
@@ -146,11 +91,11 @@ impl FlightRecorder {
 
     /// Summaries of everything currently held, newest first, slow
     /// retentions before recent ones, deduplicated by id.
-    pub fn summaries(&self) -> Vec<FlightEntry> {
+    pub fn summaries(&self) -> Vec<RequestRecord> {
         let Some(shared) = &self.shared else {
             return Vec::new();
         };
-        let mut out: Vec<FlightEntry> = Vec::new();
+        let mut out: Vec<RequestRecord> = Vec::new();
         {
             let slow = shared.slow.lock().expect("flight slow ring");
             out.extend(slow.iter().rev().cloned());
@@ -165,7 +110,7 @@ impl FlightRecorder {
     }
 
     /// The full entry for `id`, if either ring still holds it.
-    pub fn lookup(&self, id: &str) -> Option<FlightEntry> {
+    pub fn lookup(&self, id: &str) -> Option<RequestRecord> {
         let shared = self.shared.as_ref()?;
         {
             let slow = shared.slow.lock().expect("flight slow ring");
@@ -191,24 +136,22 @@ impl std::fmt::Debug for FlightRecorder {
 mod tests {
     use super::*;
 
-    fn entry(id: &str, total_ns: u64) -> FlightEntry {
-        FlightEntry {
+    fn entry(id: &str, total_ns: u64) -> RequestRecord {
+        RequestRecord {
             id: id.into(),
             method: "POST".into(),
-            route: "/v1/analyze".into(),
+            route: "/v1/analyze",
             status: 200,
             started_unix_ms: 1_700_000_000_000,
+            started_trace_ns: 0,
             queue_ns: 1_000,
+            handler_ns: total_ns / 2,
+            write_ns: total_ns - total_ns / 2,
             total_ns,
+            bytes_in: 0,
+            bytes_out: 0,
             reused_connection: false,
-            events: vec![TraceEvent {
-                name: "http_request".into(),
-                cat: "http",
-                ph: whart_trace::Phase::Complete { dur_ns: total_ns },
-                ts_ns: 5,
-                tid: 0,
-                args: vec![("request_id", id.into())],
-            }],
+            trace_args: Vec::new(),
         }
     }
 
@@ -258,14 +201,32 @@ mod tests {
     fn detail_jsonl_carries_the_summary_and_the_timeline() {
         let recorder = FlightRecorder::new(4, 4, u64::MAX);
         recorder.record(entry("req-1", 42));
-        let detail = recorder.lookup("req-1").unwrap().detail_jsonl();
+        let record = recorder.lookup("req-1").unwrap();
+        let detail = record.detail_jsonl();
         let lines: Vec<&str> = detail.lines().collect();
-        assert_eq!(lines.len(), 2);
-        let summary = Json::parse(lines[0]).unwrap();
+        assert_eq!(lines.len(), 4);
+        let summary = whart_json::Json::parse(lines[0]).unwrap();
         assert_eq!(summary["id"].as_str(), Some("req-1"));
         assert_eq!(summary["total_ns"].as_u64(), Some(42));
-        let hop = Json::parse(lines[1]).unwrap();
-        assert_eq!(hop["name"].as_str(), Some("http_request"));
-        assert_eq!(hop["args"]["request_id"].as_str(), Some("req-1"));
+        let stages: Vec<whart_json::Json> = lines[1..]
+            .iter()
+            .map(|l| whart_json::Json::parse(l).unwrap())
+            .collect();
+        let names: Vec<&str> = stages.iter().filter_map(|s| s["name"].as_str()).collect();
+        assert_eq!(names, ["queue_wait", "handler", "write"]);
+        assert_eq!(stages[1]["args"]["request_id"].as_str(), Some("req-1"));
+        // The stages are the ones the log line times, under the same names.
+        let fields = record.log_fields();
+        let field = |key| {
+            fields
+                .iter()
+                .find(|(k, _)| *k == key)
+                .and_then(|(_, v)| v.as_u64())
+        };
+        let durations: Vec<Option<u64>> = stages.iter().map(|s| s["dur_ns"].as_u64()).collect();
+        assert_eq!(
+            durations,
+            [field("queue_ns"), field("handler_ns"), field("write_ns")]
+        );
     }
 }

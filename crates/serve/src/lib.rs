@@ -23,13 +23,17 @@
 //!   connections, a bounded dispatch queue with `503` + `Retry-After`
 //!   admission control, built-in `GET /healthz` / `GET /readyz` probes
 //!   (health flips to 503 once drain begins), per-request metrics and
-//!   trace spans on the shared [`whart_obs::Metrics`] /
+//!   journal events on the shared [`whart_obs::Metrics`] /
 //!   [`whart_trace::Trace`] facades, and graceful shutdown that drains
 //!   every dispatched connection before [`server::Server::serve`]
 //!   returns.
 //! * [`signal`] — SIGINT observation (no libc dependency) so Ctrl-C
 //!   triggers the same drain as `POST /admin/shutdown`.
-//! * [`flight`] — the tail-sampled flight recorder: per-request hop
+//! * [`record`] — the one record the middleware keeps per request, from
+//!   which the journal event, the log line and the flight entry render.
+//! * [`log`] — the structured request log: leveled JSONL lines through
+//!   one mutex-guarded sink.
+//! * [`flight`] — the tail-sampled flight recorder: per-request stage
 //!   timelines for the last N requests plus retained-slow outliers,
 //!   addressable by correlation id.
 //! * [`windows`] — per-route sliding-window rollups (requests, errors,
@@ -39,7 +43,7 @@
 //! Every request is assigned (or propagates) an `X-Request-Id`
 //! correlation id, returned on all responses — including protocol
 //! errors and `503` queue-overflow rejections — and stamped on the
-//! request's trace span, its structured log event, and its flight
+//! request's journal event, its structured log line, and its flight
 //! recorder entry.
 //!
 //! ```no_run
@@ -61,15 +65,18 @@
 pub mod conn;
 pub mod flight;
 pub mod http;
+pub mod log;
 #[cfg(unix)]
 pub mod poll;
+pub mod record;
 pub mod router;
 pub mod server;
 pub mod signal;
 pub mod windows;
 
-pub use flight::{FlightEntry, FlightRecorder};
+pub use flight::FlightRecorder;
 pub use http::{Request, RequestError, Response};
+pub use record::RequestRecord;
 pub use router::{Handler, Router};
 pub use server::{next_request_id, Flag, Server, ServerConfig};
 pub use windows::{HttpWindows, RouteWindow};

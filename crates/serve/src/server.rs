@@ -40,14 +40,18 @@
 //!
 //! Per request: `http.requests_total{route,code}`, the per-route
 //! latency histogram `http.request_ns{route}`, the `http.in_flight`
-//! gauge, and one `http_request` trace span. Per connection:
+//! gauge, and one [`RequestRecord`] from which the journal's
+//! `http_request` event, the wide `http_request` log line and the
+//! flight-recorder entry are rendered. Per connection:
 //! `http.connections_open` (gauge), `http.keepalive.reuses_total`,
 //! `http.keepalive.expired_total`, and the admission-control pair
 //! `http.queue_depth` (gauge) / `http.rejected_total{reason=queue_full}`.
 
 use crate::conn::{After, Conn};
-use crate::flight::{FlightEntry, FlightRecorder};
+use crate::flight::FlightRecorder;
 use crate::http::{Request, RequestError, Response};
+use crate::log::{Level, Logger};
+use crate::record::RequestRecord;
 use crate::router::Router;
 use crate::signal;
 use crate::windows::HttpWindows;
@@ -58,9 +62,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-use whart_log::{Level, Logger};
+use whart_json::Json;
 use whart_obs::Metrics;
-use whart_trace::{Phase, Trace, TraceEvent};
+use whart_trace::Trace;
 
 #[cfg(unix)]
 use crate::poll;
@@ -582,13 +586,13 @@ fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::Sender<Tracked
             .with_header("Retry-After", "1")
             .with_header("X-Request-Id", request_id.clone());
         let _ = tracked.write_response(&response, false, false, REJECT_WRITE_TIMEOUT);
-        ctx.log
-            .event(Level::Warn, "queue_overflow")
-            .field("request_id", request_id.as_str())
-            .field("code", 503u64)
-            .field("queue_depth", ctx.queued.load(Ordering::SeqCst))
-            .emit();
-        ctx.log.flush();
+        ctx.log.emit(Level::Warn, "queue_overflow", || {
+            [
+                ("request_id", Json::from(request_id)),
+                ("code", Json::from(503u64)),
+                ("queue_depth", Json::from(ctx.queued.load(Ordering::SeqCst))),
+            ]
+        });
         return;
     }
     // Count before sending so a worker's decrement can never observe
@@ -691,144 +695,62 @@ fn builtin(ctx: &Ctx, method: &str, path: &str) -> Option<(&'static str, Respons
     }
 }
 
-/// Everything the middleware knows about one finished request beyond
-/// the response itself.
-struct RequestRecord<'a> {
-    label: &'a str,
-    request_id: &'a str,
-    method: &'a str,
-    /// Wall-clock start, Unix milliseconds.
-    started_unix_ms: u64,
-    /// Dispatch-queue wait before the worker picked the connection up.
-    queue_ns: u64,
-    /// Routing + handler time (excludes writing the response).
-    handler_ns: u64,
-    /// Whether the connection had served earlier requests.
-    reused: bool,
-    bytes_in: usize,
-}
-
-/// Records the request middleware's observability: cumulative metrics,
-/// rolling windows, the trace span, the wide log event, and the flight
-/// recorder entry — all stamped with the request's correlation id.
-fn instrument(ctx: &Ctx, record: &RequestRecord<'_>, response: &Response, started: Instant) {
-    let label = record.label;
-    let total_ns = elapsed_ns(started);
+/// Records the request middleware's observability from the request's
+/// one record: cumulative metrics, rolling windows, the journal event,
+/// the wide log line and the flight-recorder entry — all stamped with
+/// the request's correlation id. The journal event and the log line are
+/// built only if the journal and the log admit them.
+fn instrument(ctx: &Ctx, record: RequestRecord) {
+    let label = record.route;
     ctx.metrics
         .counter(&format!(
             "http.requests_total{{route={label},code={}}}",
-            response.status
+            record.status
         ))
         .increment();
     ctx.metrics
         .histogram(&format!("http.request_ns{{route={label}}}"))
-        .record(total_ns);
+        .record(record.total_ns);
     if let Some(windows) = &ctx.windows {
-        windows.record(label, response.status, total_ns);
+        windows.record(label, record.status, record.total_ns);
     }
-
-    let mut span = ctx.trace.span("http_request", "http");
-    span.arg("request_id", record.request_id);
-    span.arg("route", label);
-    span.arg("code", u64::from(response.status));
-    for (key, value) in &response.trace_args {
-        span.arg(key, value.clone());
-    }
-    span.finish();
-
-    let mut event = ctx
-        .log
-        .event(Level::Info, "http_request")
-        .field("request_id", record.request_id)
-        .field("method", record.method)
-        .field("route", label)
-        .field("code", u64::from(response.status))
-        .field("bytes_in", record.bytes_in as u64)
-        .field("bytes_out", response.body.len() as u64)
-        .field("queue_ns", record.queue_ns)
-        .field("total_ns", total_ns)
-        .field("reused_connection", record.reused);
-    for (key, value) in &response.trace_args {
-        event = event.field(key, value.to_json());
-    }
-    event.emit();
-
-    if ctx.flight.is_enabled() {
-        let id_arg = || ("request_id", record.request_id.into());
-        let mut handler_args: Vec<(&'static str, whart_trace::ArgValue)> = vec![id_arg()];
-        handler_args.extend(response.trace_args.iter().cloned());
-        let write_ns = total_ns.saturating_sub(record.handler_ns);
-        ctx.flight.record(FlightEntry {
-            id: record.request_id.to_owned(),
-            method: record.method.to_owned(),
-            route: label.to_owned(),
-            status: response.status,
-            started_unix_ms: record.started_unix_ms,
-            queue_ns: record.queue_ns,
-            total_ns,
-            reused_connection: record.reused,
-            events: vec![
-                TraceEvent {
-                    name: "queue_wait".into(),
-                    cat: "http",
-                    ph: Phase::Complete {
-                        dur_ns: record.queue_ns,
-                    },
-                    ts_ns: 0,
-                    tid: 0,
-                    args: vec![id_arg()],
-                },
-                TraceEvent {
-                    name: "handler".into(),
-                    cat: "http",
-                    ph: Phase::Complete {
-                        dur_ns: record.handler_ns,
-                    },
-                    ts_ns: record.queue_ns,
-                    tid: 0,
-                    args: handler_args,
-                },
-                TraceEvent {
-                    name: "write".into(),
-                    cat: "http",
-                    ph: Phase::Complete { dur_ns: write_ns },
-                    ts_ns: record.queue_ns + record.handler_ns,
-                    tid: 0,
-                    args: vec![id_arg()],
-                },
-            ],
-        });
-    }
-
+    ctx.trace.emit_with(|| record.journal_event());
+    ctx.log
+        .emit(Level::Info, "http_request", || record.log_fields());
+    ctx.flight.record(record);
     // Workers are long-lived, so publish this thread's buffered events
-    // now: a `GET /v1/trace` drain (or a log tail) from another worker
-    // must observe every request that already completed.
+    // now: a `GET /v1/trace` drain from another worker must observe
+    // every request that already completed.
     ctx.trace.flush();
-    ctx.log.flush();
 }
 
 /// Writes a protocol-error response (the connection closes after it).
 /// No request was parsed, so the error gets a fresh correlation id.
 fn answer_error(ctx: &Ctx, conn: &mut Conn, label: &'static str, response: Response) {
-    let started = Instant::now();
-    let started_unix_ms = unix_ms();
+    let (started, started_unix_ms, started_trace_ns) =
+        (Instant::now(), unix_ms(), ctx.trace.now_ns());
     let request_id = next_request_id();
     let response = response.with_header("X-Request-Id", request_id.clone());
     let _ = conn.write_response(&response, false, false, ctx.write_timeout);
+    let total_ns = elapsed_ns(started);
     instrument(
         ctx,
-        &RequestRecord {
-            label,
-            request_id: &request_id,
-            method: "-",
+        RequestRecord {
+            id: request_id,
+            method: "-".into(),
+            route: label,
+            status: response.status,
             started_unix_ms,
+            started_trace_ns,
             queue_ns: 0,
             handler_ns: 0,
-            reused: conn.served > 0,
+            write_ns: total_ns,
+            total_ns,
             bytes_in: 0,
+            bytes_out: response.body.len() as u64,
+            reused_connection: conn.served > 0,
+            trace_args: Vec::new(),
         },
-        &response,
-        started,
     );
 }
 
@@ -900,8 +822,8 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         let flight = ctx.in_flight.fetch_add(1, Ordering::SeqCst) + 1;
         let gauge = ctx.metrics.gauge("http.in_flight");
         gauge.set(flight);
-        let started = Instant::now();
-        let started_unix_ms = unix_ms();
+        let (started, started_unix_ms, started_trace_ns) =
+            (Instant::now(), unix_ms(), ctx.trace.now_ns());
         let (label, mut response) = match builtin(ctx, &request.method, &request.path) {
             Some(hit) => hit,
             None => ctx.router.dispatch(&request),
@@ -916,20 +838,25 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         let wrote = conn
             .write_response(&response, keep_alive, allow_chunked, ctx.write_timeout)
             .is_ok();
+        let total_ns = elapsed_ns(started);
         instrument(
             ctx,
-            &RequestRecord {
-                label,
-                request_id: &request_id,
-                method: &request.method,
+            RequestRecord {
+                id: request_id,
+                method: std::mem::take(&mut request.method),
+                route: label,
+                status: response.status,
                 started_unix_ms,
+                started_trace_ns,
                 queue_ns,
                 handler_ns,
-                reused,
-                bytes_in: request.body.len(),
+                write_ns: total_ns.saturating_sub(handler_ns),
+                total_ns,
+                bytes_in: request.body.len() as u64,
+                bytes_out: response.body.len() as u64,
+                reused_connection: reused,
+                trace_args: std::mem::take(&mut response.trace_args),
             },
-            &response,
-            started,
         );
         // Queue wait belongs to the request that was actually waiting;
         // pipelined follow-ups on the same dispatch never queued.
@@ -961,6 +888,7 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::TcpStream;
+    use whart_trace::{ArgValue, Phase, TraceEvent};
 
     /// One request over a fresh connection, `Connection: close` so the
     /// read-to-EOF below terminates under keep-alive defaults.
@@ -978,19 +906,31 @@ mod tests {
         (status, body)
     }
 
-    fn start(router: Router) -> (SocketAddr, Flag, Flag, Metrics, std::thread::JoinHandle<()>) {
-        let config = ServerConfig {
+    /// A two-worker server, set up by `configure` before it serves.
+    fn start_with(
+        router: Router,
+        configure: impl FnOnce(&mut Server),
+    ) -> (SocketAddr, Flag, std::thread::JoinHandle<()>) {
+        let mut server = Server::bind(&ServerConfig {
             threads: 2,
             ..ServerConfig::default()
-        };
-        let mut server = Server::bind(&config).unwrap();
+        })
+        .unwrap();
         server.set_router(router);
-        let metrics = Metrics::new();
-        server.set_metrics(metrics.clone());
+        configure(&mut server);
         let addr = server.local_addr().unwrap();
-        let ready = server.ready();
         let shutdown = server.shutdown();
         let handle = std::thread::spawn(move || server.serve().unwrap());
+        (addr, shutdown, handle)
+    }
+
+    fn start(router: Router) -> (SocketAddr, Flag, Flag, Metrics, std::thread::JoinHandle<()>) {
+        let metrics = Metrics::new();
+        let mut ready = Flag::new();
+        let (addr, shutdown, handle) = start_with(router, |server| {
+            server.set_metrics(metrics.clone());
+            ready = server.ready();
+        });
         (addr, ready, shutdown, metrics, handle)
     }
 
@@ -1096,22 +1036,15 @@ mod tests {
     #[test]
     fn the_middleware_feeds_windows_and_the_flight_recorder() {
         let router = Router::new().route("GET", "/w", |_| Response::text(200, "ok\n"));
-        let config = ServerConfig {
-            threads: 2,
-            ..ServerConfig::default()
-        };
-        let mut server = Server::bind(&config).unwrap();
-        server.set_router(router);
         let windows = Arc::new(HttpWindows::new(
             Duration::from_secs(30),
             Duration::from_millis(5),
         ));
-        server.set_windows(Arc::clone(&windows));
         let flight = FlightRecorder::new(8, 8, u64::MAX);
-        server.set_flight(flight.clone());
-        let addr = server.local_addr().unwrap();
-        let shutdown = server.shutdown();
-        let handle = std::thread::spawn(move || server.serve().unwrap());
+        let (addr, shutdown, handle) = start_with(router, |server| {
+            server.set_windows(Arc::clone(&windows));
+            server.set_flight(flight.clone());
+        });
 
         let raw = raw_exchange(addr, "GET /w HTTP/1.1\r\nConnection: close\r\n\r\n");
         let id = response_header(&raw, "X-Request-Id").unwrap().to_owned();
@@ -1124,10 +1057,117 @@ mod tests {
         assert_eq!(route.latency.count, 1);
 
         let entry = flight.lookup(&id).expect("flight entry by response id");
-        assert_eq!((entry.status, entry.route.as_str()), (200, "/w"));
-        let names: Vec<&str> = entry.events.iter().map(|e| e.name.as_str()).collect();
+        assert_eq!((entry.status, entry.route), (200, "/w"));
+        let timeline = entry.timeline();
+        let names: Vec<&str> = timeline.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["queue_wait", "handler", "write"]);
-        assert!(entry.events[1].arg("request_id").is_some());
+        assert!(timeline[1].arg("request_id").is_some());
+    }
+
+    fn has_request_id(event: &TraceEvent, id: &str) -> bool {
+        event
+            .args
+            .iter()
+            .any(|(k, v)| *k == "request_id" && v.as_str() == Some(id))
+    }
+
+    #[test]
+    fn the_journal_event_names_only_its_own_request_id() {
+        // `/hold` keeps an ambient request id installed, as the engine
+        // store does around a solve, until the test has seen the journal
+        // event of a request the other worker finished meanwhile.
+        let trace = Trace::new();
+        let (entered, release) = (Flag::new(), Flag::new());
+        let router = {
+            let (trace, entered, release) = (trace.clone(), entered.clone(), release.clone());
+            Router::new()
+                .route("GET", "/hold", move |_| {
+                    let _scope = trace.context_scope([("request_id", "holder-1".into())]);
+                    entered.set();
+                    while !release.is_set() {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                    Response::text(200, "held\n")
+                })
+                .route("GET", "/quick", |_| Response::text(200, "quick\n"))
+        };
+        let (addr, shutdown, handle) = start_with(router, |server| server.set_trace(trace.clone()));
+        let holder = std::thread::spawn(move || {
+            raw_exchange(
+                addr,
+                "GET /hold HTTP/1.1\r\nX-Request-Id: holder-1\r\nConnection: close\r\n\r\n",
+            )
+        });
+        while !entered.is_set() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        raw_exchange(
+            addr,
+            "GET /quick HTTP/1.1\r\nX-Request-Id: quick-1\r\nConnection: close\r\n\r\n",
+        );
+        let is_quick = |e: &TraceEvent| e.name == "http_request" && has_request_id(e, "quick-1");
+        let mut events = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !events.iter().any(is_quick) {
+            assert!(
+                Instant::now() < deadline,
+                "the quick request was never journaled"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+            events.extend(trace.drain().events);
+        }
+        release.set();
+        holder.join().unwrap();
+        shutdown.set();
+        handle.join().unwrap();
+
+        let quick = events.iter().find(|e| is_quick(e)).unwrap();
+        let args: Vec<(&str, &ArgValue)> = quick.args.iter().map(|(k, v)| (*k, v)).collect();
+        assert_eq!(
+            args,
+            [
+                ("request_id", &ArgValue::from("quick-1")),
+                ("route", &ArgValue::from("/quick")),
+                ("code", &ArgValue::from(200u64)),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_journal_event_spans_the_whole_request() {
+        let trace = Trace::new();
+        let flight = FlightRecorder::new(8, 8, u64::MAX);
+        let router = Router::new().route("GET", "/sleep", |_| {
+            std::thread::sleep(Duration::from_millis(50));
+            Response::text(200, "slept\n")
+        });
+        let (addr, shutdown, handle) = start_with(router, |server| {
+            server.set_trace(trace.clone());
+            server.set_flight(flight.clone());
+        });
+        let before_ns = trace.now_ns();
+        raw_exchange(
+            addr,
+            "GET /sleep HTTP/1.1\r\nX-Request-Id: sleep-1\r\nConnection: close\r\n\r\n",
+        );
+        let after_ns = trace.now_ns();
+        shutdown.set();
+        handle.join().unwrap();
+
+        let log = trace.drain();
+        let event = log
+            .named("http_request")
+            .find(|e| has_request_id(e, "sleep-1"))
+            .expect("journaled");
+        let Phase::Complete { dur_ns } = event.ph else {
+            panic!("http_request is a complete event: {event:?}")
+        };
+        assert!(dur_ns >= 50_000_000, "covers the handler: {dur_ns} ns");
+        assert!(
+            before_ns <= event.ts_ns && event.ts_ns + dur_ns <= after_ns,
+            "starts when the request did: {event:?}"
+        );
+        assert_eq!(dur_ns, flight.lookup("sleep-1").unwrap().total_ns);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! * The journal is bounded: once `capacity` events have been admitted
 //!   between drains, further events are counted in
 //!   [`TraceLog::dropped`] instead of stored, so a runaway per-slot
-//!   instrumentation cannot exhaust memory. [`Trace::instant_with`]
-//!   reserves the slot before building its event, so a refused instant
-//!   builds nothing.
+//!   instrumentation cannot exhaust memory. Spans, instants and built
+//!   events share one admission path that reserves the slot first;
+//!   [`Trace::instant_with`] and [`Trace::emit_with`] build their event
+//!   only after that, so a refused one builds nothing.
 //!
 //! Tracing must never perturb results: traced solves are bit-identical
 //! to untraced ones (asserted by the backend parity tests in
@@ -177,16 +178,18 @@ fn buffer_event(shared: &Arc<Shared>, event: TraceEvent) {
     }
 }
 
-/// Takes one capacity slot of `shared`'s journal, or counts the event
-/// as dropped and returns false when the journal is full.
-fn admit(shared: &Shared) -> bool {
+/// The journal's one admission path: takes a capacity slot of
+/// `shared`'s journal and only then builds and buffers the event, or
+/// counts the event as dropped, without building it, when the journal
+/// is full.
+fn emit(shared: &Arc<Shared>, build: impl FnOnce() -> TraceEvent) {
     let admitted = shared.admitted.fetch_add(1, Ordering::Relaxed);
     if admitted >= shared.capacity {
         shared.admitted.fetch_sub(1, Ordering::Relaxed);
         shared.dropped.fetch_add(1, Ordering::Relaxed);
-        return false;
+        return;
     }
-    true
+    buffer_event(shared, build());
 }
 
 /// A cloneable handle to a structured event journal, or a no-op
@@ -325,20 +328,32 @@ impl Trace {
         let Some(shared) = &self.shared else {
             return;
         };
-        if !admit(shared) {
-            return;
+        emit(shared, || {
+            let mut all = shared.context_args();
+            all.extend(args());
+            TraceEvent {
+                name: name.into(),
+                cat,
+                ph: Phase::Instant,
+                ts_ns: shared.now_ns(),
+                tid: 0,
+                args: all,
+            }
+        });
+    }
+
+    /// Records the event `build` returns — called only once the journal
+    /// has admitted it, with the same capacity accounting as
+    /// [`Trace::instant_with`]. The event is stored as built: no ambient
+    /// context args are added, and only its `tid` is replaced by the
+    /// calling thread's journal tid. This is the entry point for a
+    /// caller that already knows an event's whole content, e.g. a
+    /// service recording a finished request as one [`Phase::Complete`]
+    /// event stamped from [`Trace::now_ns`] at the request's start.
+    pub fn emit_with(&self, build: impl FnOnce() -> TraceEvent) {
+        if let Some(shared) = &self.shared {
+            emit(shared, build);
         }
-        let mut all = shared.context_args();
-        all.extend(args());
-        let event = TraceEvent {
-            name: name.into(),
-            cat,
-            ph: Phase::Instant,
-            ts_ns: shared.now_ns(),
-            tid: 0,
-            args: all,
-        };
-        buffer_event(shared, event);
     }
 
     /// Events refused so far by the capacity bound.
@@ -453,21 +468,17 @@ impl TraceSpan {
 impl Drop for TraceSpan {
     fn drop(&mut self) {
         if let Some(inner) = self.inner.take() {
-            if !admit(&inner.shared) {
-                return;
-            }
-            let end_ns = inner.shared.now_ns();
-            let event = TraceEvent {
+            let shared = &inner.shared;
+            emit(shared, || TraceEvent {
                 name: inner.name,
                 cat: inner.cat,
                 ph: Phase::Complete {
-                    dur_ns: end_ns.saturating_sub(inner.start_ns),
+                    dur_ns: shared.now_ns().saturating_sub(inner.start_ns),
                 },
                 ts_ns: inner.start_ns,
                 tid: 0,
                 args: inner.args,
-            };
-            buffer_event(&inner.shared, event);
+            });
         }
     }
 }
@@ -578,6 +589,32 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.events[0].name, "admitted");
         assert_eq!(log.dropped, 3);
+    }
+
+    #[test]
+    fn emit_with_builds_only_admitted_events_and_stores_them_as_built() {
+        let trace = Trace::with_capacity(1);
+        let _scope = trace.context_scope([("request_id", "ambient".into())]);
+        let event = TraceEvent {
+            name: "http_request".into(),
+            cat: "http",
+            ph: Phase::Complete { dur_ns: 50 },
+            ts_ns: 7,
+            tid: 99,
+            args: vec![("request_id", "own".into())],
+        };
+        trace.emit_with(|| event.clone());
+        trace.emit_with(|| panic!("a refused event was built"));
+        assert_eq!(trace.dropped(), 1);
+        let log = trace.drain();
+        let stored = &log.events[0];
+        assert_ne!(stored.tid, 99, "the journal assigns the tid");
+        let stored_at_tid_99 = TraceEvent {
+            tid: 99,
+            ..stored.clone()
+        };
+        assert_eq!(stored_at_tid_99, event, "stored as built, no ambient args");
+        Trace::disabled().emit_with(|| panic!("a disabled handle built an event"));
     }
 
     #[test]
