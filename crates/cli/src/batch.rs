@@ -31,7 +31,7 @@ use crate::commands::Backend;
 use crate::spec::{node, LinkQuality, NetworkSpec};
 use crate::telemetry::TelemetryFlags;
 use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
-use whart_json::Json;
+use whart_json::{write_number, write_string, Json};
 use whart_model::{LinkDynamics, NetworkModel, Outage};
 use whart_net::Hop;
 use whart_obs::MetricsSnapshot;
@@ -176,7 +176,16 @@ fn apply_injections(model: &mut NetworkModel, value: &Json) -> Result<(), String
 /// Decodes a scenario-list document (a JSON array, or an object with a
 /// `scenarios` array) into batch entries — the shared front half of the
 /// `batch` subcommand and the service's `POST /v1/batch`.
-pub(crate) fn decode_fleet(text: &str) -> Result<Vec<BatchEntry>, String> {
+///
+/// A list longer than `max_scenarios` is refused before any scenario is
+/// decoded, and `admit` vets each scenario's network spec and backend
+/// before its model is built, so a service can refuse work it will not
+/// size; the CLI admits everything.
+pub(crate) fn decode_fleet(
+    text: &str,
+    max_scenarios: usize,
+    admit: &dyn Fn(&NetworkSpec, Backend) -> Result<(), String>,
+) -> Result<Vec<BatchEntry>, String> {
     let value = Json::parse(text).map_err(|e| format!("invalid scenario list: {e}"))?;
     let list = match &value {
         Json::Array(items) => items.as_slice(),
@@ -189,13 +198,22 @@ pub(crate) fn decode_fleet(text: &str) -> Result<Vec<BatchEntry>, String> {
     if list.is_empty() {
         return Err("invalid scenario list: no scenarios".into());
     }
+    if list.len() > max_scenarios {
+        return Err(format!(
+            "a scenario list is capped at {max_scenarios} scenarios for the service"
+        ));
+    }
     list.iter()
         .enumerate()
-        .map(|(i, v)| decode_entry(i, v))
+        .map(|(i, v)| decode_entry(i, v, admit))
         .collect()
 }
 
-fn decode_entry(index: usize, value: &Json) -> Result<BatchEntry, String> {
+fn decode_entry(
+    index: usize,
+    value: &Json,
+    admit: &dyn Fn(&NetworkSpec, Backend) -> Result<(), String>,
+) -> Result<BatchEntry, String> {
     let wrap = |e: String| format!("scenario {}: {e}", index + 1);
     let label = match value.get("label") {
         Some(l) => l
@@ -205,10 +223,11 @@ fn decode_entry(index: usize, value: &Json) -> Result<BatchEntry, String> {
         None => format!("scenario-{}", index + 1),
     };
     let spec = decode_network(value).map_err(wrap)?;
+    let backend = decode_backend(value).map_err(wrap)?;
+    admit(&spec, backend).map_err(wrap)?;
     let mut model = spec.to_model().map_err(wrap)?;
     apply_injections(&mut model, value).map_err(wrap)?;
     let measures = decode_measures(value).map_err(wrap)?;
-    let backend = decode_backend(value).map_err(wrap)?;
     Ok(BatchEntry {
         scenario: Scenario::network(label, model).with_measures(measures),
         measures,
@@ -216,49 +235,75 @@ fn decode_entry(index: usize, value: &Json) -> Result<BatchEntry, String> {
     })
 }
 
-pub(crate) fn result_line(result: &ScenarioResult, measures: MeasureSet) -> Json {
-    let paths: Vec<Json> = result
-        .path_measures
-        .iter()
-        .map(|m| {
-            let mut fields: Vec<(String, Json)> = Vec::new();
-            if measures.reachability {
-                fields.push(("reachability".into(), Json::from(m.reachability)));
+/// Appends one scenario's result line (compact JSON, no newline) to
+/// `out`: the label, the requested per-path measures in path order, then
+/// the requested network measures. Absent measures render as `null`.
+/// Writes straight into `out`, so a buffer with room allocates nothing.
+pub fn write_result_line(out: &mut String, result: &ScenarioResult, measures: MeasureSet) {
+    out.push_str("{\"label\":");
+    write_string(out, &result.label);
+    out.push_str(",\"paths\":[");
+    for (i, m) in result.path_measures.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push('{');
+        let mut first = true;
+        let mut member = |out: &mut String, key: &str| {
+            if !std::mem::take(&mut first) {
+                out.push(',');
             }
-            if measures.expected_delay {
-                fields.push(("expected_delay_ms".into(), Json::from(m.expected_delay_ms)));
-            }
-            if measures.expected_intervals_to_first_loss {
-                fields.push((
-                    "expected_intervals_to_first_loss".into(),
-                    Json::from(m.expected_intervals_to_first_loss),
-                ));
-            }
-            if measures.utilization {
-                fields.push(("utilization".into(), Json::from(m.utilization)));
-            }
-            if measures.cycle_probabilities {
-                if let Some(g) = &m.cycle_probabilities {
-                    fields.push(("cycle_probabilities".into(), Json::array(g.iter().copied())));
+            out.push('"');
+            out.push_str(key);
+            out.push_str("\":");
+        };
+        if measures.reachability {
+            member(out, "reachability");
+            write_measure(out, m.reachability);
+        }
+        if measures.expected_delay {
+            member(out, "expected_delay_ms");
+            write_measure(out, m.expected_delay_ms);
+        }
+        if measures.expected_intervals_to_first_loss {
+            member(out, "expected_intervals_to_first_loss");
+            write_measure(out, m.expected_intervals_to_first_loss);
+        }
+        if measures.utilization {
+            member(out, "utilization");
+            write_measure(out, m.utilization);
+        }
+        if let (true, Some(g)) = (measures.cycle_probabilities, &m.cycle_probabilities) {
+            member(out, "cycle_probabilities");
+            out.push('[');
+            for (j, &p) in g.iter().enumerate() {
+                if j > 0 {
+                    out.push(',');
                 }
+                write_number(out, p);
             }
-            Json::Object(fields)
-        })
-        .collect();
-    let mut fields: Vec<(String, Json)> = vec![
-        ("label".into(), Json::from(result.label.clone())),
-        ("paths".into(), Json::Array(paths)),
-    ];
+            out.push(']');
+        }
+        out.push('}');
+    }
+    out.push(']');
     if measures.expected_delay {
-        fields.push(("mean_delay_ms".into(), Json::from(result.mean_delay_ms)));
+        out.push_str(",\"mean_delay_ms\":");
+        write_measure(out, result.mean_delay_ms);
     }
     if measures.utilization {
-        fields.push((
-            "network_utilization".into(),
-            Json::from(result.network_utilization),
-        ));
+        out.push_str(",\"network_utilization\":");
+        write_measure(out, result.network_utilization);
     }
-    Json::Object(fields)
+    out.push('}');
+}
+
+/// Appends a measure as a JSON number, or `null` when absent.
+fn write_measure(out: &mut String, value: Option<f64>) {
+    match value {
+        Some(value) => write_number(out, value),
+        None => out.push_str("null"),
+    }
 }
 
 pub(crate) fn stats_line(engine: &Engine) -> Json {
@@ -365,7 +410,7 @@ pub fn batch(
     let telemetry = telemetry.start();
     let profiler = &telemetry.profiler;
     let batch_guard = profiler.enter(profiler.frame("cli.batch"));
-    let entries = decode_fleet(text)?;
+    let entries = decode_fleet(text, usize::MAX, &|_, _| Ok(()))?;
     let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
     // One engine per distinct backend configuration; scenarios sharing a
     // backend share its caches. `placements` remembers where each entry
@@ -394,7 +439,7 @@ pub fn batch(
     drop(batch_guard);
     let mut out = String::new();
     for ((slot, index), measures) in placements.iter().zip(measure_sets) {
-        out.push_str(&result_line(&drained[*slot][*index], measures).to_compact());
+        write_result_line(&mut out, &drained[*slot][*index], measures);
         out.push('\n');
     }
     if with_stats {
@@ -441,6 +486,119 @@ mod tests {
             ..TelemetryFlags::default()
         };
         super::batch(text, threads, with_stats, &telemetry)
+    }
+
+    /// The JSON tree [`write_result_line`] replaced, kept as its oracle.
+    fn result_line(result: &ScenarioResult, measures: MeasureSet) -> Json {
+        let paths: Vec<Json> = result
+            .path_measures
+            .iter()
+            .map(|m| {
+                let mut fields: Vec<(String, Json)> = Vec::new();
+                if measures.reachability {
+                    fields.push(("reachability".into(), Json::from(m.reachability)));
+                }
+                if measures.expected_delay {
+                    fields.push(("expected_delay_ms".into(), Json::from(m.expected_delay_ms)));
+                }
+                if measures.expected_intervals_to_first_loss {
+                    fields.push((
+                        "expected_intervals_to_first_loss".into(),
+                        Json::from(m.expected_intervals_to_first_loss),
+                    ));
+                }
+                if measures.utilization {
+                    fields.push(("utilization".into(), Json::from(m.utilization)));
+                }
+                if measures.cycle_probabilities {
+                    if let Some(g) = &m.cycle_probabilities {
+                        fields.push(("cycle_probabilities".into(), Json::array(g.iter().copied())));
+                    }
+                }
+                Json::Object(fields)
+            })
+            .collect();
+        let mut fields: Vec<(String, Json)> = vec![
+            ("label".into(), Json::from(result.label.clone())),
+            ("paths".into(), Json::Array(paths)),
+        ];
+        if measures.expected_delay {
+            fields.push(("mean_delay_ms".into(), Json::from(result.mean_delay_ms)));
+        }
+        if measures.utilization {
+            fields.push((
+                "network_utilization".into(),
+                Json::from(result.network_utilization),
+            ));
+        }
+        Json::Object(fields)
+    }
+
+    /// A measure drawn to hit every rendering case: absent, NaN, both
+    /// infinities, negative zero, integral, and arbitrary bit patterns.
+    fn measure(pick: u8, bits: u64) -> Option<f64> {
+        match pick % 8 {
+            0 => None,
+            1 => Some(f64::NAN),
+            2 => Some(f64::INFINITY),
+            3 => Some(f64::NEG_INFINITY),
+            4 => Some(-0.0),
+            5 => Some((bits % 1_000_000) as f64),
+            _ => Some(f64::from_bits(bits)),
+        }
+    }
+
+    /// Label characters that need escaping, mixed with plain and
+    /// multi-byte ones.
+    const LABEL_CHARS: &[char] = &[
+        'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{1}', '\u{8}', '\u{c}', '\u{1f}',
+        '\u{7f}', 'é', '😀',
+    ];
+
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn write_result_line_matches_the_json_tree(
+            flags in any::<u8>(),
+            label in vec(any::<usize>(), 0..12),
+            paths in vec((any::<u8>(), any::<u64>(), any::<u8>(), vec(any::<u64>(), 0..5)), 0..4),
+            network in (any::<u8>(), any::<u64>(), any::<u8>(), any::<u64>()),
+        ) {
+            let measures = MeasureSet {
+                reachability: flags & 1 != 0,
+                expected_delay: flags & 2 != 0,
+                expected_intervals_to_first_loss: flags & 4 != 0,
+                utilization: flags & 8 != 0,
+                cycle_probabilities: flags & 16 != 0,
+                ..MeasureSet::default()
+            };
+            let path_measures = paths
+                .iter()
+                .map(|(pick, bits, shape, cycles)| whart_engine::PathMeasures {
+                    reachability: measure(*pick, *bits),
+                    expected_delay_ms: measure(pick.wrapping_add(1), bits.rotate_left(7)),
+                    expected_intervals_to_first_loss: measure(pick / 8, !bits),
+                    utilization: measure(*shape, bits.wrapping_mul(31)),
+                    cycle_probabilities: (shape % 4 != 0).then(|| {
+                        cycles.iter().map(|&c| measure(shape / 4, c).unwrap_or(0.5)).collect()
+                    }),
+                })
+                .collect();
+            let result = ScenarioResult {
+                label: label.iter().map(|&i| LABEL_CHARS[i % LABEL_CHARS.len()]).collect(),
+                outcome: whart_engine::Outcome::Paths(Vec::new()),
+                path_measures,
+                mean_delay_ms: measure(network.0, network.1),
+                network_utilization: measure(network.2, network.3),
+            };
+            let mut line = String::from("prefix:");
+            write_result_line(&mut line, &result, measures);
+            let want = format!("prefix:{}", result_line(&result, measures).to_compact());
+            prop_assert_eq!(line, want);
+        }
     }
 
     #[test]

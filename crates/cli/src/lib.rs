@@ -13,6 +13,7 @@ mod serve_app;
 mod spec;
 mod telemetry;
 
+pub use batch::write_result_line;
 use spec::NetworkSpec;
 use std::process::ExitCode;
 use telemetry::TelemetryFlags;

@@ -43,7 +43,7 @@
 //!   stop accepting, finish in-flight solves, write the final
 //!   `--metrics`/`--trace` artifacts, exit.
 
-use crate::batch::{decode_fleet, result_line, stats_line, BatchEntry};
+use crate::batch::{decode_fleet, stats_line, write_result_line, BatchEntry};
 use crate::commands::{example, render_analyze, Backend};
 use crate::spec::NetworkSpec;
 use crate::telemetry::{TelemetryFlags, MAX_PROFILE_HZ};
@@ -97,20 +97,69 @@ pub(crate) struct ServeOptions {
 /// thread for.
 const MAX_PROFILE_SECONDS: u64 = 30;
 
+// The caps below bound what one network on `/v1/analyze`, or one
+// `/v1/batch` scenario, may ask the service to solve. Each sits well
+// above every value the examples, experiments and tests use (`Is` <= 4,
+// `uplink_slots` <= 30, fleets of 18). Per path, `Is * uplink_slots`
+// bounds the horizon at 64 * 256 = 16 384 uplink slots.
+
 /// Largest Monte-Carlo replication count (`intervals`) one `sim` solve
-/// may ask the service for, on `/v1/analyze` and per `/v1/batch`
-/// scenario: ten times the CLI default, so one request cannot pin a
-/// worker indefinitely.
+/// may ask the service for: ten times the CLI default. One replication
+/// walks at most the 16 384-slot horizon, so a sim path solve makes at
+/// most 1.6e10 slot steps in O(`uplink_slots`) working memory.
 const MAX_SIM_INTERVALS: u64 = 1_000_000;
 
-/// Rejects a `sim` backend whose replication count exceeds
-/// [`MAX_SIM_INTERVALS`].
-fn check_sim_intervals(backend: Backend) -> Result<Backend, String> {
+/// Largest reporting interval `Is` (spec `reporting_interval`, or a
+/// batch scenario's `interval`). A fast path solve visits at most
+/// `Is * hops` <= 16 384 transmissions and holds `Is + hops` <= 320
+/// probabilities (2.5 KiB); `Is` = 4 000 000 000 would have asked for
+/// 32 GB.
+const MAX_REPORTING_INTERVAL: u32 = 64;
+
+/// Largest super-frame uplink half `F_up` (spec `uplink_slots`). The
+/// schedule holds one entry per slot, and a hop count is bounded by it.
+const MAX_UPLINK_SLOTS: u32 = 256;
+
+/// Largest explicit chain one `explicit` path solve may build, counted
+/// as `hops * Is * uplink_slots` (an upper bound on its transient
+/// states). The absorbing analysis is dense: at the cap, a 2048^2
+/// matrix of 32 MiB and about 3e9 operations, 0.1 s on one core.
+const MAX_EXPLICIT_STATES: u64 = 2048;
+
+/// Largest scenario list one `/v1/batch` request may carry, checked
+/// before any scenario is decoded.
+const MAX_FLEET_SCENARIOS: usize = 1024;
+
+/// Rejects a network and backend whose solve exceeds the caps above,
+/// naming the field and the cap. Runs before the model is built.
+fn check_solve_size(spec: &NetworkSpec, backend: Backend) -> Result<(), String> {
+    if spec.reporting_interval > MAX_REPORTING_INTERVAL {
+        return Err(format!(
+            "'reporting_interval' (or a scenario's 'interval') is capped at \
+             {MAX_REPORTING_INTERVAL} for the service"
+        ));
+    }
+    if spec.uplink_slots > MAX_UPLINK_SLOTS {
+        return Err(format!(
+            "'uplink_slots' is capped at {MAX_UPLINK_SLOTS} for the service"
+        ));
+    }
     match backend {
         Backend::Sim { intervals, .. } if intervals > MAX_SIM_INTERVALS => Err(format!(
             "'intervals' is capped at {MAX_SIM_INTERVALS} for the service"
         )),
-        backend => Ok(backend),
+        Backend::Explicit => {
+            let hops = spec.paths.iter().map(Vec::len).max().unwrap_or(0) as u64;
+            let states = hops * u64::from(spec.reporting_interval) * u64::from(spec.uplink_slots);
+            if states > MAX_EXPLICIT_STATES {
+                return Err(format!(
+                    "the explicit backend is capped at {MAX_EXPLICIT_STATES} chain states \
+                     per path (hops x 'reporting_interval' x 'uplink_slots') for the service"
+                ));
+            }
+            Ok(())
+        }
+        _ => Ok(()),
     }
 }
 
@@ -223,7 +272,7 @@ impl EngineStore {
         let mut out = String::new();
         for ((slot, index), measures) in placements.iter().zip(measure_sets) {
             let results = drained[*slot].as_ref().expect("used slot was drained");
-            out.push_str(&result_line(&results[*index], measures).to_compact());
+            write_result_line(&mut out, &results[*index], measures);
             out.push('\n');
         }
         if with_stats {
@@ -398,7 +447,8 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
     let name = request.query_param("backend").unwrap_or("fast");
     let seed = query_u64(request, "seed", 42)?;
     let intervals = query_u64(request, "intervals", 100_000)?;
-    let backend = check_sim_intervals(Backend::parse(name, seed, intervals)?)?;
+    let backend = Backend::parse(name, seed, intervals)?;
+    check_solve_size(&spec, backend)?;
     let json = match request.query_param("format") {
         None | Some("json") => true,
         Some("text") => false,
@@ -448,10 +498,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
 /// `POST /v1/batch`: the `batch` pipeline against the persistent engines.
 fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
     let _frame = app.profiler.enter(app.frames.batch);
-    let entries = decode_fleet(request.body_text()?)?;
-    for (index, entry) in entries.iter().enumerate() {
-        check_sim_intervals(entry.backend).map_err(|e| format!("scenario {}: {e}", index + 1))?;
-    }
+    let entries = decode_fleet(request.body_text()?, MAX_FLEET_SCENARIOS, &check_solve_size)?;
     let with_stats = matches!(request.query_param("stats"), Some("true") | Some("1"));
     let scenarios = entries.len();
     let request_id = request.request_id().unwrap_or("-").to_owned();

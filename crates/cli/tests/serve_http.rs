@@ -452,6 +452,86 @@ fn monte_carlo_replication_counts_are_capped_server_side() {
 }
 
 #[test]
+fn inputs_that_size_a_solve_are_capped_server_side() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    let section_v = section_v_spec();
+    let typical = cli(&["example", "typical"]);
+    let with = |spec: &str, key: &str, value: u64| {
+        let mut json = whart_json::Json::parse(spec).expect("spec parses");
+        if let whart_json::Json::Object(fields) = &mut json {
+            for (k, v) in fields.iter_mut() {
+                if k == key {
+                    *v = whart_json::Json::from(value);
+                }
+            }
+        }
+        json.to_compact()
+    };
+    // Each hostile input is a 400 naming the field, not a dead process.
+    let hostile = [
+        (
+            "/v1/analyze",
+            with(&section_v, "reporting_interval", 4_000_000_000),
+            "'reporting_interval'",
+        ),
+        (
+            "/v1/analyze",
+            with(&section_v, "uplink_slots", 4_000_000_000),
+            "'uplink_slots'",
+        ),
+        // 3 hops x Is 64 x 20 slots: past the explicit chain cap.
+        (
+            "/v1/analyze?backend=explicit",
+            with(&typical, "reporting_interval", 64),
+            "explicit backend",
+        ),
+    ];
+    for (target, body, field) in &hostile {
+        let (status, answer) = http(&serve.addr, "POST", target, body);
+        assert_eq!(status, 400, "{target}: {answer}");
+        assert!(
+            answer.contains(field) && answer.contains("capped"),
+            "{answer}"
+        );
+    }
+    let fleet = r#"[
+        {"network":"typical"},
+        {"network":"typical","interval":4000000000}
+    ]"#;
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", fleet);
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("scenario 2") && body.contains("capped"),
+        "{body}"
+    );
+    let long = format!("[{}]", vec![r#"{"network":"section-v"}"#; 1025].join(","));
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", &long);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("capped at 1024 scenarios"), "{body}");
+
+    // The service is still up and still solves.
+    let (status, _) = http(&serve.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    let at_cap = with(&section_v, "reporting_interval", 64);
+    let (status, body) = http(&serve.addr, "POST", "/v1/analyze", &at_cap);
+    assert_eq!(status, 200, "the cap itself is admitted: {body}");
+    let fleet = r#"[{"network":"typical","interval":4},{"network":"section-v"}]"#;
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", fleet);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body, cli_batch(fleet), "byte-identical to whart batch");
+}
+
+/// `whart batch` stdout for an inline fleet.
+fn cli_batch(fleet: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("whart-serve-batch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("fleet.json");
+    std::fs::write(&path, fleet).unwrap();
+    cli(&["batch", path.to_str().unwrap()])
+}
+
+#[test]
 fn graceful_shutdown_drains_in_flight_work_and_writes_final_artifacts() {
     let dir = std::env::temp_dir().join("whart-serve-shutdown-test");
     std::fs::create_dir_all(&dir).unwrap();

@@ -485,6 +485,11 @@ impl Solver for FastSolver {
     /// loss mass), one `cycle` instant per completed cycle (transition
     /// mass into the goal state and the in-flight residual) and one
     /// `discard` instant at the TTL expiry.
+    ///
+    /// Admission is decided once, when the solve starts: if the journal
+    /// is full then, every one of those events is counted as dropped in
+    /// one atomic add ([`Trace::has_room_or_drop`]) and the solve runs
+    /// the counted kernel, at the untraced cost.
     fn solve_path_traced(
         &self,
         problem: &PathProblem,
@@ -492,7 +497,7 @@ impl Solver for FastSolver {
         obs: &Metrics,
         trace: &Trace,
     ) -> Result<PathEvaluation> {
-        if !trace.is_enabled() {
+        if !trace.has_room_or_drop(|| traced_fast_events(problem)) {
             let span = obs.timer("solver.fast.solve_ns");
             let (evaluation, steps) = fast_evaluate_counted(problem, plan);
             span.stop();
@@ -553,6 +558,15 @@ impl Solver for FastSolver {
         span.arg("reachability", evaluation.reachability());
         Ok(evaluation)
     }
+}
+
+/// How many journal events a traced [`FastSolver`] solve of `problem`
+/// emits: the `path_solve` span, one `hop` instant per hop, one `cycle`
+/// instant per cycle completed by the TTL expiry, and the `discard`
+/// instant (the TTL always expires within the interval).
+fn traced_fast_events(problem: &PathProblem) -> u64 {
+    let completed_cycles = problem.ttl() / problem.superframe().uplink_slots();
+    problem.hop_count() as u64 + u64::from(completed_cycles) + 2
 }
 
 /// The reference backend: Algorithm 1's explicit unrolled DTMC (Figs.
@@ -738,6 +752,44 @@ mod tests {
         // Bare path models carry no link identity.
         let bare = example().compile();
         assert!(bare.hops().iter().all(|h| h.link().is_none()));
+    }
+
+    #[test]
+    fn a_full_journal_drops_exactly_the_events_a_traced_solve_emits() {
+        let link = LinkModel::from_availability(0.83, 0.9).unwrap();
+        let mut short_ttl = PathModel::builder();
+        short_ttl
+            .add_hop(LinkDynamics::steady(link), 1)
+            .add_hop(LinkDynamics::steady(link), 4);
+        short_ttl
+            .superframe(whart_net::Superframe::symmetric(6).unwrap())
+            .interval(ReportingInterval::new(4).unwrap())
+            .ttl(13);
+        let mut models = vec![example(), short_ttl.build().unwrap()];
+        for hops in 1..=4 {
+            for is in [1, 2, 4] {
+                let interval = ReportingInterval::new(is).unwrap();
+                models.push(chain_model(hops, 0.9, interval).unwrap());
+            }
+        }
+        for model in &models {
+            let problem = model.compile();
+            for plan in [MeasurePlan::SCALAR, MeasurePlan::WITH_TRAJECTORY] {
+                let room = Trace::new();
+                let traced = FastSolver
+                    .solve_path_traced(&problem, plan, &Metrics::disabled(), &room)
+                    .unwrap();
+                let admitted = room.drain().len() as u64;
+                assert_eq!(admitted, traced_fast_events(&problem));
+                let full = Trace::with_capacity(1);
+                full.instant("fill", "test", []);
+                let refused = FastSolver
+                    .solve_path_traced(&problem, plan, &Metrics::disabled(), &full)
+                    .unwrap();
+                assert_eq!(full.dropped(), admitted);
+                assert_eq!(refused, traced);
+            }
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! The batch-evaluation engine.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -100,6 +101,15 @@ impl EngineStats {
         }
         Some(self.link_cache_hits as f64 / total as f64)
     }
+}
+
+/// Where a drain finds the evaluation of one distinct path key.
+#[derive(Clone)]
+enum Slot {
+    /// Answered by the path cache when the key was planned.
+    Cached(Arc<PathEvaluation>),
+    /// Solved by this drain's task at the given index.
+    Planned(usize),
 }
 
 /// A parallel, memoizing batch evaluator for scenario fleets.
@@ -367,8 +377,11 @@ impl Engine {
         let plan_guard = self.profiler.enter(self.frames.plan);
         let mut plan_span = self.trace.span("plan", "engine");
         let mut planned_jobs = Vec::with_capacity(scenarios.len());
-        let mut resolved: HashMap<PathKey, Arc<PathEvaluation>> = HashMap::new();
-        let mut planned: HashMap<PathKey, usize> = HashMap::new();
+        // One table per drain: every distinct key, probed once per
+        // occurrence; each occurrence keeps a copy of its key's slot.
+        // `std`'s per-process random hasher keeps a hostile spec from
+        // choosing collisions.
+        let mut slots: HashMap<PathKey, Slot> = HashMap::new();
         let mut tasks: Vec<(PathKey, PathProblem)> = Vec::new();
         // Slot-shift canonicalization: when the backend guarantees
         // bit-identical solves under a common slot shift, scalar-plan
@@ -391,7 +404,7 @@ impl Engine {
                 Workload::Paths(models) => models.iter().map(PathModel::compile).collect(),
             };
             compile_span.stop();
-            let mut signatures = Vec::with_capacity(problems.len());
+            let mut occurrences = Vec::with_capacity(problems.len());
             // One frame per scenario, not per path: the loop body is
             // dominated by signature derivation and path-cache lookups.
             let cache_guard = self.profiler.enter(self.frames.path_get);
@@ -410,47 +423,51 @@ impl Engine {
                 } else {
                     (problem, None)
                 };
-                let key = (problem.signature(), plan);
                 self.stats.paths_requested += 1;
-                if planned.contains_key(&key) {
-                    self.path_cache.count_shared_hit();
-                    path_hits.increment();
-                    scenario_hits += 1;
-                } else if !resolved.contains_key(&key) {
-                    match self.path_cache.get(&key) {
-                        Some(evaluation) => {
-                            path_hits.increment();
-                            scenario_hits += 1;
-                            resolved.insert(key.clone(), evaluation);
-                        }
-                        None => {
-                            path_misses.increment();
-                            scenario_misses += 1;
-                            planned.insert(key.clone(), tasks.len());
-                            tasks.push((key.clone(), problem));
-                        }
+                let slot = match slots.entry((problem.signature(), plan)) {
+                    // An earlier occurrence in this drain already found or
+                    // planned it.
+                    Entry::Occupied(occupied) => {
+                        self.path_cache.count_shared_hit();
+                        path_hits.increment();
+                        scenario_hits += 1;
+                        occupied.get().clone()
                     }
-                } else {
-                    self.path_cache.count_shared_hit();
-                    path_hits.increment();
-                    scenario_hits += 1;
-                }
-                signatures.push((key, rebase));
+                    Entry::Vacant(vacant) => {
+                        let slot = match self.path_cache.get(vacant.key()) {
+                            Some(evaluation) => {
+                                path_hits.increment();
+                                scenario_hits += 1;
+                                Slot::Cached(evaluation)
+                            }
+                            None => {
+                                path_misses.increment();
+                                scenario_misses += 1;
+                                tasks.push((vacant.key().clone(), problem));
+                                Slot::Planned(tasks.len() - 1)
+                            }
+                        };
+                        vacant.insert(slot).clone()
+                    }
+                };
+                occurrences.push((slot, rebase));
             }
             drop(cache_guard);
             if scenario_span.is_recording() {
                 scenario_span.arg("label", scenario.label.as_str());
-                scenario_span.arg("paths", signatures.len());
+                scenario_span.arg("paths", occurrences.len());
                 scenario_span.arg("path_cache_hits", scenario_hits);
                 scenario_span.arg("path_cache_misses", scenario_misses);
             }
             scenario_span.finish();
-            planned_jobs.push((scenario, signatures));
+            planned_jobs.push((scenario, occurrences));
         }
         plan_span.arg("scenarios", planned_jobs.len());
         plan_span.arg("distinct_solves", tasks.len());
         plan_span.finish();
         drop(plan_guard);
+        // Every occurrence carries its own slot from here on.
+        drop(slots);
         let plan_elapsed = plan_start.elapsed();
         self.stats.plan_wall += plan_elapsed;
         obs.histogram("engine.plan_ns")
@@ -467,7 +484,7 @@ impl Engine {
         let frames = self.frames;
         let (solved, pool_stats) = pool::run(
             self.effective_workers,
-            tasks,
+            &tasks,
             |((signature, _), _): &(PathKey, PathProblem)| signature.affinity(),
             // Every executing thread publishes `engine.execute` for its
             // whole task loop, so sampled worker ticks — solving,
@@ -492,14 +509,12 @@ impl Engine {
         let drain_solves = evaluations.len() as u64;
         self.stats.paths_evaluated += drain_solves;
         let evaluations: Vec<Arc<PathEvaluation>> = evaluations.into_iter().map(Arc::new).collect();
+        // Task order, so the cache's FIFO eviction order is deterministic.
         let mut evicted = 0u64;
-        for (signature, &index) in &planned {
-            let evaluation = Arc::clone(&evaluations[index]);
-            evicted += self
-                .path_cache
-                .insert(signature.clone(), Arc::clone(&evaluation));
-            resolved.insert(signature.clone(), evaluation);
+        for ((key, _), evaluation) in tasks.iter().zip(&evaluations) {
+            evicted += self.path_cache.insert(key.clone(), Arc::clone(evaluation));
         }
+        drop(tasks);
         if evicted > 0 {
             obs.counter("engine.path_cache.evictions").add(evicted);
         }
@@ -530,16 +545,16 @@ impl Engine {
         let mut assemble_span = self.trace.span("assemble", "engine");
         let scenario_hist = obs.histogram(&format!("engine.{backend}.scenario_solve_ns"));
         let mut results = Vec::with_capacity(planned_jobs.len());
-        for (scenario, signatures) in planned_jobs {
+        for (scenario, occurrences) in planned_jobs {
             // One observation per scenario: the solve time of its
             // distinct path DTMCs in this drain (cache hits cost 0), so
             // the histogram count equals the scenario count.
             if enabled {
-                let mut seen: HashSet<&PathKey> = HashSet::with_capacity(signatures.len());
+                let mut seen: HashSet<usize> = HashSet::with_capacity(occurrences.len());
                 let mut total = Duration::ZERO;
-                for (key, _) in &signatures {
-                    if seen.insert(key) {
-                        if let Some(&index) = planned.get(key) {
+                for (slot, _) in &occurrences {
+                    if let Slot::Planned(index) = *slot {
+                        if seen.insert(index) {
                             total += durations[index];
                         }
                     }
@@ -550,10 +565,13 @@ impl Engine {
             // copy (the one unavoidable deep clone per path occurrence).
             // Canonicalized occurrences re-anchor the shared canonical
             // solve at their real arrival slot (bit-identical elsewhere).
-            let evaluations: Vec<Arc<PathEvaluation>> = signatures
+            let evaluations: Vec<Arc<PathEvaluation>> = occurrences
                 .iter()
-                .map(|(s, rebase)| {
-                    let evaluation = resolved.get(s).expect("every planned signature resolved");
+                .map(|(slot, rebase)| {
+                    let evaluation = match slot {
+                        Slot::Cached(evaluation) => evaluation,
+                        Slot::Planned(index) => &evaluations[*index],
+                    };
                     match rebase {
                         Some(arrival) => Arc::new(evaluation.rebased_at_slot(*arrival)),
                         None => Arc::clone(evaluation),
@@ -689,6 +707,27 @@ mod tests {
         assert_eq!(stats.paths_evaluated, 1, "warm drain reuses the cache");
         assert_eq!(stats.path_cache_hits, 1);
         assert_eq!(engine.cached_paths(), 1);
+    }
+
+    #[test]
+    fn a_drain_inserts_its_solves_in_task_order() {
+        // Capacity 2 and three distinct solves in one drain: FIFO eviction
+        // must drop the first planned path and keep the last two.
+        let mut engine = Engine::new(2);
+        engine.set_cache_capacities(Some(2), None);
+        let models: Vec<PathModel> = [0.7, 0.8, 0.9]
+            .iter()
+            .map(|&pi| chain_model(2, pi, ReportingInterval::REGULAR).unwrap())
+            .collect();
+        engine.submit(Scenario::paths("cold", models.clone()));
+        engine.drain().unwrap();
+        assert_eq!(engine.stats().path_cache_evictions, 1);
+        engine.submit(Scenario::paths("kept", models[1..].to_vec()));
+        engine.drain().unwrap();
+        assert_eq!(engine.stats().paths_evaluated, 3, "the last two stayed");
+        engine.submit(Scenario::paths("evicted", models[..1].to_vec()));
+        engine.drain().unwrap();
+        assert_eq!(engine.stats().paths_evaluated, 4, "the first was evicted");
     }
 
     #[test]

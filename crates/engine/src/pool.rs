@@ -88,7 +88,7 @@ impl Share {
 /// `whart-worker-{i}` so profiles and debuggers can tell them apart.
 pub(crate) fn run<T, R, F, A, S, G>(
     workers: usize,
-    items: Vec<T>,
+    items: &[T],
     affinity: A,
     worker_scope: S,
     f: F,
@@ -135,7 +135,6 @@ where
             let steals = &steals;
             let stolen_tasks = &stolen_tasks;
             let f = &f;
-            let items = &items;
             let worker_scope = &worker_scope;
             let builder = std::thread::Builder::new().name(format!("whart-worker-{me}"));
             let handle = builder.spawn_scoped(scope, move || {
@@ -202,14 +201,14 @@ mod tests {
     #[test]
     fn preserves_item_order() {
         let items: Vec<u64> = (0..100).collect();
-        let (results, stats) = run(4, items, round_robin, |_| (), |&x| x * x);
+        let (results, stats) = run(4, &items, round_robin, |_| (), |&x| x * x);
         assert_eq!(results, (0..100).map(|x| x * x).collect::<Vec<_>>());
         assert!(stats.max_queue_depth >= 25);
     }
 
     #[test]
     fn serial_fallback_matches() {
-        let (results, stats) = run(1, vec![1, 2, 3], |&x| x, |_| (), |&x| x + 1);
+        let (results, stats) = run(1, &[1, 2, 3], |&x| x, |_| (), |&x| x + 1);
         assert_eq!(results, vec![2, 3, 4]);
         assert_eq!(stats.steals, 0);
         assert_eq!(stats.stolen_tasks, 0);
@@ -217,9 +216,9 @@ mod tests {
 
     #[test]
     fn empty_and_single_item_batches() {
-        let (results, _) = run(8, Vec::<u32>::new(), |&x| x.into(), |_| (), |&x| x);
+        let (results, _) = run(8, &[] as &[u32], |&x| x.into(), |_| (), |&x| x);
         assert!(results.is_empty());
-        let (results, _) = run(8, vec![7u32], |&x| x.into(), |_| (), |&x| x * 2);
+        let (results, _) = run(8, &[7u32], |&x| x.into(), |_| (), |&x| x * 2);
         assert_eq!(results, vec![14]);
     }
 
@@ -228,7 +227,7 @@ mod tests {
         // All items share one affinity class, so one worker owns the
         // whole batch up front and the peak queue depth is the batch.
         let items: Vec<u64> = (0..64).collect();
-        let (results, stats) = run(4, items, |_| 7, |_| (), |&x| x + 1);
+        let (results, stats) = run(4, &items, |_| 7, |_| (), |&x| x + 1);
         assert_eq!(results, (1..=64).collect::<Vec<_>>());
         assert_eq!(stats.max_queue_depth, 64);
     }
@@ -240,7 +239,7 @@ mod tests {
         let items: Vec<u64> = (0..32).collect();
         let (results, stats) = run(
             4,
-            items,
+            &items,
             round_robin,
             |_| (),
             |&x| {

@@ -7,7 +7,7 @@
 //! Object key order is preserved (insertion order), numbers are `f64`, and
 //! integral numbers print without a decimal point exactly like `serde_json`.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON document: the usual six value kinds.
 ///
@@ -152,8 +152,8 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Number(n) => out.push_str(&format_number(*n)),
-            Json::String(s) => write_escaped(out, s),
+            Json::Number(n) => write_number(out, *n),
+            Json::String(s) => write_string(out, s),
             Json::Array(values) => {
                 if values.is_empty() {
                     out.push_str("[]");
@@ -181,7 +181,7 @@ impl Json {
                         out.push(',');
                     }
                     newline_indent(out, indent, depth + 1);
-                    write_escaped(out, k);
+                    write_string(out, k);
                     out.push(':');
                     if indent.is_some() {
                         out.push(' ');
@@ -201,23 +201,31 @@ impl fmt::Display for Json {
     }
 }
 
-/// Shortest round-trip rendering; integral values print without a point,
-/// non-finite values (unrepresentable in JSON) print as `null`.
-fn format_number(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".to_owned();
+/// Appends `n` as [`Json::Number`] renders it: the shortest round-trip
+/// form, integral values without a point, and non-finite values
+/// (unrepresentable in JSON) as `null`. Allocates nothing beyond growing
+/// `out`.
+pub fn write_number(out: &mut String, n: f64) {
+    if n.is_finite() {
+        let _ = write!(out, "{n}");
+    } else {
+        out.push_str("null");
     }
-    format!("{n}")
 }
 
 fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     if let Some(width) = indent {
         out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
+        for _ in 0..width * depth {
+            out.push(' ');
+        }
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Appends `s` as [`Json::String`] renders it: quoted, with quotes,
+/// backslashes and control characters escaped. Allocates nothing beyond
+/// growing `out`.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -229,7 +237,7 @@ fn write_escaped(out: &mut String, s: &str) {
             '\u{8}' => out.push_str("\\b"),
             '\u{c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -463,12 +471,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy one UTF-8 scalar as-is.
+                    // Copy the run up to the next quote or backslash as is.
+                    // Both are ASCII, so the run ends on a character
+                    // boundary, and only the run is validated: the parse
+                    // stays linear in the input.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let s = std::str::from_utf8(&rest[..run])
+                        .map_err(|_| self.error("invalid UTF-8"))?;
+                    out.push_str(s);
+                    self.pos += run;
                 }
             }
         }
@@ -621,6 +636,30 @@ mod tests {
             let printed = Json::Number(x).to_compact();
             let back = Json::parse(&printed).unwrap().as_f64().unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {printed}");
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_as_unicode() {
+        let v = Json::from("a\u{1}b\u{1f}\"\\");
+        assert_eq!(v.to_compact(), r#""a\u0001b\u001f\"\\""#);
+        assert_eq!(Json::parse(&v.to_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn strings_copy_multibyte_runs_between_escapes() {
+        let v = Json::parse(r#"["aé😀b\"c\\d\u0041é", "", "\n"]"#).unwrap();
+        assert_eq!(v[0].as_str(), Some("aé😀b\"c\\dAé"));
+        assert_eq!(v[1].as_str(), Some(""));
+        assert_eq!(v[2].as_str(), Some("\n"));
+        assert!(Json::parse(r#""abc"#).is_err(), "unterminated");
+        assert!(Json::parse(r#""abc\"#).is_err(), "unterminated escape");
+    }
+
+    #[test]
+    fn non_finite_numbers_print_as_null() {
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Json::Number(x).to_compact(), "null");
         }
     }
 

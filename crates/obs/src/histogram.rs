@@ -53,8 +53,14 @@ impl HistogramCore {
         };
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        // The extremes rarely move: a plain load skips the read-modify-
+        // write (a compare-exchange loop) when they do not.
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {

@@ -59,17 +59,83 @@ pub use snapshot::MetricsSnapshot;
 pub use window::{RollingCounter, RollingHistogram, DEFAULT_SUB_WINDOWS};
 
 use histogram::HistogramCore;
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::LocalKey;
 use std::time::Instant;
 
+/// One kind of instrument, by name.
+type Table<T> = Mutex<HashMap<Arc<str>, Arc<T>>>;
+
 /// The named-instrument registry behind an enabled [`Metrics`] handle.
-#[derive(Default)]
 struct Registry {
-    counters: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<HashMap<String, Arc<AtomicU64>>>,
-    histograms: Mutex<HashMap<String, Arc<HistogramCore>>>,
+    /// Tells registries apart in the per-thread lookup caches.
+    id: u64,
+    counters: Table<AtomicU64>,
+    gauges: Table<AtomicU64>,
+    histograms: Table<HistogramCore>,
+}
+
+/// Source of [`Registry::id`]s.
+static NEXT_REGISTRY_ID: AtomicU64 = AtomicU64::new(0);
+
+/// How many recent lookups of each instrument kind a thread remembers:
+/// enough for every instrument one engine drain or request resolves.
+const RECENT: usize = 16;
+
+/// A thread's recent lookups of one instrument kind, newest last:
+/// `(registry id, name, instrument)`. A registry never forgets a name,
+/// so an entry stays right for as long as it is cached.
+type Recent<T> = RefCell<Vec<(u64, Arc<str>, Arc<T>)>>;
+
+thread_local! {
+    static RECENT_COUNTERS: Recent<AtomicU64> = const { RefCell::new(Vec::new()) };
+    static RECENT_GAUGES: Recent<AtomicU64> = const { RefCell::new(Vec::new()) };
+    static RECENT_HISTOGRAMS: Recent<HistogramCore> = const { RefCell::new(Vec::new()) };
+}
+
+/// The instrument named `name` in `table` of registry `id`, created on
+/// first use. A name this thread resolved recently is found in `recent`
+/// without locking or hashing; a registered name is found without
+/// allocating; only a new name is copied into the table.
+fn resolve<T: Default>(
+    id: u64,
+    table: &Table<T>,
+    recent: &'static LocalKey<Recent<T>>,
+    name: &str,
+) -> Arc<T> {
+    let cached = recent.try_with(|recent| {
+        recent
+            .borrow()
+            .iter()
+            .rev()
+            .find(|(registry, key, _)| *registry == id && **key == *name)
+            .map(|(_, _, instrument)| Arc::clone(instrument))
+    });
+    if let Ok(Some(instrument)) = cached {
+        return instrument;
+    }
+    let (key, instrument) = {
+        let mut table = table.lock().expect("metrics lock");
+        match table.get_key_value(name) {
+            Some((key, instrument)) => (Arc::clone(key), Arc::clone(instrument)),
+            None => {
+                let key: Arc<str> = Arc::from(name);
+                let instrument = Arc::clone(table.entry(Arc::clone(&key)).or_default());
+                (key, instrument)
+            }
+        }
+    };
+    let _ = recent.try_with(|recent| {
+        let mut recent = recent.borrow_mut();
+        if recent.len() == RECENT {
+            recent.remove(0);
+        }
+        recent.push((id, key, Arc::clone(&instrument)));
+    });
+    instrument
 }
 
 /// A cloneable handle to a metrics registry, or a no-op stand-in.
@@ -85,7 +151,12 @@ impl Metrics {
     /// A fresh, enabled registry.
     pub fn new() -> Metrics {
         Metrics {
-            registry: Some(Arc::new(Registry::default())),
+            registry: Some(Arc::new(Registry {
+                id: NEXT_REGISTRY_ID.fetch_add(1, Ordering::Relaxed),
+                counters: Table::default(),
+                gauges: Table::default(),
+                histograms: Table::default(),
+            })),
         }
     }
 
@@ -103,37 +174,37 @@ impl Metrics {
     /// Resolves (creating on first use) the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
         Counter {
-            cell: self.registry.as_ref().map(|r| {
-                let mut counters = r.counters.lock().expect("metrics lock");
-                Arc::clone(counters.entry(name.to_owned()).or_default())
-            }),
+            cell: self
+                .registry
+                .as_ref()
+                .map(|r| resolve(r.id, &r.counters, &RECENT_COUNTERS, name)),
         }
     }
 
     /// Resolves (creating on first use) the gauge named `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
         Gauge {
-            cell: self.registry.as_ref().map(|r| {
-                let mut gauges = r.gauges.lock().expect("metrics lock");
-                Arc::clone(gauges.entry(name.to_owned()).or_default())
-            }),
+            cell: self
+                .registry
+                .as_ref()
+                .map(|r| resolve(r.id, &r.gauges, &RECENT_GAUGES, name)),
         }
     }
 
     /// Resolves (creating on first use) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram {
-            core: self.registry.as_ref().map(|r| {
-                let mut histograms = r.histograms.lock().expect("metrics lock");
-                Arc::clone(histograms.entry(name.to_owned()).or_default())
-            }),
+            core: self
+                .registry
+                .as_ref()
+                .map(|r| resolve(r.id, &r.histograms, &RECENT_HISTOGRAMS, name)),
         }
     }
 
     /// Starts a scoped span recording elapsed nanoseconds into the
     /// histogram named `name` when the returned guard drops.
     pub fn timer(&self, name: &str) -> SpanTimer {
-        self.histogram(name).start()
+        self.histogram(name).into_timer()
     }
 
     /// A point-in-time copy of every instrument. Empty for disabled
@@ -147,21 +218,21 @@ impl Metrics {
             .lock()
             .expect("metrics lock")
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
             .collect();
         let gauges = registry
             .gauges
             .lock()
             .expect("metrics lock")
             .iter()
-            .map(|(k, v)| (k.clone(), v.load(Ordering::Relaxed)))
+            .map(|(k, v)| (k.to_string(), v.load(Ordering::Relaxed)))
             .collect();
         let histograms = registry
             .histograms
             .lock()
             .expect("metrics lock")
             .iter()
-            .map(|(k, v)| (k.clone(), v.snapshot()))
+            .map(|(k, v)| (k.to_string(), v.snapshot()))
             .collect();
         MetricsSnapshot {
             counters,
@@ -239,9 +310,13 @@ impl Histogram {
     /// Starts a span whose elapsed nanoseconds are recorded here when
     /// the guard drops. On a disabled histogram the clock is not read.
     pub fn start(&self) -> SpanTimer {
+        self.clone().into_timer()
+    }
+
+    fn into_timer(self) -> SpanTimer {
         SpanTimer {
-            histogram: self.clone(),
             start: self.core.as_ref().map(|_| Instant::now()),
+            histogram: self,
         }
     }
 }
@@ -285,6 +360,28 @@ mod tests {
         a.add(2);
         b.increment();
         assert_eq!(metrics.snapshot().counter("events"), Some(3));
+    }
+
+    #[test]
+    fn recent_lookups_never_cross_registries_or_names() {
+        let a = Metrics::new();
+        let b = Metrics::new();
+        // More names than a thread remembers, resolved twice over, in
+        // both registries.
+        for round in 0..2 {
+            for i in 0..(2 * RECENT as u64) {
+                a.counter(&format!("c{i}")).add(i);
+                b.counter(&format!("c{i}")).add(100 + i);
+                a.gauge(&format!("c{i}")).set(round);
+            }
+        }
+        let (a, b) = (a.snapshot(), b.snapshot());
+        for i in 0..(2 * RECENT as u64) {
+            let name = format!("c{i}");
+            assert_eq!(a.counter(&name), Some(2 * i));
+            assert_eq!(b.counter(&name), Some(2 * (100 + i)));
+            assert_eq!(a.gauge(&name), Some(1), "gauges are a separate table");
+        }
     }
 
     #[test]

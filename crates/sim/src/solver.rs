@@ -144,7 +144,9 @@ impl MonteCarloSolver {
         // One Bernoulli draw per attempted transmission.
         obs.counter("solver.sim.draws").add(attempts);
         obs.counter("solver.sim.replications").add(self.intervals);
-        if tspan.is_recording() {
+        // Gated on the handle, not the span: hop instants a full journal
+        // refuses must still be counted as dropped.
+        if trace.is_enabled() {
             whart_model::ir::trace_hops(problem, "solver.sim", trace);
             tspan.arg("seed", seed);
             tspan.arg("replications", self.intervals);

@@ -20,9 +20,12 @@
 //!   between drains, further events are counted in
 //!   [`TraceLog::dropped`] instead of stored, so a runaway per-slot
 //!   instrumentation cannot exhaust memory. Spans, instants and built
-//!   events share one admission path that reserves the slot first;
-//!   [`Trace::instant_with`] and [`Trace::emit_with`] build their event
-//!   only after that, so a refused one builds nothing.
+//!   events share one admission path that reserves the slot first and
+//!   builds the event only after that, so a refused one builds nothing:
+//!   a span is admitted or refused once, when it starts, and a refused
+//!   span neither clones the ambient context nor materializes its name.
+//!   [`Trace::has_room_or_drop`] refuses a whole group of events (e.g.
+//!   everything one solve would emit) with one atomic add.
 //!
 //! Tracing must never perturb results: traced solves are bit-identical
 //! to untraced ones (asserted by the backend parity tests in
@@ -96,6 +99,25 @@ struct Shared {
 impl Shared {
     fn now_ns(&self) -> u64 {
         u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Whether the journal is at capacity (one atomic load).
+    fn is_full(&self) -> bool {
+        self.admitted.load(Ordering::Relaxed) >= self.capacity
+    }
+
+    /// Takes one capacity slot, or counts the event as dropped and
+    /// returns `false` when the journal is full.
+    fn reserve(&self) -> bool {
+        if !self.is_full() {
+            if self.admitted.fetch_add(1, Ordering::Relaxed) < self.capacity {
+                return true;
+            }
+            // Lost a race for the last slot.
+            self.admitted.fetch_sub(1, Ordering::Relaxed);
+        }
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        false
     }
 
     /// The current ambient context arguments (cheap when none are set:
@@ -183,13 +205,9 @@ fn buffer_event(shared: &Arc<Shared>, event: TraceEvent) {
 /// counts the event as dropped, without building it, when the journal
 /// is full.
 fn emit(shared: &Arc<Shared>, build: impl FnOnce() -> TraceEvent) {
-    let admitted = shared.admitted.fetch_add(1, Ordering::Relaxed);
-    if admitted >= shared.capacity {
-        shared.admitted.fetch_sub(1, Ordering::Relaxed);
-        shared.dropped.fetch_add(1, Ordering::Relaxed);
-        return;
+    if shared.reserve() {
+        buffer_event(shared, build());
     }
-    buffer_event(shared, build());
 }
 
 /// A cloneable handle to a structured event journal, or a no-op
@@ -245,18 +263,50 @@ impl Trace {
     }
 
     /// Starts a span; the completed duration is recorded when the guard
-    /// drops (or via [`TraceSpan::finish`]). On a disabled handle the
-    /// name is not materialized and the clock is not read.
+    /// drops (or via [`TraceSpan::finish`]).
+    ///
+    /// Admission is decided here, once: the span takes its capacity slot
+    /// before anything is built. On a disabled handle, or on a journal
+    /// full until the next [`Trace::drain`] (the refusal is counted in
+    /// [`TraceLog::dropped`]), the span does not record: the name is not
+    /// materialized, the ambient context is not cloned, the clock is not
+    /// read and nothing is allocated.
     pub fn span(&self, name: impl Into<String>, cat: &'static str) -> TraceSpan {
         TraceSpan {
-            inner: self.shared.as_ref().map(|shared| SpanInner {
-                shared: Arc::clone(shared),
-                name: name.into(),
-                cat,
-                start_ns: shared.now_ns(),
-                args: shared.context_args(),
-            }),
+            inner: self
+                .shared
+                .as_ref()
+                .filter(|shared| shared.reserve())
+                .map(|shared| SpanInner {
+                    shared: Arc::clone(shared),
+                    name: name.into(),
+                    cat,
+                    start_ns: shared.now_ns(),
+                    args: shared.context_args(),
+                }),
         }
+    }
+
+    /// Whether a group of `events` events would find room, decided once
+    /// for the whole group: `true` when the journal has room now (nothing
+    /// is reserved — each event still takes its own slot), `false` on a
+    /// disabled handle, and `false` on a full journal after counting all
+    /// `events` (evaluated only then) in [`TraceLog::dropped`] with one
+    /// atomic add.
+    ///
+    /// A caller that emits a known number of events — a traced solve —
+    /// asks once up front and, on `false`, skips building any of them
+    /// while the dropped count stays exactly what emitting each one into
+    /// the full journal would have made it.
+    pub fn has_room_or_drop(&self, events: impl FnOnce() -> u64) -> bool {
+        let Some(shared) = &self.shared else {
+            return false;
+        };
+        if shared.is_full() {
+            shared.dropped.fetch_add(events(), Ordering::Relaxed);
+            return false;
+        }
+        true
     }
 
     /// Installs ambient context arguments stamped on every span and
@@ -315,7 +365,7 @@ impl Trace {
     ///
     /// The capacity slot is reserved first. On a disabled handle nothing
     /// happens; on a journal full until the next [`Trace::drain`] the
-    /// event costs three atomic operations and is counted in
+    /// event costs two atomic operations and is counted in
     /// [`TraceLog::dropped`]. Either way `args` never runs, the ambient
     /// context is not cloned and the name is not materialized. An
     /// admitted event carries the context args first, then `args`'
@@ -448,7 +498,8 @@ pub struct TraceSpan {
 }
 
 impl TraceSpan {
-    /// Whether this span will emit anything (false on disabled handles).
+    /// Whether this span will emit anything (false on disabled handles
+    /// and when a full journal refused the span at its start).
     pub fn is_recording(&self) -> bool {
         self.inner.is_some()
     }
@@ -467,9 +518,10 @@ impl TraceSpan {
 
 impl Drop for TraceSpan {
     fn drop(&mut self) {
+        // The slot was reserved when the span started.
         if let Some(inner) = self.inner.take() {
             let shared = &inner.shared;
-            emit(shared, || TraceEvent {
+            let event = TraceEvent {
                 name: inner.name,
                 cat: inner.cat,
                 ph: Phase::Complete {
@@ -478,7 +530,8 @@ impl Drop for TraceSpan {
                 ts_ns: inner.start_ns,
                 tid: 0,
                 args: inner.args,
-            });
+            };
+            buffer_event(shared, event);
         }
     }
 }
@@ -589,6 +642,57 @@ mod tests {
         assert_eq!(log.len(), 1);
         assert_eq!(log.events[0].name, "admitted");
         assert_eq!(log.dropped, 3);
+    }
+
+    #[test]
+    fn spans_are_admitted_or_refused_when_they_start() {
+        let trace = Trace::with_capacity(1);
+        let _scope = trace.context_scope([("request_id", "req-1".into())]);
+        let mut outer = trace.span("outer", "test");
+        assert!(outer.is_recording(), "the span took the only slot");
+        // Nested events find the journal full while the span is open.
+        let mut inner = trace.span("inner", "test");
+        assert!(!inner.is_recording());
+        inner.arg("k", 1u64);
+        drop(inner);
+        trace.instant("hop", "test", []);
+        assert_eq!(trace.dropped(), 2);
+        outer.arg("k", 2u64);
+        drop(outer);
+        let log = trace.drain();
+        assert_eq!(log.len(), 1);
+        assert_eq!(log.events[0].name, "outer");
+        assert_eq!(
+            log.events[0].arg("request_id").and_then(ArgValue::as_str),
+            Some("req-1")
+        );
+        assert_eq!(log.dropped, 2);
+    }
+
+    #[test]
+    fn a_span_open_across_a_drain_keeps_its_slot() {
+        let trace = Trace::with_capacity(1);
+        let span = trace.span("open", "test");
+        assert!(trace.drain().is_empty());
+        trace.instant("refused", "test", []);
+        drop(span);
+        assert_eq!(trace.drain().len(), 1);
+        assert_eq!(trace.dropped(), 1);
+    }
+
+    #[test]
+    fn has_room_or_drop_refuses_a_whole_group_at_once() {
+        let trace = Trace::with_capacity(1);
+        assert!(trace.has_room_or_drop(|| panic!("counted with room")));
+        trace.instant("fill", "test", []);
+        assert!(!trace.has_room_or_drop(|| 7));
+        assert!(!trace.has_room_or_drop(|| 3));
+        assert_eq!(trace.dropped(), 10);
+        assert_eq!(trace.drain().len(), 1);
+        assert!(trace.has_room_or_drop(|| 1));
+        let off = Trace::disabled();
+        assert!(!off.has_room_or_drop(|| panic!("counted on a disabled handle")));
+        assert_eq!(off.dropped(), 0);
     }
 
     #[test]
