@@ -359,7 +359,7 @@ pub fn attribution_lines(profile: &Profile) -> String {
 ///   Below 1.0 the engine beats evaluating the fleet serially; the
 ///   committed baseline pins that headroom per worker count.
 /// * `scale/warm/{N}` — the warm N-worker drain over `warm/1` (pure
-///   cache traffic, so this isolates pool + shard contention with zero
+///   cache traffic, so this isolates the pool and cache probes with zero
 ///   solve work to hide it).
 /// * `scale/profiled/{N}` — the profiled warm drain over the same
 ///   worker count's plain `warm/{N}` drain: the profiler facade's

@@ -220,7 +220,7 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
         return Err(format!("path index {} out of range", path_index + 1));
     }
     let problem = model.path_problem(path_index).map_err(|e| e.to_string())?;
-    let ex = explain_path(&problem, DelayConvention::Absolute);
+    let ex = explain_path(&problem, DelayConvention::Absolute).map_err(|e| e.to_string())?;
     let eval = ex.evaluation();
     let route = &model.paths()[path_index];
 

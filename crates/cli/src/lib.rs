@@ -383,6 +383,26 @@ mod tests {
     }
 
     #[test]
+    fn an_overflowing_reporting_interval_is_an_error_not_an_abort() {
+        let dir = std::env::temp_dir().join("whart-cli-horizon-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("typical.json");
+        let spec = commands::example("typical").unwrap().replace(
+            "\"reporting_interval\": 4,",
+            "\"reporting_interval\": 4000000000,",
+        );
+        std::fs::write(&path, spec).unwrap();
+        let file = path.to_str().unwrap();
+        for command in ["analyze", "explain"] {
+            let err = run(&s(&[command, file])).unwrap_err();
+            assert!(
+                err.contains("reporting interval of 4000000000 cycles x 20 uplink slots"),
+                "{command}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn analyze_backend_flag_selects_the_solver() {
         let dir = std::env::temp_dir().join("whart-cli-backend-test");
         std::fs::create_dir_all(&dir).unwrap();

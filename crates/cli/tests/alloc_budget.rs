@@ -1,16 +1,20 @@
 //! Allocation budgets of the per-path and per-request hot paths, counted
 //! exactly by a counting global allocator: a traced solve into a full
-//! journal, a refused span, a registered metric's lookup and a result
-//! line rendered into a buffer with room.
+//! journal, a refused span, a registered metric's lookup, a result line
+//! rendered into a buffer with room, lowering one path of a network, and
+//! a whole cold fleet drain at cache steady state.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use whart_engine::{MeasureSet, Outcome, PathMeasures, ScenarioResult};
+use whart_channel::LinkModel;
+use whart_engine::{Engine, MeasureSet, Outcome, PathMeasures, Scenario, ScenarioResult};
 use whart_model::ir::{FastSolver, Solver};
 use whart_model::sweeps::chain_model;
-use whart_model::MeasurePlan;
+use whart_model::{MeasurePlan, NetworkModel};
+use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
+use whart_prof::Profiler;
 use whart_trace::Trace;
 
 /// Counts every allocation the calling thread makes, so tests running
@@ -131,4 +135,73 @@ fn a_result_line_into_a_buffer_with_room_allocates_nothing() {
     let n = allocations(|| whart_cli::write_result_line(&mut out, &result, measures));
     assert_eq!(n, 0);
     assert!(out.starts_with("{\"label\":\"pi=0.83 \\\"quoted\\\"\\n\",\"paths\":["));
+}
+
+fn typical_model(availability: f64, interval: u32) -> NetworkModel {
+    let net = TypicalNetwork::new(LinkModel::from_availability(availability, 0.9).unwrap());
+    NetworkModel::from_typical(
+        &net,
+        net.schedule_eta_a(),
+        ReportingInterval::new(interval).unwrap(),
+    )
+    .unwrap()
+}
+
+#[test]
+fn lowering_a_path_allocates_only_its_hop_list() {
+    let model = typical_model(0.83, 4);
+    for i in 0..model.paths().len() {
+        let mut problem = None;
+        let n = allocations(|| problem = Some(model.path_problem(i).unwrap()));
+        assert_eq!(n, 1, "path {}", i + 1);
+        assert_eq!(problem.unwrap().hop_count(), model.paths()[i].hop_count());
+    }
+}
+
+/// Allocations of one cold traced 18-scenario drain (180 distinct path
+/// solves) with metrics on, the profiler attached, a full journal and a
+/// full path cache, so every solve also evicts. It measures 2145, or
+/// 2146 when the cache's table happens to grow inside the measured
+/// drain (its hash keys are randomly seeded).
+const COLD_DRAIN_BUDGET: u64 = 2150;
+
+#[test]
+fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
+    // Six availabilities x intervals 1, 2, 4; every round gets fresh
+    // availabilities, so no path DTMC repeats across rounds.
+    let fleet = |round: u32| -> Vec<Scenario> {
+        let mut fleet = Vec::new();
+        for k in 0..6 {
+            let availability = 0.7 + f64::from(round * 6 + k) * 1e-3;
+            for interval in [1, 2, 4] {
+                let model = typical_model(availability, interval);
+                fleet.push(Scenario::network(format!("r{round}-{k}-{interval}"), model));
+            }
+        }
+        fleet
+    };
+    let mut engine = Engine::new(1);
+    engine.set_metrics(Metrics::new());
+    engine.set_trace(full_journal());
+    engine.set_profiler(Profiler::new());
+    engine.set_cache_capacities(Some(720), None);
+    for round in 0..6 {
+        for scenario in fleet(round) {
+            engine.submit(scenario);
+        }
+        engine.drain().unwrap();
+    }
+    assert_eq!(engine.cached_paths(), 720, "the path cache is full");
+    for scenario in fleet(6) {
+        engine.submit(scenario);
+    }
+    let before = engine.stats();
+    let n = allocations(|| drop(engine.drain().unwrap()));
+    let after = engine.stats();
+    assert_eq!(after.paths_evaluated - before.paths_evaluated, 180);
+    assert_eq!(
+        after.path_cache_evictions - before.path_cache_evictions,
+        180
+    );
+    assert!(n <= COLD_DRAIN_BUDGET, "{n} allocations");
 }

@@ -20,6 +20,7 @@
 
 use whart_net::NodeId;
 
+use crate::error::Result;
 use crate::ir::{channel_figures, MeasurePlan, PathProblem};
 use crate::measures::DelayConvention;
 use crate::path::{fast_evaluate_observed, PathEvaluation, StepEvent};
@@ -128,7 +129,12 @@ impl PathExplanation {
 
 /// Evaluates `problem` with the fast solver and decomposes the result
 /// per hop and per delivery cycle.
-pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathExplanation {
+///
+/// # Errors
+///
+/// As [`crate::ir::FastSolver`]: the interval's solver buffers cannot be
+/// allocated.
+pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> Result<PathExplanation> {
     let n = problem.hop_count();
     let mut attempts = vec![0.0f64; n];
     let mut failures = vec![0.0f64; n];
@@ -143,7 +149,7 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
             }
             StepEvent::CycleEnd { .. } => {}
             StepEvent::Discard { in_flight, .. } => loss.copy_from_slice(in_flight),
-        });
+        })?;
 
     let hops = problem
         .hops()
@@ -188,11 +194,11 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> PathE
         })
         .collect();
 
-    PathExplanation {
+    Ok(PathExplanation {
         evaluation,
         hops,
         cycles,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -211,7 +217,7 @@ mod tests {
 
     #[test]
     fn hop_provenance_matches_channel_model_directly() {
-        let ex = explain_path(&problem(0.75), DelayConvention::Absolute);
+        let ex = explain_path(&problem(0.75), DelayConvention::Absolute).unwrap();
         let expected = LinkModel::from_availability(0.75, 0.9).unwrap();
         assert_eq!(ex.hops().len(), 3);
         for hop in ex.hops() {
@@ -227,7 +233,7 @@ mod tests {
     #[test]
     fn evaluation_is_bit_identical_to_fast_solver() {
         let problem = problem(0.83);
-        let ex = explain_path(&problem, DelayConvention::Absolute);
+        let ex = explain_path(&problem, DelayConvention::Absolute).unwrap();
         let baseline = FastSolver
             .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
@@ -243,7 +249,7 @@ mod tests {
 
     #[test]
     fn loss_masses_sum_to_discard_probability() {
-        let ex = explain_path(&problem(0.75), DelayConvention::Absolute);
+        let ex = explain_path(&problem(0.75), DelayConvention::Absolute).unwrap();
         let discard = ex.evaluation().discard_probability();
         assert!((ex.total_loss() - discard).abs() < 1e-12);
         assert!(ex.dominant_loss_hop().is_some());
@@ -251,7 +257,7 @@ mod tests {
 
     #[test]
     fn delay_contributions_sum_to_conditional_expectation() {
-        let ex = explain_path(&problem(0.75), DelayConvention::Absolute);
+        let ex = explain_path(&problem(0.75), DelayConvention::Absolute).unwrap();
         let expected = ex
             .evaluation()
             .expected_delay_ms(DelayConvention::Absolute)
@@ -261,7 +267,7 @@ mod tests {
 
     #[test]
     fn attempts_exceed_failures_on_every_hop() {
-        let ex = explain_path(&problem(0.903), DelayConvention::Absolute);
+        let ex = explain_path(&problem(0.903), DelayConvention::Absolute).unwrap();
         for hop in ex.hops() {
             assert!(hop.expected_attempts > 0.0);
             assert!(hop.expected_failures >= 0.0);

@@ -125,8 +125,9 @@ pub struct PathProblem {
 impl PathProblem {
     /// Invariants (hops non-empty, slots within the uplink half, distinct
     /// and in path order, `0 < ttl <= Is * F_up`) are established by the
-    /// [`crate::PathModelBuilder`] validation every compile path goes
-    /// through.
+    /// caller: the [`crate::PathModelBuilder`] validation, or the
+    /// schedule validation of [`crate::NetworkModel::new`]. Debug builds
+    /// assert the hop invariants here.
     pub(crate) fn new(
         hops: Vec<ProblemHop>,
         superframe: Superframe,
@@ -134,6 +135,10 @@ impl PathProblem {
         ttl: u32,
     ) -> PathProblem {
         debug_assert!(!hops.is_empty());
+        debug_assert!(hops
+            .last()
+            .is_some_and(|h| h.frame_slot < superframe.uplink_slots() as usize));
+        debug_assert!(hops.windows(2).all(|w| w[0].frame_slot < w[1].frame_slot));
         PathProblem {
             hops,
             superframe,
@@ -499,7 +504,7 @@ impl Solver for FastSolver {
     ) -> Result<PathEvaluation> {
         if !trace.has_room_or_drop(|| traced_fast_events(problem)) {
             let span = obs.timer("solver.fast.solve_ns");
-            let (evaluation, steps) = fast_evaluate_counted(problem, plan);
+            let (evaluation, steps) = fast_evaluate_counted(problem, plan)?;
             span.stop();
             obs.counter("solver.fast.transient_steps").add(steps);
             return Ok(evaluation);
@@ -541,7 +546,7 @@ impl Solver for FastSolver {
                     ]
                 });
             }
-        });
+        })?;
         timer.stop();
         obs.counter("solver.fast.transient_steps").add(steps);
         for (hop, h) in problem.hops().iter().enumerate() {

@@ -102,8 +102,20 @@ impl PathEvaluation {
     /// The expected delay `E[tau]` (Eq. 9) in milliseconds, conditioned on
     /// delivery. `None` if the path is unreachable.
     pub fn expected_delay_ms(&self, convention: DelayConvention) -> Option<f64> {
-        let d = self.delay_distribution(convention);
-        (!d.is_empty()).then(|| d.expectation())
+        // `delay_distribution(convention).expectation()` without building
+        // the distribution: delays strictly increase with the cycle, so
+        // its support is already in cycle order with no merged points,
+        // and this sums the same products in the same order.
+        let r = self.reachability();
+        if r <= 0.0 {
+            return None;
+        }
+        let g = self.cycle_probabilities();
+        Some(
+            (1..=self.interval().cycles())
+                .map(|cycle| self.delay_ms(cycle, convention) * (g.get(cycle as usize - 1) / r))
+                .sum(),
+        )
     }
 
     /// The `q`-quantile of the delivery delay in milliseconds (e.g. 0.95

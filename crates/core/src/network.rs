@@ -9,7 +9,7 @@
 
 use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
-use crate::ir::{FastSolver, MeasurePlan, NetworkProblem, PathProblem, Solver};
+use crate::ir::{FastSolver, MeasurePlan, NetworkProblem, PathProblem, ProblemHop, Solver};
 use crate::measures::{DelayConvention, UtilizationConvention};
 use crate::path::{PathEvaluation, PathModel};
 use std::collections::BTreeMap;
@@ -135,49 +135,44 @@ impl NetworkModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Inconsistent`] for an out-of-range index.
+    /// See [`NetworkModel::path_problem`].
     pub fn path_model(&self, path_index: usize) -> Result<PathModel> {
-        if path_index >= self.paths.len() {
-            return Err(ModelError::Inconsistent {
-                reason: format!("path index {path_index} out of range"),
-            });
-        }
-        let mut builder = PathModel::builder();
-        for (slot, hop) in self.schedule.slots_for_path(path_index) {
-            let dynamics = match self.overrides.get(&hop.undirected_key()) {
-                Some(d) => d.clone(),
-                None => LinkDynamics::steady(self.topology.link_for(hop)?),
-            };
-            builder.add_hop(dynamics, slot);
-        }
-        builder.superframe(self.superframe).interval(self.interval);
-        builder.build()
+        Ok(self.path_problem(path_index)?.to_model())
     }
 
-    /// Compiles the problem of one path: the [`PathModel`] lowered to the
-    /// IR, with the physical-link identity of every hop attached.
+    /// Compiles the problem of one path in one pass over the schedule:
+    /// the path's hops with their resolved dynamics (overrides applied),
+    /// frame slots and physical-link identities, and the TTL `Is * F_up`.
+    /// [`NetworkModel::new`] validated the schedule, so the hops arrive
+    /// in path order at distinct, increasing slots within the uplink
+    /// half.
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Inconsistent`] for an out-of-range index.
+    /// Returns [`ModelError::Inconsistent`] for an out-of-range index and
+    /// [`ModelError::Net`] when `Is * F_up` overflows the slot count.
     pub fn path_problem(&self, path_index: usize) -> Result<PathProblem> {
-        if path_index >= self.paths.len() {
-            return Err(ModelError::Inconsistent {
+        let path = self
+            .paths
+            .get(path_index)
+            .ok_or_else(|| ModelError::Inconsistent {
                 reason: format!("path index {path_index} out of range"),
-            });
-        }
-        let mut builder = PathModel::builder();
-        let mut links = Vec::new();
-        for (slot, hop) in self.schedule.slots_for_path(path_index) {
-            let dynamics = match self.overrides.get(&hop.undirected_key()) {
+            })?;
+        let ttl = self.interval.uplink_slots(self.superframe)?;
+        let mut hops = Vec::with_capacity(path.hop_count());
+        for (slot, entry) in self.schedule.transmissions() {
+            if entry.path_index != path_index {
+                continue;
+            }
+            let link = entry.hop.undirected_key();
+            let dynamics = match self.overrides.get(&link) {
                 Some(d) => d.clone(),
-                None => LinkDynamics::steady(self.topology.link_for(hop)?),
+                None => LinkDynamics::steady(self.topology.link_for(entry.hop)?),
             };
-            builder.add_hop(dynamics, slot);
-            links.push(hop.undirected_key());
+            hops.push(ProblemHop::new(dynamics, slot, Some(link)));
         }
-        builder.superframe(self.superframe).interval(self.interval);
-        Ok(builder.build()?.into_problem(links))
+        debug_assert_eq!(hops.len(), path.hop_count());
+        Ok(PathProblem::new(hops, self.superframe, self.interval, ttl))
     }
 
     /// Lowers the whole network to its compiled [`NetworkProblem`] — the
@@ -270,21 +265,38 @@ impl NetworkEvaluation {
     /// The overall mean delay `E[Gamma]` (Eq. 13): the average of the
     /// per-path expected delays. `None` if any path is unreachable.
     pub fn mean_delay_ms(&self, convention: DelayConvention) -> Option<f64> {
-        let delays = self.expected_delays_ms(convention);
-        let mut total = 0.0;
-        for d in &delays {
-            total += (*d)?;
-        }
-        Some(total / delays.len() as f64)
+        NetworkEvaluation::mean_of_path_delays(self.expected_delays_ms(convention))
     }
 
     /// The network utilization `U` (Eq. 11): the sum of per-path
     /// utilizations (Table II).
     pub fn utilization(&self, convention: UtilizationConvention) -> f64 {
-        self.reports
-            .iter()
-            .map(|r| r.evaluation.utilization(convention))
-            .sum()
+        NetworkEvaluation::sum_of_path_utilizations(
+            self.reports
+                .iter()
+                .map(|r| r.evaluation.utilization(convention)),
+        )
+    }
+
+    /// Eq. 13 over per-path expected delays already extracted, in path
+    /// order: their average, or `None` if any path is unreachable. The
+    /// one implementation behind [`NetworkEvaluation::mean_delay_ms`], so
+    /// a caller holding the per-path delays gets the same bits without
+    /// re-deriving them.
+    pub fn mean_of_path_delays(delays: impl IntoIterator<Item = Option<f64>>) -> Option<f64> {
+        let mut total = 0.0;
+        let mut paths = 0usize;
+        for d in delays {
+            total += d?;
+            paths += 1;
+        }
+        Some(total / paths as f64)
+    }
+
+    /// Eq. 11 over per-path utilizations already extracted: their sum.
+    /// The one implementation behind [`NetworkEvaluation::utilization`].
+    pub fn sum_of_path_utilizations(utilizations: impl IntoIterator<Item = f64>) -> f64 {
+        utilizations.into_iter().sum()
     }
 
     /// The index of the path with the lowest reachability (the paper's
@@ -468,6 +480,26 @@ mod tests {
                 .unwrap();
         assert!(model.path_model(9).is_ok());
         assert!(model.path_model(10).is_err());
+    }
+
+    #[test]
+    fn an_overflowing_horizon_is_an_error_naming_the_interval() {
+        let net = typical(0.83);
+        let huge = ReportingInterval::new(4_000_000_000).unwrap();
+        let model = NetworkModel::from_typical(&net, net.schedule_eta_a(), huge).unwrap();
+        let want = "reporting interval of 4000000000 cycles x 20 uplink slots";
+        let err = model.compile().unwrap_err().to_string();
+        assert!(err.contains(want), "{err}");
+        let mut builder = PathModel::builder();
+        builder
+            .add_hop(
+                LinkDynamics::steady(LinkModel::from_availability(0.83, 0.9).unwrap()),
+                0,
+            )
+            .superframe(net.superframe)
+            .interval(huge);
+        let err = builder.build().unwrap_err().to_string();
+        assert!(err.contains(want), "{err}");
     }
 
     #[test]

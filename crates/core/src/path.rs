@@ -20,7 +20,7 @@ use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
 use crate::ir::{MeasurePlan, PathProblem, ProblemHop};
 use whart_dtmc::Pmf;
-use whart_net::{NodeId, Path, ReportingInterval, Schedule, Superframe, Topology};
+use whart_net::{Path, ReportingInterval, Schedule, Superframe, Topology};
 
 /// One scheduled hop of a path model: the transmission of hop `hop` (0-based
 /// position along the path) in frame slot `slot` (0-based within the uplink
@@ -49,7 +49,9 @@ impl PathModel {
 
     /// Builds the model of `paths[path_index]` from a fully specified
     /// network: link models are read from the topology (steady-state
-    /// dynamics), slots from the schedule.
+    /// dynamics), slots from the schedule. Shorthand for
+    /// [`crate::NetworkModel::new`] then
+    /// [`crate::NetworkModel::path_model`].
     ///
     /// # Errors
     ///
@@ -64,29 +66,14 @@ impl PathModel {
         interval: ReportingInterval,
         path_index: usize,
     ) -> Result<PathModel> {
-        schedule.validate(topology, paths)?;
-        if schedule.len() > superframe.uplink_slots() as usize {
-            return Err(ModelError::Inconsistent {
-                reason: format!(
-                    "schedule has {} slots but the uplink half only {}",
-                    schedule.len(),
-                    superframe.uplink_slots()
-                ),
-            });
-        }
-        let path = paths
-            .get(path_index)
-            .ok_or_else(|| ModelError::Inconsistent {
-                reason: format!("path index {path_index} out of range"),
-            })?;
-        let mut builder = PathModel::builder();
-        for (slot, hop) in schedule.slots_for_path(path_index) {
-            let link = topology.link_for(hop)?;
-            builder.add_hop(LinkDynamics::steady(link), slot);
-        }
-        debug_assert_eq!(builder.hops.len(), path.hop_count());
-        builder.superframe(superframe).interval(interval);
-        builder.build()
+        let network = crate::NetworkModel::new(
+            topology.clone(),
+            paths.to_vec(),
+            schedule.clone(),
+            superframe,
+            interval,
+        )?;
+        network.path_model(path_index)
     }
 
     /// Number of hops.
@@ -163,22 +150,6 @@ impl PathModel {
         PathProblem::new(hops, self.superframe, self.interval, self.ttl)
     }
 
-    /// Consuming lowering with physical-link identities attached: moves
-    /// the hop dynamics into the problem instead of cloning them (the hot
-    /// path of [`crate::NetworkModel::path_problem`], which builds a
-    /// throwaway model per planned path).
-    pub(crate) fn into_problem(self, links: Vec<(NodeId, NodeId)>) -> PathProblem {
-        debug_assert_eq!(links.len(), self.dynamics.len());
-        let hops = self
-            .dynamics
-            .into_iter()
-            .zip(self.hop_slots)
-            .zip(links)
-            .map(|((dynamics, hs), link)| ProblemHop::new(dynamics, hs.slot, Some(link)))
-            .collect();
-        PathProblem::new(hops, self.superframe, self.interval, self.ttl)
-    }
-
     /// Reconstructs a model from a compiled problem (the inverse of
     /// [`PathModel::compile`]). Direct construction — the problem's
     /// invariants were established by the builder that originally
@@ -215,18 +186,18 @@ impl PathModel {
 
     /// Evaluates the model, materializing the optional artifacts `plan`
     /// requests.
+    ///
+    /// # Panics
+    ///
+    /// If the per-interval solver buffers cannot be allocated (an
+    /// interval of billions of cycles); the [`crate::ir::Solver`]
+    /// backends report that as an error instead.
     pub fn evaluate_with(&self, plan: MeasurePlan) -> PathEvaluation {
-        fast_evaluate(&self.compile(), plan)
+        match fast_evaluate_counted(&self.compile(), plan) {
+            Ok((evaluation, _)) => evaluation,
+            Err(e) => panic!("{e}"),
+        }
     }
-}
-
-/// The fast backend's core: the in-place transient iteration of Eq. 5
-/// over a compiled [`PathProblem`]. Trajectory rows are recorded only
-/// when `plan` asks for them, and only up to the TTL expiry (goals are
-/// constant afterwards); [`PathEvaluation::trajectory`] re-pads on
-/// demand.
-pub(crate) fn fast_evaluate(problem: &PathProblem, plan: MeasurePlan) -> PathEvaluation {
-    fast_evaluate_counted(problem, plan).0
 }
 
 /// A step-level observation of the transient iteration — the provenance
@@ -271,13 +242,17 @@ pub(crate) enum StepEvent<'a> {
     },
 }
 
-/// [`fast_evaluate`] plus the number of transient iteration steps the
-/// solve actually executed (the TTL can cut the horizon short) — the
-/// quantity the fast backend reports to the observability layer.
+/// The fast backend's core: the in-place transient iteration of Eq. 5
+/// over a compiled [`PathProblem`], plus the number of transient
+/// iteration steps the solve actually executed (the TTL can cut the
+/// horizon short) — the quantity the fast backend reports to the
+/// observability layer. Trajectory rows are recorded only when `plan`
+/// asks for them, and only up to the TTL expiry (goals are constant
+/// afterwards); [`PathEvaluation::trajectory`] re-pads on demand.
 pub(crate) fn fast_evaluate_counted(
     problem: &PathProblem,
     plan: MeasurePlan,
-) -> (PathEvaluation, u64) {
+) -> Result<(PathEvaluation, u64)> {
     fast_evaluate_observed(problem, plan, |_| {})
 }
 
@@ -345,6 +320,10 @@ impl<'a> SuccessFeed<'a> {
 /// [`fast_evaluate_counted`] with a step observer attached; see
 /// [`StepEvent`].
 ///
+/// The buffers sized by the reporting interval are reserved fallibly,
+/// so an interval too long to hold in memory is an error rather than
+/// an allocation abort.
+///
 /// Two loop shapes share one set of state-update expressions:
 ///
 /// * the **per-slot loop** walks every uplink slot (the trajectory plan
@@ -362,7 +341,7 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     problem: &PathProblem,
     plan: MeasurePlan,
     mut observe: F,
-) -> (PathEvaluation, u64) {
+) -> Result<(PathEvaluation, u64)> {
     let n = problem.hop_count();
     let f_up = problem.superframe().uplink_slots() as usize;
     let cycles = problem.interval().cycles() as usize;
@@ -371,11 +350,19 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     let ttl = problem.ttl();
     let record = plan.goal_trajectory;
     let success = SuccessFeed::new(problem.hops());
+    let unallocatable = |_| ModelError::Inconsistent {
+        reason: format!(
+            "reporting interval of {cycles} cycles x {f_up} uplink slots \
+             needs more solver memory than can be allocated"
+        ),
+    };
 
     // position[j] = P(message sits j hops along the path).
     let mut position = vec![0.0f64; n];
     position[0] = 1.0;
-    let mut goals = vec![0.0f64; cycles];
+    let mut goals = Vec::new();
+    goals.try_reserve_exact(cycles).map_err(unallocatable)?;
+    goals.resize(cycles, 0.0f64);
     let mut discard = 0.0f64;
     let mut expected_transmissions = 0.0f64;
     let mut goal_trajectory: Vec<Vec<f64>> = Vec::new();
@@ -409,7 +396,9 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     let steps;
     if record {
         // Per-slot loop: one trajectory row per uplink slot.
-        goal_trajectory.reserve((ttl as usize).min(total) + 1);
+        goal_trajectory
+            .try_reserve_exact((ttl as usize).min(total) + 1)
+            .map_err(unallocatable)?;
         goal_trajectory.push(goals.clone());
 
         // Which hop (if any) transmits in each frame slot for this path.
@@ -518,7 +507,7 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     discard += sum_lanes4(&position);
 
     let evaluation = PathEvaluation {
-        cycle_probabilities: goals.iter().copied().collect(),
+        cycle_probabilities: goals.into_iter().collect(),
         discard_probability: discard,
         arrival_slot_number: problem.arrival_slot_number(),
         hop_count: n,
@@ -528,7 +517,7 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
         trajectory_len: if record { total + 1 } else { 0 },
         expected_transmissions,
     };
-    (evaluation, steps)
+    Ok((evaluation, steps))
 }
 
 /// Builder for [`PathModel`]; see [`PathModel::builder`].
@@ -612,7 +601,7 @@ impl PathModelBuilder {
             last_slot = Some(slot);
         }
         let interval = self.interval;
-        let horizon = interval.cycles() * superframe.uplink_slots();
+        let horizon = interval.uplink_slots(superframe)?;
         let ttl = self.ttl.unwrap_or(horizon).min(horizon);
         if ttl == 0 {
             return Err(ModelError::Inconsistent {

@@ -73,7 +73,7 @@ impl DynamicsKey {
 /// The per-hop keys live behind an `Arc` so cloning a signature (which
 /// the engine does once per cache operation) is a reference-count bump,
 /// and the content hash is computed once at construction so `HashMap`
-/// probes and shard/worker partitioning never re-walk the hop list.
+/// probes and worker partitioning never re-walk the hop list.
 #[derive(Debug, Clone)]
 pub struct PathSignature {
     hops: Arc<[(DynamicsKey, usize)]>,
@@ -111,7 +111,8 @@ impl PathSignature {
     /// Derives the canonical signature of a compiled problem (the
     /// implementation behind [`PathProblem::signature`]).
     pub(crate) fn of_problem(problem: &PathProblem) -> PathSignature {
-        let hops: Vec<(DynamicsKey, usize)> = problem
+        // Collected straight into the shared slice: one allocation.
+        let hops: Arc<[(DynamicsKey, usize)]> = problem
             .hops()
             .iter()
             .map(|h| (DynamicsKey::of(h.dynamics()), h.frame_slot()))
@@ -127,7 +128,7 @@ impl PathSignature {
         interval_cycles.hash(&mut hasher);
         ttl.hash(&mut hasher);
         PathSignature {
-            hops: hops.into(),
+            hops,
             uplink_slots,
             downlink_slots,
             interval_cycles,
@@ -136,8 +137,8 @@ impl PathSignature {
         }
     }
 
-    /// The precomputed content hash, for partitioning work and cache
-    /// shards by signature. Stable for equal signatures within one
+    /// The precomputed content hash, for partitioning work by
+    /// signature. Stable for equal signatures within one
     /// process (it feeds scheduling decisions, never results), and equal
     /// signatures always share one affinity value.
     pub fn affinity(&self) -> u64 {

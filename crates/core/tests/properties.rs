@@ -221,6 +221,35 @@ proptest! {
     }
 
     #[test]
+    fn expected_delay_is_the_delay_distributions_expectation(
+        (pis, slots, f_up, is) in model_params(),
+        ttl in 0u32..40,
+        dead_first_hop in any::<bool>(),
+    ) {
+        // Bit for bit, under both conventions, and `None` exactly when the
+        // distribution is empty (an unreachable path).
+        let mut b = PathModel::builder();
+        for (k, (&pi, &slot)) in pis.iter().zip(&slots).enumerate() {
+            let mut dynamics = LinkDynamics::steady(LinkModel::from_availability(pi, 0.9).unwrap());
+            if k == 0 && dead_first_hop {
+                dynamics = dynamics.with_outage(Outage::new(0, 10_000));
+            }
+            b.add_hop(dynamics, slot);
+        }
+        b.superframe(Superframe::symmetric(f_up).unwrap())
+            .interval(ReportingInterval::new(is).unwrap());
+        if ttl > 0 {
+            b.ttl(ttl);
+        }
+        let eval = b.build().unwrap().evaluate();
+        for convention in [DelayConvention::Absolute, DelayConvention::Eq7AsPrinted] {
+            let d = eval.delay_distribution(convention);
+            let want = (!d.is_empty()).then(|| d.expectation().to_bits());
+            prop_assert_eq!(eval.expected_delay_ms(convention).map(f64::to_bits), want);
+        }
+    }
+
+    #[test]
     fn outage_never_improves_reachability(
         (_pis, slots, f_up, is) in model_params(),
         pi in 0.9f64..0.99,

@@ -10,18 +10,15 @@
 //!   dynamics, slots, super-frame, `Is` and TTL, same artifact demand)
 //!   solves it exactly once.
 //!
-//! Both caches are sharded by key hash: lookups touch only the owning
-//! shard's `RwLock` (concurrent warm reads on different shards — or even
-//! the same shard — never serialize on one global mutex), while the FIFO
-//! eviction order and capacity bound stay global, so the eviction
-//! *victims* are identical for every shard count and the hit / miss /
-//! eviction counters remain bit-for-bit what the single-mutex cache
-//! reported.
+//! Both caches have a single owner: only [`crate::Engine`] touches them,
+//! through `&mut self` methods, so they take no locks and count with
+//! plain integers. Concurrent callers share an engine behind their own
+//! lock (serve's engine store, the experiments' `Mutex<Engine>`); the
+//! worker pool never sees the caches.
 
 use std::collections::{HashMap, VecDeque};
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::hash::Hash;
+use std::sync::Arc;
 use whart_channel::LinkModel;
 use whart_model::signature::PathSignature;
 use whart_model::{MeasurePlan, PathEvaluation};
@@ -87,135 +84,68 @@ impl LinkKey {
     }
 }
 
-/// Default shard count: enough to spread concurrent readers, small
-/// enough that empty shards cost nothing noticeable.
-const DEFAULT_SHARDS: usize = 8;
-
-/// The global (cross-shard) eviction state: the FIFO insertion order and
-/// the optional capacity bound. Only writers take this lock, and always
-/// *before* any shard lock, so the lock order is acyclic with readers
-/// that take only their shard.
-struct OrderState<K> {
+/// A memoized map with hit/miss/eviction counters and an optional
+/// capacity bound with FIFO eviction (unbounded by default).
+///
+/// Keys hash with `std`'s per-process random state, so a hostile spec
+/// cannot choose collisions. `order` holds every key in the map exactly
+/// once, in insertion order: the eviction queue.
+pub(crate) struct CountedCache<K, V> {
+    map: HashMap<K, V>,
     order: VecDeque<K>,
     capacity: Option<usize>,
-}
-
-/// A memoized map sharded by key hash, with hit/miss/eviction counters
-/// readable without locking and an optional global capacity bound with
-/// FIFO eviction (unbounded by default).
-///
-/// Reads take a single shard's `RwLock` read guard — the warm fast
-/// path: concurrent lookups never contend on a writer lock or on other
-/// shards. Inserts serialize on the order lock (they are rare: one per
-/// distinct solve), update the owning shard under its write lock, and
-/// evict the *globally* oldest entries while over capacity, so the
-/// eviction victims — like every counter — are independent of the shard
-/// count.
-pub(crate) struct CountedCache<K, V> {
-    shards: Vec<RwLock<HashMap<K, V>>>,
-    order: Mutex<OrderState<K>>,
-    len: AtomicUsize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
     pub(crate) fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// A cache with an explicit shard count (minimum 1). Behavior —
-    /// results, counters, eviction victims — is identical for every
-    /// shard count; only the lock granularity changes. The shard-count
-    /// invariance is pinned by a property test below.
-    pub(crate) fn with_shards(shards: usize) -> Self {
         CountedCache {
-            shards: (0..shards.max(1))
-                .map(|_| RwLock::new(HashMap::new()))
-                .collect(),
-            order: Mutex::new(OrderState {
-                order: VecDeque::new(),
-                capacity: None,
-            }),
-            len: AtomicUsize::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            map: HashMap::new(),
+            order: VecDeque::new(),
+            capacity: None,
+            hits: 0,
+            misses: 0,
+            evictions: 0,
         }
-    }
-
-    /// The shard owning `key`. The hash is deterministic (fixed-key
-    /// `DefaultHasher`), and for [`PathSignature`] keys it reuses the
-    /// signature's precomputed content hash.
-    fn shard_of(&self, key: &K) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
     }
 
     /// Bounds (or unbounds, with `None`) the entry count. A bound of 0
     /// is treated as 1 — the cache always holds the entry just
     /// inserted. Shrinking below the current size evicts oldest-first
     /// on the next insert.
-    pub(crate) fn set_capacity(&self, capacity: Option<usize>) {
-        self.order.lock().expect("cache order lock").capacity = capacity;
+    pub(crate) fn set_capacity(&mut self, capacity: Option<usize>) {
+        self.capacity = capacity;
     }
 
-    /// Looks up `key`, counting a hit or a miss. Touches only the owning
-    /// shard, under a read guard.
-    pub(crate) fn get(&self, key: &K) -> Option<V> {
-        let shard = self.shards[self.shard_of(key)]
-            .read()
-            .expect("cache shard lock");
-        match shard.get(key) {
-            Some(v) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(v.clone())
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+    /// Looks up `key`, counting a hit or a miss.
+    pub(crate) fn get(&mut self, key: &K) -> Option<V> {
+        let found = self.map.get(key).cloned();
+        match found {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
         }
+        found
     }
 
     /// Inserts a freshly computed value (does not touch the hit/miss
-    /// counters), evicting globally-oldest entries while over capacity.
+    /// counters), evicting the oldest entries while over capacity.
     /// Returns how many entries were evicted.
-    pub(crate) fn insert(&self, key: K, value: V) -> u64 {
-        let mut state = self.order.lock().expect("cache order lock");
-        let fresh = self.shards[self.shard_of(&key)]
-            .write()
-            .expect("cache shard lock")
-            .insert(key.clone(), value)
-            .is_none();
-        if fresh {
-            state.order.push_back(key);
-            self.len.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn insert(&mut self, key: K, value: V) -> u64 {
+        if self.map.insert(key.clone(), value).is_none() {
+            self.order.push_back(key);
         }
-        let Some(capacity) = state.capacity else {
+        let Some(capacity) = self.capacity else {
             return 0;
         };
-        let capacity = capacity.max(1);
         let mut evicted = 0u64;
-        while self.len.load(Ordering::Relaxed) > capacity {
-            let Some(oldest) = state.order.pop_front() else {
-                break;
-            };
-            if self.shards[self.shard_of(&oldest)]
-                .write()
-                .expect("cache shard lock")
-                .remove(&oldest)
-                .is_some()
-            {
-                self.len.fetch_sub(1, Ordering::Relaxed);
-                evicted += 1;
-            }
+        while self.map.len() > capacity.max(1) {
+            let oldest = self.order.pop_front().expect("every entry is queued");
+            self.map.remove(&oldest);
+            evicted += 1;
         }
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        }
+        self.evictions += evicted;
         evicted
     }
 
@@ -223,24 +153,24 @@ impl<K: Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
     /// this when an in-batch duplicate shares a solve planned moments
     /// earlier in the same drain (the solve has not landed in the map
     /// yet, so `get` would miscount it as a second miss).
-    pub(crate) fn count_shared_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn count_shared_hit(&mut self) {
+        self.hits += 1;
     }
 
     pub(crate) fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.hits
     }
 
     pub(crate) fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.misses
     }
 
     pub(crate) fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.evictions
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
+        self.map.len()
     }
 }
 
@@ -262,7 +192,7 @@ mod tests {
 
     #[test]
     fn counted_cache_counts() {
-        let cache: CountedCache<u32, u32> = CountedCache::new();
+        let mut cache: CountedCache<u32, u32> = CountedCache::new();
         assert_eq!(cache.get(&1), None);
         cache.insert(1, 10);
         assert_eq!(cache.get(&1), Some(10));
@@ -272,7 +202,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_evicts_oldest_first() {
-        let cache: CountedCache<u32, u32> = CountedCache::new();
+        let mut cache: CountedCache<u32, u32> = CountedCache::new();
         cache.set_capacity(Some(2));
         assert_eq!(cache.insert(1, 10), 0);
         assert_eq!(cache.insert(2, 20), 0);
@@ -296,13 +226,13 @@ mod tests {
         assert_eq!(cache.len(), 3);
     }
 
-    /// One step of a scripted cache workload for the shard-invariance
-    /// property test.
+    /// One step of a scripted cache workload.
     #[derive(Debug, Clone)]
     enum Op {
         Get(u32),
         Insert(u32, u32),
         SetCapacity(Option<usize>),
+        SharedHit,
     }
 
     /// Every observable output of a replayed workload, in order: the
@@ -310,7 +240,55 @@ mod tests {
     /// final (hits, misses, evictions, len).
     type ReplayLog = (Vec<Option<u32>>, Vec<u64>, (u64, u64, u64, usize));
 
-    fn replay(cache: &CountedCache<u32, u32>, ops: &[Op]) -> ReplayLog {
+    /// The reference model: a FIFO of `(key, value)` pairs searched
+    /// linearly, with the documented semantics spelled out directly.
+    fn reference(ops: &[Op]) -> ReplayLog {
+        let mut entries: VecDeque<(u32, u32)> = VecDeque::new();
+        let mut capacity = None;
+        let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+        let mut gets = Vec::new();
+        let mut evicted_per_insert = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Get(k) => {
+                    let found = entries.iter().find(|(key, _)| *key == k).map(|&(_, v)| v);
+                    if found.is_some() {
+                        hits += 1;
+                    } else {
+                        misses += 1;
+                    }
+                    gets.push(found);
+                }
+                Op::Insert(k, v) => {
+                    match entries.iter_mut().find(|(key, _)| *key == k) {
+                        // An update keeps the key's place in the queue.
+                        Some(entry) => entry.1 = v,
+                        None => entries.push_back((k, v)),
+                    }
+                    let mut evicted = 0;
+                    if let Some(c) = capacity {
+                        let bound: usize = std::cmp::max(c, 1);
+                        while entries.len() > bound {
+                            entries.pop_front();
+                            evicted += 1;
+                        }
+                    }
+                    evictions += evicted;
+                    evicted_per_insert.push(evicted);
+                }
+                Op::SetCapacity(c) => capacity = c,
+                Op::SharedHit => hits += 1,
+            }
+        }
+        (
+            gets,
+            evicted_per_insert,
+            (hits, misses, evictions, entries.len()),
+        )
+    }
+
+    fn replay(ops: &[Op]) -> ReplayLog {
+        let mut cache: CountedCache<u32, u32> = CountedCache::new();
         let mut gets = Vec::new();
         let mut evictions = Vec::new();
         for op in ops {
@@ -318,6 +296,7 @@ mod tests {
                 Op::Get(k) => gets.push(cache.get(&k)),
                 Op::Insert(k, v) => evictions.push(cache.insert(k, v)),
                 Op::SetCapacity(c) => cache.set_capacity(c),
+                Op::SharedHit => cache.count_shared_hit(),
             }
         }
         (
@@ -330,54 +309,23 @@ mod tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Sharding is an implementation detail: under any scripted
-        /// access sequence, a 1-shard cache and an N-shard cache return
-        /// the same get results, evict the same victims at the same
-        /// steps, and end with identical hit/miss/eviction counters.
+        /// Under any scripted access sequence the cache matches the
+        /// reference FIFO model: the same get results, the same eviction
+        /// count at every insert and the same final counters.
         #[test]
-        fn shard_count_is_unobservable(
+        fn cache_matches_the_reference_fifo_model(
             ops in proptest::collection::vec(
-                ((0u8..10), (0u32..24), (0u32..1000)).prop_map(|(sel, k, v)| match sel {
+                ((0u8..11), (0u32..24), (0u32..1000)).prop_map(|(sel, k, v)| match sel {
                     0..=3 => Op::Get(k),
                     4..=7 => Op::Insert(k, v),
                     8 => Op::SetCapacity(None),
+                    9 => Op::SharedHit,
                     _ => Op::SetCapacity(Some((v % 6) as usize)),
                 }),
-                0..80usize,
+                0..120usize,
             ),
-            shards in 2usize..9,
         ) {
-            let single: CountedCache<u32, u32> = CountedCache::with_shards(1);
-            let sharded: CountedCache<u32, u32> = CountedCache::with_shards(shards);
-            prop_assert_eq!(replay(&single, &ops), replay(&sharded, &ops));
-        }
-    }
-
-    #[test]
-    fn concurrent_hammering_loses_no_counter_updates() {
-        let cache: Arc<CountedCache<u64, u64>> = Arc::new(CountedCache::new());
-        const THREADS: u64 = 8;
-        const OPS: u64 = 500;
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                scope.spawn(move || {
-                    for i in 0..OPS {
-                        let key = (t * OPS + i) % 64;
-                        if cache.get(&key).is_none() {
-                            cache.insert(key, key * 2);
-                        }
-                    }
-                });
-            }
-        });
-        // Every lookup counted exactly once — no lost hit/miss updates
-        // under contention — and the map holds every touched key.
-        assert_eq!(cache.hits() + cache.misses(), THREADS * OPS);
-        assert_eq!(cache.len(), 64);
-        assert_eq!(cache.evictions(), 0);
-        for key in 0..64 {
-            assert_eq!(cache.get(&key), Some(key * 2));
+            prop_assert_eq!(replay(&ops), reference(&ops));
         }
     }
 

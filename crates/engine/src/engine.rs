@@ -1,7 +1,7 @@
 //! The batch-evaluation engine.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -18,7 +18,8 @@ use whart_trace::Trace;
 use crate::cache::{LinkCache, LinkKey, PathCache};
 use crate::pool;
 use crate::scenario::{
-    extract_path_measures, LinkQualitySpec, Outcome, Scenario, ScenarioResult, Workload,
+    extract_path_measures, LinkQualitySpec, Outcome, PathMeasures, Scenario, ScenarioResult,
+    Workload,
 };
 
 /// Counters and timings accumulated over an engine's lifetime.
@@ -299,7 +300,7 @@ impl Engine {
     /// # Errors
     ///
     /// Propagates invalid channel parameters.
-    pub fn link_model(&self, spec: &LinkQualitySpec) -> Result<LinkModel> {
+    pub fn link_model(&mut self, spec: &LinkQualitySpec) -> Result<LinkModel> {
         let key = LinkKey::of(spec);
         {
             let _get = self.profiler.enter(self.frames.link_get);
@@ -545,16 +546,18 @@ impl Engine {
         let mut assemble_span = self.trace.span("assemble", "engine");
         let scenario_hist = obs.histogram(&format!("engine.{backend}.scenario_solve_ns"));
         let mut results = Vec::with_capacity(planned_jobs.len());
-        for (scenario, occurrences) in planned_jobs {
+        // The last scenario that counted each solve's duration.
+        let mut counted_by = vec![usize::MAX; durations.len()];
+        for (job, (scenario, occurrences)) in planned_jobs.into_iter().enumerate() {
             // One observation per scenario: the solve time of its
             // distinct path DTMCs in this drain (cache hits cost 0), so
             // the histogram count equals the scenario count.
             if enabled {
-                let mut seen: HashSet<usize> = HashSet::with_capacity(occurrences.len());
                 let mut total = Duration::ZERO;
                 for (slot, _) in &occurrences {
                     if let Slot::Planned(index) = *slot {
-                        if seen.insert(index) {
+                        if counted_by[index] != job {
+                            counted_by[index] = job;
                             total += durations[index];
                         }
                     }
@@ -579,7 +582,7 @@ impl Engine {
                 })
                 .collect();
             let measures = scenario.measures;
-            let path_measures = evaluations
+            let path_measures: Vec<PathMeasures> = evaluations
                 .iter()
                 .map(|e| extract_path_measures(e, measures))
                 .collect();
@@ -592,14 +595,22 @@ impl Engine {
                         .zip(evaluations)
                         .map(|(path, evaluation)| PathReport { path, evaluation })
                         .collect();
-                    let network = NetworkEvaluation::from_reports(reports);
+                    // Eqs. 13 and 11 from the per-path measures just
+                    // extracted, through `NetworkEvaluation`'s own helpers.
                     let mean = measures
                         .expected_delay
-                        .then(|| network.mean_delay_ms(measures.delay_convention))
+                        .then(|| {
+                            NetworkEvaluation::mean_of_path_delays(
+                                path_measures.iter().map(|m| m.expected_delay_ms),
+                            )
+                        })
                         .flatten();
-                    let utilization = measures
-                        .utilization
-                        .then(|| network.utilization(measures.utilization_convention));
+                    let utilization = measures.utilization.then(|| {
+                        NetworkEvaluation::sum_of_path_utilizations(
+                            path_measures.iter().filter_map(|m| m.utilization),
+                        )
+                    });
+                    let network = NetworkEvaluation::from_reports(reports);
                     (Outcome::Network(network), mean, utilization)
                 }
                 Workload::Paths(_) => {
@@ -756,7 +767,7 @@ mod tests {
 
     #[test]
     fn link_cache_deduplicates_derivations() {
-        let engine = Engine::new(1);
+        let mut engine = Engine::new(1);
         let spec = LinkQualitySpec::Ber {
             ber: 1e-4,
             message_bits: 1016,

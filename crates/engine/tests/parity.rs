@@ -10,7 +10,7 @@ use whart_net::ReportingInterval;
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
 
-fn typical_model(engine: &Engine, availability: f64, is: u32) -> NetworkModel {
+fn typical_model(engine: &mut Engine, availability: f64, is: u32) -> NetworkModel {
     let link = engine
         .link_model(&LinkQualitySpec::availability(availability))
         .expect("representable availability");
@@ -29,7 +29,7 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
     let mut serial = Vec::new();
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&engine, pi, is);
+            let model = typical_model(&mut engine, pi, is);
             serial.push(model.evaluate().expect("serial evaluation succeeds"));
             engine.submit(Scenario::network(format!("pi={pi} Is={is}"), model));
         }
@@ -99,7 +99,7 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
     // A warm resubmission of the whole fleet solves nothing.
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&engine, pi, is);
+            let model = typical_model(&mut engine, pi, is);
             engine.submit(Scenario::network(format!("warm pi={pi} Is={is}"), model));
         }
     }

@@ -5,6 +5,7 @@
 //! not decrease their TTL". When the TTL reaches zero the message is
 //! discarded to keep the registers clean.
 
+use crate::error::Result;
 use crate::ids::NodeId;
 use crate::superframe::{ReportingInterval, Superframe};
 
@@ -31,13 +32,18 @@ impl Message {
 
     /// The standard TTL: a message lives for exactly one reporting interval,
     /// `Is * F_up` uplink slots.
+    ///
+    /// # Errors
+    ///
+    /// See [`ReportingInterval::uplink_slots`].
     pub fn with_standard_ttl(
         source: NodeId,
         born_uplink_slot: u64,
         frame: Superframe,
         interval: ReportingInterval,
-    ) -> Self {
-        Message::new(source, born_uplink_slot, interval.uplink_slots(frame))
+    ) -> Result<Self> {
+        let ttl = interval.uplink_slots(frame)?;
+        Ok(Message::new(source, born_uplink_slot, ttl))
     }
 
     /// The node that generated the message.
@@ -87,7 +93,7 @@ mod tests {
     fn standard_ttl_spans_reporting_interval() {
         let frame = Superframe::symmetric(7).unwrap();
         let interval = ReportingInterval::new(4).unwrap();
-        let m = Message::with_standard_ttl(NodeId::field(1), 0, frame, interval);
+        let m = Message::with_standard_ttl(NodeId::field(1), 0, frame, interval).unwrap();
         assert_eq!(m.remaining_ttl(), 28);
         assert_eq!(m.source(), NodeId::field(1));
         assert_eq!(m.born_uplink_slot(), 0);

@@ -123,8 +123,21 @@ impl ReportingInterval {
 
     /// Total uplink slots available to a message: `Is * F_up` — also the
     /// default TTL.
-    pub fn uplink_slots(self, frame: Superframe) -> u32 {
-        self.0 * frame.uplink_slots()
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::InvalidSuperframe`], naming both factors, when
+    /// the product does not fit the `u32` slot count.
+    pub fn uplink_slots(self, frame: Superframe) -> Result<u32> {
+        self.0
+            .checked_mul(frame.uplink_slots())
+            .ok_or_else(|| NetError::InvalidSuperframe {
+                reason: format!(
+                    "reporting interval of {} cycles x {} uplink slots overflows the slot count",
+                    self.0,
+                    frame.uplink_slots()
+                ),
+            })
     }
 
     /// The interval's wall-clock length in milliseconds.
@@ -205,7 +218,10 @@ mod tests {
         let is = ReportingInterval::new(4).unwrap();
         let f = Superframe::symmetric(7).unwrap();
         assert_eq!(is.cycles(), 4);
-        assert_eq!(is.uplink_slots(f), 28);
+        assert_eq!(is.uplink_slots(f), Ok(28));
+        let huge = ReportingInterval::new(4_000_000_000).unwrap();
+        let err = huge.uplink_slots(f).unwrap_err().to_string();
+        assert!(err.contains("reporting interval of 4000000000 cycles x 7 uplink slots"));
         assert_eq!(is.duration_ms(f), 560);
         assert_eq!(is.to_string(), "Is=4");
         assert!(ReportingInterval::new(0).is_err());
