@@ -47,7 +47,7 @@ fn bench_measures(c: &mut Criterion) {
 
 fn bench_failure_and_composition(c: &mut Criterion) {
     let model = typical_model(0.83);
-    let path10 = model.path_model(9).expect("valid");
+    let path10 = model.path_problem(9).expect("valid");
     let mut group = c.benchmark_group("network/what-if");
     group.bench_function("lost-cycle reachability", |b| {
         b.iter(|| reachability_with_lost_cycles(black_box(&path10), 1).expect("valid"))
@@ -56,7 +56,7 @@ fn bench_failure_and_composition(c: &mut Criterion) {
         LinkModel::from_availability(0.91, 0.9).expect("valid"),
         ReportingInterval::REGULAR,
     );
-    let existing = model.path_model(3).expect("valid").evaluate();
+    let existing = model.path_problem(3).expect("valid").evaluate();
     group.bench_function("composition prediction", |b| {
         b.iter(|| predict_composition(black_box(&peer), 1, black_box(&existing)).expect("valid"))
     });

@@ -5,14 +5,14 @@
 pub mod harness;
 
 use whart_channel::LinkModel;
-use whart_model::{LinkDynamics, NetworkModel, PathModel};
+use whart_model::{LinkDynamics, NetworkModel, PathProblem};
 use whart_net::typical::TypicalNetwork;
 use whart_net::{ReportingInterval, Superframe};
 
 /// The Section V example path model at `pi = 0.75`.
-pub fn section_v_model(is: u32) -> PathModel {
+pub fn section_v_model(is: u32) -> PathProblem {
     let link = LinkModel::from_availability(0.75, 0.9).expect("valid");
-    let mut b = PathModel::builder();
+    let mut b = PathProblem::builder();
     b.add_hop(LinkDynamics::steady(link), 2)
         .add_hop(LinkDynamics::steady(link), 5)
         .add_hop(LinkDynamics::steady(link), 6)
@@ -22,9 +22,9 @@ pub fn section_v_model(is: u32) -> PathModel {
 }
 
 /// An n-hop chain in an `F_up = f_up` frame.
-pub fn chain(hops: u32, f_up: u32, is: u32) -> PathModel {
+pub fn chain(hops: u32, f_up: u32, is: u32) -> PathProblem {
     let link = LinkModel::from_availability(0.83, 0.9).expect("valid");
-    let mut b = PathModel::builder();
+    let mut b = PathProblem::builder();
     for k in 0..hops as usize {
         b.add_hop(LinkDynamics::steady(link), k);
     }

@@ -225,7 +225,7 @@ fn decode_entry(
     let spec = decode_network(value).map_err(wrap)?;
     let backend = decode_backend(value).map_err(wrap)?;
     admit(&spec, backend).map_err(wrap)?;
-    let mut model = spec.to_model().map_err(wrap)?;
+    let mut model = spec.to_network().map_err(wrap)?;
     apply_injections(&mut model, value).map_err(wrap)?;
     let measures = decode_measures(value).map_err(wrap)?;
     Ok(BatchEntry {
@@ -666,7 +666,7 @@ mod tests {
         .unwrap();
         let line = Json::parse(out.lines().next().unwrap()).unwrap();
         let spec = NetworkSpec::typical(0.83);
-        let eval = spec.to_model().unwrap().evaluate().unwrap();
+        let eval = spec.to_network().unwrap().evaluate().unwrap();
         let want = eval.reports()[9].evaluation.reachability();
         let got = line["paths"][9]["reachability"].as_f64().unwrap();
         assert_eq!(got, want, "bit-identical to the serial evaluator");

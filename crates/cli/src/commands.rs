@@ -85,7 +85,7 @@ pub fn analyze(
     backend: &Backend,
     telemetry: &TelemetryFlags,
 ) -> Result<String, String> {
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     let problem = model.compile().map_err(|e| e.to_string())?;
     let telemetry = telemetry.start();
     let profiler = &telemetry.profiler;
@@ -215,7 +215,7 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
                 .into(),
         );
     }
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     if path_index >= model.paths().len() {
         return Err(format!("path index {} out of range", path_index + 1));
     }
@@ -324,9 +324,9 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
 
 /// Runs `dot`: the explicit Algorithm-1 DTMC of one path, as Graphviz.
 pub fn dot(spec: &NetworkSpec, path_index: usize) -> Result<String, String> {
-    let model = spec.to_model()?;
-    let path_model = model.path_model(path_index).map_err(|e| e.to_string())?;
-    let chain = explicit_chain(&path_model);
+    let model = spec.to_network()?;
+    let problem = model.path_problem(path_index).map_err(|e| e.to_string())?;
+    let chain = explicit_chain(&problem);
     Ok(chain.to_dot(&format!("path_{}", path_index + 1)))
 }
 
@@ -338,7 +338,7 @@ pub fn simulate(
     workers: usize,
     json: bool,
 ) -> Result<String, String> {
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     let eval = model.evaluate().map_err(|e| e.to_string())?;
     let (topology, paths, schedule, superframe, interval) = spec.build_parts()?;
     let sim = Simulator::new(
@@ -429,7 +429,7 @@ pub fn simulate(
 /// Runs `predict`: the Section VI-E composition prediction — a new node
 /// attaches via a peer link (measured SNR) to an existing path.
 pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String, String> {
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     if path_index >= model.paths().len() {
         return Err(format!("path index {path_index} out of range"));
     }
@@ -469,7 +469,7 @@ pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String
 /// Runs `sensitivity`: ranks physical links by the network-loss reduction
 /// from improving each one (the operator's repair priority list).
 pub fn sensitivity(spec: &NetworkSpec, step: f64) -> Result<String, String> {
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     let ranking = whart_model::sensitivity::rank_link_improvements(
         &model,
         whart_model::sensitivity::Objective::TotalLoss,
@@ -832,7 +832,7 @@ mod tests {
         let split = out.find("\n{").expect("spec JSON after the report");
         let report = Json::parse(&out[..split + 1]).unwrap();
         let spec = NetworkSpec::from_json(&out[split..]).unwrap();
-        let model = spec.to_model().unwrap();
+        let model = spec.to_network().unwrap();
         assert_eq!(model.paths().len(), 12);
         // Re-analyzing the emitted spec reproduces the optimizer's own
         // per-path reachability (steady links: slot placement does not

@@ -454,7 +454,7 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
         Some("text") => false,
         Some(other) => return Err(format!("unknown format '{other}' (expected json or text)")),
     };
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     let request_id = request.request_id().unwrap_or("-").to_owned();
     let solve_started = Instant::now();
     // The sim backend solves directly (its per-path seeds are positional
@@ -952,7 +952,7 @@ fn build_router(app: &Arc<App>, shutdown: whart_serve::Flag) -> Router {
 /// (spec decode, model compile, engine, solver) and pre-warms the cache.
 fn self_check(app: &App) -> Result<(), String> {
     let spec = NetworkSpec::from_json(&example("section-v")?)?;
-    let model = spec.to_model()?;
+    let model = spec.to_network()?;
     app.store()?
         .solve_network(Backend::Fast, model, "self-check")?;
     Ok(())

@@ -386,7 +386,7 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
-    pub fn to_model(&self) -> Result<NetworkModel, String> {
+    pub fn to_network(&self) -> Result<NetworkModel, String> {
         let (topology, paths, schedule, superframe, interval) = self.build_parts()?;
         NetworkModel::new(topology, paths, schedule, superframe, interval)
             .map_err(|e| e.to_string())
@@ -552,7 +552,7 @@ mod tests {
         let json = spec.to_json();
         let parsed = NetworkSpec::from_json(&json).unwrap();
         assert_eq!(parsed, spec);
-        let model = parsed.to_model().unwrap();
+        let model = parsed.to_network().unwrap();
         assert_eq!(model.paths().len(), 10);
         let eval = model.evaluate().unwrap();
         let mean = eval.mean_delay_ms(DelayConvention::Absolute).unwrap();
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn section_v_spec_matches_paper() {
         let spec = NetworkSpec::section_v(0.75);
-        let model = spec.to_model().unwrap();
+        let model = spec.to_network().unwrap();
         let eval = model.evaluate().unwrap();
         let r = eval.reachabilities()[0];
         assert!((r - 0.9624).abs() < 1e-4, "{r}");
@@ -603,13 +603,13 @@ mod tests {
             }],
             ..NetworkSpec::section_v(0.8)
         };
-        assert!(spec.to_model().is_err());
+        assert!(spec.to_network().is_err());
         // Node 0 in the device list.
         let spec = NetworkSpec {
             nodes: vec![0, 1],
             ..NetworkSpec::section_v(0.8)
         };
-        assert!(spec.to_model().is_err());
+        assert!(spec.to_network().is_err());
         // Garbage JSON.
         assert!(NetworkSpec::from_json("{").is_err());
         // Structurally valid JSON, wrong shape.
@@ -621,7 +621,7 @@ mod tests {
     fn implied_gateway_suffix() {
         let mut spec = NetworkSpec::section_v(0.8);
         spec.paths = vec![vec![1, 2, 3, 0]]; // explicit gateway, same result
-        let model = spec.to_model().unwrap();
+        let model = spec.to_network().unwrap();
         assert_eq!(model.paths()[0].hop_count(), 3);
     }
 }

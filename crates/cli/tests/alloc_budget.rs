@@ -69,9 +69,7 @@ fn full_journal() -> Trace {
 
 #[test]
 fn a_solve_into_a_full_journal_allocates_like_an_untraced_one() {
-    let problem = chain_model(3, 0.83, ReportingInterval::new(4).unwrap())
-        .unwrap()
-        .compile();
+    let problem = chain_model(3, 0.83, ReportingInterval::new(4).unwrap()).unwrap();
     let metrics = Metrics::new();
     let full = full_journal();
     let _scope = full.context_scope([("request_id", "req-1".into())]);

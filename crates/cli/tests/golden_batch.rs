@@ -1,10 +1,17 @@
-//! Golden bytes: `whart batch` on a committed mixed fleet reproduces the
-//! committed NDJSON byte for byte. The fleet mixes templates and inline
-//! specs, every measure subset, in-fleet duplicates, link injections
-//! (outages, forced initial states, degraded links, a path cut for the
-//! whole interval), and the explicit and seeded sim backends. The
-//! expected output is `whart batch` output committed alongside the
-//! fleet; regenerate it only for a change meant to alter the bytes.
+//! Golden bytes: `whart` commands on committed inputs reproduce the
+//! committed outputs byte for byte.
+//!
+//! * `batch` replays a mixed fleet that mixes templates and inline specs,
+//!   every measure subset, in-fleet duplicates, link injections (outages,
+//!   forced initial states, degraded links, a path cut for the whole
+//!   interval), and the explicit and seeded sim backends.
+//! * The single-spec commands run on one spec whose links are given in
+//!   every quality form (`p_fl`/`p_rc`, `ber`, `snr`, `availability`),
+//!   with one link permanently down (`p_fl = 1`, `p_rc = 0`): an outage
+//!   for the whole interval.
+//!
+//! The expected files are the commands' output committed alongside the
+//! inputs; regenerate them only for a change meant to alter the bytes.
 
 use std::path::PathBuf;
 
@@ -15,16 +22,95 @@ fn fixture(name: &str) -> PathBuf {
         .join(name)
 }
 
+fn run(args: &[&str]) -> String {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    whart_cli::run(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"))
+}
+
 #[test]
 fn mixed_fleet_batch_matches_the_golden_output() {
     let expected = std::fs::read_to_string(fixture("mixed_fleet.expected.jsonl")).unwrap();
     let fleet = fixture("mixed_fleet.json").display().to_string();
     for threads in ["1", "2"] {
-        let args = ["batch", &fleet, "--threads", threads].map(String::from);
-        let out = whart_cli::run(&args).unwrap();
+        let out = run(&["batch", &fleet, "--threads", threads]);
         assert!(
             out == expected,
             "--threads {threads}: output differs from the golden file\n{out}"
         );
+    }
+}
+
+/// `(command line after the spec path, expected-output fixture)`.
+const SINGLE_SPEC_CASES: &[(&[&str], &str)] = &[
+    (&["analyze"], "override_outage.analyze.txt"),
+    (&["analyze", "--json"], "override_outage.analyze.json"),
+    (&["explain", "--path", "5"], "override_outage.explain5.txt"),
+    (&["explain", "--path", "6"], "override_outage.explain6.txt"),
+    (&["dot", "--path", "3"], "override_outage.dot3.dot"),
+    (&["sensitivity"], "override_outage.sensitivity.txt"),
+    (
+        &["predict", "--path", "6", "--snr", "20"],
+        "override_outage.predict6.txt",
+    ),
+    (
+        &[
+            "simulate",
+            "--json",
+            "--seed",
+            "7",
+            "--intervals",
+            "2000",
+            "--threads",
+            "1",
+        ],
+        "override_outage.simulate.json",
+    ),
+];
+
+/// A DOT graph with its state ids replaced by their labels and its
+/// lines sorted. The explicit chain numbers the states of one time step
+/// in hash-map order, which varies between runs, so only the labelled
+/// graph is stable.
+fn canonical_dot(dot: &str) -> Vec<String> {
+    let label_of = |line: &str| -> Option<(String, String)> {
+        let (id, rest) = line.trim().split_once(" [label=\"")?;
+        let (label, _) = rest.split_once('"')?;
+        Some((id.to_owned(), label.to_owned()))
+    };
+    let labels: std::collections::HashMap<String, String> =
+        dot.lines().filter_map(label_of).collect();
+    let mut lines: Vec<String> = dot
+        .lines()
+        .map(|line| match line.trim().split_once(" -> ") {
+            Some((from, rest)) => {
+                let (to, attrs) = rest.split_once(' ').unwrap_or((rest, ""));
+                format!("{} -> {} {attrs}", labels[from], labels[to])
+            }
+            None => match line.trim().split_once(" [") {
+                Some((id, attrs)) if labels.contains_key(id) => format!("[{attrs}"),
+                _ => line.to_owned(),
+            },
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+#[test]
+fn single_spec_commands_match_the_golden_outputs() {
+    let spec = fixture("override_outage.json").display().to_string();
+    for (rest, expected) in SINGLE_SPEC_CASES {
+        let mut args = vec![rest[0], spec.as_str()];
+        args.extend_from_slice(&rest[1..]);
+        let out = run(&args);
+        let want = std::fs::read_to_string(fixture(expected)).unwrap();
+        if rest[0] == "dot" {
+            assert_eq!(canonical_dot(&out), canonical_dot(&want), "{args:?}");
+        } else {
+            assert!(
+                out == want,
+                "{args:?}: output differs from {expected}\n{out}"
+            );
+        }
     }
 }

@@ -419,6 +419,37 @@ fn error_paths_answer_with_client_errors() {
 }
 
 #[test]
+fn deeply_nested_bodies_are_client_errors_not_crashes() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    // Far past the parser's nesting cap: unbounded recursion on this
+    // body used to overflow a worker's stack and abort the process.
+    let deep = "[".repeat(100_000);
+    for route in ["/v1/analyze", "/v1/batch", "/v1/optimize"] {
+        let (status, body) = http(&serve.addr, "POST", route, &deep);
+        assert_eq!(status, 400, "{route}: {body}");
+        assert!(body.contains("nesting deeper than"), "{route}: {body}");
+    }
+    let (status, _) = http(&serve.addr, "GET", "/healthz", "");
+    assert_eq!(status, 200, "the server survived");
+
+    // The CLI rejects the same document with exit status 1.
+    let dir = std::env::temp_dir().join(format!("whart-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("deep.json");
+    std::fs::write(&spec, &deep).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_whart"))
+        .arg("analyze")
+        .arg(&spec)
+        .output()
+        .expect("run whart analyze");
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("nesting deeper than"), "{stderr}");
+}
+
+#[test]
 fn monte_carlo_replication_counts_are_capped_server_side() {
     let serve = spawn_serve(&[]);
     await_ready(&serve.addr);

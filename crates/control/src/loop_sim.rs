@@ -171,7 +171,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use whart_channel::LinkModel;
-    use whart_model::{LinkDynamics, PathModel};
+    use whart_model::{LinkDynamics, PathProblem};
     use whart_net::{ReportingInterval, Superframe};
 
     fn pid() -> Pid {
@@ -195,7 +195,7 @@ mod tests {
 
     fn example_eval(pi: f64) -> PathEvaluation {
         let link = LinkModel::from_availability(pi, 0.9).unwrap();
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(link), 2)
             .add_hop(LinkDynamics::steady(link), 5)
             .add_hop(LinkDynamics::steady(link), 6);

@@ -53,13 +53,13 @@ pub fn analyze_symmetric_loop(uplink: &PathEvaluation) -> LoopAnalysis {
 mod tests {
     use super::*;
     use crate::dynamics::LinkDynamics;
-    use crate::path::PathModel;
+    use crate::ir::PathProblem;
     use whart_channel::LinkModel;
     use whart_net::{ReportingInterval, Superframe};
 
     fn example_eval(pi: f64) -> PathEvaluation {
         let link = LinkModel::from_availability(pi, 0.9).unwrap();
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(link), 2)
             .add_hop(LinkDynamics::steady(link), 5)
             .add_hop(LinkDynamics::steady(link), 6)

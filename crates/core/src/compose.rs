@@ -174,13 +174,13 @@ pub fn rank_candidates(
 mod tests {
     use super::*;
     use crate::dynamics::LinkDynamics;
-    use crate::path::PathModel;
+    use crate::ir::PathProblem;
     use whart_channel::{EbN0, Modulation, WIRELESSHART_MESSAGE_BITS};
     use whart_net::Superframe;
 
     /// An existing n-hop path at availability pi, hops in slots 1..=n.
     fn existing(hops: usize, pi: f64) -> PathEvaluation {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         for k in 0..hops {
             b.add_hop(
                 LinkDynamics::steady(LinkModel::from_availability(pi, 0.9).unwrap()),

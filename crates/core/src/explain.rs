@@ -210,9 +210,7 @@ mod tests {
     use whart_net::ReportingInterval;
 
     fn problem(availability: f64) -> PathProblem {
-        section_v_model(availability, ReportingInterval::REGULAR)
-            .unwrap()
-            .compile()
+        section_v_model(availability, ReportingInterval::REGULAR).unwrap()
     }
 
     #[test]

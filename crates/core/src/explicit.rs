@@ -1,6 +1,6 @@
 //! The explicit path DTMC of Algorithm 1 (Section IV, Figs. 4-5).
 //!
-//! [`explicit_chain`] unrolls a [`PathModel`] into the absorbing DTMC the
+//! [`explicit_chain`] unrolls a [`PathProblem`] into the absorbing DTMC the
 //! paper draws: transient states are labelled by the age tuple
 //! `(age_1, ..., age_n)` (the age of the message copy held at each node on
 //! the path, `-` where no copy exists), goal states by `R<age>` and the
@@ -19,7 +19,6 @@
 //! round-off on every model.
 
 use crate::ir::PathProblem;
-use crate::path::PathModel;
 use std::collections::HashMap;
 use whart_dtmc::{Dtmc, Pmf, Result as DtmcResult, StateId};
 
@@ -61,7 +60,7 @@ impl ExplicitChain {
 
     /// The cycle probability function computed by absorbing-state analysis
     /// of the explicit chain — the slow, exact cross-check of
-    /// [`PathModel::evaluate`].
+    /// [`PathProblem::evaluate`].
     ///
     /// # Errors
     ///
@@ -105,19 +104,11 @@ impl ExplicitChain {
     }
 }
 
-/// Builds the explicit absorbing DTMC of a path model (Algorithm 1): the
-/// convenience wrapper that lowers the model to its compiled
-/// [`PathProblem`] first. See [`explicit_chain_of`].
-pub fn explicit_chain(model: &PathModel) -> ExplicitChain {
-    explicit_chain_of(&model.compile())
-}
-
-/// Builds the explicit absorbing DTMC of a compiled path problem
-/// (Algorithm 1).
+/// Builds the explicit absorbing DTMC of a path problem (Algorithm 1).
 ///
 /// States are generated breadth-first along the time axis, so the resulting
 /// indices read left-to-right like the paper's figures.
-pub fn explicit_chain_of(problem: &PathProblem) -> ExplicitChain {
+pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
     let n = problem.hop_count();
     let f_up = problem.superframe().uplink_slots() as usize;
     let cycles = problem.interval().cycles() as usize;
@@ -264,9 +255,9 @@ mod tests {
     use whart_channel::LinkModel;
     use whart_net::{ReportingInterval, Superframe};
 
-    fn example_model(pi: f64, is: u32) -> PathModel {
+    fn example_model(pi: f64, is: u32) -> PathProblem {
         let steady = |pi| LinkDynamics::steady(LinkModel::from_availability(pi, 0.9).unwrap());
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(pi), 2)
             .add_hop(steady(pi), 5)
             .add_hop(steady(pi), 6);
@@ -354,7 +345,7 @@ mod tests {
     #[test]
     fn ttl_shortens_the_chain() {
         let steady = LinkDynamics::steady(LinkModel::from_availability(0.75, 0.9).unwrap());
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady.clone(), 2)
             .add_hop(steady.clone(), 5)
             .add_hop(steady, 6);

@@ -22,7 +22,7 @@
 
 use crate::dynamics::Outage;
 use crate::error::{ModelError, Result};
-use crate::path::PathModel;
+use crate::ir::PathProblem;
 use whart_net::{uplink_paths, NodeId, Path, ReportingInterval, Superframe, Topology};
 
 /// Reachability of a path when the first `lost_cycles` cycles of its
@@ -33,14 +33,15 @@ use whart_net::{uplink_paths, NodeId, Path, ReportingInterval, Superframe, Topol
 ///
 /// # Errors
 ///
-/// Propagates model reconstruction failures (none occur for a valid model).
-pub fn reachability_with_lost_cycles(model: &PathModel, lost_cycles: u32) -> Result<f64> {
-    let cycles = model.interval().cycles();
+/// Propagates [`PathProblem::with_interval`] failures (none occur for a
+/// valid problem: the shortened interval's horizon fits).
+pub fn reachability_with_lost_cycles(problem: &PathProblem, lost_cycles: u32) -> Result<f64> {
+    let cycles = problem.interval().cycles();
     if lost_cycles >= cycles {
         return Ok(0.0);
     }
     let remaining = ReportingInterval::new(cycles - lost_cycles)?;
-    Ok(model.with_interval(remaining).evaluate().reachability())
+    Ok(problem.with_interval(remaining)?.evaluate().reachability())
 }
 
 /// An [`Outage`] covering whole reporting cycles `[first, first + count)`
@@ -63,7 +64,10 @@ pub fn forced_outage_cycles(superframe: Superframe, first: u32, count: u32) -> O
 /// # Errors
 ///
 /// Returns [`ModelError::Inconsistent`] if `mean_cycles < 1`.
-pub fn expected_reachability_geometric_failure(model: &PathModel, mean_cycles: f64) -> Result<f64> {
+pub fn expected_reachability_geometric_failure(
+    problem: &PathProblem,
+    mean_cycles: f64,
+) -> Result<f64> {
     if !mean_cycles.is_finite() || mean_cycles < 1.0 {
         return Err(ModelError::Inconsistent {
             reason: format!("mean failure duration {mean_cycles} must be >= 1 cycle"),
@@ -71,11 +75,11 @@ pub fn expected_reachability_geometric_failure(model: &PathModel, mean_cycles: f
     }
     let p = 1.0 / mean_cycles;
     let q = 1.0 - p;
-    let cycles = model.interval().cycles();
+    let cycles = problem.interval().cycles();
     let mut expected = 0.0;
     let mut weight = p; // P(K = 1)
     for k in 1..cycles {
-        expected += weight * reachability_with_lost_cycles(model, k)?;
+        expected += weight * reachability_with_lost_cycles(problem, k)?;
         weight *= q;
     }
     // K >= Is: reachability zero; nothing to add.
@@ -134,8 +138,8 @@ mod tests {
     use whart_net::Schedule;
 
     /// Chain over the paper's BER 2e-4 operating point (pi ~ 0.8303).
-    fn chain_model(hops: usize, pi: f64) -> PathModel {
-        let mut b = PathModel::builder();
+    fn chain_model(hops: usize, pi: f64) -> PathProblem {
+        let mut b = PathProblem::builder();
         for k in 0..hops {
             b.add_hop(LinkDynamics::steady(link_at(pi)), k);
         }

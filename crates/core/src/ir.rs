@@ -8,11 +8,12 @@
 //! module makes that object explicit:
 //!
 //! * [`PathProblem`] / [`NetworkProblem`] — the compiled intermediate
-//!   representation. [`crate::PathModel::compile`] and
-//!   [`crate::NetworkModel::compile`] lower the builder-level models to
-//!   it; [`PathProblem::signature`] derives the canonical cache key
-//!   directly from the IR, so *anything* that solves the same compiled
-//!   problem shares cache entries.
+//!   representation and the crate's only path type.
+//!   [`PathProblem::builder`] assembles one hop by hop and
+//!   [`crate::NetworkModel::compile`] lowers a whole network to it;
+//!   [`PathProblem::signature`] derives the canonical cache key directly
+//!   from the IR, so *anything* that solves the same problem shares cache
+//!   entries.
 //! * [`Solver`] — the backend trait. Three implementations ship:
 //!   [`FastSolver`] (the in-place transient iteration of Eq. 5),
 //!   [`ExplicitSolver`] (Algorithm 1's unrolled absorbing DTMC solved by
@@ -28,11 +29,9 @@
 
 use crate::dynamics::LinkDynamics;
 use crate::error::Result;
-use crate::explicit::explicit_chain_of;
+use crate::explicit::explicit_chain;
 use crate::network::{NetworkEvaluation, PathReport};
-use crate::path::{
-    fast_evaluate_counted, fast_evaluate_observed, PathEvaluation, PathModel, StepEvent,
-};
+use crate::path::{fast_evaluate_counted, fast_evaluate_observed, PathEvaluation, StepEvent};
 use crate::signature::PathSignature;
 use std::sync::Arc;
 use whart_channel::{ber_from_failure_probability, Modulation, WIRELESSHART_MESSAGE_BITS};
@@ -101,7 +100,8 @@ impl ProblemHop {
     }
 
     /// The physical link's undirected endpoints, when the problem was
-    /// compiled from a network (`None` for bare path models). Not part of
+    /// compiled from a network (`None` for problems from
+    /// [`PathProblem::builder`]). Not part of
     /// the signature — two paths crossing different physical links with
     /// identical dynamics are the same computation.
     pub fn link(&self) -> Option<(NodeId, NodeId)> {
@@ -125,7 +125,7 @@ pub struct PathProblem {
 impl PathProblem {
     /// Invariants (hops non-empty, slots within the uplink half, distinct
     /// and in path order, `0 < ttl <= Is * F_up`) are established by the
-    /// caller: the [`crate::PathModelBuilder`] validation, or the
+    /// caller: the [`crate::PathProblemBuilder`] validation, or the
     /// schedule validation of [`crate::NetworkModel::new`]. Debug builds
     /// assert the hop invariants here.
     pub(crate) fn new(
@@ -180,13 +180,6 @@ impl PathProblem {
             .max()
             .expect("problems have >= 1 hop") as u32
             + 1
-    }
-
-    /// Reconstructs a builder-level [`PathModel`] from the IR. The round
-    /// trip preserves the evaluation-relevant content bit-exactly:
-    /// `problem.to_model().signature() == problem.signature()`.
-    pub fn to_model(&self) -> PathModel {
-        PathModel::from_problem(self)
     }
 
     /// Whether shifting every frame slot by a common offset preserves
@@ -600,7 +593,7 @@ impl Solver for ExplicitSolver {
     ) -> Result<PathEvaluation> {
         let mut tspan = trace.span("path_solve", "solver.explicit");
         let span = obs.timer("solver.explicit.solve_ns");
-        let chain = explicit_chain_of(problem);
+        let chain = explicit_chain(problem);
         obs.counter("solver.explicit.states")
             .add(chain.state_count() as u64);
         obs.counter("solver.explicit.transitions")
@@ -637,36 +630,21 @@ mod tests {
     use whart_channel::{LinkModel, LinkState};
     use whart_net::ReportingInterval;
 
-    fn example() -> PathModel {
+    fn example() -> PathProblem {
         section_v_model(0.75, ReportingInterval::REGULAR).unwrap()
-    }
-
-    #[test]
-    fn compile_round_trips_through_the_ir() {
-        let model = example();
-        let problem = model.compile();
-        assert_eq!(problem.hop_count(), 3);
-        assert_eq!(problem.arrival_slot_number(), 7);
-        assert_eq!(problem.signature(), model.signature());
-        let back = problem.to_model();
-        assert_eq!(back.signature(), model.signature());
-        assert_eq!(back.evaluate(), model.evaluate());
     }
 
     #[test]
     fn fast_solver_matches_model_evaluate() {
         let model = example();
-        let via_solver = FastSolver
-            .solve_path(&model.compile(), MeasurePlan::SCALAR)
-            .unwrap();
+        let via_solver = FastSolver.solve_path(&model, MeasurePlan::SCALAR).unwrap();
         assert_eq!(via_solver, model.evaluate());
     }
 
     #[test]
     fn explicit_solver_agrees_with_fast_solver() {
         for &pi in &[0.693, 0.83, 0.948] {
-            let model = chain_model(2, pi, ReportingInterval::REGULAR).unwrap();
-            let problem = model.compile();
+            let problem = chain_model(2, pi, ReportingInterval::REGULAR).unwrap();
             let fast = FastSolver
                 .solve_path(&problem, MeasurePlan::SCALAR)
                 .unwrap();
@@ -690,7 +668,7 @@ mod tests {
         // The injection cases the solvers must agree on: a link starting
         // DOWN with a mid-interval outage window.
         let link = LinkModel::from_availability(0.83, 0.9).unwrap();
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(
             LinkDynamics::starting_in(link, LinkState::Down).with_outage(Outage::new(10, 20)),
             2,
@@ -698,7 +676,7 @@ mod tests {
         .add_hop(LinkDynamics::steady(link), 5);
         b.superframe(whart_net::Superframe::symmetric(7).unwrap())
             .interval(ReportingInterval::REGULAR);
-        let problem = b.build().unwrap().compile();
+        let problem = b.build().unwrap();
         let fast = FastSolver
             .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
@@ -715,7 +693,7 @@ mod tests {
 
     #[test]
     fn measure_plan_gates_the_trajectory() {
-        let problem = example().compile();
+        let problem = example();
         let scalar = FastSolver
             .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
@@ -754,15 +732,15 @@ mod tests {
                 assert!(hop.link().is_some(), "network hops carry link identity");
             }
         }
-        // Bare path models carry no link identity.
-        let bare = example().compile();
+        // Built problems carry no link identity.
+        let bare = example();
         assert!(bare.hops().iter().all(|h| h.link().is_none()));
     }
 
     #[test]
     fn a_full_journal_drops_exactly_the_events_a_traced_solve_emits() {
         let link = LinkModel::from_availability(0.83, 0.9).unwrap();
-        let mut short_ttl = PathModel::builder();
+        let mut short_ttl = PathProblem::builder();
         short_ttl
             .add_hop(LinkDynamics::steady(link), 1)
             .add_hop(LinkDynamics::steady(link), 4);
@@ -770,26 +748,25 @@ mod tests {
             .superframe(whart_net::Superframe::symmetric(6).unwrap())
             .interval(ReportingInterval::new(4).unwrap())
             .ttl(13);
-        let mut models = vec![example(), short_ttl.build().unwrap()];
+        let mut problems = vec![example(), short_ttl.build().unwrap()];
         for hops in 1..=4 {
             for is in [1, 2, 4] {
                 let interval = ReportingInterval::new(is).unwrap();
-                models.push(chain_model(hops, 0.9, interval).unwrap());
+                problems.push(chain_model(hops, 0.9, interval).unwrap());
             }
         }
-        for model in &models {
-            let problem = model.compile();
+        for problem in &problems {
             for plan in [MeasurePlan::SCALAR, MeasurePlan::WITH_TRAJECTORY] {
                 let room = Trace::new();
                 let traced = FastSolver
-                    .solve_path_traced(&problem, plan, &Metrics::disabled(), &room)
+                    .solve_path_traced(problem, plan, &Metrics::disabled(), &room)
                     .unwrap();
                 let admitted = room.drain().len() as u64;
-                assert_eq!(admitted, traced_fast_events(&problem));
+                assert_eq!(admitted, traced_fast_events(problem));
                 let full = Trace::with_capacity(1);
                 full.instant("fill", "test", []);
                 let refused = FastSolver
-                    .solve_path_traced(&problem, plan, &Metrics::disabled(), &full)
+                    .solve_path_traced(problem, plan, &Metrics::disabled(), &full)
                     .unwrap();
                 assert_eq!(full.dropped(), admitted);
                 assert_eq!(refused, traced);

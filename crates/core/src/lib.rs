@@ -8,12 +8,13 @@
 //! [`whart_net`]). From the path chain's absorption probabilities every
 //! quality-of-service measure of the paper follows.
 //!
-//! * [`PathModel`] — the hierarchical path model (Section IV) with the
-//!   fast transient evaluator (Eq. 5);
-//! * [`ir`] — the compiled problem IR ([`PathProblem`] /
-//!   [`NetworkProblem`]) and the pluggable [`Solver`] backends
-//!   ([`FastSolver`], [`ExplicitSolver`], and `whart-sim`'s Monte-Carlo
-//!   adapter), plus the [`MeasurePlan`] for demand-driven artifacts;
+//! * [`PathProblem`] — the hierarchical path model (Section IV), built
+//!   hop by hop through [`PathProblem::builder`] or compiled from a
+//!   network, with the fast transient evaluator (Eq. 5);
+//! * [`ir`] — the problem IR ([`PathProblem`] / [`NetworkProblem`]) and
+//!   the pluggable [`Solver`] backends ([`FastSolver`], [`ExplicitSolver`],
+//!   and `whart-sim`'s Monte-Carlo adapter), plus the [`MeasurePlan`] for
+//!   demand-driven artifacts;
 //! * [`explicit`] — Algorithm 1's explicit unrolled DTMC (Figs. 4-5),
 //!   equivalent to the fast evaluator and exportable to Graphviz;
 //! * [`PathEvaluation`] — reachability (Eq. 6), delay distribution and
@@ -36,13 +37,13 @@
 //! The paper's Section V example path, end to end:
 //!
 //! ```
-//! use whart_model::{DelayConvention, LinkDynamics, PathModel};
+//! use whart_model::{DelayConvention, LinkDynamics, PathProblem};
 //! use whart_channel::LinkModel;
 //! use whart_net::{ReportingInterval, Superframe};
 //!
 //! # fn main() -> Result<(), whart_model::ModelError> {
 //! let link = LinkModel::from_availability(0.75, 0.9)?;
-//! let mut builder = PathModel::builder();
+//! let mut builder = PathProblem::builder();
 //! builder
 //!     .add_hop(LinkDynamics::steady(link), 2) // <n1,n2> in slot 3
 //!     .add_hop(LinkDynamics::steady(link), 5) // <n2,n3> in slot 6
@@ -85,4 +86,4 @@ pub use ir::{
 };
 pub use measures::{DelayConvention, UtilizationConvention};
 pub use network::{NetworkEvaluation, NetworkModel, PathReport};
-pub use path::{PathEvaluation, PathModel, PathModelBuilder};
+pub use path::{PathEvaluation, PathProblemBuilder};

@@ -178,12 +178,12 @@ impl PathEvaluation {
 mod tests {
     use super::*;
     use crate::dynamics::LinkDynamics;
-    use crate::path::PathModel;
+    use crate::ir::PathProblem;
     use whart_channel::LinkModel;
     use whart_net::{ReportingInterval, Superframe};
 
     fn example_eval_link(link: LinkModel) -> PathEvaluation {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(link), 2)
             .add_hop(LinkDynamics::steady(link), 5)
             .add_hop(LinkDynamics::steady(link), 6);

@@ -2,7 +2,7 @@
 //!
 //! A [`NetworkModel`] bundles a topology, its uplink paths, a communication
 //! schedule, the super-frame and the reporting interval. Evaluation builds
-//! one [`PathModel`] per path (the paper's per-path hierarchical DTMCs) and
+//! one [`PathProblem`] per path (the paper's per-path hierarchical DTMCs) and
 //! computes the network aggregates: per-path reachability (Fig. 13), the
 //! overall delay distribution `Gamma` and its mean (Eq. 13, Figs. 14-16),
 //! and the network utilization `U` (Eq. 11, Table II).
@@ -11,7 +11,7 @@ use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
 use crate::ir::{FastSolver, MeasurePlan, NetworkProblem, PathProblem, ProblemHop, Solver};
 use crate::measures::{DelayConvention, UtilizationConvention};
-use crate::path::{PathEvaluation, PathModel};
+use crate::path::PathEvaluation;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use whart_dtmc::ValueDistribution;
@@ -128,16 +128,6 @@ impl NetworkModel {
         self.overrides
             .insert(Hop::new(a, b).undirected_key(), dynamics);
         Ok(())
-    }
-
-    /// Builds the hierarchical path model of one path, applying any link
-    /// overrides.
-    ///
-    /// # Errors
-    ///
-    /// See [`NetworkModel::path_problem`].
-    pub fn path_model(&self, path_index: usize) -> Result<PathModel> {
-        Ok(self.path_problem(path_index)?.to_model())
     }
 
     /// Compiles the problem of one path in one pass over the schedule:
@@ -473,13 +463,13 @@ mod tests {
     }
 
     #[test]
-    fn path_model_index_bounds() {
+    fn path_problem_index_bounds() {
         let net = typical(0.83);
         let model =
             NetworkModel::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR)
                 .unwrap();
-        assert!(model.path_model(9).is_ok());
-        assert!(model.path_model(10).is_err());
+        assert!(model.path_problem(9).is_ok());
+        assert!(model.path_problem(10).is_err());
     }
 
     #[test]
@@ -490,7 +480,7 @@ mod tests {
         let want = "reporting interval of 4000000000 cycles x 20 uplink slots";
         let err = model.compile().unwrap_err().to_string();
         assert!(err.contains(want), "{err}");
-        let mut builder = PathModel::builder();
+        let mut builder = PathProblem::builder();
         builder
             .add_hop(
                 LinkDynamics::steady(LinkModel::from_availability(0.83, 0.9).unwrap()),

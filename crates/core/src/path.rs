@@ -1,9 +1,10 @@
 //! The hierarchical path model (Section IV) — fast evaluator.
 //!
-//! A [`PathModel`] describes how one message is forwarded along an uplink
+//! A [`PathProblem`] describes how one message is forwarded along an uplink
 //! path during a reporting interval: per-hop [`LinkDynamics`], the frame
 //! slots the schedule grants each hop, the super-frame shape, the reporting
-//! interval and the TTL. [`PathModel::evaluate`] iterates the transient
+//! interval and the TTL. [`PathProblem::builder`] assembles and validates
+//! one hop by hop; [`PathProblem::evaluate`] iterates the transient
 //! distribution `p(t) = p(t-1) P(t)` (Eq. 5) over the `Is * F_up` uplink
 //! slots, with the per-slot transition probabilities inherited from the
 //! link models (Eq. 3), and returns the goal-state probabilities
@@ -20,171 +21,45 @@ use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
 use crate::ir::{MeasurePlan, PathProblem, ProblemHop};
 use whart_dtmc::Pmf;
-use whart_net::{Path, ReportingInterval, Schedule, Superframe, Topology};
+use whart_net::{ReportingInterval, Superframe};
 
-/// One scheduled hop of a path model: the transmission of hop `hop` (0-based
-/// position along the path) in frame slot `slot` (0-based within the uplink
-/// half).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct HopSlot {
-    slot: usize,
-    hop: usize,
-}
-
-/// The hierarchical DTMC model of one uplink path.
-#[derive(Debug, Clone)]
-pub struct PathModel {
-    dynamics: Vec<LinkDynamics>,
-    hop_slots: Vec<HopSlot>,
-    superframe: Superframe,
-    interval: ReportingInterval,
-    ttl: u32,
-}
-
-impl PathModel {
-    /// Starts building a model hop by hop.
-    pub fn builder() -> PathModelBuilder {
-        PathModelBuilder::default()
+/// The evaluation side of the path model: a [`PathProblem`] is the
+/// paper's per-path hierarchical DTMC, and these methods run the fast
+/// transient evaluator on it directly.
+impl PathProblem {
+    /// Starts building a path problem hop by hop.
+    pub fn builder() -> PathProblemBuilder {
+        PathProblemBuilder::default()
     }
 
-    /// Builds the model of `paths[path_index]` from a fully specified
-    /// network: link models are read from the topology (steady-state
-    /// dynamics), slots from the schedule. Shorthand for
-    /// [`crate::NetworkModel::new`] then
-    /// [`crate::NetworkModel::path_model`].
+    /// The same problem under a different reporting interval (the TTL is
+    /// reset to the new interval's `Is * F_up`). Used by the failure
+    /// studies, which model a k-cycle link failure as the loss of k
+    /// cycles of the interval (Section VI-C / Table III).
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::Net`] if the schedule does not serve the path
-    /// consistently or a hop has no link, and [`ModelError::Inconsistent`]
-    /// if the schedule is longer than the uplink half.
-    pub fn from_network(
-        topology: &Topology,
-        paths: &[Path],
-        schedule: &Schedule,
-        superframe: Superframe,
-        interval: ReportingInterval,
-        path_index: usize,
-    ) -> Result<PathModel> {
-        let network = crate::NetworkModel::new(
-            topology.clone(),
-            paths.to_vec(),
-            schedule.clone(),
-            superframe,
+    /// Returns [`ModelError::Net`] when `Is * F_up` overflows the slot
+    /// count.
+    pub fn with_interval(&self, interval: ReportingInterval) -> Result<PathProblem> {
+        let ttl = interval.uplink_slots(self.superframe())?;
+        Ok(PathProblem::new(
+            self.hops().to_vec(),
+            self.superframe(),
             interval,
-        )?;
-        network.path_model(path_index)
+            ttl,
+        ))
     }
 
-    /// Number of hops.
-    pub fn hop_count(&self) -> usize {
-        self.dynamics.len()
-    }
-
-    /// The 1-based frame slot of the final hop (the paper's `a0`, which
-    /// fixes the arrival slot in every cycle).
-    pub fn arrival_slot_number(&self) -> u32 {
-        self.hop_slots
-            .iter()
-            .map(|hs| hs.slot)
-            .max()
-            .expect("models have >= 1 hop") as u32
-            + 1
-    }
-
-    /// The super-frame.
-    pub fn superframe(&self) -> Superframe {
-        self.superframe
-    }
-
-    /// The reporting interval.
-    pub fn interval(&self) -> ReportingInterval {
-        self.interval
-    }
-
-    /// The TTL in uplink slots.
-    pub fn ttl(&self) -> u32 {
-        self.ttl
-    }
-
-    /// The per-hop link dynamics.
-    pub fn hop_dynamics(&self) -> &[LinkDynamics] {
-        &self.dynamics
-    }
-
-    /// The success probability of hop `hop` when transmitted in cycle
-    /// `cycle` (0-based): the link's transient UP probability at the
-    /// absolute slot of that transmission.
-    pub fn success_probability(&self, hop: usize, cycle: u32) -> f64 {
-        let hs = self
-            .hop_slots
-            .iter()
-            .find(|hs| hs.hop == hop)
-            .expect("hop exists");
-        let abs_slot = u64::from(cycle) * u64::from(self.superframe.cycle_slots()) + hs.slot as u64;
-        self.dynamics[hop].up_probability(abs_slot)
-    }
-
-    /// The same model under a different reporting interval (the TTL is
-    /// reset to the new interval's default). Used by the failure studies,
-    /// which model a k-cycle link failure as the loss of k cycles of the
-    /// interval (Section VI-C / Table III).
-    pub fn with_interval(&self, interval: ReportingInterval) -> PathModel {
-        let mut model = self.clone();
-        model.interval = interval;
-        model.ttl = interval.cycles() * self.superframe.uplink_slots();
-        model
-    }
-
-    /// Lowers this model to its compiled problem IR: the fully-resolved
-    /// input of a path solve, consumed by every [`crate::ir::Solver`]
-    /// backend. The round trip through [`PathProblem::to_model`] preserves
-    /// the [`crate::signature::PathSignature`] bit-exactly.
-    pub fn compile(&self) -> PathProblem {
-        let hops = self
-            .dynamics
-            .iter()
-            .zip(&self.hop_slots)
-            .map(|(dynamics, hs)| ProblemHop::new(dynamics.clone(), hs.slot, None))
-            .collect();
-        PathProblem::new(hops, self.superframe, self.interval, self.ttl)
-    }
-
-    /// Reconstructs a model from a compiled problem (the inverse of
-    /// [`PathModel::compile`]). Direct construction — the problem's
-    /// invariants were established by the builder that originally
-    /// produced it, including an already-resolved TTL.
-    pub(crate) fn from_problem(problem: &PathProblem) -> PathModel {
-        PathModel {
-            dynamics: problem
-                .hops()
-                .iter()
-                .map(|h| h.dynamics().clone())
-                .collect(),
-            hop_slots: problem
-                .hops()
-                .iter()
-                .enumerate()
-                .map(|(hop, h)| HopSlot {
-                    slot: h.frame_slot(),
-                    hop,
-                })
-                .collect(),
-            superframe: problem.superframe(),
-            interval: problem.interval(),
-            ttl: problem.ttl(),
-        }
-    }
-
-    /// Evaluates the model with scalar measures only: the transient
+    /// Evaluates the problem with scalar measures only: the transient
     /// iteration of Eq. 5 over the whole reporting interval. Equivalent
     /// to `evaluate_with(MeasurePlan::SCALAR)`; use
-    /// [`PathModel::evaluate_with`] to also retain the goal trajectory.
+    /// [`PathProblem::evaluate_with`] to also retain the goal trajectory.
     pub fn evaluate(&self) -> PathEvaluation {
         self.evaluate_with(MeasurePlan::default())
     }
 
-    /// Evaluates the model, materializing the optional artifacts `plan`
+    /// Evaluates the problem, materializing the optional artifacts `plan`
     /// requests.
     ///
     /// # Panics
@@ -193,7 +68,7 @@ impl PathModel {
     /// interval of billions of cycles); the [`crate::ir::Solver`]
     /// backends report that as an error instead.
     pub fn evaluate_with(&self, plan: MeasurePlan) -> PathEvaluation {
-        match fast_evaluate_counted(&self.compile(), plan) {
+        match fast_evaluate_counted(self, plan) {
             Ok((evaluation, _)) => evaluation,
             Err(e) => panic!("{e}"),
         }
@@ -520,16 +395,17 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     Ok((evaluation, steps))
 }
 
-/// Builder for [`PathModel`]; see [`PathModel::builder`].
+/// Builder for a bare [`PathProblem`] (no physical-link identity); see
+/// [`PathProblem::builder`].
 #[derive(Debug, Clone, Default)]
-pub struct PathModelBuilder {
+pub struct PathProblemBuilder {
     hops: Vec<(LinkDynamics, usize)>,
     superframe: Option<Superframe>,
     interval: ReportingInterval,
     ttl: Option<u32>,
 }
 
-impl PathModelBuilder {
+impl PathProblemBuilder {
     /// Adds the next hop of the path with its 0-based frame slot.
     pub fn add_hop(&mut self, dynamics: LinkDynamics, frame_slot: usize) -> &mut Self {
         self.hops.push((dynamics, frame_slot));
@@ -556,7 +432,7 @@ impl PathModelBuilder {
         self
     }
 
-    /// Finalizes the model.
+    /// Finalizes the problem.
     ///
     /// # Errors
     ///
@@ -565,7 +441,7 @@ impl PathModelBuilder {
     /// hops share a slot, or the hops' slots are not in path order within
     /// the frame (the construction used by every schedule in the paper; a
     /// message can then traverse the whole path in one cycle).
-    pub fn build(&self) -> Result<PathModel> {
+    pub fn build(&self) -> Result<PathProblem> {
         let superframe = self.superframe.ok_or_else(|| ModelError::Inconsistent {
             reason: "a super-frame is required".into(),
         })?;
@@ -608,22 +484,16 @@ impl PathModelBuilder {
                 reason: "ttl must be positive".into(),
             });
         }
-        Ok(PathModel {
-            dynamics: self.hops.iter().map(|(d, _)| d.clone()).collect(),
-            hop_slots: self
-                .hops
-                .iter()
-                .enumerate()
-                .map(|(hop, &(_, slot))| HopSlot { slot, hop })
-                .collect(),
-            superframe,
-            interval,
-            ttl,
-        })
+        let hops = self
+            .hops
+            .iter()
+            .map(|(dynamics, slot)| ProblemHop::new(dynamics.clone(), *slot, None))
+            .collect();
+        Ok(PathProblem::new(hops, superframe, interval, ttl))
     }
 }
 
-/// The result of [`PathModel::evaluate`]: the absorption probabilities of
+/// The result of [`PathProblem::evaluate`]: the absorption probabilities of
 /// the path DTMC, plus everything the measures of Section V need.
 ///
 /// Scalar measures are always present; the per-slot goal trajectory is
@@ -832,8 +702,8 @@ mod tests {
     }
 
     /// The Section V-A model: 3 hops at slots 3, 6, 7 (1-based), F_up = 7.
-    fn example_model(pi: f64, is: u32) -> PathModel {
-        let mut b = PathModel::builder();
+    fn example_model(pi: f64, is: u32) -> PathProblem {
+        let mut b = PathProblem::builder();
         b.add_hop(steady(pi), 2)
             .add_hop(steady(pi), 5)
             .add_hop(steady(pi), 6);
@@ -902,7 +772,7 @@ mod tests {
 
     #[test]
     fn one_hop_path_is_geometric() {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.903), 0);
         b.superframe(Superframe::symmetric(20).unwrap())
             .interval(ReportingInterval::new(4).unwrap());
@@ -919,7 +789,7 @@ mod tests {
         // The network evaluation requires a transmission scheduled in the
         // very first slot to be able to serve the message born that cycle
         // (path 1 under eta_a reaches the gateway in cycle 1 with p).
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.83), 0);
         b.superframe(Superframe::symmetric(20).unwrap())
             .interval(ReportingInterval::new(1).unwrap());
@@ -930,7 +800,7 @@ mod tests {
     #[test]
     fn ttl_expiry_discards_early() {
         // TTL of one frame: only the first cycle can deliver.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.75), 2)
             .add_hop(steady(0.75), 5)
             .add_hop(steady(0.75), 6);
@@ -958,6 +828,32 @@ mod tests {
     }
 
     #[test]
+    fn with_interval_retargets_the_horizon_and_checks_it() {
+        let mut b = PathProblem::builder();
+        b.add_hop(steady(0.75), 2)
+            .add_hop(steady(0.75), 5)
+            .add_hop(steady(0.75), 6);
+        b.superframe(Superframe::symmetric(7).unwrap())
+            .interval(ReportingInterval::new(4).unwrap())
+            .ttl(7);
+        let short_ttl = b.build().unwrap();
+        // The TTL resets to the new interval's full horizon.
+        let two = short_ttl
+            .with_interval(ReportingInterval::new(2).unwrap())
+            .unwrap();
+        assert_eq!(two.ttl(), 14);
+        assert_eq!(two.evaluate(), example_model(0.75, 2).evaluate());
+        // An interval whose horizon overflows the slot count is an error,
+        // not a wrapped TTL.
+        let huge = ReportingInterval::new(4_000_000_000).unwrap();
+        let err = short_ttl.with_interval(huge).unwrap_err().to_string();
+        assert!(
+            err.contains("reporting interval of 4000000000 cycles x 7 uplink slots"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn mass_is_conserved() {
         let eval = example_model(0.83, 4).evaluate();
         let total = eval.cycle_probabilities().total_mass() + eval.discard_probability();
@@ -968,16 +864,15 @@ mod tests {
     fn from_network_matches_hand_built() {
         let link = LinkModel::from_availability(0.75, 0.9).unwrap();
         let (topology, path, schedule, superframe) = section_v_example(link).unwrap();
-        let model = PathModel::from_network(
-            &topology,
-            std::slice::from_ref(&path),
-            &schedule,
+        let network = crate::NetworkModel::new(
+            topology,
+            vec![path],
+            schedule,
             superframe,
             ReportingInterval::new(4).unwrap(),
-            0,
         )
         .unwrap();
-        let eval = model.evaluate();
+        let eval = network.path_problem(0).unwrap().evaluate();
         let want = example_model(0.75, 4).evaluate();
         assert_eq!(eval.cycle_probabilities(), want.cycle_probabilities());
     }
@@ -986,48 +881,38 @@ mod tests {
     fn builder_validates() {
         let sf = Superframe::symmetric(7).unwrap();
         // No hops.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.superframe(sf);
         assert!(b.build().is_err());
         // Missing super-frame.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.8), 0);
         assert!(b.build().is_err());
         // Slot out of range.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.8), 9);
         b.superframe(sf);
         assert!(b.build().is_err());
         // Duplicate slot.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.8), 1).add_hop(steady(0.8), 1);
         b.superframe(sf);
         assert!(b.build().is_err());
         // Out-of-order hops.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.8), 5).add_hop(steady(0.8), 2);
         b.superframe(sf);
         assert!(b.build().is_err());
         // Zero TTL.
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.8), 0);
         b.superframe(sf).ttl(0);
         assert!(b.build().is_err());
     }
 
     #[test]
-    fn success_probability_uses_link_dynamics() {
-        let model = example_model(0.83, 4);
-        for hop in 0..3 {
-            for cycle in 0..4 {
-                assert!((model.success_probability(hop, cycle) - 0.83).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn inhomogeneous_links_differ_from_homogeneous() {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(steady(0.95), 2)
             .add_hop(steady(0.70), 5)
             .add_hop(steady(0.85), 6);

@@ -1,11 +1,11 @@
-//! Canonical cache keys for link dynamics and path models.
+//! Canonical cache keys for link dynamics and path problems.
 //!
 //! The batch engine (`whart-engine`) memoizes sub-computations across
 //! scenario fleets. Two scenarios share work exactly when the inputs of
 //! the underlying computation are bit-identical, so the keys here encode
-//! every input of [`PathModel::evaluate`] with bit-exact `f64` encoding
-//! (`f64::to_bits`, with `-0.0` normalized to `0.0`): two models with
-//! equal signatures produce bit-identical evaluations, and models that
+//! every input of [`PathProblem::evaluate`] with bit-exact `f64` encoding
+//! (`f64::to_bits`, with `-0.0` normalized to `0.0`): two problems with
+//! equal signatures produce bit-identical evaluations, and problems that
 //! differ in any evaluation-relevant input get different signatures.
 //!
 //! Measure conventions ([`crate::measures::DelayConvention`],
@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use crate::dynamics::LinkDynamics;
 use crate::ir::PathProblem;
-use crate::path::PathModel;
 
 /// Bit-exact encoding of an `f64` probability for use in a hash key.
 /// `-0.0` maps to the bits of `0.0` so the two zero encodings compare
@@ -146,15 +145,6 @@ impl PathSignature {
     }
 }
 
-impl PathModel {
-    /// Derives the canonical cache signature of this path model — defined
-    /// as the signature of its compiled [`PathProblem`], so models and
-    /// problems always agree on cache identity.
-    pub fn signature(&self) -> PathSignature {
-        self.compile().signature()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,7 +158,7 @@ mod tests {
     }
 
     #[test]
-    fn equal_models_have_equal_signatures() {
+    fn equal_problems_have_equal_signatures() {
         let a = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
         let b = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
         assert_eq!(a.signature(), b.signature());
@@ -199,7 +189,7 @@ mod tests {
     #[test]
     fn slots_change_the_signature() {
         let build = |slot| {
-            let mut b = PathModel::builder();
+            let mut b = PathProblem::builder();
             b.add_hop(LinkDynamics::steady(link(0.83)), slot);
             b.superframe(whart_net::Superframe::symmetric(7).unwrap())
                 .interval(ReportingInterval::REGULAR);
@@ -222,7 +212,7 @@ mod tests {
     #[test]
     fn ttl_changes_the_signature() {
         let full = chain_model(2, 0.83, ReportingInterval::REGULAR).unwrap();
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(link(0.83)), 0)
             .add_hop(LinkDynamics::steady(link(0.83)), 1);
         b.superframe(whart_net::Superframe::symmetric(2).unwrap())

@@ -3,8 +3,9 @@
 
 use crate::dynamics::LinkDynamics;
 use crate::error::Result;
+use crate::ir::PathProblem;
 use crate::measures::DelayConvention;
-use crate::path::{PathEvaluation, PathModel};
+use crate::path::PathEvaluation;
 use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
 use whart_dtmc::ValueDistribution;
 use whart_net::{ReportingInterval, Superframe};
@@ -26,14 +27,14 @@ pub fn paper_availabilities() -> [f64; 5] {
     })
 }
 
-/// The Section V example path model: three homogeneous hops scheduled in
+/// The Section V example path: three homogeneous hops scheduled in
 /// slots 3, 6 and 7 of a symmetric `F_up = 7` super-frame.
 ///
 /// # Errors
 ///
 /// Returns an error for an availability the default recovery probability
 /// cannot reach (below 0.474).
-pub fn section_v_model(availability: f64, interval: ReportingInterval) -> Result<PathModel> {
+pub fn section_v_model(availability: f64, interval: ReportingInterval) -> Result<PathProblem> {
     let link = LinkModel::from_availability(availability, LinkModel::DEFAULT_RECOVERY)?;
     section_v_model_with_link(link, interval)
 }
@@ -47,8 +48,8 @@ pub fn section_v_model(availability: f64, interval: ReportingInterval) -> Result
 pub fn section_v_model_with_link(
     link: LinkModel,
     interval: ReportingInterval,
-) -> Result<PathModel> {
-    let mut b = PathModel::builder();
+) -> Result<PathProblem> {
+    let mut b = PathProblem::builder();
     b.add_hop(LinkDynamics::steady(link), 2)
         .add_hop(LinkDynamics::steady(link), 5)
         .add_hop(LinkDynamics::steady(link), 6);
@@ -56,13 +57,17 @@ pub fn section_v_model_with_link(
     b.build()
 }
 
-/// An n-hop chain model with hop `k` in frame slot `k` and `F_up = hops`
+/// An n-hop chain with hop `k` in frame slot `k` and `F_up = hops`
 /// (symmetric super-frame), used for the hop-count study (Fig. 10).
 ///
 /// # Errors
 ///
 /// Returns an error for `hops = 0` or an unreachable availability.
-pub fn chain_model(hops: u32, availability: f64, interval: ReportingInterval) -> Result<PathModel> {
+pub fn chain_model(
+    hops: u32,
+    availability: f64,
+    interval: ReportingInterval,
+) -> Result<PathProblem> {
     let link = LinkModel::from_availability(availability, LinkModel::DEFAULT_RECOVERY)?;
     chain_model_with_link(hops, link, interval)
 }
@@ -77,8 +82,8 @@ pub fn chain_model_with_link(
     hops: u32,
     link: LinkModel,
     interval: ReportingInterval,
-) -> Result<PathModel> {
-    let mut b = PathModel::builder();
+) -> Result<PathProblem> {
+    let mut b = PathProblem::builder();
     for k in 0..hops as usize {
         b.add_hop(LinkDynamics::steady(link), k);
     }
@@ -144,7 +149,7 @@ pub fn sweep_hop_count(
         .collect()
 }
 
-/// Sweeps reporting intervals for a model builder (Section VI-D's fast
+/// Sweeps reporting intervals for a path builder (Section VI-D's fast
 /// control): returns `(Is, reachability)` pairs.
 ///
 /// # Errors
@@ -152,7 +157,7 @@ pub fn sweep_hop_count(
 /// Propagates failures from `build`.
 pub fn sweep_interval<F>(intervals: &[u32], mut build: F) -> Result<Vec<(u32, f64)>>
 where
-    F: FnMut(ReportingInterval) -> Result<PathModel>,
+    F: FnMut(ReportingInterval) -> Result<PathProblem>,
 {
     intervals
         .iter()

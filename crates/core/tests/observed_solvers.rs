@@ -9,9 +9,7 @@ use whart_trace::Trace;
 
 #[test]
 fn fast_solver_is_inert_when_observability_is_off() {
-    let problem = section_v_model(0.75, ReportingInterval::REGULAR)
-        .unwrap()
-        .compile();
+    let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
     let disabled = Metrics::disabled();
     let plain = FastSolver
         .solve_path(&problem, MeasurePlan::SCALAR)
@@ -29,9 +27,7 @@ fn fast_solver_is_inert_when_observability_is_off() {
 
 #[test]
 fn fast_solver_records_timing_and_steps_without_perturbing_results() {
-    let problem = section_v_model(0.75, ReportingInterval::REGULAR)
-        .unwrap()
-        .compile();
+    let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
     let metrics = Metrics::new();
     let plain = FastSolver
         .solve_path(&problem, MeasurePlan::SCALAR)
@@ -51,9 +47,7 @@ fn fast_solver_records_timing_and_steps_without_perturbing_results() {
 
 #[test]
 fn explicit_solver_reports_chain_dimensions() {
-    let problem = chain_model(2, 0.83, ReportingInterval::REGULAR)
-        .unwrap()
-        .compile();
+    let problem = chain_model(2, 0.83, ReportingInterval::REGULAR).unwrap();
     let metrics = Metrics::new();
     let observed = ExplicitSolver
         .solve_path_traced(&problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())

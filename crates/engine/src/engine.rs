@@ -8,8 +8,8 @@ use std::time::{Duration, Instant};
 use whart_channel::{EbN0, LinkModel, Modulation};
 use whart_model::signature::PathSignature;
 use whart_model::{
-    FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathModel, PathProblem, PathReport,
-    Result, Solver,
+    FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathProblem, PathReport, Result,
+    Solver,
 };
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler};
@@ -392,17 +392,19 @@ impl Engine {
         // Tracing pins the real frame slots into hop provenance, so a
         // tracing engine plans the raw problems instead.
         let canonicalize = self.solver.solves_shifted_slots_exactly() && !self.trace.is_enabled();
-        for scenario in scenarios {
+        for mut scenario in scenarios {
             let mut scenario_span = self.trace.span("scenario", "engine");
             let mut scenario_hits = 0u64;
             let mut scenario_misses = 0u64;
             let plan = scenario.measures.plan();
             let compile_span = compile_hist.start();
-            let problems: Vec<PathProblem> = match &scenario.workload {
+            let problems: Vec<PathProblem> = match &mut scenario.workload {
                 Workload::Network(model) => (0..model.paths().len())
                     .map(|i| model.path_problem(i))
                     .collect::<Result<_>>()?,
-                Workload::Paths(models) => models.iter().map(PathModel::compile).collect(),
+                // Assembly never reads a paths workload back, so its
+                // problems move into the plan instead of being cloned.
+                Workload::Paths(problems) => std::mem::take(problems),
             };
             compile_span.stop();
             let mut occurrences = Vec::with_capacity(problems.len());
@@ -726,7 +728,7 @@ mod tests {
         // must drop the first planned path and keep the last two.
         let mut engine = Engine::new(2);
         engine.set_cache_capacities(Some(2), None);
-        let models: Vec<PathModel> = [0.7, 0.8, 0.9]
+        let models: Vec<PathProblem> = [0.7, 0.8, 0.9]
             .iter()
             .map(|&pi| chain_model(2, pi, ReportingInterval::REGULAR).unwrap())
             .collect();

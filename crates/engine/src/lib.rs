@@ -7,7 +7,7 @@
 //! link operating points, and often the very same path DTMCs, recur
 //! across scenarios. This crate turns those studies into batch jobs:
 //!
-//! * [`Scenario`] — a network or a set of path models (overrides and
+//! * [`Scenario`] — a network or a set of path problems (overrides and
 //!   failure injections already applied) plus requested measures;
 //! * [`Engine::submit`] / [`Engine::drain`] — plan every pending
 //!   scenario into a deduplicated set of path solves, execute them on a

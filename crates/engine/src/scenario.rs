@@ -1,7 +1,7 @@
 //! Scenario jobs and their results.
 //!
 //! A [`Scenario`] is one unit of batch work: a workload (a full network
-//! or a set of standalone path models — the network spec with its
+//! or a set of standalone path problems — the network spec with its
 //! parameter overrides and failure injections already applied) plus the
 //! set of requested measures. The engine plans every submitted scenario
 //! into a deduplicated set of path solves and assembles a
@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use whart_model::{
-    DelayConvention, MeasurePlan, NetworkEvaluation, NetworkModel, PathEvaluation, PathModel,
+    DelayConvention, MeasurePlan, NetworkEvaluation, NetworkModel, PathEvaluation, PathProblem,
     UtilizationConvention,
 };
 
@@ -71,8 +71,8 @@ pub enum Workload {
     /// bumps a reference count instead of deep-copying the topology,
     /// schedule and override tables.
     Network(Arc<NetworkModel>),
-    /// Standalone path models (the single-path studies and sweeps).
-    Paths(Vec<PathModel>),
+    /// Standalone path problems (the single-path studies and sweeps).
+    Paths(Vec<PathProblem>),
 }
 
 /// The measures to extract from a scenario's evaluations, with the
@@ -151,10 +151,10 @@ impl Scenario {
     }
 
     /// A standalone-paths scenario with default measures.
-    pub fn paths(label: impl Into<String>, models: Vec<PathModel>) -> Scenario {
+    pub fn paths(label: impl Into<String>, problems: Vec<PathProblem>) -> Scenario {
         Scenario {
             label: label.into(),
-            workload: Workload::Paths(models),
+            workload: Workload::Paths(problems),
             measures: MeasureSet::default(),
         }
     }

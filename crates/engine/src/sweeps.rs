@@ -10,20 +10,20 @@ use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
 use whart_model::sweeps::{
     chain_model_with_link, section_v_model_with_link, AvailabilityPoint, DelaySummary,
 };
-use whart_model::{DelayConvention, PathModel, Result};
+use whart_model::{DelayConvention, PathProblem, Result};
 use whart_net::ReportingInterval;
 
 use crate::engine::Engine;
 use crate::scenario::{LinkQualitySpec, Scenario};
 
-/// Evaluates a set of path models through the engine's path cache,
-/// returning evaluations in model order.
+/// Evaluates a set of path problems through the engine's path cache,
+/// returning evaluations in problem order.
 fn evaluate_all(
     engine: &mut Engine,
     label: &str,
-    models: Vec<PathModel>,
+    problems: Vec<PathProblem>,
 ) -> Result<Vec<whart_model::PathEvaluation>> {
-    engine.submit(Scenario::paths(label, models));
+    engine.submit(Scenario::paths(label, problems));
     let mut results = engine.drain()?;
     let result = results.pop().expect("one scenario drained");
     match result.outcome {
@@ -47,11 +47,11 @@ pub fn sweep_availability(
         .iter()
         .map(|&availability| engine.link_model(&LinkQualitySpec::availability(availability)))
         .collect::<Result<_>>()?;
-    let models: Vec<PathModel> = links
+    let problems: Vec<PathProblem> = links
         .iter()
         .map(|&link| section_v_model_with_link(link, interval))
         .collect::<Result<_>>()?;
-    let evaluations = evaluate_all(engine, "sweep_availability", models)?;
+    let evaluations = evaluate_all(engine, "sweep_availability", problems)?;
     Ok(availabilities
         .iter()
         .zip(links)
@@ -79,10 +79,10 @@ pub fn sweep_hop_count(
     interval: ReportingInterval,
 ) -> Result<Vec<(u32, f64)>> {
     let link = engine.link_model(&LinkQualitySpec::availability(availability))?;
-    let models: Vec<PathModel> = (1..=max_hops)
+    let problems: Vec<PathProblem> = (1..=max_hops)
         .map(|hops| chain_model_with_link(hops, link, interval))
         .collect::<Result<_>>()?;
-    let evaluations = evaluate_all(engine, "sweep_hop_count", models)?;
+    let evaluations = evaluate_all(engine, "sweep_hop_count", problems)?;
     Ok((1..=max_hops)
         .zip(evaluations.iter().map(|e| e.reachability()))
         .collect())
@@ -99,13 +99,13 @@ pub fn sweep_interval<F>(
     mut build: F,
 ) -> Result<Vec<(u32, f64)>>
 where
-    F: FnMut(ReportingInterval) -> Result<PathModel>,
+    F: FnMut(ReportingInterval) -> Result<PathProblem>,
 {
-    let models: Vec<PathModel> = intervals
+    let problems: Vec<PathProblem> = intervals
         .iter()
         .map(|&is| build(ReportingInterval::new(is)?))
         .collect::<Result<_>>()?;
-    let evaluations = evaluate_all(engine, "sweep_interval", models)?;
+    let evaluations = evaluate_all(engine, "sweep_interval", problems)?;
     Ok(intervals
         .iter()
         .copied()

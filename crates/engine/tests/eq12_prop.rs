@@ -12,13 +12,13 @@
 use proptest::prelude::*;
 use whart_engine::{Engine, Outcome, Scenario};
 use whart_model::compose::compose_cycle_probabilities;
-use whart_model::{LinkDynamics, PathEvaluation, PathModel};
+use whart_model::{LinkDynamics, PathEvaluation, PathProblem};
 use whart_net::{ReportingInterval, Superframe};
 
 /// Builds a steady path whose hop `k` has availability `pis[k]` and frame
 /// slot `first_slot + k` inside a symmetric `F_up = 20` super-frame.
-fn path(pis: &[f64], first_slot: usize) -> PathModel {
-    let mut b = PathModel::builder();
+fn path(pis: &[f64], first_slot: usize) -> PathProblem {
+    let mut b = PathProblem::builder();
     for (k, &pi) in pis.iter().enumerate() {
         let link = whart_channel::LinkModel::from_availability(pi, 0.9)
             .expect("availability in the representable range");

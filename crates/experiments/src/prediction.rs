@@ -4,14 +4,14 @@
 use crate::report::{series, Check, ExperimentReport};
 use whart_channel::{EbN0, LinkModel, Modulation, WIRELESSHART_MESSAGE_BITS};
 use whart_model::compose::{peer_cycle_probabilities, predict_composition, rank_candidates};
-use whart_model::{LinkDynamics, PathModel};
+use whart_model::{LinkDynamics, PathProblem};
 use whart_net::{ReportingInterval, Superframe};
 
 /// The existing paths of the scenario: path 1 has two hops, path 2 one,
 /// all links at `pi = 0.83`.
 fn existing(hops: usize) -> whart_model::PathEvaluation {
     let link = LinkModel::from_availability(0.83, 0.9).expect("valid");
-    let mut b = PathModel::builder();
+    let mut b = PathProblem::builder();
     for k in 0..hops {
         b.add_hop(LinkDynamics::steady(link), k);
     }

@@ -4,7 +4,7 @@
 use crate::report::{series, Check, ExperimentReport};
 use whart_channel::{LinkModel, LinkState, WIRELESSHART_MESSAGE_BITS};
 use whart_model::failure::{forced_outage_cycles, reachability_with_lost_cycles};
-use whart_model::{LinkDynamics, NetworkModel, PathModel};
+use whart_model::{LinkDynamics, NetworkModel, PathProblem};
 use whart_net::typical::TypicalNetwork;
 use whart_net::{NodeId, ReportingInterval, Superframe};
 
@@ -13,8 +13,8 @@ fn paper_link() -> LinkModel {
 }
 
 /// An n-hop chain model with the typical network's frame (`F_up = 20`).
-fn chain(hops: usize, link: LinkModel) -> PathModel {
-    let mut b = PathModel::builder();
+fn chain(hops: usize, link: LinkModel) -> PathProblem {
+    let mut b = PathProblem::builder();
     for k in 0..hops {
         b.add_hop(LinkDynamics::steady(link), k);
     }

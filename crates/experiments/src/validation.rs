@@ -8,7 +8,9 @@ use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
 use whart_control::{
     metrics, run_loop, FirstOrderPlant, LoopConfig, ModelDelivery, Pid, PidConfig,
 };
-use whart_model::{DelayConvention, LinkDynamics, NetworkModel, PathModel, UtilizationConvention};
+use whart_model::{
+    DelayConvention, LinkDynamics, NetworkModel, PathProblem, UtilizationConvention,
+};
 use whart_net::typical::TypicalNetwork;
 use whart_net::{ReportingInterval, Superframe};
 use whart_sim::{wilson_interval, PhyMode, Simulator};
@@ -89,7 +91,7 @@ pub fn control_loop() -> ExperimentReport {
     );
     let evaluate = |pi: f64| {
         let link = LinkModel::from_availability(pi, 0.9).expect("valid");
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(link), 2)
             .add_hop(LinkDynamics::steady(link), 5)
             .add_hop(LinkDynamics::steady(link), 6);

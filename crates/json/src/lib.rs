@@ -23,6 +23,11 @@ pub enum Json {
     Object(Vec<(String, Json)>),
 }
 
+/// The deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a body of a few thousand
+/// `[` would overflow the parsing thread's stack and abort the process.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: message plus byte offset into the input.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
@@ -43,11 +48,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns the first syntax error with its byte offset.
+    /// Returns the first syntax error with its byte offset; nesting
+    /// deeper than [`MAX_DEPTH`] is an error too.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -316,6 +323,8 @@ impl std::ops::Index<usize> for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -356,8 +365,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::String(self.string()?)),
             Some(b't') => self.eat_literal("true", Json::Bool(true)),
             Some(b'f') => self.eat_literal("false", Json::Bool(false)),
@@ -365,6 +374,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a nesting level down.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -594,6 +617,27 @@ mod tests {
         assert_eq!(v["c"]["d"].as_bool(), Some(true));
         assert_eq!(v["a"].as_array().unwrap().len(), 3);
         assert_eq!(v["missing"], Json::Null);
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let deepest = Json::parse(&nest(MAX_DEPTH)).unwrap();
+        assert!(deepest.as_array().is_some());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        // Objects count too, and a body far past the cap fails fast
+        // instead of exhausting the stack.
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

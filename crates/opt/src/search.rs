@@ -24,7 +24,7 @@ use whart_json::Json;
 use whart_model::compose::{
     compose_cycle_probabilities, evaluation_at_slot, peer_cycle_probabilities,
 };
-use whart_model::{DelayConvention, LinkDynamics, PathEvaluation, PathModel};
+use whart_model::{DelayConvention, LinkDynamics, PathEvaluation, PathProblem};
 use whart_net::{NodeId, ReportingInterval, Superframe};
 
 /// Two objectives strictly better when larger (reachability) or smaller
@@ -218,15 +218,15 @@ struct State {
     order: Vec<usize>,
 }
 
-/// Canonical-slot path models for every route of a tree. Slot placement
+/// Canonical-slot path problems for every route of a tree. Slot placement
 /// `0..h-1` keeps the engine's path-cache signature a function of the
 /// link chain alone, so unchanged routes are cache hits across the whole
 /// search.
-fn route_models(net: &GeneratedNetwork, tree: &RoutingTree) -> Result<Vec<PathModel>> {
+fn route_problems(net: &GeneratedNetwork, tree: &RoutingTree) -> Result<Vec<PathProblem>> {
     tree.routes()
         .iter()
         .map(|route| {
-            let mut builder = PathModel::builder();
+            let mut builder = PathProblem::builder();
             for (slot, pair) in route.windows(2).enumerate() {
                 let link =
                     net.topology
@@ -548,8 +548,8 @@ fn evaluate_batch(
     label_prefix: &str,
 ) -> Result<Vec<Evaluated>> {
     for (i, state) in states.iter().enumerate() {
-        let models = route_models(net, &state.tree)?;
-        engine.submit(Scenario::paths(format!("{label_prefix}-{i}"), models));
+        let problems = route_problems(net, &state.tree)?;
+        engine.submit(Scenario::paths(format!("{label_prefix}-{i}"), problems));
     }
     let results = engine.drain()?;
     results

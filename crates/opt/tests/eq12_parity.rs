@@ -9,7 +9,7 @@
 use std::sync::Arc;
 use whart_engine::{Engine, Scenario};
 use whart_model::compose::{compose_cycle_probabilities, peer_cycle_probabilities};
-use whart_model::{DelayConvention, ExplicitSolver, LinkDynamics, PathModel};
+use whart_model::{DelayConvention, ExplicitSolver, LinkDynamics, PathProblem};
 use whart_opt::{generate, greedy_tree, GeneratorConfig};
 
 #[test]
@@ -44,11 +44,11 @@ fn composed_objective_matches_explicit_solver_on_random_topologies() {
         // The end-to-end side: each route as a canonical-slot path model
         // solved by the explicit unrolled DTMC.
         let mut engine = Engine::with_solver(1, Arc::new(ExplicitSolver));
-        let models: Vec<PathModel> = tree
+        let models: Vec<PathProblem> = tree
             .routes()
             .iter()
             .map(|route| {
-                let mut builder = PathModel::builder();
+                let mut builder = PathProblem::builder();
                 for (slot, pair) in route.windows(2).enumerate() {
                     let link = net.topology.link(pair[0], pair[1]).unwrap();
                     builder.add_hop(LinkDynamics::steady(link), slot);

@@ -1,14 +1,14 @@
 //! Lowering parity: `NetworkModel::path_problem`, which lowers a path in
 //! one pass over the schedule, equals the builder route it replaced —
-//! `Schedule::slots_for_path`, `PathModelBuilder::build`, then
-//! `PathModel::compile` with the hops' physical links attached — for
+//! `Schedule::slots_for_path`, then `PathProblemBuilder::build`, with
+//! the hops' physical links checked alongside — for
 //! every path of the paper's networks, of overridden networks with
 //! outages and forced initial states, and of random meshes.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use whart_channel::{LinkModel, LinkState};
-use whart_model::{LinkDynamics, NetworkModel, Outage, PathModel};
+use whart_model::{LinkDynamics, NetworkModel, Outage, PathProblem};
 use whart_net::typical::{section_v_example, TypicalNetwork};
 use whart_net::{Hop, NodeId, Path, ReportingInterval, Schedule};
 use whart_opt::{generate, greedy_tree, GeneratorConfig};
@@ -23,8 +23,8 @@ fn builder_route(
     model: &NetworkModel,
     overrides: &Overrides,
     path_index: usize,
-) -> (PathModel, Vec<(NodeId, NodeId)>) {
-    let mut builder = PathModel::builder();
+) -> (PathProblem, Vec<(NodeId, NodeId)>) {
+    let mut builder = PathProblem::builder();
     let mut links = Vec::new();
     for (slot, hop) in model.schedule().slots_for_path(path_index) {
         let dynamics = match overrides.get(&hop.undirected_key()) {
@@ -44,9 +44,8 @@ fn assert_lowering_parity(model: &NetworkModel, overrides: &Overrides) {
     for i in 0..model.paths().len() {
         let problem = model.path_problem(i).unwrap();
         let (oracle, links) = builder_route(model, overrides, i);
-        let compiled = oracle.compile();
-        prop_assert_eq!(problem.hop_count(), compiled.hop_count(), "path {}", i);
-        for (j, (ours, theirs)) in problem.hops().iter().zip(compiled.hops()).enumerate() {
+        prop_assert_eq!(problem.hop_count(), oracle.hop_count(), "path {}", i);
+        for (j, (ours, theirs)) in problem.hops().iter().zip(oracle.hops()).enumerate() {
             prop_assert_eq!(ours.dynamics(), theirs.dynamics(), "path {} hop {}", i, j);
             prop_assert_eq!(
                 ours.frame_slot(),
@@ -57,11 +56,10 @@ fn assert_lowering_parity(model: &NetworkModel, overrides: &Overrides) {
             );
             prop_assert_eq!(ours.link(), Some(links[j]), "path {} hop {}", i, j);
         }
-        prop_assert_eq!(problem.superframe(), compiled.superframe());
-        prop_assert_eq!(problem.interval(), compiled.interval());
-        prop_assert_eq!(problem.ttl(), compiled.ttl(), "path {}", i);
+        prop_assert_eq!(problem.superframe(), oracle.superframe());
+        prop_assert_eq!(problem.interval(), oracle.interval());
+        prop_assert_eq!(problem.ttl(), oracle.ttl(), "path {}", i);
         prop_assert_eq!(problem.signature(), oracle.signature(), "path {}", i);
-        prop_assert_eq!(model.path_model(i).unwrap().signature(), oracle.signature());
     }
 }
 

@@ -103,21 +103,30 @@ impl Router {
         if path_seen {
             // Report the label of the real path: the client got the
             // method wrong, not the route.
-            let label = self
-                .routes
-                .iter()
-                .find(|r| r.path == request.path)
-                .map(|r| r.path)
-                .or_else(|| {
-                    self.prefix_routes
-                        .iter()
-                        .find(|r| request.path.starts_with(r.prefix))
-                        .map(|r| r.label)
-                })
-                .unwrap_or("unmatched");
-            return (label, Response::text(405, "method not allowed\n"));
+            return (
+                self.label(request),
+                Response::text(405, "method not allowed\n"),
+            );
         }
         ("unmatched", Response::text(404, "not found\n"))
+    }
+
+    /// The route label `request` addresses whatever its method: the
+    /// registered path or prefix label, else `unmatched`.
+    pub fn label(&self, request: &Request) -> &'static str {
+        self.routes
+            .iter()
+            .find(|r| r.path == request.path)
+            .map(|r| r.path)
+            .or_else(|| {
+                self.prefix_routes
+                    .iter()
+                    .find(|r| {
+                        request.path.len() > r.prefix.len() && request.path.starts_with(r.prefix)
+                    })
+                    .map(|r| r.label)
+            })
+            .unwrap_or("unmatched")
     }
 }
 

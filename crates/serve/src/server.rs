@@ -40,7 +40,9 @@
 //!
 //! Per request: `http.requests_total{route,code}`, the per-route
 //! latency histogram `http.request_ns{route}`, the `http.in_flight`
-//! gauge, and one [`RequestRecord`] from which the journal's
+//! gauge, `http.handler_panics_total` (handlers that panicked, each
+//! answered with a `500` and `Connection: close`), and one
+//! [`RequestRecord`] from which the journal's
 //! `http_request` event, the wide `http_request` log line and the
 //! flight-recorder entry are rendered. Per connection:
 //! `http.connections_open` (gauge), `http.keepalive.reuses_total`,
@@ -58,6 +60,7 @@ use crate::windows::HttpWindows;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::ops::{Deref, DerefMut};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -824,9 +827,18 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         gauge.set(flight);
         let (started, started_unix_ms, started_trace_ns) =
             (Instant::now(), unix_ms(), ctx.trace.now_ns());
-        let (label, mut response) = match builtin(ctx, &request.method, &request.path) {
-            Some(hit) => hit,
-            None => ctx.router.dispatch(&request),
+        let (label, mut response, panicked) = match builtin(ctx, &request.method, &request.path) {
+            Some((label, response)) => (label, response, false),
+            // A panicking handler must not take its worker (and the
+            // worker's admission slot and in-flight count) down with it.
+            None => match panic::catch_unwind(AssertUnwindSafe(|| ctx.router.dispatch(&request))) {
+                Ok((label, response)) => (label, response, false),
+                Err(_) => {
+                    ctx.metrics.counter("http.handler_panics_total").increment();
+                    let response = Response::text(500, "internal error: the handler panicked\n");
+                    (ctx.router.label(&request), response, true)
+                }
+            },
         };
         let handler_ns = elapsed_ns(started);
         // Every response — success or failure — returns the id the
@@ -834,7 +846,8 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         response.headers.push(("X-Request-Id", request_id.clone()));
         // Drain may have begun while the handler ran: the header the
         // client sees must match what the connection will actually do.
-        let keep_alive = keep_alive && !ctx.draining();
+        // After a panic the connection closes too.
+        let keep_alive = keep_alive && !panicked && !ctx.draining();
         let wrote = conn
             .write_response(&response, keep_alive, allow_chunked, ctx.write_timeout)
             .is_ok();
@@ -1229,5 +1242,41 @@ mod tests {
                 matches!(s.read(&mut buf), Ok(0) | Err(_))
             }
         );
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_one_500_not_the_worker() {
+        let router = Router::new()
+            .route("GET", "/boom", |_| panic!("handler bug"))
+            .route("GET", "/hello", |_| Response::text(200, "hi\n"));
+        let metrics = Metrics::new();
+        let mut server = Server::bind(&ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        server.set_router(router);
+        server.set_metrics(metrics.clone());
+        let addr = server.local_addr().unwrap();
+        let shutdown = server.shutdown();
+        let handle = std::thread::spawn(move || server.serve().unwrap());
+        // The client asks for keep-alive; the read still ends because the
+        // server closes the connection after the panic.
+        let raw = raw_exchange(addr, "GET /boom HTTP/1.1\r\nHost: t\r\n\r\n");
+        assert!(raw.starts_with("HTTP/1.1 500"), "{raw}");
+        assert_eq!(response_header(&raw, "Connection"), Some("close"));
+        // The only worker survived and its admission slot came back.
+        for _ in 0..3 {
+            assert_eq!(get(addr, "/hello"), (200, "hi\n".into()));
+        }
+        shutdown.set();
+        handle.join().unwrap();
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("http.handler_panics_total"), Some(1));
+        assert_eq!(
+            snapshot.counter("http.requests_total{route=/boom,code=500}"),
+            Some(1)
+        );
+        assert_eq!(snapshot.gauge("http.in_flight"), Some(0));
     }
 }

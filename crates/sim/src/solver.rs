@@ -219,9 +219,7 @@ mod tests {
 
     #[test]
     fn estimates_converge_to_the_analytical_values() {
-        let problem = section_v_model(0.75, ReportingInterval::REGULAR)
-            .unwrap()
-            .compile();
+        let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
         let exact = FastSolver
             .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
@@ -242,9 +240,7 @@ mod tests {
 
     #[test]
     fn solves_are_deterministic_per_seed() {
-        let problem = section_v_model(0.83, ReportingInterval::REGULAR)
-            .unwrap()
-            .compile();
+        let problem = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
         let solver = MonteCarloSolver::new(42, 10_000);
         let a = solver.solve_path(&problem, MeasurePlan::SCALAR).unwrap();
         let b = solver.solve_path(&problem, MeasurePlan::SCALAR).unwrap();
@@ -257,9 +253,7 @@ mod tests {
 
     #[test]
     fn trajectory_requests_stay_scalar() {
-        let problem = section_v_model(0.83, ReportingInterval::REGULAR)
-            .unwrap()
-            .compile();
+        let problem = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
         let mc = MonteCarloSolver::new(1, 1_000)
             .solve_path(&problem, MeasurePlan::WITH_TRAJECTORY)
             .unwrap();

@@ -13,7 +13,7 @@ use wirelesshart::channel::LinkModel;
 use wirelesshart::control::{
     metrics, run_loop, FirstOrderPlant, LoopConfig, ModelDelivery, Pid, PidConfig,
 };
-use wirelesshart::model::{LinkDynamics, PathModel};
+use wirelesshart::model::{LinkDynamics, PathProblem};
 use wirelesshart::net::{ReportingInterval, Superframe};
 
 fn evaluate_path(
@@ -21,7 +21,7 @@ fn evaluate_path(
     interval: ReportingInterval,
 ) -> Result<wirelesshart::model::PathEvaluation, Box<dyn std::error::Error>> {
     let link = LinkModel::from_availability(availability, 0.9)?;
-    let mut b = PathModel::builder();
+    let mut b = PathProblem::builder();
     b.add_hop(LinkDynamics::steady(link), 2)
         .add_hop(LinkDynamics::steady(link), 5)
         .add_hop(LinkDynamics::steady(link), 6)

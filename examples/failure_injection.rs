@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("2. e3 obstructed for one 400 ms cycle (Table III):");
     println!("   path  hops  healthy R%  with failure R%");
     for (index, hops) in [(2usize, 1u32), (6, 2), (7, 2), (9, 3)] {
-        let path_model = baseline.path_model(index)?;
-        let degraded = reachability_with_lost_cycles(&path_model, 1)?;
+        let problem = baseline.path_problem(index)?;
+        let degraded = reachability_with_lost_cycles(&problem, 1)?;
         println!(
             "   {:>4}  {:>4}  {:>9.2}  {:>14.2}",
             index + 1,
@@ -57,13 +57,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "   (forced-DOWN ablation: path 10 drops to {:.2}% instead of {:.2}% — upstream hops\n\
          \u{20}   still progress during the outage)",
         fine_eval.reports()[9].evaluation.reachability() * 100.0,
-        reachability_with_lost_cycles(&baseline.path_model(9)?, 1)? * 100.0
+        reachability_with_lost_cycles(&baseline.path_problem(9)?, 1)? * 100.0
     );
 
     // Geometric failure durations.
     println!("\n3. random failure with geometric duration (path 10):");
     for mean in [1.0, 2.0, 3.0] {
-        let expected = expected_reachability_geometric_failure(&baseline.path_model(9)?, mean)?;
+        let expected = expected_reachability_geometric_failure(&baseline.path_problem(9)?, mean)?;
         println!(
             "   mean duration {mean} cycles -> expected R = {:.4}",
             expected

@@ -6,7 +6,7 @@
 //! ```
 
 use wirelesshart::channel::LinkModel;
-use wirelesshart::model::{DelayConvention, LinkDynamics, PathModel, UtilizationConvention};
+use wirelesshart::model::{DelayConvention, LinkDynamics, PathProblem, UtilizationConvention};
 use wirelesshart::net::{ReportingInterval, Superframe};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // (*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>) within a symmetric 7-slot
     // uplink half; sensors report every Is = 4 super-frames.
     let link = LinkModel::from_availability(0.75, LinkModel::DEFAULT_RECOVERY)?;
-    let mut builder = PathModel::builder();
+    let mut builder = PathProblem::builder();
     builder
         .add_hop(LinkDynamics::steady(link), 2) // slot 3 (0-based 2)
         .add_hop(LinkDynamics::steady(link), 5) // slot 6

@@ -10,7 +10,7 @@ use wirelesshart::channel::{EbN0, LinkModel, Modulation, WIRELESSHART_MESSAGE_BI
 use wirelesshart::model::compose::{
     peer_cycle_probabilities, predict_composition, rank_candidates,
 };
-use wirelesshart::model::{LinkDynamics, PathModel};
+use wirelesshart::model::{LinkDynamics, PathProblem};
 use wirelesshart::net::{ReportingInterval, Superframe};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Existing routes in the mesh: node 3 reaches the gateway over 2 hops,
     // node 4 over 1 hop.
     let existing = |hops: usize| -> Result<_, Box<dyn std::error::Error>> {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         for k in 0..hops {
             b.add_hop(LinkDynamics::steady(existing_link), k);
         }

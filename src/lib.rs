@@ -26,12 +26,12 @@
 //!
 //! ```
 //! use wirelesshart::channel::LinkModel;
-//! use wirelesshart::model::{DelayConvention, LinkDynamics, PathModel};
+//! use wirelesshart::model::{DelayConvention, LinkDynamics, PathProblem};
 //! use wirelesshart::net::{ReportingInterval, Superframe};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let link = LinkModel::from_availability(0.75, 0.9)?;
-//! let mut builder = PathModel::builder();
+//! let mut builder = PathProblem::builder();
 //! builder
 //!     .add_hop(LinkDynamics::steady(link), 2)
 //!     .add_hop(LinkDynamics::steady(link), 5)
@@ -62,7 +62,7 @@ pub mod prelude {
     pub use whart_channel::{EbN0, LinkModel, Modulation, WIRELESSHART_MESSAGE_BITS};
     pub use whart_dtmc::{Dtmc, Pmf, ValueDistribution};
     pub use whart_model::{
-        DelayConvention, LinkDynamics, NetworkModel, PathEvaluation, PathModel,
+        DelayConvention, LinkDynamics, NetworkModel, PathEvaluation, PathProblem,
         UtilizationConvention,
     };
     pub use whart_net::{NodeId, Path, ReportingInterval, Schedule, Superframe, Topology};

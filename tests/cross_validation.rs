@@ -19,9 +19,9 @@ fn evaluator_vs_explicit_chain_on_every_network_path() {
     let model =
         NetworkModel::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR).unwrap();
     for index in 0..net.paths.len() {
-        let path_model = model.path_model(index).unwrap();
-        let fast = path_model.evaluate();
-        let slow = explicit_chain(&path_model).cycle_probabilities().unwrap();
+        let problem = model.path_problem(index).unwrap();
+        let fast = problem.evaluate();
+        let slow = explicit_chain(&problem).cycle_probabilities().unwrap();
         for i in 0..4 {
             assert!(
                 (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-12,
@@ -81,7 +81,7 @@ fn simulator_cycle_distribution_matches_model() {
     let net = network(0.83);
     let model =
         NetworkModel::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR).unwrap();
-    let analytic = model.path_model(9).unwrap().evaluate();
+    let analytic = model.path_problem(9).unwrap().evaluate();
     let sim = Simulator::from_typical(
         &net,
         net.schedule_eta_a(),

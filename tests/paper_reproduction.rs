@@ -10,14 +10,14 @@ use wirelesshart::channel::{EbN0, LinkModel, Modulation, WIRELESSHART_MESSAGE_BI
 use wirelesshart::model::compose::{peer_cycle_probabilities, predict_composition};
 use wirelesshart::model::failure::reachability_with_lost_cycles;
 use wirelesshart::model::{
-    DelayConvention, LinkDynamics, NetworkModel, PathModel, UtilizationConvention,
+    DelayConvention, LinkDynamics, NetworkModel, PathProblem, UtilizationConvention,
 };
 use wirelesshart::net::typical::TypicalNetwork;
 use wirelesshart::net::{ReportingInterval, Superframe};
 
 /// The Section V example path at a given link model.
 fn example_path(link: LinkModel, is: u32) -> wirelesshart::model::PathEvaluation {
-    let mut b = PathModel::builder();
+    let mut b = PathProblem::builder();
     b.add_hop(LinkDynamics::steady(link), 2)
         .add_hop(LinkDynamics::steady(link), 5)
         .add_hop(LinkDynamics::steady(link), 6)
@@ -127,7 +127,7 @@ fn fig9_annotated_points() {
 fn fig10_hop_count() {
     let want = [0.9992, 0.9964, 0.9907, 0.9812];
     for (hops, want_r) in (1u32..=4).zip(want) {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         for k in 0..hops as usize {
             b.add_hop(LinkDynamics::steady(pi(0.83)), k);
         }
@@ -206,7 +206,7 @@ fn fig17_transient_recovery() {
 fn table3_one_cycle_failure() {
     let cases = [(1usize, 99.92, 99.51), (2, 99.64, 98.30), (3, 99.07, 96.28)];
     for (hops, want_without, want_with) in cases {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         for k in 0..hops {
             b.add_hop(LinkDynamics::steady(ber(2e-4)), k);
         }
@@ -229,7 +229,7 @@ fn table3_one_cycle_failure() {
 fn fig18_fig19_fast_control() {
     // One-hop path at pi = 0.903 across reporting intervals.
     let one_hop = |is: u32| {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         b.add_hop(LinkDynamics::steady(pi(0.903)), 0)
             .superframe(Superframe::symmetric(20).unwrap())
             .interval(ReportingInterval::new(is).unwrap());
@@ -252,7 +252,7 @@ fn fig18_fig19_fast_control() {
 fn table4_composition_prediction() {
     let interval = ReportingInterval::new(4).unwrap();
     let existing = |hops: usize| {
-        let mut b = PathModel::builder();
+        let mut b = PathProblem::builder();
         for k in 0..hops {
             b.add_hop(LinkDynamics::steady(pi(0.83)), k);
         }
