@@ -328,9 +328,6 @@ pub(crate) fn stats_line(engine: &Engine) -> Json {
                 "link_cache_evictions",
                 Json::from(stats.link_cache_evictions),
             ),
-            ("steals", Json::from(stats.steals)),
-            ("stolen_tasks", Json::from(stats.stolen_tasks)),
-            ("max_queue_depth", Json::from(stats.max_queue_depth as u64)),
             ("plan_ms", Json::from(ms(stats.plan_wall))),
             ("execute_ms", Json::from(ms(stats.execute_wall))),
             ("assemble_ms", Json::from(ms(stats.assemble_wall))),

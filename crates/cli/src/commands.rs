@@ -46,6 +46,9 @@ impl Backend {
         match name {
             "fast" => Ok(Backend::Fast),
             "explicit" => Ok(Backend::Explicit),
+            "sim" if intervals == 0 => {
+                Err("'intervals' must be at least 1 for the sim backend".into())
+            }
             "sim" => Ok(Backend::Sim { seed, intervals }),
             other => Err(format!(
                 "unknown backend '{other}' (expected fast, explicit or sim)"
@@ -216,9 +219,6 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
         );
     }
     let model = spec.to_network()?;
-    if path_index >= model.paths().len() {
-        return Err(format!("path index {} out of range", path_index + 1));
-    }
     let problem = model.path_problem(path_index).map_err(|e| e.to_string())?;
     let ex = explain_path(&problem, DelayConvention::Absolute).map_err(|e| e.to_string())?;
     let eval = ex.evaluation();
@@ -429,12 +429,14 @@ pub fn simulate(
 /// Runs `predict`: the Section VI-E composition prediction — a new node
 /// attaches via a peer link (measured SNR) to an existing path.
 pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String, String> {
-    let model = spec.to_network()?;
-    if path_index >= model.paths().len() {
-        return Err(format!("path index {path_index} out of range"));
+    if !(snr.is_finite() && snr >= 0.0) {
+        return Err(format!("--snr must be a finite Eb/N0 >= 0 (got {snr})"));
     }
-    let eval = model.evaluate().map_err(|e| e.to_string())?;
-    let existing = &eval.reports()[path_index].evaluation;
+    let model = spec.to_network()?;
+    let existing = model
+        .path_problem(path_index)
+        .and_then(|problem| FastSolver.solve_path(&problem, MeasurePlan::default()))
+        .map_err(|e| e.to_string())?;
     let peer_link = whart_channel::LinkModel::from_snr(
         whart_channel::Modulation::Oqpsk,
         whart_channel::EbN0::from_linear(snr),
@@ -443,7 +445,8 @@ pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String
     )
     .map_err(|e| e.to_string())?;
     let peer = compose::peer_cycle_probabilities(peer_link, model.interval());
-    let prediction = compose::predict_composition(&peer, 1, existing).map_err(|e| e.to_string())?;
+    let prediction =
+        compose::predict_composition(&peer, 1, &existing).map_err(|e| e.to_string())?;
     let mut out = String::new();
     out.push_str(&format!(
         "peer link: Eb/N0 = {snr}, p_fl = {:.4}, pi(up) = {:.4}\n",
@@ -757,6 +760,7 @@ mod tests {
             }
         );
         assert!(Backend::parse("magic", 0, 0).is_err());
+        assert!(Backend::parse("sim", 1, 0).is_err());
     }
 
     #[test]

@@ -233,6 +233,14 @@ pub fn run(args: &[String]) -> Result<String, String> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
             let spec = NetworkSpec::from_json(&text)?;
+            // `--path` is 1-based for every command that takes one.
+            let path_index = |index: usize| match index.checked_sub(1) {
+                Some(i) if i < spec.paths.len() => Ok(i),
+                _ => Err(format!(
+                    "--path {index} out of range (1..={})",
+                    spec.paths.len()
+                )),
+            };
             match command.as_str() {
                 "analyze" => {
                     let name = flag_value(args, "--backend")?.unwrap_or_else(|| "fast".into());
@@ -247,21 +255,19 @@ pub fn run(args: &[String]) -> Result<String, String> {
                     let seed = parse_or(args, "--seed", 42u64)?;
                     let intervals = parse_or(args, "--intervals", 100_000u64)?;
                     let backend = commands::Backend::parse(&name, seed, intervals)?;
-                    let index = parse_or(args, "--path", 1usize)?;
-                    commands::explain(
-                        &spec,
-                        index.checked_sub(1).ok_or("--path is 1-based")?,
-                        &backend,
-                    )
+                    let index = path_index(parse_or(args, "--path", 1usize)?)?;
+                    commands::explain(&spec, index, &backend)
                 }
                 "dot" => {
                     let index =
                         flag_value(args, "--path")?.ok_or("dot requires --path <i> (1-based)")?;
-                    let index: usize = parse(&index, "--path")?;
-                    commands::dot(&spec, index.checked_sub(1).ok_or("--path is 1-based")?)
+                    commands::dot(&spec, path_index(parse(&index, "--path")?)?)
                 }
                 "simulate" => {
                     let intervals = parse_or(args, "--intervals", 100_000u64)?;
+                    if intervals == 0 {
+                        return Err("--intervals must be at least 1".into());
+                    }
                     let seed = parse_or(args, "--seed", 42u64)?;
                     // --threads is the documented spelling; --workers stays
                     // accepted for compatibility. Both go through the
@@ -275,16 +281,18 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 }
                 "sensitivity" => {
                     let step = parse_or(args, "--step", 0.05f64)?;
+                    if !(step.is_finite() && step > 0.0) {
+                        return Err(format!("--step must be a finite number > 0 (got {step})"));
+                    }
                     commands::sensitivity(&spec, step)
                 }
                 "predict" => {
                     let index = flag_value(args, "--path")?
                         .ok_or("predict requires --path <i> (1-based)")?;
-                    let index: usize = parse(&index, "--path")?;
+                    let index = path_index(parse(&index, "--path")?)?;
                     let snr = flag_value(args, "--snr")?
                         .ok_or("predict requires --snr <Eb/N0, linear>")?;
-                    let snr: f64 = parse(&snr, "--snr")?;
-                    commands::predict(&spec, index.checked_sub(1).ok_or("--path is 1-based")?, snr)
+                    commands::predict(&spec, index, parse(&snr, "--snr")?)
                 }
                 _ => unreachable!(),
             }
@@ -570,6 +578,41 @@ mod tests {
         assert!(out.contains("dominant loss hop"), "{out}");
         assert!(out.contains("delay decomposition"), "{out}");
         assert!(run(&s(&["explain", spec.to_str().unwrap(), "--path", "0"])).is_err());
+    }
+
+    #[test]
+    fn out_of_range_values_are_usage_errors_naming_the_flag() {
+        let dir = std::env::temp_dir().join("whart-cli-ranges-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("section_v.json");
+        std::fs::write(&spec, commands::example("section-v").unwrap()).unwrap();
+        let spec = spec.to_str().unwrap();
+        // One path: every path-taking command reports the 1-based index
+        // the user typed.
+        for command in ["explain", "dot", "predict"] {
+            for index in ["0", "5"] {
+                let err = run(&s(&[command, spec, "--path", index, "--snr", "7"])).unwrap_err();
+                assert!(
+                    err.contains(&format!("--path {index} out of range")),
+                    "{err}"
+                );
+            }
+        }
+        for snr in ["-1", "inf", "nan"] {
+            let err = run(&s(&["predict", spec, "--path", "1", "--snr", snr])).unwrap_err();
+            assert!(err.contains("--snr"), "{snr}: {err}");
+        }
+        for step in ["0", "-0.05", "nan", "inf"] {
+            let err = run(&s(&["sensitivity", spec, "--step", step])).unwrap_err();
+            assert!(err.contains("--step"), "{step}: {err}");
+        }
+        let err = run(&s(&["simulate", spec, "--intervals", "0"])).unwrap_err();
+        assert!(err.contains("--intervals"), "{err}");
+        for command in ["analyze", "explain"] {
+            let err =
+                run(&s(&[command, spec, "--backend", "sim", "--intervals", "0"])).unwrap_err();
+            assert!(err.contains("'intervals'"), "{command}: {err}");
+        }
     }
 
     #[test]

@@ -67,6 +67,11 @@ impl LinkQuality {
             LinkQuality::Ber { ber, p_rc } => {
                 LinkModel::from_ber(ber, WIRELESSHART_MESSAGE_BITS, p_rc)
             }
+            LinkQuality::Snr { snr, .. } if !(snr.is_finite() && snr >= 0.0) => {
+                return Err(format!(
+                    "field 'snr' must be a finite Eb/N0 >= 0 (got {snr})"
+                ));
+            }
             LinkQuality::Snr { snr, p_rc } => LinkModel::from_snr(
                 Modulation::Oqpsk,
                 whart_channel::EbN0::from_linear(snr),
@@ -615,6 +620,13 @@ mod tests {
         // Structurally valid JSON, wrong shape.
         assert!(NetworkSpec::from_json(r#"{"uplink_slots": "seven"}"#).is_err());
         assert!(NetworkSpec::from_json(r#"{"uplink_slots": 7}"#).is_err());
+        // Negative or infinite Eb/N0: an error naming the field, no panic.
+        for snr in ["-1", "1e999"] {
+            let link = format!(r#"{{"a":1,"b":0,"snr":{snr}}}"#);
+            let link = LinkSpec::from_json(&whart_json::Json::parse(&link).unwrap()).unwrap();
+            let err = link.quality.to_link_model().unwrap_err();
+            assert!(err.contains("snr"), "{snr}: {err}");
+        }
     }
 
     #[test]

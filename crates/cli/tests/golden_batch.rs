@@ -40,6 +40,46 @@ fn mixed_fleet_batch_matches_the_golden_output() {
     }
 }
 
+#[test]
+fn batch_stats_do_not_depend_on_the_thread_count() {
+    let fleet = fixture("mixed_fleet.json").display().to_string();
+    // The stats lines with the wall times and worker counts removed.
+    let counters = |threads: &str| -> Vec<String> {
+        let out = run(&["batch", &fleet, "--threads", threads, "--stats"]);
+        let lines: Vec<String> = out
+            .lines()
+            .filter_map(|line| {
+                let mut json = whart_json::Json::parse(line).unwrap();
+                let whart_json::Json::Object(fields) = &mut json else {
+                    panic!("{line}");
+                };
+                let (_, whart_json::Json::Object(stats)) =
+                    fields.iter_mut().find(|(k, _)| k == "stats")?
+                else {
+                    panic!("{line}");
+                };
+                stats.retain(|(k, _)| {
+                    ![
+                        "plan_ms",
+                        "execute_ms",
+                        "assemble_ms",
+                        "workers",
+                        "effective_workers",
+                    ]
+                    .contains(&k.as_str())
+                });
+                Some(json.to_compact())
+            })
+            .collect();
+        assert!(
+            !lines.is_empty(),
+            "--threads {threads}: no stats line\n{out}"
+        );
+        lines
+    };
+    assert_eq!(counters("1"), counters("4"));
+}
+
 /// `(command line after the spec path, expected-output fixture)`.
 const SINGLE_SPEC_CASES: &[(&[&str], &str)] = &[
     (&["analyze"], "override_outage.analyze.txt"),

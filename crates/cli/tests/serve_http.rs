@@ -416,6 +416,38 @@ fn error_paths_answer_with_client_errors() {
     assert_eq!(status, 405, "wrong method on a real route");
     let (status, _) = http(&serve.addr, "GET", "/v1/nonsense", "");
     assert_eq!(status, 404);
+
+    // Values the model would assert on are 400s naming the field: a
+    // negative or infinite Eb/N0 (inline or in a batch) and an empty
+    // Monte-Carlo run. No handler panics on the way.
+    let with_snr = |snr: &str| {
+        let first = spec
+            .find("\"availability\"")
+            .expect("section-v link quality");
+        let end = first + spec[first..].find(',').expect("quality value");
+        format!("{}\"snr\": {snr}{}", &spec[..first], &spec[end..])
+    };
+    for snr in ["-1", "1e999"] {
+        let body = with_snr(snr);
+        let (status, answer) = http(&serve.addr, "POST", "/v1/analyze", &body);
+        assert_eq!(status, 400, "snr {snr}: {answer}");
+        assert!(answer.contains("snr"), "{answer}");
+        let fleet = format!(r#"[{{"network":{body}}}]"#);
+        let (status, answer) = http(&serve.addr, "POST", "/v1/batch", &fleet);
+        assert_eq!(status, 400, "snr {snr}: {answer}");
+        assert!(answer.contains("snr"), "{answer}");
+    }
+    let target = "/v1/analyze?backend=sim&intervals=0";
+    let (status, answer) = http(&serve.addr, "POST", target, &spec);
+    assert_eq!(status, 400, "{answer}");
+    assert!(answer.contains("'intervals'"), "{answer}");
+    let (_, text) = http(&serve.addr, "GET", "/metrics", "");
+    assert!(
+        text.lines()
+            .filter(|l| l.starts_with("http_handler_panics_total"))
+            .all(|l| l.ends_with(" 0")),
+        "a handler panicked:\n{text}"
+    );
 }
 
 #[test]

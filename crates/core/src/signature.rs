@@ -72,7 +72,7 @@ impl DynamicsKey {
 /// The per-hop keys live behind an `Arc` so cloning a signature (which
 /// the engine does once per cache operation) is a reference-count bump,
 /// and the content hash is computed once at construction so `HashMap`
-/// probes and worker partitioning never re-walk the hop list.
+/// probes never re-walk the hop list.
 #[derive(Debug, Clone)]
 pub struct PathSignature {
     hops: Arc<[(DynamicsKey, usize)]>,
@@ -80,8 +80,8 @@ pub struct PathSignature {
     downlink_slots: u32,
     interval_cycles: u32,
     ttl: u32,
-    /// Precomputed content hash (fixed-key `DefaultHasher`, so it is
-    /// deterministic within a process — see [`PathSignature::affinity`]).
+    /// Precomputed content hash (fixed-key `DefaultHasher`), the
+    /// `Hash`/`PartialEq` fast path.
     hash: u64,
 }
 
@@ -134,14 +134,6 @@ impl PathSignature {
             ttl,
             hash: hasher.finish(),
         }
-    }
-
-    /// The precomputed content hash, for partitioning work by
-    /// signature. Stable for equal signatures within one
-    /// process (it feeds scheduling decisions, never results), and equal
-    /// signatures always share one affinity value.
-    pub fn affinity(&self) -> u64 {
-        self.hash
     }
 }
 

@@ -46,16 +46,6 @@ pub struct EngineStats {
     pub path_cache_evictions: u64,
     /// Link models evicted by the link cache's capacity bound.
     pub link_cache_evictions: u64,
-    /// *Chunks* of work migrated between workers by work stealing (a
-    /// steal claims a whole chunk of a sibling's share; see
-    /// [`EngineStats::stolen_tasks`] for the per-solve count).
-    pub steals: u64,
-    /// Individual path solves that ran on a worker other than the one
-    /// their signature affinity assigned them to — the sum of the sizes
-    /// of all stolen chunks.
-    pub stolen_tasks: u64,
-    /// Peak per-worker queue depth observed while executing.
-    pub max_queue_depth: usize,
     /// Wall time spent planning (signature derivation, deduplication).
     pub plan_wall: Duration,
     /// Wall time spent solving path DTMCs on the worker pool.
@@ -118,7 +108,7 @@ enum Slot {
 /// Every scenario is lowered to the compiled problem IR
 /// ([`PathProblem`]), planned into a deduplicated set of path solves
 /// (keyed by the IR-derived [`PathSignature`] plus the requested
-/// [`MeasurePlan`]), executed on a work-stealing worker pool through the
+/// [`MeasurePlan`]), executed on a worker pool through the
 /// engine's [`Solver`] backend, and assembled back into per-scenario
 /// results in submission order. Caches persist across drains, so a warm
 /// engine answers repeated fleets without solving anything. The solver
@@ -485,13 +475,12 @@ impl Engine {
         let trace = self.trace.clone();
         let profiler = self.profiler.clone();
         let frames = self.frames;
-        let (solved, pool_stats) = pool::run(
+        let solved = pool::run(
             self.effective_workers,
             &tasks,
-            |((signature, _), _): &(PathKey, PathProblem)| signature.affinity(),
             // Every executing thread publishes `engine.execute` for its
-            // whole task loop, so sampled worker ticks — solving,
-            // claiming, stealing — always attribute to the engine.
+            // whole task loop, so sampled worker ticks — solving or
+            // claiming — always attribute to the engine.
             |_worker| profiler.enter(frames.execute),
             |((_, plan), problem)| {
                 let _solve = profiler.enter(frames.solver);
@@ -521,21 +510,9 @@ impl Engine {
         if evicted > 0 {
             obs.counter("engine.path_cache.evictions").add(evicted);
         }
-        self.stats.steals += pool_stats.steals;
-        self.stats.stolen_tasks += pool_stats.stolen_tasks;
-        self.stats.max_queue_depth = self.stats.max_queue_depth.max(pool_stats.max_queue_depth);
-        obs.counter("engine.pool.steals").add(pool_stats.steals);
-        obs.counter("engine.pool.stolen_tasks")
-            .add(pool_stats.stolen_tasks);
-        obs.gauge("engine.pool.max_queue_depth")
-            .record_max(pool_stats.max_queue_depth as u64);
         execute_span.arg("solves", drain_solves);
         execute_span.arg("workers", self.workers);
         execute_span.arg("effective_workers", self.effective_workers);
-        // Chunks migrated vs individual solves migrated — see
-        // `EngineStats::{steals, stolen_tasks}`.
-        execute_span.arg("steals", pool_stats.steals);
-        execute_span.arg("stolen_tasks", pool_stats.stolen_tasks);
         execute_span.finish();
         let execute_elapsed = execute_start.elapsed();
         self.stats.execute_wall += execute_elapsed;

@@ -11,14 +11,13 @@
 //!   failure injections already applied) plus requested measures;
 //! * [`Engine::submit`] / [`Engine::drain`] — plan every pending
 //!   scenario into a deduplicated set of path solves, execute them on a
-//!   work-stealing worker pool, and assemble results in submission
-//!   order;
+//!   worker pool, and assemble results in submission order;
 //! * two memoization layers — a link-model cache keyed by the canonical
 //!   quality tuple `(kind, value, L, p_rc)` and a path-evaluation cache
 //!   keyed by the canonical [`whart_model::signature::PathSignature`],
 //!   both persistent across drains;
 //! * [`EngineStats`] — jobs, per-layer cache hits/misses, per-stage
-//!   wall time, steal counts and peak queue depth.
+//!   wall time and worker counts.
 //!
 //! Results are bit-identical to the serial evaluator: the caches key on
 //! the complete, bit-exact input of each solve, and cached values are

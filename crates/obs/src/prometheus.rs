@@ -583,7 +583,7 @@ mod tests {
         metrics
             .counter("http.requests{route=/v1/analyze,code=400}")
             .add(1);
-        metrics.gauge("engine.pool.max_queue_depth").set(9);
+        metrics.gauge("http.connections_open").set(9);
         let h = metrics.histogram("solver.fast.solve_ns");
         for v in [1u64, 3, 900, 70_000] {
             h.record(v);
@@ -592,8 +592,8 @@ mod tests {
         let expected = "\
 # TYPE engine_path_cache_hits counter
 engine_path_cache_hits 17
-# TYPE engine_pool_max_queue_depth gauge
-engine_pool_max_queue_depth 9
+# TYPE http_connections_open gauge
+http_connections_open 9
 # TYPE http_requests counter
 http_requests{code=\"200\",route=\"/v1/analyze\"} 3
 http_requests{code=\"400\",route=\"/v1/analyze\"} 1

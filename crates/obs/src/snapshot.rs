@@ -177,7 +177,7 @@ mod tests {
         let metrics = Metrics::new();
         metrics.counter("engine.path_cache.hits").add(17);
         metrics.counter("solver.sim.draws").add(123_456);
-        metrics.gauge("engine.pool.max_queue_depth").set(9);
+        metrics.gauge("http.connections_open").set(9);
         let h = metrics.histogram("solver.fast.solve_ns");
         for v in [0u64, 1, 100, 65_535, 1 << 20, (1 << 40) + 5] {
             h.record(v);
