@@ -318,15 +318,9 @@ pub(crate) fn stats_line(engine: &Engine) -> Json {
             ("paths_evaluated", Json::from(stats.paths_evaluated)),
             ("path_cache_hits", Json::from(stats.path_cache_hits)),
             ("path_cache_misses", Json::from(stats.path_cache_misses)),
-            ("link_cache_hits", Json::from(stats.link_cache_hits)),
-            ("link_cache_misses", Json::from(stats.link_cache_misses)),
             (
                 "path_cache_evictions",
                 Json::from(stats.path_cache_evictions),
-            ),
-            (
-                "link_cache_evictions",
-                Json::from(stats.link_cache_evictions),
             ),
             ("plan_ms", Json::from(ms(stats.plan_wall))),
             ("execute_ms", Json::from(ms(stats.execute_wall))),
@@ -340,19 +334,24 @@ pub(crate) fn stats_line(engine: &Engine) -> Json {
     )])
 }
 
-/// One per-backend summary line of the registry: cache traffic plus the
-/// per-scenario solve-latency histogram (whose count is the number of
-/// scenarios routed to that backend).
-fn metrics_line(backend: &str, snapshot: &MetricsSnapshot) -> Json {
-    let counter = |name: &str| Json::from(snapshot.counter(name).unwrap_or(0));
-    // hits / (hits + misses), null when the layer saw no traffic.
-    let hit_ratio = |layer: &str| {
-        let hits = snapshot.counter(&format!("{layer}.hits")).unwrap_or(0);
-        let misses = snapshot.counter(&format!("{layer}.misses")).unwrap_or(0);
-        match hits + misses {
-            0 => Json::Null,
-            total => Json::from(hits as f64 / total as f64),
-        }
+/// One per-backend summary line: the path-cache traffic of the engines
+/// running that backend plus the registry's per-scenario solve-latency
+/// histogram (whose count is the number of scenarios routed to that
+/// backend). The cache counters come from the engines, not the registry:
+/// every engine records into the same registry-wide `engine.path_cache.*`
+/// counters, which therefore hold the whole fleet's traffic.
+fn metrics_line(backend: &str, engines: &[(Backend, Engine)], snapshot: &MetricsSnapshot) -> Json {
+    let (mut hits, mut misses, mut evictions) = (0u64, 0u64, 0u64);
+    for (_, engine) in engines.iter().filter(|(_, e)| e.solver_name() == backend) {
+        let stats = engine.stats();
+        hits += stats.path_cache_hits;
+        misses += stats.path_cache_misses;
+        evictions += stats.path_cache_evictions;
+    }
+    // hits / (hits + misses), null when the backend saw no traffic.
+    let hit_ratio = match hits + misses {
+        0 => Json::Null,
+        total => Json::from(hits as f64 / total as f64),
     };
     let latency = |name: &str| match snapshot.histogram(name) {
         Some(h) => Json::object([
@@ -367,16 +366,10 @@ fn metrics_line(backend: &str, snapshot: &MetricsSnapshot) -> Json {
         "metrics",
         Json::object([
             ("backend", Json::from(backend.to_string())),
-            ("path_cache_hits", counter("engine.path_cache.hits")),
-            ("path_cache_misses", counter("engine.path_cache.misses")),
-            ("path_cache_hit_ratio", hit_ratio("engine.path_cache")),
-            (
-                "path_cache_evictions",
-                counter("engine.path_cache.evictions"),
-            ),
-            ("link_cache_hits", counter("engine.link_cache.hits")),
-            ("link_cache_misses", counter("engine.link_cache.misses")),
-            ("link_cache_hit_ratio", hit_ratio("engine.link_cache")),
+            ("path_cache_hits", Json::from(hits)),
+            ("path_cache_misses", Json::from(misses)),
+            ("path_cache_hit_ratio", hit_ratio),
+            ("path_cache_evictions", Json::from(evictions)),
             (
                 "scenario_solve_ns",
                 latency(&format!("engine.{backend}.scenario_solve_ns")),
@@ -455,7 +448,7 @@ pub fn batch(
             let name = engine.solver_name();
             if !reported.contains(&name) {
                 reported.push(name);
-                out.push_str(&metrics_line(name, &snapshot).to_compact());
+                out.push_str(&metrics_line(name, &engines, &snapshot).to_compact());
                 out.push('\n');
             }
         }
@@ -810,26 +803,38 @@ mod tests {
         let path = dir.join("metrics.json");
         let input = "[{\"label\":\"f1\",\"network\":\"section-v\"},\
               {\"label\":\"f2\",\"network\":\"section-v\",\"availability\":0.83},\
+              {\"label\":\"f3\",\"network\":\"section-v\"},\
               {\"label\":\"e\",\"network\":\"section-v\",\"backend\":\"explicit\"},\
               {\"label\":\"s\",\"network\":\"section-v\",\"backend\":\"sim\",\
                \"seed\":7,\"intervals\":2000}]";
         let out = batch(input, 2, false, Some(path.to_str().unwrap()), None).unwrap();
         let lines: Vec<&str> = out.lines().collect();
-        // 4 scenario lines + one metrics line per backend (3).
-        assert_eq!(lines.len(), 7, "{out}");
+        // 5 scenario lines + one metrics line per backend (3).
+        assert_eq!(lines.len(), 8, "{out}");
         let mut by_backend = std::collections::HashMap::new();
-        for line in &lines[4..] {
+        let mut traffic = std::collections::HashMap::new();
+        for line in &lines[5..] {
             let parsed = Json::parse(line).unwrap();
             let backend = parsed["metrics"]["backend"].as_str().unwrap().to_string();
             let count = parsed["metrics"]["scenario_solve_ns"]["count"]
                 .as_f64()
                 .unwrap();
-            by_backend.insert(backend, count as u64);
+            by_backend.insert(backend.clone(), count as u64);
+            let counter = |name: &str| parsed["metrics"][name].as_f64().unwrap() as u64;
+            traffic.insert(
+                backend,
+                (counter("path_cache_hits"), counter("path_cache_misses")),
+            );
         }
-        assert_eq!(by_backend["fast"], 2);
+        assert_eq!(by_backend["fast"], 3);
         assert_eq!(by_backend["explicit"], 1);
         assert_eq!(by_backend["sim"], 1);
-        assert_eq!(by_backend.values().sum::<u64>(), 4, "sums to the fleet");
+        assert_eq!(by_backend.values().sum::<u64>(), 5, "sums to the fleet");
+        // Each line counts its own backend's cache traffic: f3 repeats
+        // f1's path, and no other scenario shares a solve.
+        assert_eq!(traffic["fast"], (1, 2), "{out}");
+        assert_eq!(traffic["explicit"], (0, 1), "{out}");
+        assert_eq!(traffic["sim"], (0, 1), "{out}");
         // The snapshot file round-trips and carries the same histograms.
         let text = std::fs::read_to_string(&path).unwrap();
         let snapshot = whart_obs::MetricsSnapshot::parse(&text).unwrap();
@@ -841,7 +846,7 @@ mod tests {
                     .map_or(0, |h| h.count)
             })
             .sum();
-        assert_eq!(total, 4);
+        assert_eq!(total, 5);
         assert!(snapshot.counter("engine.path_cache.misses").unwrap_or(0) > 0);
         assert!(
             snapshot.counter("solver.sim.draws").unwrap_or(0) > 0,
@@ -867,8 +872,6 @@ mod tests {
         // network's 10 paths into 3 distinct solves, so the first
         // scenario misses 3 and hits 7, and the second hits all 10.
         assert!((ratio - 0.85).abs() < 1e-12, "{ratio}");
-        // No link-cache traffic in this fleet: ratio is null, not 0/0.
-        assert!(parsed["metrics"]["link_cache_hit_ratio"].is_null());
     }
 
     #[test]

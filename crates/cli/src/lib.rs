@@ -75,7 +75,7 @@ the flight recorder's retained request traces (the most recent plus
 those slower than --flight-threshold-ms, default the committed serve
 benchmark p99); GET /v1/debug/requests/<id> replays one request's
 per-hop timeline.
---metrics-capacity bounds the engine's path/link cache entries;
+--metrics-capacity bounds the engine's path cache entries;
 --trace-capacity bounds the trace journal's retained events.
 Connections are HTTP/1.1 keep-alive (pipelining supported);
 --keepalive-timeout sets how many seconds an idle connection may stay

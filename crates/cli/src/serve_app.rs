@@ -3,7 +3,7 @@
 //!
 //! One process holds one [`EngineStore`] (an engine per solver backend,
 //! all sharing a metrics registry and trace journal), so the engines'
-//! path/link caches stay warm across requests — repeated or overlapping
+//! path caches stay warm across requests — repeated or overlapping
 //! specs answer from memo instead of re-solving. The HTTP machinery
 //! itself lives in the `whart-serve` crate; this module wires the
 //! routes:
@@ -71,7 +71,7 @@ pub(crate) struct ServeOptions {
     /// Dispatch-queue capacity (`--max-queue`); requests beyond it are
     /// rejected with 503 + Retry-After.
     pub max_queue: Option<usize>,
-    /// Engine path/link cache capacity bound (entries per layer).
+    /// Engine path-cache capacity bound (entries).
     pub cache_capacity: Option<usize>,
     /// Trace journal capacity bound (retained events).
     pub trace_capacity: Option<usize>,
@@ -213,13 +213,13 @@ impl EngineStore {
         engine.set_metrics(self.metrics.clone());
         engine.set_trace(self.trace.clone());
         engine.set_profiler(self.profiler.clone());
-        engine.set_cache_capacities(self.cache_capacity, self.cache_capacity);
+        engine.set_path_cache_capacity(self.cache_capacity);
         self.engines.push((backend, engine));
         self.engines.len() - 1
     }
 
     /// Solves one network scenario through `backend`'s warm engine.
-    /// Returns the result and how many cache hits the solve scored.
+    /// Returns the result and how many path-cache hits the solve scored.
     /// `request_id` is stamped on every trace span the solve emits, so
     /// the journal links back to the originating HTTP request.
     fn solve_network(
@@ -233,11 +233,11 @@ impl EngineStore {
             .context_scope([("request_id", request_id.into())]);
         let slot = self.slot(backend);
         let engine = &mut self.engines[slot].1;
-        let before = engine.stats().cache_hits();
+        let before = engine.stats().path_cache_hits;
         engine.submit(Scenario::network("http", model));
         let mut results = engine.drain().map_err(|e| e.to_string())?;
         let result = results.pop().ok_or("engine returned no result")?;
-        let hits = engine.stats().cache_hits() - before;
+        let hits = engine.stats().path_cache_hits - before;
         Ok((result, hits))
     }
 
@@ -506,13 +506,13 @@ fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
     let before: u64 = store
         .engines
         .iter()
-        .map(|(_, e)| e.stats().cache_hits())
+        .map(|(_, e)| e.stats().path_cache_hits)
         .sum();
     let out = store.solve_fleet(entries, with_stats, &request_id)?;
     let hits: u64 = store
         .engines
         .iter()
-        .map(|(_, e)| e.stats().cache_hits())
+        .map(|(_, e)| e.stats().path_cache_hits)
         .sum::<u64>()
         - before;
     drop(store);
@@ -647,8 +647,8 @@ fn trace_handler(app: &App, request: &Request) -> Result<Response, String> {
 ///
 /// On top of the verbatim counters/gauges/histograms, each scrape
 /// derives the values Prometheus cannot read from a raw registry:
-/// engine cache sizes (refreshed from the live engines), cache
-/// hit ratios, and request-latency quantiles from the log2 histograms.
+/// engine cache sizes (refreshed from the live engines), the path-cache
+/// hit ratio, and request-latency quantiles from the log2 histograms.
 fn metrics_handler(app: &App) -> Result<Response, String> {
     let snapshot = app.metrics.snapshot();
     let mut derived: Vec<DerivedGauge> = Vec::new();
@@ -660,21 +660,15 @@ fn metrics_handler(app: &App) -> Result<Response, String> {
                 format!("engine.cache.path_entries{{backend={backend}}}"),
                 engine.cached_paths() as f64,
             ));
-            derived.push(DerivedGauge::new(
-                format!("engine.cache.link_entries{{backend={backend}}}"),
-                engine.cached_links() as f64,
-            ));
         }
     }
-    for layer in ["engine.path_cache", "engine.link_cache"] {
-        let hits = snapshot.counter(&format!("{layer}.hits")).unwrap_or(0);
-        let misses = snapshot.counter(&format!("{layer}.misses")).unwrap_or(0);
-        if hits + misses > 0 {
-            derived.push(DerivedGauge::new(
-                format!("{layer}.hit_ratio"),
-                hits as f64 / (hits + misses) as f64,
-            ));
-        }
+    let hits = snapshot.counter("engine.path_cache.hits").unwrap_or(0);
+    let misses = snapshot.counter("engine.path_cache.misses").unwrap_or(0);
+    if hits + misses > 0 {
+        derived.push(DerivedGauge::new(
+            "engine.path_cache.hit_ratio",
+            hits as f64 / (hits + misses) as f64,
+        ));
     }
     for (name, histogram) in &snapshot.histograms {
         let Some(rest) = name.strip_prefix("http.request_ns") else {

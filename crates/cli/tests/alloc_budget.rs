@@ -182,7 +182,7 @@ fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
     engine.set_metrics(Metrics::new());
     engine.set_trace(full_journal());
     engine.set_profiler(Profiler::new());
-    engine.set_cache_capacities(Some(720), None);
+    engine.set_path_cache_capacity(Some(720));
     for round in 0..6 {
         for scenario in fleet(round) {
             engine.submit(scenario);

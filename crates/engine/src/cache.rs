@@ -1,88 +1,24 @@
-//! The engine's two memoization layers.
+//! The engine's memoization layer.
 //!
-//! * [`LinkCache`] — link-model derivation keyed by the canonical quality
-//!   tuple `(kind, value, L, p_rc)`. The BER and SNR constructors run the
-//!   channel-layer math (Eqs. 1-2) once per distinct operating point.
-//! * [`PathCache`] — path evaluations keyed by the canonical
-//!   [`PathSignature`] (derived from the compiled
-//!   [`whart_model::PathProblem`]) paired with the requested
-//!   [`MeasurePlan`]; a fleet that revisits a path DTMC (same hop
-//!   dynamics, slots, super-frame, `Is` and TTL, same artifact demand)
-//!   solves it exactly once.
+//! [`PathCache`] holds path evaluations keyed by the canonical
+//! [`PathSignature`] (derived from the compiled
+//! [`whart_model::PathProblem`]) paired with the requested
+//! [`MeasurePlan`]; a fleet that revisits a path DTMC (same hop
+//! dynamics, slots, super-frame, `Is` and TTL, same artifact demand)
+//! solves it exactly once. Link models are not cached: the channel-layer
+//! derivation (Eqs. 1-2, 4) is closed-form and costs less than a probe.
 //!
-//! Both caches have a single owner: only [`crate::Engine`] touches them,
-//! through `&mut self` methods, so they take no locks and count with
+//! The cache has a single owner: only [`crate::Engine`] touches it,
+//! through `&mut self` methods, so it takes no locks and counts with
 //! plain integers. Concurrent callers share an engine behind their own
 //! lock (serve's engine store, the experiments' `Mutex<Engine>`); the
-//! worker pool never sees the caches.
+//! worker pool never sees the cache.
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
-use whart_channel::LinkModel;
 use whart_model::signature::PathSignature;
 use whart_model::{MeasurePlan, PathEvaluation};
-
-use crate::scenario::LinkQualitySpec;
-
-/// Canonical key of a link-quality specification: the variant kind, the
-/// bit-exact parameter value, the message length in bits (where the
-/// variant uses one) and the recovery probability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LinkKey {
-    kind: u8,
-    value_bits: u64,
-    message_bits: u32,
-    p_rc_bits: u64,
-}
-
-fn bits(value: f64) -> u64 {
-    if value == 0.0 {
-        0.0f64.to_bits()
-    } else {
-        value.to_bits()
-    }
-}
-
-impl LinkKey {
-    /// Derives the canonical key of a quality specification.
-    pub fn of(spec: &LinkQualitySpec) -> LinkKey {
-        match *spec {
-            LinkQualitySpec::Transitions { p_fl, p_rc } => LinkKey {
-                kind: 0,
-                value_bits: bits(p_fl),
-                message_bits: 0,
-                p_rc_bits: bits(p_rc),
-            },
-            LinkQualitySpec::Ber {
-                ber,
-                message_bits,
-                p_rc,
-            } => LinkKey {
-                kind: 1,
-                value_bits: bits(ber),
-                message_bits,
-                p_rc_bits: bits(p_rc),
-            },
-            LinkQualitySpec::Snr {
-                snr,
-                message_bits,
-                p_rc,
-            } => LinkKey {
-                kind: 2,
-                value_bits: bits(snr),
-                message_bits,
-                p_rc_bits: bits(p_rc),
-            },
-            LinkQualitySpec::Availability { availability, p_rc } => LinkKey {
-                kind: 3,
-                value_bits: bits(availability),
-                message_bits: 0,
-                p_rc_bits: bits(p_rc),
-            },
-        }
-    }
-}
 
 /// A memoized map with hit/miss/eviction counters and an optional
 /// capacity bound with FIFO eviction (unbounded by default).
@@ -173,9 +109,6 @@ impl<K: Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
         self.map.len()
     }
 }
-
-/// The link-model memoization layer.
-pub(crate) type LinkCache = CountedCache<LinkKey, LinkModel>;
 
 /// The path-evaluation memoization layer. Entries are shared behind an
 /// [`Arc`]: a cache hit hands out a reference, not a copy of the
@@ -327,25 +260,5 @@ mod tests {
         ) {
             prop_assert_eq!(replay(&ops), reference(&ops));
         }
-    }
-
-    #[test]
-    fn link_keys_distinguish_kind_and_value() {
-        let avail = LinkQualitySpec::Availability {
-            availability: 0.83,
-            p_rc: 0.9,
-        };
-        let ber = LinkQualitySpec::Ber {
-            ber: 0.83,
-            message_bits: 1016,
-            p_rc: 0.9,
-        };
-        assert_ne!(LinkKey::of(&avail), LinkKey::of(&ber));
-        let other = LinkQualitySpec::Availability {
-            availability: 0.84,
-            p_rc: 0.9,
-        };
-        assert_ne!(LinkKey::of(&avail), LinkKey::of(&other));
-        assert_eq!(LinkKey::of(&avail), LinkKey::of(&avail.clone()));
     }
 }

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use whart_channel::{EbN0, LinkModel, Modulation};
 use whart_model::signature::PathSignature;
 use whart_model::{
     FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathProblem, PathReport, Result,
@@ -15,11 +14,10 @@ use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler};
 use whart_trace::Trace;
 
-use crate::cache::{LinkCache, LinkKey, PathCache};
+use crate::cache::PathCache;
 use crate::pool;
 use crate::scenario::{
-    extract_path_measures, LinkQualitySpec, Outcome, PathMeasures, Scenario, ScenarioResult,
-    Workload,
+    extract_path_measures, Outcome, PathMeasures, Scenario, ScenarioResult, Workload,
 };
 
 /// Counters and timings accumulated over an engine's lifetime.
@@ -38,14 +36,8 @@ pub struct EngineStats {
     pub path_cache_hits: u64,
     /// Path solves that had to be planned.
     pub path_cache_misses: u64,
-    /// Link-model derivations answered from the link cache.
-    pub link_cache_hits: u64,
-    /// Link-model derivations computed.
-    pub link_cache_misses: u64,
     /// Path evaluations evicted by the path cache's capacity bound.
     pub path_cache_evictions: u64,
-    /// Link models evicted by the link cache's capacity bound.
-    pub link_cache_evictions: u64,
     /// Wall time spent planning (signature derivation, deduplication).
     pub plan_wall: Duration,
     /// Wall time spent solving path DTMCs on the worker pool.
@@ -62,35 +54,9 @@ pub struct EngineStats {
 }
 
 impl EngineStats {
-    /// Total cache hits across both memoization layers.
-    pub fn cache_hits(&self) -> u64 {
-        self.path_cache_hits + self.link_cache_hits
-    }
-
     /// Total wall time across the three stages.
     pub fn total_wall(&self) -> Duration {
         self.plan_wall + self.execute_wall + self.assemble_wall
-    }
-
-    /// Fraction of path solves answered from the path cache, or `None`
-    /// when no path lookups have happened yet — callers reporting the
-    /// ratio must not manufacture a `NaN` from a cold engine.
-    pub fn path_cache_hit_ratio(&self) -> Option<f64> {
-        let total = self.path_cache_hits + self.path_cache_misses;
-        if total == 0 {
-            return None;
-        }
-        Some(self.path_cache_hits as f64 / total as f64)
-    }
-
-    /// Fraction of link derivations answered from the link cache, or
-    /// `None` when no link lookups have happened yet.
-    pub fn link_cache_hit_ratio(&self) -> Option<f64> {
-        let total = self.link_cache_hits + self.link_cache_misses;
-        if total == 0 {
-            return None;
-        }
-        Some(self.link_cache_hits as f64 / total as f64)
     }
 }
 
@@ -110,10 +76,10 @@ enum Slot {
 /// (keyed by the IR-derived [`PathSignature`] plus the requested
 /// [`MeasurePlan`]), executed on a worker pool through the
 /// engine's [`Solver`] backend, and assembled back into per-scenario
-/// results in submission order. Caches persist across drains, so a warm
-/// engine answers repeated fleets without solving anything. The solver
-/// backend is fixed at construction (the caches hold that backend's
-/// results); use one engine per backend when comparing them.
+/// results in submission order. The path cache persists across drains,
+/// so a warm engine answers repeated fleets without solving anything.
+/// The solver backend is fixed at construction (the cache holds that
+/// backend's results); use one engine per backend when comparing them.
 ///
 /// ```
 /// use whart_engine::{Engine, Scenario};
@@ -131,7 +97,6 @@ pub struct Engine {
     workers: usize,
     effective_workers: usize,
     solver: Arc<dyn Solver>,
-    link_cache: LinkCache,
     path_cache: PathCache,
     pending: Vec<Scenario>,
     stats: EngineStats,
@@ -150,8 +115,6 @@ struct EngineFrames {
     assemble: Frame,
     solver: Frame,
     path_get: Frame,
-    link_get: Frame,
-    link_insert: Frame,
 }
 
 impl EngineFrames {
@@ -162,8 +125,6 @@ impl EngineFrames {
             assemble: profiler.frame("engine.assemble"),
             solver: profiler.frame(&format!("solver.{backend}")),
             path_get: profiler.frame("cache.path_get"),
-            link_get: profiler.frame("cache.link_get"),
-            link_insert: profiler.frame("cache.link_insert"),
         }
     }
 }
@@ -193,7 +154,6 @@ impl Engine {
             workers,
             effective_workers,
             solver,
-            link_cache: LinkCache::new(),
             path_cache: PathCache::new(),
             pending: Vec::new(),
             stats: EngineStats {
@@ -209,7 +169,7 @@ impl Engine {
     }
 
     /// Attaches a metrics registry; every subsequent [`Engine::drain`]
-    /// and [`Engine::link_model`] call records cache traffic, stage and
+    /// records cache traffic, stage and
     /// per-scenario solve latencies into it. The default is the
     /// disabled handle, which records nothing and reads no clocks.
     pub fn set_metrics(&mut self, metrics: Metrics) {
@@ -256,13 +216,11 @@ impl Engine {
         &self.profiler
     }
 
-    /// Bounds the entry counts of the path and link caches (`None`
-    /// leaves a cache unbounded). Over-capacity inserts evict
-    /// oldest-first and surface in [`EngineStats::path_cache_evictions`]
-    /// / [`EngineStats::link_cache_evictions`].
-    pub fn set_cache_capacities(&mut self, paths: Option<usize>, links: Option<usize>) {
-        self.path_cache.set_capacity(paths);
-        self.link_cache.set_capacity(links);
+    /// Bounds the path cache's entry count (`None` leaves it
+    /// unbounded). Over-capacity inserts evict oldest-first and surface
+    /// in [`EngineStats::path_cache_evictions`].
+    pub fn set_path_cache_capacity(&mut self, capacity: Option<usize>) {
+        self.path_cache.set_capacity(capacity);
     }
 
     /// Creates an engine sized to the machine's available parallelism.
@@ -281,54 +239,6 @@ impl Engine {
     /// The name of the solver backend this engine dispatches to.
     pub fn solver_name(&self) -> &'static str {
         self.solver.name()
-    }
-
-    /// Resolves a link-quality specification through the link cache: the
-    /// channel-layer derivation (Eqs. 1-2, 4) runs once per distinct
-    /// `(kind, value, L, p_rc)` tuple.
-    ///
-    /// # Errors
-    ///
-    /// Propagates invalid channel parameters.
-    pub fn link_model(&mut self, spec: &LinkQualitySpec) -> Result<LinkModel> {
-        let key = LinkKey::of(spec);
-        {
-            let _get = self.profiler.enter(self.frames.link_get);
-            if let Some(model) = self.link_cache.get(&key) {
-                self.metrics.counter("engine.link_cache.hits").increment();
-                return Ok(model);
-            }
-        }
-        self.metrics.counter("engine.link_cache.misses").increment();
-        let _insert = self.profiler.enter(self.frames.link_insert);
-        let model = match *spec {
-            LinkQualitySpec::Transitions { p_fl, p_rc } => LinkModel::new(p_fl, p_rc)?,
-            LinkQualitySpec::Ber {
-                ber,
-                message_bits,
-                p_rc,
-            } => LinkModel::from_ber(ber, message_bits, p_rc)?,
-            LinkQualitySpec::Snr {
-                snr,
-                message_bits,
-                p_rc,
-            } => LinkModel::from_snr(
-                Modulation::Oqpsk,
-                EbN0::from_linear(snr),
-                message_bits,
-                p_rc,
-            )?,
-            LinkQualitySpec::Availability { availability, p_rc } => {
-                LinkModel::from_availability(availability, p_rc)?
-            }
-        };
-        let evicted = self.link_cache.insert(key, model);
-        if evicted > 0 {
-            self.metrics
-                .counter("engine.link_cache.evictions")
-                .add(evicted);
-        }
-        Ok(model)
     }
 
     /// Enqueues a scenario; returns its submission index, which is also
@@ -617,27 +527,19 @@ impl Engine {
         Ok(results)
     }
 
-    /// A snapshot of the engine's counters, with the cache counters
-    /// folded in.
+    /// A snapshot of the engine's counters, with the path cache's
+    /// counters folded in.
     pub fn stats(&self) -> EngineStats {
         let mut stats = self.stats.clone();
         stats.path_cache_hits = self.path_cache.hits();
         stats.path_cache_misses = self.path_cache.misses();
-        stats.link_cache_hits = self.link_cache.hits();
-        stats.link_cache_misses = self.link_cache.misses();
         stats.path_cache_evictions = self.path_cache.evictions();
-        stats.link_cache_evictions = self.link_cache.evictions();
         stats
     }
 
     /// Number of distinct path evaluations currently cached.
     pub fn cached_paths(&self) -> usize {
         self.path_cache.len()
-    }
-
-    /// Number of distinct link models currently cached.
-    pub fn cached_links(&self) -> usize {
-        self.link_cache.len()
     }
 }
 
@@ -704,7 +606,7 @@ mod tests {
         // Capacity 2 and three distinct solves in one drain: FIFO eviction
         // must drop the first planned path and keep the last two.
         let mut engine = Engine::new(2);
-        engine.set_cache_capacities(Some(2), None);
+        engine.set_path_cache_capacity(Some(2));
         let models: Vec<PathProblem> = [0.7, 0.8, 0.9]
             .iter()
             .map(|&pi| chain_model(2, pi, ReportingInterval::REGULAR).unwrap())
@@ -721,20 +623,6 @@ mod tests {
     }
 
     #[test]
-    fn hit_ratios_are_none_until_lookups_happen() {
-        let mut engine = Engine::new(1);
-        assert_eq!(engine.stats().path_cache_hit_ratio(), None);
-        assert_eq!(engine.stats().link_cache_hit_ratio(), None);
-        let model = chain_model(2, 0.83, ReportingInterval::REGULAR).unwrap();
-        engine.submit(Scenario::paths("cold", vec![model.clone()]));
-        engine.drain().unwrap();
-        engine.submit(Scenario::paths("warm", vec![model]));
-        engine.drain().unwrap();
-        let ratio = engine.stats().path_cache_hit_ratio().unwrap();
-        assert!((ratio - 0.5).abs() < 1e-12, "one hit, one miss: {ratio}");
-    }
-
-    #[test]
     fn engine_matches_serial_evaluation() {
         let model = section_v_model(0.774, ReportingInterval::REGULAR).unwrap();
         let serial = model.evaluate();
@@ -742,23 +630,6 @@ mod tests {
         engine.submit(Scenario::paths("x", vec![model]));
         let results = engine.drain().unwrap();
         assert_eq!(results[0].path_evaluations()[0], &serial);
-    }
-
-    #[test]
-    fn link_cache_deduplicates_derivations() {
-        let mut engine = Engine::new(1);
-        let spec = LinkQualitySpec::Ber {
-            ber: 1e-4,
-            message_bits: 1016,
-            p_rc: 0.9,
-        };
-        let a = engine.link_model(&spec).unwrap();
-        let b = engine.link_model(&spec).unwrap();
-        assert_eq!(a, b);
-        let stats = engine.stats();
-        assert_eq!(stats.link_cache_hits, 1);
-        assert_eq!(stats.link_cache_misses, 1);
-        assert_eq!(engine.cached_links(), 1);
     }
 
     #[test]

@@ -12,14 +12,15 @@
 //! * [`Engine::submit`] / [`Engine::drain`] — plan every pending
 //!   scenario into a deduplicated set of path solves, execute them on a
 //!   worker pool, and assemble results in submission order;
-//! * two memoization layers — a link-model cache keyed by the canonical
-//!   quality tuple `(kind, value, L, p_rc)` and a path-evaluation cache
-//!   keyed by the canonical [`whart_model::signature::PathSignature`],
-//!   both persistent across drains;
-//! * [`EngineStats`] — jobs, per-layer cache hits/misses, per-stage
-//!   wall time and worker counts.
+//! * one memoization layer — a path-evaluation cache keyed by the
+//!   canonical [`whart_model::signature::PathSignature`] and persistent
+//!   across drains. Link models are not cached: callers build them with
+//!   the `whart_channel::LinkModel` constructors, whose closed-form
+//!   derivation (Eqs. 1-2, 4) costs less than a cache probe;
+//! * [`EngineStats`] — jobs, path-cache hits/misses/evictions,
+//!   per-stage wall time and worker counts.
 //!
-//! Results are bit-identical to the serial evaluator: the caches key on
+//! Results are bit-identical to the serial evaluator: the cache keys on
 //! the complete, bit-exact input of each solve, and cached values are
 //! returned unchanged.
 
@@ -30,10 +31,6 @@ mod cache;
 mod engine;
 mod pool;
 mod scenario;
-pub mod sweeps;
 
-pub use cache::LinkKey;
 pub use engine::{Engine, EngineStats};
-pub use scenario::{
-    LinkQualitySpec, MeasureSet, Outcome, PathMeasures, Scenario, ScenarioResult, Workload,
-};
+pub use scenario::{MeasureSet, Outcome, PathMeasures, Scenario, ScenarioResult, Workload};

@@ -14,54 +14,6 @@ use whart_model::{
     UtilizationConvention,
 };
 
-/// A canonical link-quality specification, resolved to a
-/// [`whart_channel::LinkModel`] through the engine's link cache.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkQualitySpec {
-    /// Explicit Gilbert-model transition probabilities (Eq. 5).
-    Transitions {
-        /// Per-slot failure probability.
-        p_fl: f64,
-        /// Per-slot recovery probability.
-        p_rc: f64,
-    },
-    /// Bit error rate at a message length of `L` bits (Eq. 2).
-    Ber {
-        /// Bit error rate.
-        ber: f64,
-        /// Message length `L` in bits.
-        message_bits: u32,
-        /// Recovery probability.
-        p_rc: f64,
-    },
-    /// Per-bit SNR through the OQPSK curve (Eq. 1) at `L` bits.
-    Snr {
-        /// Linear Eb/N0.
-        snr: f64,
-        /// Message length `L` in bits.
-        message_bits: u32,
-        /// Recovery probability.
-        p_rc: f64,
-    },
-    /// Stationary availability `pi(up)` (inverting Eq. 4).
-    Availability {
-        /// Stationary UP probability.
-        availability: f64,
-        /// Recovery probability.
-        p_rc: f64,
-    },
-}
-
-impl LinkQualitySpec {
-    /// Availability with the paper's default recovery probability.
-    pub fn availability(availability: f64) -> LinkQualitySpec {
-        LinkQualitySpec::Availability {
-            availability,
-            p_rc: whart_channel::LinkModel::DEFAULT_RECOVERY,
-        }
-    }
-}
-
 /// What a scenario evaluates.
 #[derive(Debug, Clone)]
 pub enum Workload {

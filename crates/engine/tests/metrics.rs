@@ -1,7 +1,7 @@
 //! Observability integration: metrics must attribute cache traffic and
 //! solve latency correctly, and must never perturb results.
 
-use whart_engine::{Engine, LinkQualitySpec, Scenario};
+use whart_engine::{Engine, Scenario};
 use whart_model::sweeps::{chain_model, section_v_model};
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
@@ -91,7 +91,7 @@ fn cache_evictions_reach_stats_and_metrics() {
     let mut engine = Engine::new(1);
     let metrics = Metrics::new();
     engine.set_metrics(metrics.clone());
-    engine.set_cache_capacities(Some(1), Some(1));
+    engine.set_path_cache_capacity(Some(1));
     for scenario in fleet() {
         engine.submit(scenario);
     }
@@ -103,20 +103,6 @@ fn cache_evictions_reach_stats_and_metrics() {
     );
     assert_eq!(
         metrics.snapshot().counter("engine.path_cache.evictions"),
-        Some(2)
-    );
-    for availability in [0.8, 0.85, 0.9] {
-        engine
-            .link_model(&LinkQualitySpec::Availability {
-                availability,
-                p_rc: 0.9,
-            })
-            .unwrap();
-    }
-    let stats = engine.stats();
-    assert_eq!(stats.link_cache_evictions, 2);
-    assert_eq!(
-        metrics.snapshot().counter("engine.link_cache.evictions"),
         Some(2)
     );
 }

@@ -1,18 +1,20 @@
 //! Fleet parity: the engine must reproduce the serial evaluator
 //! bit-for-bit on the paper's typical network across a full parameter
-//! fleet, while sharing work through its caches.
+//! fleet and on the single-path sweeps, while sharing work through its
+//! path cache.
 
-use whart_engine::{Engine, LinkQualitySpec, Scenario};
-use whart_model::{DelayConvention, NetworkModel, UtilizationConvention};
+use whart_channel::LinkModel;
+use whart_engine::{Engine, Outcome, Scenario};
+use whart_model::sweeps::{self, chain_model, paper_availabilities, section_v_model};
+use whart_model::{DelayConvention, NetworkModel, PathEvaluation, UtilizationConvention};
 use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
 
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
 
-fn typical_model(engine: &mut Engine, availability: f64, is: u32) -> NetworkModel {
-    let link = engine
-        .link_model(&LinkQualitySpec::availability(availability))
+fn typical_model(availability: f64, is: u32) -> NetworkModel {
+    let link = LinkModel::from_availability(availability, LinkModel::DEFAULT_RECOVERY)
         .expect("representable availability");
     let net = TypicalNetwork::new(link);
     NetworkModel::from_typical(
@@ -29,7 +31,7 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
     let mut serial = Vec::new();
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&mut engine, pi, is);
+            let model = typical_model(pi, is);
             serial.push(model.evaluate().expect("serial evaluation succeeds"));
             engine.submit(Scenario::network(format!("pi={pi} Is={is}"), model));
         }
@@ -75,18 +77,7 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
         );
     }
 
-    // The fleet shares work: each availability's link derivation ran once
-    // for its three intervals.
     let stats = engine.stats();
-    assert!(
-        stats.cache_hits() > 0,
-        "fleet must hit the caches: {stats:?}"
-    );
-    assert_eq!(stats.link_cache_misses, AVAILABILITIES.len() as u64);
-    assert_eq!(
-        stats.link_cache_hits,
-        (AVAILABILITIES.len() * (INTERVALS.len() - 1)) as u64
-    );
     // 180 path solves requested; slot-shift canonicalization folds the
     // schedules that differ only by a common slot offset (same hop
     // dynamics, depths and relative slot gaps) into 54 distinct DTMC
@@ -99,7 +90,7 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
     // A warm resubmission of the whole fleet solves nothing.
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&mut engine, pi, is);
+            let model = typical_model(pi, is);
             engine.submit(Scenario::network(format!("warm pi={pi} Is={is}"), model));
         }
     }
@@ -123,4 +114,61 @@ fn typical_fleet_matches_serial_evaluator_exactly() {
     // warm requests.
     assert_eq!(stats.path_cache_hits, 126 + 180);
     assert_eq!(stats.jobs_completed, 36);
+}
+
+fn paths_of(outcome: &Outcome) -> &[PathEvaluation] {
+    match outcome {
+        Outcome::Paths(evaluations) => evaluations,
+        Outcome::Network(_) => panic!("paths workload"),
+    }
+}
+
+#[test]
+fn sweep_problems_match_the_serial_sweeps_exactly() {
+    let interval = ReportingInterval::REGULAR;
+    let availabilities = paper_availabilities();
+    let fleet = || {
+        let section_v = availabilities
+            .iter()
+            .map(|&pi| section_v_model(pi, interval).expect("paper availability"))
+            .collect();
+        let chains = (1..=4)
+            .map(|hops| chain_model(hops, 0.83, interval).expect("guideline hop count"))
+            .collect();
+        [
+            Scenario::paths("availability", section_v),
+            Scenario::paths("hops", chains),
+        ]
+    };
+    let mut engine = Engine::new(2);
+    for scenario in fleet() {
+        engine.submit(scenario);
+    }
+    let results = engine.drain().expect("sweep problems drain");
+
+    let serial = sweeps::sweep_availability(&availabilities, interval).expect("serial sweep");
+    let ours = paths_of(&results[0].outcome);
+    assert_eq!(ours.len(), serial.len());
+    for (evaluation, point) in ours.iter().zip(&serial) {
+        assert_eq!(evaluation, &point.evaluation, "pi = {}", point.availability);
+    }
+    let serial = sweeps::sweep_hop_count(4, 0.83, interval).expect("serial sweep");
+    let ours = paths_of(&results[1].outcome);
+    assert_eq!(ours.len(), serial.len());
+    for (hops, (evaluation, &(_, reachability))) in (1..=4).zip(ours.iter().zip(&serial)) {
+        let reference = chain_model(hops, 0.83, interval).unwrap().evaluate();
+        assert_eq!(evaluation, &reference, "{hops} hops");
+        assert_eq!(evaluation.reachability(), reachability, "{hops} hops");
+    }
+
+    // A second drain of the same sweeps answers from the path cache.
+    let solved = engine.stats().paths_evaluated;
+    for scenario in fleet() {
+        engine.submit(scenario);
+    }
+    let warm = engine.drain().expect("warm sweep problems drain");
+    assert_eq!(engine.stats().paths_evaluated, solved, "warm drain solved");
+    for (warm, cold) in warm.iter().zip(&results) {
+        assert_eq!(paths_of(&warm.outcome), paths_of(&cold.outcome));
+    }
 }

@@ -2,7 +2,8 @@
 //! must never materialize a goal trajectory — cold or warm — and
 //! trajectory-requesting scenarios get their own cache entries.
 
-use whart_engine::{Engine, LinkQualitySpec, MeasureSet, Scenario};
+use whart_channel::LinkModel;
+use whart_engine::{Engine, MeasureSet, Scenario};
 use whart_model::{NetworkModel, PathEvaluation};
 use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
@@ -10,9 +11,8 @@ use whart_net::ReportingInterval;
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
 
-fn typical_model(engine: &mut Engine, availability: f64, is: u32) -> NetworkModel {
-    let link = engine
-        .link_model(&LinkQualitySpec::availability(availability))
+fn typical_model(availability: f64, is: u32) -> NetworkModel {
+    let link = LinkModel::from_availability(availability, LinkModel::DEFAULT_RECOVERY)
         .expect("representable availability");
     let net = TypicalNetwork::new(link);
     NetworkModel::from_typical(
@@ -39,7 +39,7 @@ fn scalar_fleet_materializes_zero_trajectories() {
     // Cold drain of the full typical fleet with default (scalar) measures.
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&mut engine, pi, is);
+            let model = typical_model(pi, is);
             engine.submit(Scenario::network(format!("pi={pi} Is={is}"), model));
         }
     }
@@ -51,7 +51,7 @@ fn scalar_fleet_materializes_zero_trajectories() {
     // Warm drain: every evaluation comes out of the cache, still scalar.
     for &pi in &AVAILABILITIES {
         for &is in &INTERVALS {
-            let model = typical_model(&mut engine, pi, is);
+            let model = typical_model(pi, is);
             engine.submit(Scenario::network(format!("warm pi={pi} Is={is}"), model));
         }
     }
@@ -74,7 +74,7 @@ fn trajectory_requests_get_distinct_cache_entries() {
         ..MeasureSet::default()
     };
 
-    let model = typical_model(&mut engine, 0.83, 4);
+    let model = typical_model(0.83, 4);
     engine.submit(Scenario::network("scalar", model.clone()).with_measures(scalar_measures));
     engine.submit(Scenario::network("full", model.clone()).with_measures(full_measures));
     let results = engine.drain().expect("mixed drain");

@@ -1,10 +1,9 @@
 //! One shared batch engine for every experiment in the process.
 //!
-//! The experiments overlap heavily — fig9's delay summaries revisit
-//! fig8's availability sweep points, fig19's regular-interval baseline
-//! re-evaluates fig13's networks — so they all funnel through a single
-//! memoizing [`Engine`]: each distinct path DTMC is solved once per run
-//! of the suite.
+//! The network experiments overlap heavily — fig19's regular-interval
+//! baseline and table2 re-evaluate fig13's networks — so they all funnel
+//! through a single memoizing [`Engine`]: each distinct path DTMC is
+//! solved once per run of the suite.
 
 use std::sync::{Mutex, OnceLock};
 use whart_engine::Engine;

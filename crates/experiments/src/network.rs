@@ -4,7 +4,7 @@
 use crate::engine_support::with_engine;
 use crate::report::{series, Check, ExperimentReport};
 use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
-use whart_engine::{LinkQualitySpec, Outcome, Scenario};
+use whart_engine::{Outcome, Scenario};
 use whart_model::sweeps::PAPER_BERS;
 use whart_model::{DelayConvention, NetworkEvaluation, NetworkModel, UtilizationConvention};
 use whart_net::typical::TypicalNetwork;
@@ -16,12 +16,7 @@ use whart_net::ReportingInterval;
 /// path cache instead of re-solving ten DTMCs.
 pub fn evaluate_typical(ber: f64, eta_b: bool, interval: ReportingInterval) -> NetworkEvaluation {
     with_engine(|engine| {
-        let link = engine
-            .link_model(&LinkQualitySpec::Ber {
-                ber,
-                message_bits: WIRELESSHART_MESSAGE_BITS,
-                p_rc: LinkModel::DEFAULT_RECOVERY,
-            })
+        let link = LinkModel::from_ber(ber, WIRELESSHART_MESSAGE_BITS, LinkModel::DEFAULT_RECOVERY)
             .expect("paper operating points are valid");
         let net = TypicalNetwork::new(link);
         let schedule = if eta_b {

@@ -3,7 +3,8 @@
 use crate::report::{series, Check, ExperimentReport};
 use whart_model::explicit::explicit_chain;
 use whart_model::sweeps::{
-    self, delay_summaries, paper_availabilities, section_v_model, sweep_hop_count,
+    self, delay_summaries, paper_availabilities, section_v_model, sweep_availability,
+    sweep_hop_count,
 };
 use whart_model::DelayConvention;
 use whart_net::ReportingInterval;
@@ -162,23 +163,16 @@ pub fn fig7() -> ExperimentReport {
 /// Fig. 8: reachability vs link availability.
 pub fn fig8() -> ExperimentReport {
     let mut report = ExperimentReport::new("fig8", "reachability vs link availability");
-    // The full sweep curve (for plotting), batched through the shared
-    // engine.
+    // The full sweep curve (for plotting).
     let grid: Vec<f64> = (0..=30).map(|i| 0.65 + i as f64 * 0.01).collect();
-    let curve = crate::engine_support::with_engine(|engine| {
-        whart_engine::sweeps::sweep_availability(engine, &grid, interval(4))
-    })
-    .expect("grid is representable");
+    let curve = sweep_availability(&grid, interval(4)).expect("grid is representable");
     report.line(series("pi(up)", curve.iter().map(|p| p.availability)));
     report.line(series(
         "R",
         curve.iter().map(|p| p.evaluation.reachability()),
     ));
     // The paper's marked points.
-    let marked = crate::engine_support::with_engine(|engine| {
-        whart_engine::sweeps::sweep_availability(engine, &paper_availabilities(), interval(4))
-    })
-    .expect("valid");
+    let marked = sweep_availability(&paper_availabilities(), interval(4)).expect("valid");
     let want = [0.924, 0.9737, 0.9907, 0.9989, 0.9999];
     for (point, want_r) in marked.iter().zip(want) {
         report.check(Check::new(
@@ -195,15 +189,7 @@ pub fn fig8() -> ExperimentReport {
 pub fn fig9() -> ExperimentReport {
     let mut report = ExperimentReport::new("fig9", "delay distributions vs link availability");
     let pis = paper_availabilities();
-    let rows = crate::engine_support::with_engine(|engine| {
-        whart_engine::sweeps::delay_summaries(
-            engine,
-            &pis[1..],
-            interval(4),
-            DelayConvention::Absolute,
-        )
-    })
-    .expect("valid");
+    let rows = delay_summaries(&pis[1..], interval(4), DelayConvention::Absolute).expect("valid");
     for row in &rows {
         report.line(series(
             &format!("pi = {:.3}", row.availability),
