@@ -75,7 +75,8 @@ the flight recorder's retained request traces (the most recent plus
 those slower than --flight-threshold-ms, default the committed serve
 benchmark p99); GET /v1/debug/requests/<id> replays one request's
 per-hop timeline.
---metrics-capacity bounds the engine's path cache entries;
+--metrics-capacity bounds each engine's path cache entries (default
+65536; the oldest are evicted first);
 --trace-capacity bounds the trace journal's retained events.
 Connections are HTTP/1.1 keep-alive (pipelining supported);
 --keepalive-timeout sets how many seconds an idle connection may stay
@@ -334,12 +335,6 @@ fn parse_or<T: std::str::FromStr + Copy>(
     }
 }
 
-fn num_cpus() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Largest accepted worker count: far above any real machine, low enough
 /// to catch a fat-fingered "10240" before the engine tries to honor it.
 const MAX_THREADS: usize = 1024;
@@ -349,7 +344,7 @@ const MAX_THREADS: usize = 1024;
 /// 0 and values above [`MAX_THREADS`] are usage errors, not engine
 /// behavior.
 fn parse_threads(args: &[String], flag: &str) -> Result<usize, String> {
-    let threads: usize = parse_or(args, flag, num_cpus())?;
+    let threads: usize = parse_or(args, flag, whart_engine::available_cores())?;
     if threads == 0 {
         return Err(format!("{flag} must be at least 1"));
     }

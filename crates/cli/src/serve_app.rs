@@ -71,7 +71,8 @@ pub(crate) struct ServeOptions {
     /// Dispatch-queue capacity (`--max-queue`); requests beyond it are
     /// rejected with 503 + Retry-After.
     pub max_queue: Option<usize>,
-    /// Engine path-cache capacity bound (entries).
+    /// Engine path-cache capacity bound (entries, `--metrics-capacity`);
+    /// `None` means [`DEFAULT_PATH_CACHE_CAPACITY`].
     pub cache_capacity: Option<usize>,
     /// Trace journal capacity bound (retained events).
     pub trace_capacity: Option<usize>,
@@ -130,6 +131,13 @@ const MAX_EXPLICIT_STATES: u64 = 2048;
 /// before any scenario is decoded.
 const MAX_FLEET_SCENARIOS: usize = 1024;
 
+/// Path-cache entries each backend's engine keeps when
+/// `--metrics-capacity` is not given. Fresh fleets would otherwise grow
+/// the cache without limit (1024 typical scenarios add about 10 000
+/// paths); at the bound, FIFO churn holds a fast engine's cache near
+/// 25 MB of RSS.
+const DEFAULT_PATH_CACHE_CAPACITY: usize = 65_536;
+
 /// Rejects a network and backend whose solve exceeds the caps above,
 /// naming the field and the cap. Runs before the model is built.
 fn check_solve_size(spec: &NetworkSpec, backend: Backend) -> Result<(), String> {
@@ -176,10 +184,11 @@ const DEFAULT_FLIGHT_THRESHOLD_MS: f64 = 0.91;
 
 /// One engine per solver backend, find-or-created on first use. All
 /// engines share the service's metrics registry and trace journal, and
-/// their caches persist for the life of the process.
+/// their path caches persist for the life of the process, each bounded
+/// at `cache_capacity` entries (oldest evicted first).
 struct EngineStore {
     threads: usize,
-    cache_capacity: Option<usize>,
+    cache_capacity: usize,
     metrics: Metrics,
     trace: Trace,
     profiler: Profiler,
@@ -196,7 +205,7 @@ impl EngineStore {
     ) -> EngineStore {
         EngineStore {
             threads,
-            cache_capacity,
+            cache_capacity: cache_capacity.unwrap_or(DEFAULT_PATH_CACHE_CAPACITY),
             metrics,
             trace,
             profiler,
@@ -213,7 +222,7 @@ impl EngineStore {
         engine.set_metrics(self.metrics.clone());
         engine.set_trace(self.trace.clone());
         engine.set_profiler(self.profiler.clone());
-        engine.set_path_cache_capacity(self.cache_capacity);
+        engine.set_path_cache_capacity(Some(self.cache_capacity));
         self.engines.push((backend, engine));
         self.engines.len() - 1
     }
@@ -1062,4 +1071,24 @@ pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     let mut out = format!("whart serve: drained after {requests} requests\n");
     out.push_str(&telemetry.finish()?);
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn engines_keep_a_bounded_path_cache_unless_told_otherwise() {
+        let store = |capacity| {
+            EngineStore::new(
+                1,
+                capacity,
+                Metrics::disabled(),
+                Trace::disabled(),
+                Profiler::disabled(),
+            )
+        };
+        assert_eq!(store(None).cache_capacity, 65_536);
+        assert_eq!(store(Some(12_288)).cache_capacity, 12_288);
+    }
 }

@@ -1,8 +1,9 @@
 //! Allocation budgets of the per-path and per-request hot paths, counted
 //! exactly by a counting global allocator: a traced solve into a full
 //! journal, a refused span, a registered metric's lookup, a result line
-//! rendered into a buffer with room, lowering one path of a network, and
-//! a whole cold fleet drain at cache steady state.
+//! rendered into a buffer with room, lowering one path of a network, a
+//! whole cold fleet drain at cache steady state, and the live bytes each
+//! cached path holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,35 +18,45 @@ use whart_obs::Metrics;
 use whart_prof::Profiler;
 use whart_trace::Trace;
 
-/// Counts every allocation the calling thread makes, so tests running
-/// on other threads of this binary do not disturb each other's counts.
+/// Counts every allocation the calling thread makes, and the bytes it
+/// holds live, so tests running on other threads of this binary do not
+/// disturb each other's counts.
 struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+/// Records one allocation call that changes the live requested size by
+/// `delta` bytes.
+fn count_one(delta: i64) {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    adjust_live(delta);
+}
+
+fn adjust_live(delta: i64) {
+    let _ = LIVE_BYTES.try_with(|n| n.set(n.get() + delta));
 }
 
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        adjust_live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -58,6 +69,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.with(Cell::get);
     f();
     ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Requested bytes this thread currently holds (allocated and not yet
+/// freed), relative to an arbitrary origin: only differences mean
+/// anything.
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 /// An enabled journal whose only slot is taken.
@@ -156,28 +174,31 @@ fn lowering_a_path_allocates_only_its_hop_list() {
     }
 }
 
+/// One cold 18-scenario typical fleet: six availabilities x intervals
+/// 1, 2, 4 (180 path DTMCs). Every round gets fresh availabilities,
+/// `step` apart, so no path DTMC repeats across rounds.
+fn cold_fleet(round: u32, step: f64) -> Vec<Scenario> {
+    let mut fleet = Vec::new();
+    for k in 0..6 {
+        let availability = 0.7 + f64::from(round * 6 + k) * step;
+        for interval in [1, 2, 4] {
+            let model = typical_model(availability, interval);
+            fleet.push(Scenario::network(format!("r{round}-{k}-{interval}"), model));
+        }
+    }
+    fleet
+}
+
 /// Allocations of one cold traced 18-scenario drain (180 distinct path
 /// solves) with metrics on, the profiler attached, a full journal and a
-/// full path cache, so every solve also evicts. It measures 2145, or
-/// 2146 when the cache's table happens to grow inside the measured
+/// full path cache, so every solve also evicts. It measures 1408, or
+/// 1409 when the cache's table happens to grow inside the measured
 /// drain (its hash keys are randomly seeded).
-const COLD_DRAIN_BUDGET: u64 = 2150;
+const COLD_DRAIN_BUDGET: u64 = 1410;
 
 #[test]
 fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
-    // Six availabilities x intervals 1, 2, 4; every round gets fresh
-    // availabilities, so no path DTMC repeats across rounds.
-    let fleet = |round: u32| -> Vec<Scenario> {
-        let mut fleet = Vec::new();
-        for k in 0..6 {
-            let availability = 0.7 + f64::from(round * 6 + k) * 1e-3;
-            for interval in [1, 2, 4] {
-                let model = typical_model(availability, interval);
-                fleet.push(Scenario::network(format!("r{round}-{k}-{interval}"), model));
-            }
-        }
-        fleet
-    };
+    let fleet = |round| cold_fleet(round, 1e-3);
     let mut engine = Engine::new(1);
     engine.set_metrics(Metrics::new());
     engine.set_trace(full_journal());
@@ -202,4 +223,41 @@ fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
         180
     );
     assert!(n <= COLD_DRAIN_BUDGET, "{n} allocations");
+}
+
+/// Path-cache entries the bytes-per-entry test holds: batch-cold's
+/// steady state in the serve benchmark (`--metrics-capacity 12288`).
+const CACHED_PATHS: usize = 12_288;
+
+/// Live requested bytes per cached path at FIFO steady state: the
+/// signature slice, the evaluation behind its `Arc` with its cycle
+/// function, the map bucket and the eviction queue's share of the key.
+/// It measures 303 (the `(signature, plan)` key with its own 48-byte
+/// queue copy and the 96-byte evaluation measured 469).
+const PATH_ENTRY_BYTES_BUDGET: i64 = 310;
+
+#[test]
+fn a_cached_path_stays_within_its_byte_budget() {
+    // A journal plans raw problems (no slot-shift canonicalization), as
+    // the traced serve engines do, so every fleet solves 180 paths.
+    let journal = full_journal();
+    let origin = live_bytes();
+    let mut engine = Engine::new(1);
+    engine.set_trace(journal);
+    engine.set_path_cache_capacity(Some(CACHED_PATHS));
+    // 120 rounds = 21 600 distinct solves: enough FIFO churn for the
+    // map's table to settle at the size its tombstones force.
+    for round in 0..120 {
+        for scenario in cold_fleet(round, 1e-5) {
+            engine.submit(scenario);
+        }
+        drop(engine.drain().unwrap());
+    }
+    assert_eq!(engine.cached_paths(), CACHED_PATHS);
+    assert!(engine.stats().path_cache_evictions > 0);
+    let per_entry = (live_bytes() - origin) / CACHED_PATHS as i64;
+    assert!(
+        per_entry <= PATH_ENTRY_BYTES_BUDGET,
+        "{per_entry} live bytes per cached path"
+    );
 }

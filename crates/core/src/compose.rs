@@ -100,9 +100,9 @@ pub fn prediction_to_evaluation(
 /// # Errors
 ///
 /// Returns [`ModelError::Inconsistent`] if the cycle function is empty or
-/// longer than the reporting interval, if `hop_count` is zero, or if
-/// `arrival_slot_number` lies outside the super-frame's uplink half
-/// (`1..=F_up`).
+/// longer than the reporting interval, if `hop_count` is zero or above
+/// `u32::MAX`, or if `arrival_slot_number` lies outside the super-frame's
+/// uplink half (`1..=F_up`).
 pub fn evaluation_at_slot(
     cycle_probabilities: Pmf,
     arrival_slot_number: u32,
@@ -124,9 +124,9 @@ pub fn evaluation_at_slot(
             ),
         });
     }
-    if hop_count == 0 {
+    if hop_count == 0 || u32::try_from(hop_count).is_err() {
         return Err(ModelError::Inconsistent {
-            reason: "composed path needs at least one hop".into(),
+            reason: format!("composed path needs 1..={} hops", u32::MAX),
         });
     }
     if !(1..=superframe.uplink_slots()).contains(&arrival_slot_number) {

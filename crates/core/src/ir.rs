@@ -616,9 +616,11 @@ impl Solver for ExplicitSolver {
 /// dynamics and slots, super-frame, interval, TTL) and deliberately
 /// excludes physical-link identity and measure conventions.
 impl PathProblem {
-    /// See [`PathSignature`].
+    /// The signature of solving this problem under the default
+    /// [`MeasurePlan`] (what [`PathProblem::evaluate`] runs); see
+    /// [`PathSignature::of`] for other plans.
     pub fn signature(&self) -> PathSignature {
-        PathSignature::of_problem(self)
+        PathSignature::of(self, MeasurePlan::default())
     }
 }
 

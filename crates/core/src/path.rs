@@ -385,11 +385,16 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
         cycle_probabilities: goals.into_iter().collect(),
         discard_probability: discard,
         arrival_slot_number: problem.arrival_slot_number(),
-        hop_count: n,
+        // Each hop holds a distinct slot below `F_up`, a `u32`.
+        hop_count: n as u32,
         superframe: problem.superframe(),
         interval: problem.interval(),
-        goal_trajectory,
-        trajectory_len: if record { total + 1 } else { 0 },
+        goal_trajectory: record.then(|| {
+            Box::new(GoalTrajectory {
+                rows: goal_trajectory,
+                len: total + 1,
+            })
+        }),
         expected_transmissions,
     };
     Ok((evaluation, steps))
@@ -500,21 +505,31 @@ impl PathProblemBuilder {
 /// only attached when the evaluation was run with
 /// [`MeasurePlan::WITH_TRAJECTORY`], and even then only the rows up to
 /// the TTL expiry are stored (goals are constant afterwards).
+///
+/// Cached evaluations live behind an `Arc` in the engine's path cache, so
+/// the struct is kept small (72 bytes): the rarely requested trajectory
+/// sits behind one pointer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathEvaluation {
     cycle_probabilities: Pmf,
     discard_probability: f64,
     arrival_slot_number: u32,
-    hop_count: usize,
+    hop_count: u32,
     superframe: Superframe,
     interval: ReportingInterval,
-    /// Recorded rows: one per uplink slot up to the TTL expiry, empty
-    /// when the trajectory was not requested.
-    goal_trajectory: Vec<Vec<f64>>,
-    /// Logical trajectory length (`Is * F_up + 1` rows when recorded,
-    /// 0 otherwise); [`PathEvaluation::trajectory`] pads to this.
-    trajectory_len: usize,
+    /// `None` unless the trajectory was requested.
+    goal_trajectory: Option<Box<GoalTrajectory>>,
     expected_transmissions: f64,
+}
+
+/// A recorded goal trajectory.
+#[derive(Debug, Clone, PartialEq)]
+struct GoalTrajectory {
+    /// One row per uplink slot up to the TTL expiry.
+    rows: Vec<Vec<f64>>,
+    /// Logical length, `Is * F_up + 1` rows;
+    /// [`PathEvaluation::trajectory`] pads to it.
+    len: usize,
 }
 
 impl PathEvaluation {
@@ -566,7 +581,7 @@ impl PathEvaluation {
 
     /// Number of hops of the evaluated path.
     pub fn hop_count(&self) -> usize {
-        self.hop_count
+        self.hop_count as usize
     }
 
     /// The super-frame the path was evaluated under.
@@ -599,7 +614,7 @@ impl PathEvaluation {
     /// Whether this evaluation carries a goal trajectory (i.e. it was
     /// produced under [`MeasurePlan::WITH_TRAJECTORY`]).
     pub fn has_trajectory(&self) -> bool {
-        self.trajectory_len > 0
+        self.goal_trajectory.is_some()
     }
 
     /// The transient probability of each goal state after every uplink slot:
@@ -610,11 +625,12 @@ impl PathEvaluation {
     /// unless the evaluation was run with
     /// [`MeasurePlan::WITH_TRAJECTORY`].
     pub fn trajectory(&self) -> Vec<Vec<f64>> {
-        let mut rows = self.goal_trajectory.clone();
+        let Some(trajectory) = &self.goal_trajectory else {
+            return Vec::new();
+        };
+        let mut rows = trajectory.rows.clone();
         if let Some(last) = rows.last().cloned() {
-            while rows.len() < self.trajectory_len {
-                rows.push(last.clone());
-            }
+            rows.resize(trajectory.len, last);
         }
         rows
     }
@@ -662,11 +678,10 @@ impl PathEvaluation {
             cycle_probabilities,
             discard_probability,
             arrival_slot_number,
-            hop_count,
+            hop_count: u32::try_from(hop_count).expect("hop counts fit in u32"),
             superframe,
             interval,
-            goal_trajectory: Vec::new(),
-            trajectory_len: 0,
+            goal_trajectory: None,
             expected_transmissions,
         }
     }

@@ -1,25 +1,51 @@
-//! Canonical cache keys for link dynamics and path problems.
+//! Canonical cache keys for path solves.
 //!
-//! The batch engine (`whart-engine`) memoizes sub-computations across
-//! scenario fleets. Two scenarios share work exactly when the inputs of
-//! the underlying computation are bit-identical, so the keys here encode
-//! every input of [`PathProblem::evaluate`] with bit-exact `f64` encoding
-//! (`f64::to_bits`, with `-0.0` normalized to `0.0`): two problems with
-//! equal signatures produce bit-identical evaluations, and problems that
-//! differ in any evaluation-relevant input get different signatures.
+//! The batch engine (`whart-engine`) memoizes path solves across
+//! scenario fleets. Two solves share work exactly when their inputs are
+//! bit-identical, so a [`PathSignature`] encodes every input of a solve
+//! ([`crate::ir::Solver::solve_path`]: the compiled problem and the
+//! [`MeasurePlan`]) with bit-exact `f64` encoding (`f64::to_bits`, with
+//! `-0.0` normalized to `0.0`): equal signatures produce bit-identical
+//! evaluations, and solves that differ in any evaluation-relevant input
+//! get different signatures.
 //!
 //! Measure conventions ([`crate::measures::DelayConvention`],
 //! [`crate::measures::UtilizationConvention`]) are deliberately *not*
 //! part of the signature: they parameterize the cheap measure extraction
 //! applied downstream of the cached [`crate::path::PathEvaluation`], not
 //! the DTMC solve itself.
+//!
+//! # Layout
+//!
+//! A signature is one immutable slice of `u64` words behind an
+//! `Arc<[u64]>` (16 bytes inline), so a cache map key and its FIFO
+//! eviction-queue entry share one allocation. Two `u32` fields share a
+//! word, high half first:
+//!
+//! | words | content |
+//! |---|---|
+//! | 0 | content hash of words 1.. (fixed-key SipHash) |
+//! | 1 | `F_up`, `T_down` |
+//! | 2 | `Is`, TTL |
+//! | 3 | trajectory plan flag, hop count |
+//! | per hop | `p_fl`, `p_rc`, initial `pi(up)` bits; frame slot, outage count; `(start, end)` per outage window |
+//!
+//! Every variable-length run is preceded by its count, so no two inputs
+//! encode to the same words. A typical 2-hop steady path takes 12 words
+//! (96 bytes plus the `Arc` header).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::dynamics::LinkDynamics;
-use crate::ir::PathProblem;
+use crate::ir::{MeasurePlan, PathProblem};
+
+/// Words before the first hop: the hash and three packed header words.
+const HEADER_WORDS: usize = 4;
+
+/// Words of a hop without outage windows.
+const HOP_WORDS: usize = 4;
 
 /// Bit-exact encoding of an `f64` probability for use in a hash key.
 /// `-0.0` maps to the bits of `0.0` so the two zero encodings compare
@@ -32,69 +58,60 @@ fn canonical_bits(value: f64) -> u64 {
     }
 }
 
-/// Canonical key of one [`LinkDynamics`]: the Gilbert-model transition
-/// probabilities (Eqs. 4-5), the initial state distribution and any
-/// scheduled outage windows. Two dynamics with equal keys yield the same
-/// `pi(up)(k)` trajectory for every slot `k`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct DynamicsKey {
-    p_fl_bits: u64,
-    p_rc_bits: u64,
-    initial_up_bits: u64,
-    outages: Vec<(u64, u64)>,
+/// Two `u32` fields in one word, `high` in the upper half.
+fn pack(high: u32, low: u32) -> u64 {
+    u64::from(high) << 32 | u64::from(low)
 }
 
-impl DynamicsKey {
-    /// Derives the canonical key of `dynamics`.
-    pub fn of(dynamics: &LinkDynamics) -> DynamicsKey {
-        let model = dynamics.model();
-        DynamicsKey {
-            p_fl_bits: canonical_bits(model.p_fl()),
-            p_rc_bits: canonical_bits(model.p_rc()),
-            initial_up_bits: canonical_bits(dynamics.initial().up()),
-            outages: dynamics
-                .outages()
-                .iter()
-                .map(|o| (o.start, o.end))
-                .collect(),
-        }
+/// Words one hop occupies.
+fn hop_len(dynamics: &LinkDynamics) -> usize {
+    HOP_WORDS + 2 * dynamics.outages().len()
+}
+
+/// Writes one hop's canonical words into `out` (exactly
+/// [`hop_len`]`(dynamics)` long): the Gilbert-model transition
+/// probabilities (Eqs. 4-5), the initial state distribution, the frame
+/// slot and the scheduled outage windows. Two hops with equal words
+/// transmit in the same frame slot with the same `pi(up)(k)` for every
+/// slot `k`.
+fn encode_hop(out: &mut [u64], dynamics: &LinkDynamics, frame_slot: usize) {
+    let model = dynamics.model();
+    let outages = dynamics.outages();
+    out[0] = canonical_bits(model.p_fl());
+    out[1] = canonical_bits(model.p_rc());
+    out[2] = canonical_bits(dynamics.initial().up());
+    // Frame slots lie below `F_up`, a `u32`.
+    let count = u32::try_from(outages.len()).expect("outage windows per hop fit in u32");
+    out[3] = pack(frame_slot as u32, count);
+    for (pair, outage) in out[HOP_WORDS..].chunks_exact_mut(2).zip(outages) {
+        pair[0] = outage.start;
+        pair[1] = outage.end;
     }
 }
 
-/// Canonical signature of a compiled [`PathProblem`]: per-hop dynamics
-/// keys with their frame slots, the super-frame shape `(F_up, T_down)`,
-/// the reporting interval `Is` and the message TTL. This is the complete
-/// input of a path solve, so equal signatures guarantee bit-identical
+/// Canonical signature of one path solve: a compiled [`PathProblem`]
+/// (per-hop dynamics with their frame slots, the super-frame shape
+/// `(F_up, T_down)`, the reporting interval `Is` and the message TTL)
+/// under a [`MeasurePlan`]. This is the complete input of a path solve,
+/// so equal signatures guarantee bit-identical
 /// [`crate::path::PathEvaluation`]s from the fast backend. Physical-link
 /// identity ([`crate::ir::ProblemHop::link`]) is deliberately excluded:
 /// two paths crossing different physical links with identical dynamics
 /// are the same computation.
-/// The per-hop keys live behind an `Arc` so cloning a signature (which
-/// the engine does once per cache operation) is a reference-count bump,
-/// and the content hash is computed once at construction so `HashMap`
-/// probes never re-walk the hop list.
+///
+/// Cloning a signature is a reference-count bump, and the content hash
+/// is the slice's first word, so `HashMap` probes never re-walk the hop
+/// list. See the [module docs](self) for the word layout.
 #[derive(Debug, Clone)]
 pub struct PathSignature {
-    hops: Arc<[(DynamicsKey, usize)]>,
-    uplink_slots: u32,
-    downlink_slots: u32,
-    interval_cycles: u32,
-    ttl: u32,
-    /// Precomputed content hash (fixed-key `DefaultHasher`), the
-    /// `Hash`/`PartialEq` fast path.
-    hash: u64,
+    words: Arc<[u64]>,
 }
 
 impl PartialEq for PathSignature {
     fn eq(&self, other: &PathSignature) -> bool {
-        // The hash is a pure function of the remaining fields, so it acts
-        // as a cheap reject before the hop-list walk.
-        self.hash == other.hash
-            && self.uplink_slots == other.uplink_slots
-            && self.downlink_slots == other.downlink_slots
-            && self.interval_cycles == other.interval_cycles
-            && self.ttl == other.ttl
-            && self.hops == other.hops
+        // The hash is a pure function of the remaining words, so it acts
+        // as a cheap reject before the slice comparison.
+        self.words[0] == other.words[0] && self.words == other.words
     }
 }
 
@@ -102,38 +119,33 @@ impl Eq for PathSignature {}
 
 impl Hash for PathSignature {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
+        state.write_u64(self.words[0]);
     }
 }
 
 impl PathSignature {
-    /// Derives the canonical signature of a compiled problem (the
-    /// implementation behind [`PathProblem::signature`]).
-    pub(crate) fn of_problem(problem: &PathProblem) -> PathSignature {
-        // Collected straight into the shared slice: one allocation.
-        let hops: Arc<[(DynamicsKey, usize)]> = problem
-            .hops()
-            .iter()
-            .map(|h| (DynamicsKey::of(h.dynamics()), h.frame_slot()))
-            .collect();
-        let uplink_slots = problem.superframe().uplink_slots();
-        let downlink_slots = problem.superframe().downlink_slots();
-        let interval_cycles = problem.interval().cycles();
-        let ttl = problem.ttl();
-        let mut hasher = DefaultHasher::new();
-        hops.hash(&mut hasher);
-        uplink_slots.hash(&mut hasher);
-        downlink_slots.hash(&mut hasher);
-        interval_cycles.hash(&mut hasher);
-        ttl.hash(&mut hasher);
-        PathSignature {
-            hops,
-            uplink_slots,
-            downlink_slots,
-            interval_cycles,
-            ttl,
-            hash: hasher.finish(),
+    /// Derives the signature of solving `problem` under `plan`. The words
+    /// are written straight into the shared slice: one allocation.
+    pub fn of(problem: &PathProblem, plan: MeasurePlan) -> PathSignature {
+        let hops = problem.hops();
+        let len = HEADER_WORDS + hops.iter().map(|h| hop_len(h.dynamics())).sum::<usize>();
+        let mut words: Arc<[u64]> = std::iter::repeat(0).take(len).collect();
+        let out = Arc::get_mut(&mut words).expect("a fresh slice is unshared");
+        let superframe = problem.superframe();
+        out[1] = pack(superframe.uplink_slots(), superframe.downlink_slots());
+        out[2] = pack(problem.interval().cycles(), problem.ttl());
+        // Each hop holds a distinct slot below `F_up`, so the count fits.
+        out[3] = pack(u32::from(plan.goal_trajectory), hops.len() as u32);
+        let mut at = HEADER_WORDS;
+        for hop in hops {
+            let end = at + hop_len(hop.dynamics());
+            encode_hop(&mut out[at..end], hop.dynamics(), hop.frame_slot());
+            at = end;
         }
+        let mut hasher = DefaultHasher::new();
+        out[1..].hash(&mut hasher);
+        out[0] = hasher.finish();
+        PathSignature { words }
     }
 }
 
@@ -144,6 +156,17 @@ mod tests {
     use crate::sweeps::{chain_model, section_v_model};
     use whart_channel::{LinkModel, LinkState};
     use whart_net::ReportingInterval;
+
+    /// The canonical words of one dynamics at frame slot 0.
+    struct DynamicsKey;
+
+    impl DynamicsKey {
+        fn of(dynamics: &LinkDynamics) -> Vec<u64> {
+            let mut words = vec![0; hop_len(dynamics)];
+            encode_hop(&mut words, dynamics, 0);
+            words
+        }
+    }
 
     fn link(pi: f64) -> LinkModel {
         LinkModel::from_availability(pi, 0.9).unwrap()

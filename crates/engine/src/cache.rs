@@ -1,12 +1,12 @@
 //! The engine's memoization layer.
 //!
 //! [`PathCache`] holds path evaluations keyed by the canonical
-//! [`PathSignature`] (derived from the compiled
-//! [`whart_model::PathProblem`]) paired with the requested
-//! [`MeasurePlan`]; a fleet that revisits a path DTMC (same hop
-//! dynamics, slots, super-frame, `Is` and TTL, same artifact demand)
-//! solves it exactly once. Link models are not cached: the channel-layer
-//! derivation (Eqs. 1-2, 4) is closed-form and costs less than a probe.
+//! [`PathSignature`] of a compiled [`whart_model::PathProblem`] under
+//! the requested [`whart_model::MeasurePlan`]; a fleet that revisits a
+//! path DTMC (same hop dynamics, slots, super-frame, `Is` and TTL, same
+//! artifact demand) solves it exactly once. Link models are not cached:
+//! the channel-layer derivation (Eqs. 1-2, 4) is closed-form and costs
+//! less than a probe.
 //!
 //! The cache has a single owner: only [`crate::Engine`] touches it,
 //! through `&mut self` methods, so it takes no locks and counts with
@@ -18,7 +18,7 @@ use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::Arc;
 use whart_model::signature::PathSignature;
-use whart_model::{MeasurePlan, PathEvaluation};
+use whart_model::PathEvaluation;
 
 /// A memoized map with hit/miss/eviction counters and an optional
 /// capacity bound with FIFO eviction (unbounded by default).
@@ -113,11 +113,16 @@ impl<K: Hash + Eq + Clone, V: Clone> CountedCache<K, V> {
 /// The path-evaluation memoization layer. Entries are shared behind an
 /// [`Arc`]: a cache hit hands out a reference, not a copy of the
 /// evaluation, so warm drains never deep-clone until a scenario result
-/// materializes its own copy. The [`MeasurePlan`] is part of the key:
+/// materializes its own copy. The measure plan is part of the signature:
 /// scalar-only entries hold `O(Is)` cycle PMFs, while trajectory entries
 /// additionally carry the `O(Is^2 * F_up)` goal trajectory — the two must
 /// not answer for each other.
-pub(crate) type PathCache = CountedCache<(PathSignature, MeasurePlan), Arc<PathEvaluation>>;
+///
+/// The key and the value are one pointer each (16 + 8 bytes), and the
+/// FIFO queue's copy of a key is a clone of the same `Arc`, so an entry
+/// costs its signature slice, its evaluation and under 90 bytes of table
+/// and queue (pinned by `crates/cli/tests/alloc_budget.rs`).
+pub(crate) type PathCache = CountedCache<PathSignature, Arc<PathEvaluation>>;
 
 #[cfg(test)]
 mod tests {

@@ -73,7 +73,7 @@ enum Slot {
 ///
 /// Every scenario is lowered to the compiled problem IR
 /// ([`PathProblem`]), planned into a deduplicated set of path solves
-/// (keyed by the IR-derived [`PathSignature`] plus the requested
+/// (keyed by the [`PathSignature`] of each problem under the requested
 /// [`MeasurePlan`]), executed on a worker pool through the
 /// engine's [`Solver`] backend, and assembled back into per-scenario
 /// results in submission order. The path cache persists across drains,
@@ -146,10 +146,7 @@ impl Engine {
     /// serial loop.
     pub fn with_solver(workers: usize, solver: Arc<dyn Solver>) -> Engine {
         let workers = workers.max(1);
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let effective_workers = workers.min(cores);
+        let effective_workers = workers.min(pool::available_cores());
         Engine {
             workers,
             effective_workers,
@@ -225,10 +222,7 @@ impl Engine {
 
     /// Creates an engine sized to the machine's available parallelism.
     pub fn with_available_parallelism() -> Engine {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Engine::new(workers)
+        Engine::new(pool::available_cores())
     }
 
     /// The worker-thread count.
@@ -267,9 +261,8 @@ impl Engine {
         // Plan: lower each workload to compiled problems, derive canonical
         // signatures, answer warm entries from the cache, deduplicate the
         // rest into a distinct task list. The measure plan is part of the
-        // key: a trajectory-requesting scenario must not be answered by a
-        // scalar-only cache entry (or vice versa).
-        type PathKey = (PathSignature, MeasurePlan);
+        // signature: a trajectory-requesting scenario must not be answered
+        // by a scalar-only cache entry (or vice versa).
         let obs = self.metrics.clone();
         let path_hits = obs.counter("engine.path_cache.hits");
         let path_misses = obs.counter("engine.path_cache.misses");
@@ -282,8 +275,8 @@ impl Engine {
         // occurrence; each occurrence keeps a copy of its key's slot.
         // `std`'s per-process random hasher keeps a hostile spec from
         // choosing collisions.
-        let mut slots: HashMap<PathKey, Slot> = HashMap::new();
-        let mut tasks: Vec<(PathKey, PathProblem)> = Vec::new();
+        let mut slots: HashMap<PathSignature, Slot> = HashMap::new();
+        let mut tasks: Vec<(PathSignature, MeasurePlan, PathProblem)> = Vec::new();
         // Slot-shift canonicalization: when the backend guarantees
         // bit-identical solves under a common slot shift, scalar-plan
         // problems are cached (and solved) in shift-normalized form and
@@ -327,7 +320,7 @@ impl Engine {
                     (problem, None)
                 };
                 self.stats.paths_requested += 1;
-                let slot = match slots.entry((problem.signature(), plan)) {
+                let slot = match slots.entry(PathSignature::of(&problem, plan)) {
                     // An earlier occurrence in this drain already found or
                     // planned it.
                     Entry::Occupied(occupied) => {
@@ -346,7 +339,7 @@ impl Engine {
                             None => {
                                 path_misses.increment();
                                 scenario_misses += 1;
-                                tasks.push((vacant.key().clone(), problem));
+                                tasks.push((vacant.key().clone(), plan, problem));
                                 Slot::Planned(tasks.len() - 1)
                             }
                         };
@@ -392,7 +385,7 @@ impl Engine {
             // whole task loop, so sampled worker ticks — solving or
             // claiming — always attribute to the engine.
             |_worker| profiler.enter(frames.execute),
-            |((_, plan), problem)| {
+            |(_, plan, problem)| {
                 let _solve = profiler.enter(frames.solver);
                 let start = enabled.then(Instant::now);
                 let result = solver.solve_path_traced(problem, *plan, &obs, &trace);
@@ -413,7 +406,7 @@ impl Engine {
         let evaluations: Vec<Arc<PathEvaluation>> = evaluations.into_iter().map(Arc::new).collect();
         // Task order, so the cache's FIFO eviction order is deterministic.
         let mut evicted = 0u64;
-        for ((key, _), evaluation) in tasks.iter().zip(&evaluations) {
+        for ((key, _, _), evaluation) in tasks.iter().zip(&evaluations) {
             evicted += self.path_cache.insert(key.clone(), Arc::clone(evaluation));
         }
         drop(tasks);

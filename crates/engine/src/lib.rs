@@ -13,12 +13,19 @@
 //!   scenario into a deduplicated set of path solves, execute them on a
 //!   worker pool, and assemble results in submission order;
 //! * one memoization layer — a path-evaluation cache keyed by the
-//!   canonical [`whart_model::signature::PathSignature`] and persistent
-//!   across drains. Link models are not cached: callers build them with
+//!   canonical [`whart_model::signature::PathSignature`] of a compiled
+//!   problem under its measure plan, persistent across drains and
+//!   optionally bounded ([`Engine::set_path_cache_capacity`], FIFO
+//!   eviction). An entry is three pointers (the key's shared word slice,
+//!   the `Arc`'d evaluation, and the eviction queue's clone of the key's
+//!   `Arc`): about 300 requested bytes per typical-network path at
+//!   steady state. Link models are not cached: callers build them with
 //!   the `whart_channel::LinkModel` constructors, whose closed-form
 //!   derivation (Eqs. 1-2, 4) costs less than a cache probe;
 //! * [`EngineStats`] — jobs, path-cache hits/misses/evictions,
-//!   per-stage wall time and worker counts.
+//!   per-stage wall time and worker counts;
+//! * [`available_cores`] — the machine's core count, resolved once per
+//!   process for engines and the CLI's `--threads` default.
 //!
 //! Results are bit-identical to the serial evaluator: the cache keys on
 //! the complete, bit-exact input of each solve, and cached values are
@@ -33,4 +40,5 @@ mod pool;
 mod scenario;
 
 pub use engine::{Engine, EngineStats};
+pub use pool::available_cores;
 pub use scenario::{MeasureSet, Outcome, PathMeasures, Scenario, ScenarioResult, Workload};

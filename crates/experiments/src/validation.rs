@@ -34,10 +34,7 @@ pub fn sim_validation(intervals: u64) -> ExperimentReport {
         PhyMode::Gilbert,
     )
     .expect("valid");
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let observed = sim.run_parallel(20260706, intervals, workers);
+    let observed = sim.run_parallel(20260706, intervals, whart_engine::available_cores());
     report.line(format!("{intervals} reporting intervals simulated"));
     report.line("path  analytic R  simulated R  within 99.9% CI");
     let mut misses = 0u32;
