@@ -77,7 +77,9 @@ benchmark p99); GET /v1/debug/requests/<id> replays one request's
 per-hop timeline.
 --metrics-capacity bounds each engine's path cache entries (default
 65536; the oldest are evicted first);
---trace-capacity bounds the trace journal's retained events.
+--trace-capacity bounds the trace journal's retained events (default
+65536 between GET /v1/trace drains, about 450 bytes each; events past
+the bound are dropped and counted).
 Connections are HTTP/1.1 keep-alive (pipelining supported);
 --keepalive-timeout sets how many seconds an idle connection may stay
 parked before the server closes it (default 60), and --max-queue caps

@@ -74,7 +74,8 @@ pub(crate) struct ServeOptions {
     /// Engine path-cache capacity bound (entries, `--metrics-capacity`);
     /// `None` means [`DEFAULT_PATH_CACHE_CAPACITY`].
     pub cache_capacity: Option<usize>,
-    /// Trace journal capacity bound (retained events).
+    /// Trace journal capacity bound (retained events,
+    /// `--trace-capacity`); `None` means [`DEFAULT_TRACE_CAPACITY`].
     pub trace_capacity: Option<usize>,
     /// Structured request-log target (`--log`; `-` is stdout, `stderr`
     /// the diagnostic stream, anything else a file path).
@@ -137,6 +138,21 @@ const MAX_FLEET_SCENARIOS: usize = 1024;
 /// paths); at the bound, FIFO churn holds a fast engine's cache near
 /// 25 MB of RSS.
 const DEFAULT_PATH_CACHE_CAPACITY: usize = 65_536;
+
+/// Journal events the service keeps between `GET /v1/trace` drains when
+/// `--trace-capacity` is not given (one-shot commands keep
+/// `whart_trace::DEFAULT_CAPACITY`). A cold `/v1/batch` journals about
+/// 60 events per scenario and a retained event costs 440-520 B of RSS,
+/// so under the library default of 2^20 events seven fresh 1024-scenario
+/// fleets raised the process to 241 MB; this bound holds the journal
+/// near 30 MB (57 MB for the whole process after the same fleets).
+const DEFAULT_TRACE_CAPACITY: usize = 65_536;
+
+/// The service journal's event bound: `--trace-capacity`, else
+/// [`DEFAULT_TRACE_CAPACITY`].
+fn journal_capacity(flag: Option<usize>) -> usize {
+    flag.unwrap_or(DEFAULT_TRACE_CAPACITY)
+}
 
 /// Rejects a network and backend whose solve exceeds the caps above,
 /// naming the field and the cap. Runs before the model is built.
@@ -968,10 +984,7 @@ fn self_check(app: &App) -> Result<(), String> {
 pub(crate) fn serve(options: ServeOptions) -> Result<String, String> {
     let threads = options.threads.max(1);
     let metrics = Metrics::new();
-    let trace = match options.trace_capacity {
-        Some(capacity) => Trace::with_capacity(capacity),
-        None => Trace::new(),
-    };
+    let trace = Trace::with_capacity(journal_capacity(options.trace_capacity));
     let defaults = ServerConfig::default();
     let mut server = Server::bind(&ServerConfig {
         addr: options.addr.clone(),
@@ -1090,5 +1103,25 @@ mod tests {
         };
         assert_eq!(store(None).cache_capacity, 65_536);
         assert_eq!(store(Some(12_288)).cache_capacity, 12_288);
+    }
+
+    #[test]
+    fn the_journal_is_bounded_unless_told_otherwise() {
+        assert_eq!(journal_capacity(None), 65_536);
+        assert_eq!(journal_capacity(Some(4096)), 4096);
+        assert_eq!(
+            journal_capacity(Some(1 << 20)),
+            whart_trace::DEFAULT_CAPACITY
+        );
+        // The bound is what the journal keeps: one event past it drops.
+        let trace = Trace::with_capacity(journal_capacity(None));
+        for _ in 0..=journal_capacity(None) {
+            trace.instant(
+                "tick",
+                "test",
+                Vec::<(&'static str, whart_trace::ArgValue)>::new(),
+            );
+        }
+        assert_eq!(trace.dropped(), 1);
     }
 }

@@ -13,7 +13,7 @@
 
 use whart_channel::{LinkModel, Modulation, WIRELESSHART_MESSAGE_BITS};
 use whart_json::Json;
-use whart_model::NetworkModel;
+use whart_model::{ModelError, NetworkModel};
 use whart_net::{NodeId, Path, ReportingInterval, Schedule, Superframe, Topology};
 
 /// How one link's quality is specified; each variant maps onto a
@@ -392,9 +392,14 @@ impl NetworkSpec {
     ///
     /// Returns a human-readable description of the first inconsistency.
     pub fn to_network(&self) -> Result<NetworkModel, String> {
-        let (topology, paths, schedule, superframe, interval) = self.build_parts()?;
-        NetworkModel::new(topology, paths, schedule, superframe, interval)
-            .map_err(|e| e.to_string())
+        let (topology, paths, schedule, superframe, interval) = self.lower()?;
+        // `NetworkModel::new` validates the schedule, so it is checked
+        // once; its errors read as `build_parts` words them, without the
+        // model's `network error:` prefix.
+        NetworkModel::new(topology, paths, schedule, superframe, interval).map_err(|e| match e {
+            ModelError::Net(e) => e.to_string(),
+            e => e.to_string(),
+        })
     }
 
     /// Builds the raw parts (topology, paths, schedule, frame, interval) —
@@ -407,7 +412,21 @@ impl NetworkSpec {
     pub fn build_parts(
         &self,
     ) -> Result<(Topology, Vec<Path>, Schedule, Superframe, ReportingInterval), String> {
-        let mut topology = Topology::new();
+        let parts = self.lower()?;
+        parts
+            .2
+            .validate(&parts.0, &parts.1)
+            .map_err(|e| e.to_string())?;
+        Ok(parts)
+    }
+
+    /// The parts of [`NetworkSpec::build_parts`] before the schedule is
+    /// validated against the topology and paths.
+    #[allow(clippy::type_complexity)]
+    fn lower(
+        &self,
+    ) -> Result<(Topology, Vec<Path>, Schedule, Superframe, ReportingInterval), String> {
+        let mut topology = Topology::with_capacity(self.nodes.len(), self.links.len());
         for &n in &self.nodes {
             if n == 0 {
                 return Err("node 0 denotes the gateway and is implicit".into());
@@ -424,7 +443,8 @@ impl NetworkSpec {
         }
         let mut paths = Vec::with_capacity(self.paths.len());
         for route in &self.paths {
-            let mut nodes: Vec<NodeId> = route.iter().map(|&n| node(n)).collect();
+            let mut nodes = Vec::with_capacity(route.len() + 1);
+            nodes.extend(route.iter().map(|&n| node(n)));
             if nodes.last() != Some(&NodeId::Gateway) {
                 nodes.push(NodeId::Gateway);
             }
@@ -438,9 +458,10 @@ impl NetworkSpec {
         let interval =
             ReportingInterval::new(self.reporting_interval).map_err(|e| e.to_string())?;
         let schedule = match &self.schedule {
-            ScheduleSpec::Sequential { order } => Schedule::sequential(&paths, order)
-                .map_err(|e| e.to_string())?
-                .padded(self.uplink_slots as usize),
+            ScheduleSpec::Sequential { order } => {
+                Schedule::sequential_padded(&paths, order, self.uplink_slots as usize)
+                    .map_err(|e| e.to_string())?
+            }
             ScheduleSpec::Explicit { slots } => {
                 let entries: Vec<(usize, whart_net::ScheduleEntry)> = slots
                     .iter()
@@ -458,9 +479,6 @@ impl NetworkSpec {
                     .map_err(|e| e.to_string())?
             }
         };
-        schedule
-            .validate(&topology, &paths)
-            .map_err(|e| e.to_string())?;
         Ok((topology, paths, schedule, superframe, interval))
     }
 

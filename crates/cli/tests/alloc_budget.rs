@@ -191,10 +191,13 @@ fn cold_fleet(round: u32, step: f64) -> Vec<Scenario> {
 
 /// Allocations of one cold traced 18-scenario drain (180 distinct path
 /// solves) with metrics on, the profiler attached, a full journal and a
-/// full path cache, so every solve also evicts. It measures 1408, or
-/// 1409 when the cache's table happens to grow inside the measured
-/// drain (its hash keys are randomly seeded).
-const COLD_DRAIN_BUDGET: u64 = 1410;
+/// full path cache, so every solve also evicts. It measures 1198, one
+/// more when the cache's table happens to grow inside the measured drain
+/// (its hash keys are randomly seeded). Before the plan tables were
+/// sized up front, the paths lowered in one pass and moved into the
+/// results, and the hit/miss counters added once per drain, it measured
+/// 1408.
+const COLD_DRAIN_BUDGET: u64 = 1200;
 
 #[test]
 fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
@@ -223,6 +226,48 @@ fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
         180
     );
     assert!(n <= COLD_DRAIN_BUDGET, "{n} allocations");
+}
+
+/// Allocations of `whart batch --threads 1` on one 18-scenario typical
+/// fleet in batch-cold's shape, end to end: reading and decoding the
+/// fleet, lowering each spec to its model, a cold drain with no
+/// telemetry, and rendering the 18 result lines. It measures 1891
+/// (3087 when every path's node list was reallocated to append the
+/// gateway, the schedule was validated twice with two `Vec`s per path,
+/// and the plan tables grew by doubling).
+const BATCH_FLEET_BUDGET: u64 = 1900;
+
+#[test]
+fn batch_on_a_typical_fleet_stays_within_budget() {
+    let scenarios: Vec<String> = (0..6)
+        .flat_map(|k| {
+            [1, 2, 4].map(|interval| {
+                format!(
+                    r#"{{"label":"a{k}-{interval}","network":"typical","availability":{},"interval":{interval}}}"#,
+                    0.7 + f64::from(k) * 0.037
+                )
+            })
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("whart-alloc-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let fleet = dir.join("fleet.json");
+    std::fs::write(&fleet, format!("[{}]", scenarios.join(","))).unwrap();
+    let args = [
+        "batch".to_owned(),
+        fleet.display().to_string(),
+        "--threads".into(),
+        "1".into(),
+    ];
+    // A first run warms every lazily built table, so the count is the
+    // steady cost of one run.
+    let first = whart_cli::run(&args).unwrap();
+    let mut out = String::new();
+    let n = allocations(|| out = whart_cli::run(&args).unwrap());
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(out, first);
+    assert_eq!(out.lines().count(), 18);
+    assert!(n <= BATCH_FLEET_BUDGET, "{n} allocations");
 }
 
 /// Path-cache entries the bytes-per-entry test holds: batch-cold's

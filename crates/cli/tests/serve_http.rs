@@ -450,6 +450,74 @@ fn error_paths_answer_with_client_errors() {
     );
 }
 
+/// The Section V spec with its first two transmissions swapped, so
+/// path 0's second hop is scheduled before its first.
+fn misordered_spec() -> String {
+    let mut spec = whart_json::Json::parse(&section_v_spec()).expect("example spec");
+    let whart_json::Json::Object(members) = &mut spec else {
+        panic!("spec is an object");
+    };
+    let schedule = members
+        .iter_mut()
+        .find(|(k, _)| k == "schedule")
+        .expect("schedule");
+    let misordered = [[2, 2, 3, 0], [5, 1, 2, 0], [6, 3, 0, 0]];
+    schedule.1 = whart_json::Json::object([(
+        "slots",
+        whart_json::Json::array(misordered.map(whart_json::Json::array)),
+    )]);
+    spec.to_pretty()
+}
+
+const MISORDERED: &str = "invalid schedule: path 0: slot 2 transmits <n2,n3>, expected <n1,n2>";
+
+#[test]
+fn cli_reports_a_misordered_schedule_in_its_exact_words() {
+    let dir = std::env::temp_dir().join(format!("whart-misordered-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(&spec, misordered_spec()).unwrap();
+    let fleet = dir.join("fleet.json");
+    std::fs::write(&fleet, format!(r#"[{{"network":{}}}]"#, misordered_spec())).unwrap();
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_whart"))
+            .args(args)
+            .output()
+            .expect("run whart");
+        assert_eq!(out.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        stderr.lines().next().unwrap_or_default().to_owned()
+    };
+    // `analyze` lowers through the model constructor, `simulate` through
+    // the raw parts, `batch` per scenario: one wording for all three.
+    assert_eq!(
+        run(&["analyze".as_ref(), spec.as_os_str()]),
+        format!("error: {MISORDERED}")
+    );
+    assert_eq!(
+        run(&["simulate".as_ref(), spec.as_os_str()]),
+        format!("error: {MISORDERED}")
+    );
+    assert_eq!(
+        run(&["batch".as_ref(), fleet.as_os_str()]),
+        format!("error: scenario 1: {MISORDERED}")
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn analyze_reports_a_misordered_schedule_in_its_exact_words() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    let (status, body) = http(&serve.addr, "POST", "/v1/analyze", &misordered_spec());
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(body, format!("error: {MISORDERED}\n"));
+    let fleet = format!(r#"[{{"network":{}}}]"#, misordered_spec());
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", &fleet);
+    assert_eq!(status, 400, "{body}");
+    assert_eq!(body, format!("error: scenario 1: {MISORDERED}\n"));
+}
+
 #[test]
 fn deeply_nested_bodies_are_client_errors_not_crashes() {
     let serve = spawn_serve(&[]);

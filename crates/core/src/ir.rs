@@ -496,10 +496,10 @@ impl Solver for FastSolver {
         trace: &Trace,
     ) -> Result<PathEvaluation> {
         if !trace.has_room_or_drop(|| traced_fast_events(problem)) {
-            let span = obs.timer("solver.fast.solve_ns");
-            let (evaluation, steps) = fast_evaluate_counted(problem, plan)?;
-            span.stop();
-            obs.counter("solver.fast.transient_steps").add(steps);
+            let (evaluation, steps) = obs.time("solver.fast.solve_ns", || {
+                fast_evaluate_counted(problem, plan)
+            })?;
+            obs.add("solver.fast.transient_steps", steps);
             return Ok(evaluation);
         }
         let mut span = trace.span("path_solve", "solver.fast");
@@ -507,41 +507,42 @@ impl Solver for FastSolver {
         let mut attempts = vec![0.0f64; n];
         let mut failures = vec![0.0f64; n];
         let mut loss = vec![0.0f64; n];
-        let timer = obs.timer("solver.fast.solve_ns");
-        let (evaluation, steps) = fast_evaluate_observed(problem, plan, |event| match event {
-            StepEvent::Transmission {
-                hop, mass, moved, ..
-            } => {
-                attempts[hop] += mass;
-                failures[hop] += mass - moved;
-            }
-            StepEvent::CycleEnd {
-                cycle,
-                goal_mass,
-                delivered,
-                in_flight,
-            } => {
-                trace.instant_with("cycle", "solver.fast", || {
-                    [
-                        ("cycle", ArgValue::from(cycle as u64 + 1)),
-                        ("goal_mass", ArgValue::from(goal_mass)),
-                        ("delivered", ArgValue::from(delivered)),
-                        ("residual", ArgValue::from(in_flight)),
-                    ]
-                });
-            }
-            StepEvent::Discard { step, in_flight } => {
-                loss.copy_from_slice(in_flight);
-                trace.instant_with("discard", "solver.fast", || {
-                    [
-                        ("step", ArgValue::from(step)),
-                        ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
-                    ]
-                });
-            }
-        })?;
-        timer.stop();
-        obs.counter("solver.fast.transient_steps").add(steps);
+        let solved = obs.time("solver.fast.solve_ns", || {
+            fast_evaluate_observed(problem, plan, |event| match event {
+                StepEvent::Transmission {
+                    hop, mass, moved, ..
+                } => {
+                    attempts[hop] += mass;
+                    failures[hop] += mass - moved;
+                }
+                StepEvent::CycleEnd {
+                    cycle,
+                    goal_mass,
+                    delivered,
+                    in_flight,
+                } => {
+                    trace.instant_with("cycle", "solver.fast", || {
+                        [
+                            ("cycle", ArgValue::from(cycle as u64 + 1)),
+                            ("goal_mass", ArgValue::from(goal_mass)),
+                            ("delivered", ArgValue::from(delivered)),
+                            ("residual", ArgValue::from(in_flight)),
+                        ]
+                    });
+                }
+                StepEvent::Discard { step, in_flight } => {
+                    loss.copy_from_slice(in_flight);
+                    trace.instant_with("discard", "solver.fast", || {
+                        [
+                            ("step", ArgValue::from(step)),
+                            ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
+                        ]
+                    });
+                }
+            })
+        });
+        let (evaluation, steps) = solved?;
+        obs.add("solver.fast.transient_steps", steps);
         for (hop, h) in problem.hops().iter().enumerate() {
             trace.instant_with("hop", "solver.fast", || {
                 let mut args = hop_provenance(hop, h);

@@ -90,6 +90,11 @@ impl NetworkModel {
         &self.paths
     }
 
+    /// Gives up the model for its paths, without copying them.
+    pub fn into_paths(self) -> Vec<Path> {
+        self.paths
+    }
+
     /// The topology.
     pub fn topology(&self) -> &Topology {
         &self.topology
@@ -151,18 +156,46 @@ impl NetworkModel {
         let ttl = self.interval.uplink_slots(self.superframe)?;
         let mut hops = Vec::with_capacity(path.hop_count());
         for (slot, entry) in self.schedule.transmissions() {
-            if entry.path_index != path_index {
-                continue;
+            if entry.path_index == path_index {
+                hops.push(self.problem_hop(slot, entry.hop)?);
             }
-            let link = entry.hop.undirected_key();
-            let dynamics = match self.overrides.get(&link) {
-                Some(d) => d.clone(),
-                None => LinkDynamics::steady(self.topology.link_for(entry.hop)?),
-            };
-            hops.push(ProblemHop::new(dynamics, slot, Some(link)));
         }
         debug_assert_eq!(hops.len(), path.hop_count());
         Ok(PathProblem::new(hops, self.superframe, self.interval, ttl))
+    }
+
+    /// Every path's [`NetworkModel::path_problem`], in path order, from
+    /// one pass over the schedule.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::Net`] when `Is * F_up` overflows the slot
+    /// count.
+    pub fn path_problems(&self) -> Result<Vec<PathProblem>> {
+        let ttl = self.interval.uplink_slots(self.superframe)?;
+        let mut hops: Vec<Vec<ProblemHop>> = self
+            .paths
+            .iter()
+            .map(|path| Vec::with_capacity(path.hop_count()))
+            .collect();
+        for (slot, entry) in self.schedule.transmissions() {
+            hops[entry.path_index].push(self.problem_hop(slot, entry.hop)?);
+        }
+        Ok(hops
+            .into_iter()
+            .map(|hops| PathProblem::new(hops, self.superframe, self.interval, ttl))
+            .collect())
+    }
+
+    /// The compiled hop transmitting `hop` at frame slot `slot`, with its
+    /// link's dynamics (the override, if any) and identity.
+    fn problem_hop(&self, slot: usize, hop: Hop) -> Result<ProblemHop> {
+        let link = hop.undirected_key();
+        let dynamics = match self.overrides.get(&link) {
+            Some(d) => d.clone(),
+            None => LinkDynamics::steady(self.topology.link_for(hop)?),
+        };
+        Ok(ProblemHop::new(dynamics, slot, Some(link)))
     }
 
     /// Lowers the whole network to its compiled [`NetworkProblem`] — the
@@ -172,10 +205,10 @@ impl NetworkModel {
     ///
     /// Propagates the first path-model construction failure.
     pub fn compile(&self) -> Result<NetworkProblem> {
-        let problems = (0..self.paths.len())
-            .map(|i| self.path_problem(i))
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NetworkProblem::new(self.paths.clone(), problems))
+        Ok(NetworkProblem::new(
+            self.paths.clone(),
+            self.path_problems()?,
+        ))
     }
 
     /// Evaluates every path with the fast backend. Path models are

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 
 use whart_model::signature::PathSignature;
 use whart_model::{
-    FastSolver, MeasurePlan, NetworkEvaluation, PathEvaluation, PathProblem, PathReport, Result,
-    Solver,
+    FastSolver, MeasurePlan, NetworkEvaluation, NetworkModel, PathEvaluation, PathProblem,
+    PathReport, Result, Solver,
 };
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler};
@@ -264,8 +264,6 @@ impl Engine {
         // signature: a trajectory-requesting scenario must not be answered
         // by a scalar-only cache entry (or vice versa).
         let obs = self.metrics.clone();
-        let path_hits = obs.counter("engine.path_cache.hits");
-        let path_misses = obs.counter("engine.path_cache.misses");
         let compile_hist = obs.histogram("engine.compile_ns");
         let plan_start = Instant::now();
         let plan_guard = self.profiler.enter(self.frames.plan);
@@ -274,9 +272,17 @@ impl Engine {
         // One table per drain: every distinct key, probed once per
         // occurrence; each occurrence keeps a copy of its key's slot.
         // `std`'s per-process random hasher keeps a hostile spec from
-        // choosing collisions.
-        let mut slots: HashMap<PathSignature, Slot> = HashMap::new();
-        let mut tasks: Vec<(PathSignature, MeasurePlan, PathProblem)> = Vec::new();
+        // choosing collisions. Both are sized for a drain with no hits.
+        let occurrences_total: usize = scenarios.iter().map(|s| s.workload.path_count()).sum();
+        let mut slots: HashMap<PathSignature, Slot> = HashMap::with_capacity(occurrences_total);
+        let mut tasks: Vec<(PathSignature, MeasurePlan, PathProblem)> =
+            Vec::with_capacity(occurrences_total);
+        // `engine.path_cache.{hits,misses}` are added once per drain.
+        let (mut drain_hits, mut drain_misses) = (0u64, 0u64);
+        let count_lookups = |hits: u64, misses: u64| {
+            obs.counter("engine.path_cache.hits").add(hits);
+            obs.counter("engine.path_cache.misses").add(misses);
+        };
         // Slot-shift canonicalization: when the backend guarantees
         // bit-identical solves under a common slot shift, scalar-plan
         // problems are cached (and solved) in shift-normalized form and
@@ -292,9 +298,14 @@ impl Engine {
             let plan = scenario.measures.plan();
             let compile_span = compile_hist.start();
             let problems: Vec<PathProblem> = match &mut scenario.workload {
-                Workload::Network(model) => (0..model.paths().len())
-                    .map(|i| model.path_problem(i))
-                    .collect::<Result<_>>()?,
+                Workload::Network(model) => match model.path_problems() {
+                    Ok(problems) => problems,
+                    Err(e) => {
+                        // An aborted drain still counts the lookups it made.
+                        count_lookups(drain_hits, drain_misses);
+                        return Err(e);
+                    }
+                },
                 // Assembly never reads a paths workload back, so its
                 // problems move into the plan instead of being cloned.
                 Workload::Paths(problems) => std::mem::take(problems),
@@ -325,19 +336,16 @@ impl Engine {
                     // planned it.
                     Entry::Occupied(occupied) => {
                         self.path_cache.count_shared_hit();
-                        path_hits.increment();
                         scenario_hits += 1;
                         occupied.get().clone()
                     }
                     Entry::Vacant(vacant) => {
                         let slot = match self.path_cache.get(vacant.key()) {
                             Some(evaluation) => {
-                                path_hits.increment();
                                 scenario_hits += 1;
                                 Slot::Cached(evaluation)
                             }
                             None => {
-                                path_misses.increment();
                                 scenario_misses += 1;
                                 tasks.push((vacant.key().clone(), plan, problem));
                                 Slot::Planned(tasks.len() - 1)
@@ -356,8 +364,11 @@ impl Engine {
                 scenario_span.arg("path_cache_misses", scenario_misses);
             }
             scenario_span.finish();
+            drain_hits += scenario_hits;
+            drain_misses += scenario_misses;
             planned_jobs.push((scenario, occurrences));
         }
+        count_lookups(drain_hits, drain_misses);
         plan_span.arg("scenarios", planned_jobs.len());
         plan_span.arg("distinct_solves", tasks.len());
         plan_span.finish();
@@ -470,10 +481,12 @@ impl Engine {
                 .collect();
             let (outcome, mean_delay_ms, network_utilization) = match scenario.workload {
                 Workload::Network(model) => {
-                    let reports = model
-                        .paths()
-                        .iter()
-                        .cloned()
+                    // A model this drain owns alone gives up its paths; a
+                    // shared one is copied.
+                    let paths = Arc::try_unwrap(model)
+                        .map_or_else(|model| model.paths().to_vec(), NetworkModel::into_paths);
+                    let reports = paths
+                        .into_iter()
                         .zip(evaluations)
                         .map(|(path, evaluation)| PathReport { path, evaluation })
                         .collect();

@@ -27,6 +27,16 @@ pub enum Workload {
     Paths(Vec<PathProblem>),
 }
 
+impl Workload {
+    /// How many path solves the workload asks for.
+    pub fn path_count(&self) -> usize {
+        match self {
+            Workload::Network(model) => model.paths().len(),
+            Workload::Paths(problems) => problems.len(),
+        }
+    }
+}
+
 /// The measures to extract from a scenario's evaluations, with the
 /// conventions to apply. Conventions parameterize the cheap measure
 /// extraction, not the cached DTMC solve, so they are not part of the

@@ -60,6 +60,16 @@ impl Schedule {
     /// Returns [`NetError::InvalidSchedule`] if `order` is not a permutation
     /// of the path indices.
     pub fn sequential(paths: &[Path], order: &[usize]) -> Result<Self> {
+        Schedule::sequential_padded(paths, order, 0)
+    }
+
+    /// [`Schedule::sequential`] followed by [`Schedule::padded`]`(len)`,
+    /// with the slots allocated once at their final length.
+    ///
+    /// # Errors
+    ///
+    /// See [`Schedule::sequential`].
+    pub fn sequential_padded(paths: &[Path], order: &[usize], len: usize) -> Result<Self> {
         if order.len() != paths.len() {
             return Err(NetError::InvalidSchedule {
                 reason: format!(
@@ -69,17 +79,15 @@ impl Schedule {
                 ),
             });
         }
-        let mut seen = vec![false; paths.len()];
-        for &i in order {
-            if i >= paths.len() || seen[i] {
+        for (position, &i) in order.iter().enumerate() {
+            if i >= paths.len() || order[..position].contains(&i) {
                 return Err(NetError::InvalidSchedule {
                     reason: format!("order is not a permutation (index {i})"),
                 });
             }
-            seen[i] = true;
         }
         let total: usize = paths.iter().map(Path::hop_count).sum();
-        let mut schedule = Schedule::empty(total);
+        let mut schedule = Schedule::empty(total.max(len));
         let mut slot = 0;
         for &path_index in order {
             for hop in paths[path_index].hops() {
@@ -201,10 +209,15 @@ impl Schedule {
     /// * every path's hops appear exactly once, in path order, in
     ///   increasing slots (a message cannot be forwarded before it arrives).
     ///
+    /// Allocates nothing unless it fails: the paths are checked 16 at a
+    /// time, each group in one pass over the schedule with its counters
+    /// on the stack.
+    ///
     /// # Errors
     ///
     /// Returns [`NetError::InvalidSchedule`] or [`NetError::UnknownLink`]
-    /// describing the first violation.
+    /// describing the first violation: transmissions in slot order first,
+    /// then paths in order, a path's slot count before its hops.
     pub fn validate(&self, topology: &Topology, paths: &[Path]) -> Result<()> {
         for (slot, entry) in self.transmissions() {
             topology.link_for(entry.hop)?;
@@ -214,20 +227,41 @@ impl Schedule {
                 });
             }
         }
-        for (path_index, path) in paths.iter().enumerate() {
-            let scheduled = self.slots_for_path(path_index);
-            let expected: Vec<Hop> = path.hops().collect();
-            if scheduled.len() != expected.len() {
-                return Err(NetError::InvalidSchedule {
-                    reason: format!(
-                        "path {path_index} has {} hops but {} scheduled slots",
-                        expected.len(),
-                        scheduled.len()
-                    ),
-                });
+        for (chunk, group) in paths.chunks(VALIDATE_CHUNK).enumerate() {
+            let first = chunk * VALIDATE_CHUNK;
+            // Per path of the group: transmissions seen so far, and the
+            // first (slot, position) whose hop is not the path's hop at
+            // that position.
+            let mut seen = [0usize; VALIDATE_CHUNK];
+            let mut wrong = [None::<(usize, usize)>; VALIDATE_CHUNK];
+            for (slot, entry) in self.transmissions() {
+                let i = entry.path_index.wrapping_sub(first);
+                let Some(path) = group.get(i) else {
+                    continue;
+                };
+                let position = seen[i];
+                seen[i] += 1;
+                if wrong[i].is_none()
+                    && position < path.hop_count()
+                    && entry.hop != path_hop(path, position)
+                {
+                    wrong[i] = Some((slot, position));
+                }
             }
-            for ((slot, hop), want) in scheduled.iter().zip(&expected) {
-                if hop != want {
+            for (i, path) in group.iter().enumerate() {
+                let path_index = first + i;
+                if seen[i] != path.hop_count() {
+                    return Err(NetError::InvalidSchedule {
+                        reason: format!(
+                            "path {path_index} has {} hops but {} scheduled slots",
+                            path.hop_count(),
+                            seen[i]
+                        ),
+                    });
+                }
+                if let Some((slot, position)) = wrong[i] {
+                    let hop = self.slots[slot].expect("a transmission").hop;
+                    let want = path_hop(path, position);
                     return Err(NetError::InvalidSchedule {
                         reason: format!(
                             "path {path_index}: slot {slot} transmits {hop}, expected {want}"
@@ -238,6 +272,16 @@ impl Schedule {
         }
         Ok(())
     }
+}
+
+/// How many paths [`Schedule::validate`] checks per pass over the
+/// schedule.
+const VALIDATE_CHUNK: usize = 16;
+
+/// The `position`-th hop of `path`.
+fn path_hop(path: &Path, position: usize) -> Hop {
+    let nodes = path.nodes();
+    Hop::new(nodes[position], nodes[position + 1])
 }
 
 impl std::fmt::Display for Schedule {

@@ -7,7 +7,6 @@
 
 use crate::error::{NetError, Result};
 use crate::ids::{Hop, NodeId};
-use std::collections::BTreeMap;
 use whart_channel::LinkModel;
 
 /// An undirected connectivity graph with per-link quality models.
@@ -18,7 +17,21 @@ use whart_channel::LinkModel;
 #[derive(Debug, Clone, PartialEq)]
 pub struct Topology {
     nodes: Vec<NodeId>,
-    links: BTreeMap<(NodeId, NodeId), LinkModel>,
+    /// Every link under its [`Hop::undirected_key`], sorted by
+    /// [`link_rank`]: a lookup is a binary search over integers, about
+    /// twice as fast as a map probe comparing `NodeId` pairs, and lowering
+    /// a network looks every hop up three times.
+    links: Vec<(u128, (NodeId, NodeId), LinkModel)>,
+}
+
+/// Orders undirected link keys as the `(NodeId, NodeId)` pairs order
+/// (the gateway first, then field devices by number), as one integer.
+fn link_rank((a, b): (NodeId, NodeId)) -> u128 {
+    let rank = |n: NodeId| match n {
+        NodeId::Gateway => 0,
+        NodeId::Field(n) => u128::from(n) + 1,
+    };
+    rank(a) << 64 | rank(b)
 }
 
 impl Default for Topology {
@@ -32,7 +45,18 @@ impl Topology {
     pub fn new() -> Self {
         Topology {
             nodes: vec![NodeId::Gateway],
-            links: BTreeMap::new(),
+            links: Vec::new(),
+        }
+    }
+
+    /// An empty topology with room for `field_devices` more nodes and
+    /// `links` links.
+    pub fn with_capacity(field_devices: usize, links: usize) -> Self {
+        let mut nodes = Vec::with_capacity(field_devices + 1);
+        nodes.push(NodeId::Gateway);
+        Topology {
+            nodes,
+            links: Vec::with_capacity(links),
         }
     }
 
@@ -67,7 +91,11 @@ impl Topology {
                 return Err(NetError::UnknownNode { node });
             }
         }
-        self.links.insert(Hop::new(a, b).undirected_key(), link);
+        let key = Hop::new(a, b).undirected_key();
+        match self.find(a, b) {
+            Ok(at) => self.links[at].2 = link,
+            Err(at) => self.links.insert(at, (link_rank(key), key, link)),
+        }
         Ok(())
     }
 
@@ -88,7 +116,14 @@ impl Topology {
 
     /// The link model between two nodes, if they are connected.
     pub fn link(&self, a: NodeId, b: NodeId) -> Option<LinkModel> {
-        self.links.get(&Hop::new(a, b).undirected_key()).copied()
+        self.find(a, b).ok().map(|at| self.links[at].2)
+    }
+
+    /// Where the link between `a` and `b` sits in `links`, or where it
+    /// would be inserted.
+    fn find(&self, a: NodeId, b: NodeId) -> std::result::Result<usize, usize> {
+        let rank = link_rank(Hop::new(a, b).undirected_key());
+        self.links.binary_search_by_key(&rank, |&(r, _, _)| r)
     }
 
     /// The link model for a hop.
@@ -110,13 +145,12 @@ impl Topology {
     ///
     /// Returns [`NetError::UnknownLink`] if the nodes are not connected.
     pub fn set_link(&mut self, a: NodeId, b: NodeId, link: LinkModel) -> Result<()> {
-        let key = Hop::new(a, b).undirected_key();
-        match self.links.get_mut(&key) {
-            Some(slot) => {
-                *slot = link;
+        match self.find(a, b) {
+            Ok(at) => {
+                self.links[at].2 = link;
                 Ok(())
             }
-            None => Err(NetError::UnknownLink { from: a, to: b }),
+            Err(_) => Err(NetError::UnknownLink { from: a, to: b }),
         }
     }
 
@@ -126,17 +160,18 @@ impl Topology {
     ///
     /// Returns [`NetError::UnknownLink`] if the nodes are not connected.
     pub fn remove_link(&mut self, a: NodeId, b: NodeId) -> Result<LinkModel> {
-        self.links
-            .remove(&Hop::new(a, b).undirected_key())
-            .ok_or(NetError::UnknownLink { from: a, to: b })
+        match self.find(a, b) {
+            Ok(at) => Ok(self.links.remove(at).2),
+            Err(_) => Err(NetError::UnknownLink { from: a, to: b }),
+        }
     }
 
     /// The neighbors of a node in ascending order.
     pub fn neighbors(&self, node: NodeId) -> Vec<NodeId> {
         let mut out: Vec<NodeId> = self
             .links
-            .keys()
-            .filter_map(|&(a, b)| {
+            .iter()
+            .filter_map(|&(_, (a, b), _)| {
                 if a == node {
                     Some(b)
                 } else if b == node {
@@ -152,7 +187,7 @@ impl Topology {
 
     /// All undirected links with their models.
     pub fn links(&self) -> impl Iterator<Item = ((NodeId, NodeId), LinkModel)> + '_ {
-        self.links.iter().map(|(&k, &v)| (k, v))
+        self.links.iter().map(|&(_, key, link)| (key, link))
     }
 
     /// Number of nodes including the gateway.

@@ -167,9 +167,9 @@ impl TypicalNetwork {
     /// paths transmit first. 19 transmissions padded to the 20-slot uplink
     /// half.
     pub fn schedule_eta_a(&self) -> Schedule {
-        Schedule::sequential(&self.paths, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+        let len = self.superframe.uplink_slots() as usize;
+        Schedule::sequential_padded(&self.paths, &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9], len)
             .expect("static order is a permutation")
-            .padded(self.superframe.uplink_slots() as usize)
     }
 
     /// Schedule `eta_b` (Section VI-B): long paths first. The order is the
@@ -178,9 +178,9 @@ impl TypicalNetwork {
     /// priority (it becomes the new bottleneck at slot 16), then the 1-hop
     /// paths.
     pub fn schedule_eta_b(&self) -> Schedule {
-        Schedule::sequential(&self.paths, &[8, 9, 3, 4, 5, 7, 6, 0, 1, 2])
+        let len = self.superframe.uplink_slots() as usize;
+        Schedule::sequential_padded(&self.paths, &[8, 9, 3, 4, 5, 7, 6, 0, 1, 2], len)
             .expect("static order is a permutation")
-            .padded(self.superframe.uplink_slots() as usize)
     }
 
     /// Replaces the link between `a` and `b` (e.g. to degrade `e3 =

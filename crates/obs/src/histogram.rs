@@ -22,11 +22,12 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     (1u64 << (index + 1)) - 1
 }
 
-/// Lock-free accumulation state of one histogram.
+/// Lock-free accumulation state of one histogram. The observation count
+/// is the sum of the bucket counts, so a record touches no count of its
+/// own.
 pub(crate) struct HistogramCore {
     buckets: [AtomicU64; BUCKETS],
     overflow: AtomicU64,
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -37,7 +38,6 @@ impl Default for HistogramCore {
         HistogramCore {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
             overflow: AtomicU64::new(0),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -51,7 +51,6 @@ impl HistogramCore {
             Some(index) => self.buckets[index].fetch_add(1, Ordering::Relaxed),
             None => self.overflow.fetch_add(1, Ordering::Relaxed),
         };
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         // The extremes rarely move: a plain load skips the read-modify-
         // write (a compare-exchange loop) when they do not.
@@ -64,7 +63,7 @@ impl HistogramCore {
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
-        let buckets = self
+        let buckets: Vec<(usize, u64)> = self
             .buckets
             .iter()
             .enumerate()
@@ -73,7 +72,8 @@ impl HistogramCore {
                 (count > 0).then_some((i, count))
             })
             .collect();
-        let count = self.count.load(Ordering::Relaxed);
+        let overflow = self.overflow.load(Ordering::Relaxed);
+        let count = buckets.iter().map(|&(_, c)| c).sum::<u64>() + overflow;
         HistogramSnapshot {
             count,
             sum: self.sum.load(Ordering::Relaxed),
@@ -84,7 +84,7 @@ impl HistogramCore {
             },
             max: self.max.load(Ordering::Relaxed),
             buckets,
-            overflow: self.overflow.load(Ordering::Relaxed),
+            overflow,
         }
     }
 }

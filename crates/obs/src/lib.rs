@@ -96,26 +96,29 @@ thread_local! {
     static RECENT_HISTOGRAMS: Recent<HistogramCore> = const { RefCell::new(Vec::new()) };
 }
 
-/// The instrument named `name` in `table` of registry `id`, created on
-/// first use. A name this thread resolved recently is found in `recent`
-/// without locking or hashing; a registered name is found without
-/// allocating; only a new name is copied into the table.
-fn resolve<T: Default>(
+/// Runs `f` on the instrument named `name` in `table` of registry `id`,
+/// created on first use. A name this thread resolved recently is found
+/// in `recent` without locking, hashing or touching the instrument's
+/// reference count; a registered name is found without allocating; only
+/// a new name is copied into the table.
+fn with_instrument<T: Default, R>(
     id: u64,
     table: &Table<T>,
     recent: &'static LocalKey<Recent<T>>,
     name: &str,
-) -> Arc<T> {
+    f: impl FnOnce(&Arc<T>) -> R,
+) -> R {
+    let mut f = Some(f);
     let cached = recent.try_with(|recent| {
         recent
             .borrow()
             .iter()
             .rev()
             .find(|(registry, key, _)| *registry == id && **key == *name)
-            .map(|(_, _, instrument)| Arc::clone(instrument))
+            .map(|(_, _, instrument)| (f.take().expect("called once"))(instrument))
     });
-    if let Ok(Some(instrument)) = cached {
-        return instrument;
+    if let Ok(Some(result)) = cached {
+        return result;
     }
     let (key, instrument) = {
         let mut table = table.lock().expect("metrics lock");
@@ -128,14 +131,15 @@ fn resolve<T: Default>(
             }
         }
     };
+    let result = (f.take().expect("called once"))(&instrument);
     let _ = recent.try_with(|recent| {
         let mut recent = recent.borrow_mut();
         if recent.len() == RECENT {
             recent.remove(0);
         }
-        recent.push((id, key, Arc::clone(&instrument)));
+        recent.push((id, key, instrument));
     });
-    instrument
+    result
 }
 
 /// A cloneable handle to a metrics registry, or a no-op stand-in.
@@ -177,7 +181,7 @@ impl Metrics {
             cell: self
                 .registry
                 .as_ref()
-                .map(|r| resolve(r.id, &r.counters, &RECENT_COUNTERS, name)),
+                .map(|r| with_instrument(r.id, &r.counters, &RECENT_COUNTERS, name, Arc::clone)),
         }
     }
 
@@ -187,18 +191,51 @@ impl Metrics {
             cell: self
                 .registry
                 .as_ref()
-                .map(|r| resolve(r.id, &r.gauges, &RECENT_GAUGES, name)),
+                .map(|r| with_instrument(r.id, &r.gauges, &RECENT_GAUGES, name, Arc::clone)),
         }
     }
 
     /// Resolves (creating on first use) the histogram named `name`.
     pub fn histogram(&self, name: &str) -> Histogram {
         Histogram {
-            core: self
-                .registry
-                .as_ref()
-                .map(|r| resolve(r.id, &r.histograms, &RECENT_HISTOGRAMS, name)),
+            core: self.registry.as_ref().map(|r| {
+                with_instrument(r.id, &r.histograms, &RECENT_HISTOGRAMS, name, Arc::clone)
+            }),
         }
+    }
+
+    /// Adds `n` events to the counter named `name`: the same as
+    /// `counter(name).add(n)` without a handle to clone and drop, for a
+    /// name recorded once per call site.
+    pub fn add(&self, name: &str, n: u64) {
+        if let Some(r) = &self.registry {
+            with_instrument(r.id, &r.counters, &RECENT_COUNTERS, name, |cell| {
+                cell.fetch_add(n, Ordering::Relaxed);
+            });
+        }
+    }
+
+    /// Records one observation into the histogram named `name`: the
+    /// same as `histogram(name).record(value)` without a handle.
+    pub fn record(&self, name: &str, value: u64) {
+        if let Some(r) = &self.registry {
+            with_instrument(r.id, &r.histograms, &RECENT_HISTOGRAMS, name, |core| {
+                core.record(value);
+            });
+        }
+    }
+
+    /// Runs `work` and records its elapsed nanoseconds into the
+    /// histogram named `name`, as a [`Metrics::timer`] span around it
+    /// would. On a disabled handle the clock is not read.
+    pub fn time<R>(&self, name: &str, work: impl FnOnce() -> R) -> R {
+        if !self.is_enabled() {
+            return work();
+        }
+        let start = Instant::now();
+        let result = work();
+        self.record(name, elapsed_ns(start));
+        result
     }
 
     /// Starts a scoped span recording elapsed nanoseconds into the
@@ -336,10 +373,14 @@ impl SpanTimer {
 
     fn finish(&mut self) {
         if let Some(start) = self.start.take() {
-            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.histogram.record(nanos);
+            self.histogram.record(elapsed_ns(start));
         }
     }
+}
+
+/// Nanoseconds since `start`, saturating.
+fn elapsed_ns(start: Instant) -> u64 {
+    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanTimer {
@@ -382,6 +423,27 @@ mod tests {
             assert_eq!(b.counter(&name), Some(2 * (100 + i)));
             assert_eq!(a.gauge(&name), Some(1), "gauges are a separate table");
         }
+    }
+
+    #[test]
+    fn by_name_recording_matches_handles() {
+        let metrics = Metrics::new();
+        metrics.add("events", 2);
+        metrics.counter("events").add(3);
+        metrics.record("size", 7);
+        metrics.histogram("size").record(9);
+        let doubled = metrics.time("work_ns", || 21 * 2);
+        assert_eq!(doubled, 42);
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("events"), Some(5));
+        let size = snapshot.histogram("size").unwrap();
+        assert_eq!((size.count, size.sum, size.min, size.max), (2, 16, 7, 9));
+        assert_eq!(snapshot.histogram("work_ns").unwrap().count, 1);
+        let off = Metrics::disabled();
+        off.add("events", 1);
+        off.record("size", 1);
+        assert_eq!(off.time("work_ns", || 5), 5);
+        assert!(off.snapshot().is_empty());
     }
 
     #[test]

@@ -57,6 +57,7 @@ use crate::record::RequestRecord;
 use crate::router::Router;
 use crate::signal;
 use crate::windows::HttpWindows;
+use std::cell::RefCell;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::ops::{Deref, DerefMut};
@@ -698,6 +699,19 @@ fn builtin(ctx: &Ctx, method: &str, path: &str) -> Option<(&'static str, Respons
     }
 }
 
+thread_local! {
+    /// The worker's buffer for the middleware's instrument names.
+    static INSTRUMENT_NAME: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Appends `n` in decimal.
+fn push_decimal(out: &mut String, n: u16) {
+    if n >= 10 {
+        push_decimal(out, n / 10);
+    }
+    out.push(char::from(b'0' + (n % 10) as u8));
+}
+
 /// Records the request middleware's observability from the request's
 /// one record: cumulative metrics, rolling windows, the journal event,
 /// the wide log line and the flight-recorder entry — all stamped with
@@ -705,15 +719,25 @@ fn builtin(ctx: &Ctx, method: &str, path: &str) -> Option<(&'static str, Respons
 /// built only if the journal and the log admit them.
 fn instrument(ctx: &Ctx, record: RequestRecord) {
     let label = record.route;
-    ctx.metrics
-        .counter(&format!(
-            "http.requests_total{{route={label},code={}}}",
-            record.status
-        ))
-        .increment();
-    ctx.metrics
-        .histogram(&format!("http.request_ns{{route={label}}}"))
-        .record(record.total_ns);
+    if ctx.metrics.is_enabled() {
+        // `http.requests_total{route=..,code=..}` and
+        // `http.request_ns{route=..}`, spelled into one reused buffer.
+        INSTRUMENT_NAME.with(|name| {
+            let mut name = name.borrow_mut();
+            name.clear();
+            name.push_str("http.requests_total{route=");
+            name.push_str(label);
+            name.push_str(",code=");
+            push_decimal(&mut name, record.status);
+            name.push('}');
+            ctx.metrics.add(&name, 1);
+            name.clear();
+            name.push_str("http.request_ns{route=");
+            name.push_str(label);
+            name.push('}');
+            ctx.metrics.record(&name, record.total_ns);
+        });
+    }
     if let Some(windows) = &ctx.windows {
         windows.record(label, record.status, record.total_ns);
     }
