@@ -13,9 +13,13 @@
 //! per group plus the first-class scaling-ratio rows (`scale/cold/N` vs
 //! the serial loop, `scale/warm/N` vs `warm/1`, `scale/profiled/4` vs
 //! `warm/4`, `scale/traced/1` vs `cold/1`) from the `whart-obs`
-//! snapshot, and — with `--check` — fails (exit 1) when any group's
-//! serial-loop-normalized mean grew beyond the tolerance (default 0.25
-//! = 25%), when a scaling ratio drifted beyond it, or when any scale
+//! snapshot, then one mean line per design-ablation group (`ablation/*`:
+//! fast vs explicit path solve, the evaluator's scaling end points, the
+//! simulator under both PHYs; no ceiling applies to them), and — with
+//! `--check` — fails (exit 1) when any group's serial-loop-normalized
+//! mean grew beyond the tolerance (default 0.25 = 25%; NaN, infinite
+//! and negative values are rejected), when a scaling ratio drifted
+//! beyond it, or when any scale
 //! row in the fresh run exceeds its hard ceiling: 1.25 for the
 //! parallel-path rows (losing outright to the code it replaces is a
 //! regression no baseline can excuse), 1.05 for `scale/profiled/4` (a

@@ -8,7 +8,7 @@
 //! solvers report through — instead of a bespoke timing layer, and
 //! [`check_regression`] gates CI on it.
 //!
-//! Groups match the Criterion benchmark of the same name:
+//! The fleet groups:
 //! * `serial-loop` — `NetworkModel::evaluate` per scenario, no sharing;
 //! * `cold/{workers}` — a fresh engine per iteration;
 //! * `traced/1` — the cold 1-worker drain with an enabled trace journal
@@ -21,21 +21,33 @@
 //!   pinning the facade's observed overhead (gated at
 //!   [`PROFILED_CEILING`] of the `warm/4` time).
 //!
-//! The harness run itself executes under that capture, so alongside the
-//! timings it returns a [`whart_prof::Profile`] attributing the warm
-//! phase's wall time to engine frames — the attribution table
-//! `bench-engine` prints to explain flat warm-scaling rows.
+//! The warm phase runs under that capture, so alongside the timings the
+//! harness returns a [`whart_prof::Profile`] attributing its wall time
+//! to engine frames — the attribution table `bench-engine` prints to
+//! explain flat warm-scaling rows.
+//!
+//! A last phase times the design ablations of the paper's two cost
+//! claims on single problems (see [`ABLATIONS`]): the fast evaluator
+//! against the explicit Algorithm-1 chain on the Section V path, the
+//! evaluator at the end points of its `Is`, hop-count and `F_up` ranges
+//! (the O(Is · F_up · n) bound), and the simulator under both PHY
+//! fidelities. Each emits one mean row after the scale rows; none is a
+//! scale row, so none falls under a hard ceiling.
 
 use std::hint::black_box;
 use std::sync::Arc;
-use whart_channel::LinkModel;
+use std::time::Instant;
+use whart_channel::{Blacklist, ChannelConditions, LinkModel, WIRELESSHART_MESSAGE_BITS};
 use whart_engine::{Engine, MeasureSet, Scenario};
 use whart_json::Json;
-use whart_model::NetworkModel;
+use whart_model::explicit::explicit_chain;
+use whart_model::sweeps::{chain_model, section_v_model};
+use whart_model::{LinkDynamics, NetworkModel, PathProblem};
 use whart_net::typical::TypicalNetwork;
-use whart_net::ReportingInterval;
+use whart_net::{ReportingInterval, Superframe};
 use whart_obs::{Metrics, MetricsSnapshot};
 use whart_prof::{Profile, Profiler};
+use whart_sim::{PhyMode, Simulator};
 use whart_trace::Trace;
 
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
@@ -65,8 +77,38 @@ pub const GROUPS: [&str; 11] = [
     "profiled/4",
 ];
 
+/// The design-ablation groups, in the order their lines are emitted
+/// (after the scale rows); `ablation_workloads` builds them in the
+/// same order.
+pub const ABLATIONS: [&str; 10] = [
+    "ablation/fast/section-v",
+    "ablation/explicit/section-v",
+    "ablation/sim/gilbert",
+    "ablation/sim/hopping",
+    "ablation/fast/is-1",
+    "ablation/fast/is-32",
+    "ablation/fast/hops-1",
+    "ablation/fast/hops-16",
+    "ablation/fast/fup-7",
+    "ablation/fast/fup-100",
+];
+
+/// Reporting intervals per `ablation/sim/*` iteration: a few
+/// milliseconds of simulation, so the `--short` run stays quick.
+const SIM_INTERVALS: u64 = 100;
+
+/// Path solves per timed `ablation/fast/*` iteration. One solve takes
+/// a few hundred nanoseconds, close to the cost of reading the clock,
+/// and the first solve after a millisecond of simulation runs on cold
+/// caches; the row reports the batch's mean per solve.
+const FAST_BATCH: u64 = 100;
+
 /// Histogram-name prefix the harness records under.
 const PREFIX: &str = "bench.engine_throughput/";
+
+/// Gauge-name suffix under which each ablation group records its work
+/// units per run (its row's `elements`).
+const ELEMENTS_SUFFIX: &str = ".elements";
 
 /// Hard ceiling on every first-class scale row, checked against the
 /// current run alone (no baseline involved): a ratio above this means
@@ -167,6 +209,105 @@ pub fn submit_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
     }
 }
 
+/// One ablation group's workload.
+enum Ablation {
+    /// The fast transient evaluator on one path problem.
+    Fast(PathProblem),
+    /// The explicit Algorithm-1 chain of the same problem: construction
+    /// plus absorbing analysis.
+    Explicit(PathProblem),
+    /// [`Simulator::run`] over [`SIM_INTERVALS`] reporting intervals.
+    Sim(Box<Simulator>),
+}
+
+impl Ablation {
+    /// Work units per run: for a path solve the `Is * F_up * n` of the
+    /// paper's cost bound (`mean_ns / elements` falls where the solver
+    /// beats the bound, as the event-driven loop does on sparse frames);
+    /// for a simulator run the simulated reporting intervals.
+    fn elements(&self) -> u64 {
+        match self {
+            Ablation::Fast(problem) | Ablation::Explicit(problem) => {
+                u64::from(problem.interval().cycles())
+                    * u64::from(problem.superframe().uplink_slots())
+                    * problem.hops().len() as u64
+            }
+            Ablation::Sim(_) => SIM_INTERVALS,
+        }
+    }
+
+    /// Runs per timed iteration; the row's times are per run.
+    fn batch(&self) -> u64 {
+        match self {
+            Ablation::Fast(_) => FAST_BATCH,
+            Ablation::Explicit(_) | Ablation::Sim(_) => 1,
+        }
+    }
+
+    fn run(&self) {
+        match self {
+            Ablation::Fast(problem) => {
+                black_box(black_box(problem).evaluate());
+            }
+            Ablation::Explicit(problem) => {
+                let chain = explicit_chain(black_box(problem));
+                black_box(chain.cycle_probabilities().expect("solvable"));
+            }
+            Ablation::Sim(sim) => {
+                black_box(black_box(sim).run(1, SIM_INTERVALS));
+            }
+        }
+    }
+}
+
+/// The workloads behind [`ABLATIONS`], in the same order: the Section V
+/// path (`pi = 0.75`, `Is = 4` unless the id says otherwise), n-hop
+/// chains at `pi = 0.83` and `Is = 4` (`F_up = n` for the hop rows, 3
+/// hops for the frame rows), and the typical network under `eta_a` at
+/// `pi = 0.83`.
+fn ablation_workloads() -> [Ablation; 10] {
+    let section_v = |is: u32| {
+        section_v_model(0.75, ReportingInterval::new(is).expect("positive")).expect("valid")
+    };
+    let chain = |hops: u32| chain_model(hops, 0.83, ReportingInterval::REGULAR).expect("valid");
+    let framed = |f_up: u32| {
+        let link = LinkModel::from_availability(0.83, LinkModel::DEFAULT_RECOVERY).expect("valid");
+        let mut b = PathProblem::builder();
+        for k in 0..3 {
+            b.add_hop(LinkDynamics::steady(link), k);
+        }
+        b.superframe(Superframe::symmetric(f_up).expect("valid"))
+            .interval(ReportingInterval::REGULAR);
+        b.build().expect("valid")
+    };
+    let sim = |phy: PhyMode| {
+        let net = TypicalNetwork::new(
+            LinkModel::from_availability(0.83, LinkModel::DEFAULT_RECOVERY).expect("valid"),
+        );
+        Box::new(
+            Simulator::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR, phy)
+                .expect("valid"),
+        )
+    };
+    let hopping = PhyMode::Hopping {
+        conditions: ChannelConditions::uniform(2e-4).expect("valid"),
+        blacklist: Blacklist::new(),
+        message_bits: WIRELESSHART_MESSAGE_BITS,
+    };
+    [
+        Ablation::Fast(section_v(4)),
+        Ablation::Explicit(section_v(4)),
+        Ablation::Sim(sim(PhyMode::Gilbert)),
+        Ablation::Sim(sim(hopping)),
+        Ablation::Fast(section_v(1)),
+        Ablation::Fast(section_v(32)),
+        Ablation::Fast(chain(1)),
+        Ablation::Fast(chain(16)),
+        Ablation::Fast(framed(7)),
+        Ablation::Fast(framed(100)),
+    ]
+}
+
 fn time_one<F: FnOnce()>(metrics: &Metrics, group: &str, iteration: F) {
     let span = metrics.histogram(&format!("{PREFIX}{group}")).start();
     iteration();
@@ -183,6 +324,10 @@ fn time_one<F: FnOnce()>(metrics: &Metrics, group: &str, iteration: F) {
 /// land entirely on whichever group happened to run last and surface
 /// as a phantom scaling regression. Interleaving spreads that drift
 /// evenly over all the groups a ratio relates.
+///
+/// The [`ABLATIONS`] groups run last, round-robin among themselves, on
+/// fixed problems of their own (not `models`) and outside the profiler
+/// capture.
 pub fn run_engine_throughput(
     config: BenchConfig,
     models: &[Arc<NetworkModel>],
@@ -265,40 +410,69 @@ pub fn run_engine_throughput(
             warm(&mut profiled_engine)
         });
     }
+    let profile = capture.stop();
 
-    (metrics.snapshot(), capture.stop())
+    let ablations = ablation_workloads();
+    for (id, ablation) in ABLATIONS.iter().zip(&ablations) {
+        metrics
+            .gauge(&format!("{PREFIX}{id}{ELEMENTS_SUFFIX}"))
+            .set(ablation.elements());
+    }
+    for _ in 0..config.warmup {
+        for ablation in &ablations {
+            ablation.run();
+        }
+    }
+    for _ in 0..config.iterations {
+        for (id, ablation) in ABLATIONS.iter().zip(&ablations) {
+            let batch = ablation.batch();
+            let start = Instant::now();
+            for _ in 0..batch {
+                ablation.run();
+            }
+            let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            metrics.record(&format!("{PREFIX}{id}"), nanos / batch);
+        }
+    }
+
+    (metrics.snapshot(), profile)
 }
 
 /// Renders the snapshot's harness histograms as `BENCH_engine.json`
-/// lines: one compact JSON object per group, in [`GROUPS`] order,
-/// followed by the first-class scaling-ratio rows (see `scale_rows`).
+/// lines: one compact JSON object per group, in [`GROUPS`] order (each
+/// with `elements` fleet scenarios), then the first-class scaling-ratio
+/// rows (see `scale_rows`), then one object per [`ABLATIONS`] group
+/// (with the elements its workload recorded).
 pub fn bench_lines(snapshot: &MetricsSnapshot, elements: u64) -> String {
-    let mut out = String::new();
-    for group in GROUPS {
-        let Some(hist) = snapshot.histogram(&format!("{PREFIX}{group}")) else {
-            continue;
-        };
+    let mean_row = |group: &str, elements: u64| {
+        let hist = snapshot.histogram(&format!("{PREFIX}{group}"))?;
         let mean = hist.mean().unwrap_or(0.0);
         // Quantile keys are informational: check_regression reads only
         // id + mean_ns, so committed baselines stay valid.
         let quantile = |q: f64| Json::from(hist.quantile(q).unwrap_or(0.0));
-        let line = Json::object([
+        Some(Json::object([
             ("id", Json::from(format!("engine_throughput/{group}"))),
             ("mean_ns", Json::from((mean * 10.0).round() / 10.0)),
             ("p50_ns", quantile(0.5)),
             ("p95_ns", quantile(0.95)),
             ("p99_ns", quantile(0.99)),
             ("elements", Json::from(elements)),
-        ]);
-        out.push_str(&line.to_compact());
-        out.push('\n');
-    }
-    for (id, ratio, of) in scale_rows(snapshot) {
-        let line = Json::object([
+        ]))
+    };
+    let fleet_rows = GROUPS.iter().filter_map(|group| mean_row(group, elements));
+    let scale = scale_rows(snapshot).into_iter().map(|(id, ratio, of)| {
+        Json::object([
             ("id", Json::from(id)),
             ("ratio", Json::from((ratio * 10_000.0).round() / 10_000.0)),
             ("of", Json::from(of)),
-        ]);
+        ])
+    });
+    let ablation_rows = ABLATIONS.iter().filter_map(|id| {
+        let elements = snapshot.gauge(&format!("{PREFIX}{id}{ELEMENTS_SUFFIX}"))?;
+        mean_row(id, elements)
+    });
+    let mut out = String::new();
+    for line in fleet_rows.chain(scale).chain(ablation_rows) {
         out.push_str(&line.to_compact());
         out.push('\n');
     }
@@ -501,12 +675,19 @@ fn parse_bench_lines(text: &str) -> Result<BenchRows, String> {
 ///
 /// # Errors
 ///
-/// Malformed bench lines, or a side missing the serial-loop group.
+/// A `tolerance` that is NaN, infinite or negative (NaN would pass every
+/// drift gate, a negative one fail every row), malformed bench lines, or
+/// a side missing the serial-loop group.
 pub fn check_regression(
     baseline: &str,
     current: &str,
     tolerance: f64,
 ) -> Result<Vec<String>, String> {
+    if !(tolerance.is_finite() && tolerance >= 0.0) {
+        return Err(format!(
+            "--tolerance must be a finite, non-negative fraction, got {tolerance}"
+        ));
+    }
     let serial = "engine_throughput/serial-loop";
     let (base, base_scales) = parse_bench_lines(baseline)?;
     let (cur, cur_scales) = parse_bench_lines(current)?;
@@ -631,8 +812,9 @@ mod tests {
         let (snapshot, profile) = run_engine_throughput(config, &tiny_fleet());
         let lines = bench_lines(&snapshot, 1);
         // 11 mean rows plus 9 scale rows: scale/cold/{1,2,4,8},
-        // scale/warm/{2,4,8}, scale/profiled/4 and scale/traced/1.
-        assert_eq!(lines.lines().count(), GROUPS.len() + 9);
+        // scale/warm/{2,4,8}, scale/profiled/4 and scale/traced/1, then
+        // the ablation rows.
+        assert_eq!(lines.lines().count(), GROUPS.len() + 9 + ABLATIONS.len());
         for (line, group) in lines.lines().zip(GROUPS) {
             let value = Json::parse(line).unwrap();
             assert_eq!(
@@ -684,6 +866,39 @@ mod tests {
             };
             assert_eq!(value["of"].as_str().unwrap(), of, "{line}");
         }
+        // The ablation rows follow the scale rows in their own order,
+        // each with a positive per-run mean and its work units: Is *
+        // F_up * n for a path solve, simulated intervals for a sim run.
+        let ablation_rows = [
+            ("ablation/fast/section-v", 4 * 7 * 3),
+            ("ablation/explicit/section-v", 4 * 7 * 3),
+            ("ablation/sim/gilbert", SIM_INTERVALS),
+            ("ablation/sim/hopping", SIM_INTERVALS),
+            ("ablation/fast/is-1", 7 * 3),
+            ("ablation/fast/is-32", 32 * 7 * 3),
+            ("ablation/fast/hops-1", 4),
+            ("ablation/fast/hops-16", 4 * 16 * 16),
+            ("ablation/fast/fup-7", 4 * 7 * 3),
+            ("ablation/fast/fup-100", 4 * 100 * 3),
+        ];
+        let ablation_lines: Vec<&str> = lines.lines().skip(GROUPS.len() + 9).collect();
+        assert_eq!(ablation_lines.len(), ablation_rows.len());
+        for (line, (id, elements)) in ablation_lines.iter().zip(ablation_rows) {
+            let value = Json::parse(line).unwrap();
+            assert_eq!(
+                value["id"].as_str().unwrap(),
+                format!("engine_throughput/{id}")
+            );
+            assert!(!id.contains("/scale/"), "{id}");
+            assert!(value["mean_ns"].as_f64().unwrap() > 0.0, "{line}");
+            assert_eq!(
+                value["elements"].as_f64().unwrap(),
+                elements as f64,
+                "{line}"
+            );
+            let hist = snapshot.histogram(&format!("{PREFIX}{id}")).unwrap();
+            assert_eq!(hist.count, 1, "{id}");
+        }
         // The self-profile renders an attribution table whether or not
         // this single iteration happened to land under a sampler tick.
         let attribution = attribution_lines(&profile);
@@ -724,6 +939,28 @@ mod tests {
         // Malformed inputs are errors, not passes.
         assert!(check_regression("nonsense", baseline, 0.25).is_err());
         assert!(check_regression(missing, "{\"id\":\"x\"}", 0.25).is_err());
+    }
+
+    #[test]
+    fn a_tolerance_that_disables_or_inverts_the_gates_is_an_error() {
+        let baseline = "\
+{\"id\":\"engine_throughput/serial-loop\",\"mean_ns\":1000.0,\"elements\":18}\n\
+{\"id\":\"engine_throughput/cold/2\",\"mean_ns\":500.0,\"elements\":18}\n";
+        let regressed = "\
+{\"id\":\"engine_throughput/serial-loop\",\"mean_ns\":1000.0,\"elements\":18}\n\
+{\"id\":\"engine_throughput/cold/2\",\"mean_ns\":1000.0,\"elements\":18}\n";
+        // NaN compares false against every bound, so it would pass this
+        // 2x regression; a negative tolerance would fail an identical run.
+        for tolerance in [f64::NAN, f64::INFINITY, -0.1] {
+            let err = check_regression(baseline, regressed, tolerance).unwrap_err();
+            assert!(err.contains("--tolerance"), "{tolerance}: {err}");
+        }
+        // The gate's edges stay valid: zero tolerance passes an identical
+        // run and still catches the regression.
+        assert!(check_regression(baseline, baseline, 0.0)
+            .unwrap()
+            .is_empty());
+        assert_eq!(check_regression(baseline, regressed, 0.0).unwrap().len(), 1);
     }
 
     #[test]

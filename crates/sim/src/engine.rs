@@ -78,8 +78,9 @@ impl Sampler {
     }
 }
 
-/// A scheduled action: `(path_index, hop_position, undirected_link_key)`.
-type SlotAction = (usize, usize, (NodeId, NodeId));
+/// A scheduled action: `(path_index, hop_position, sampler_index)`, the
+/// last indexing the per-link samplers (and `link_keys`).
+type SlotAction = (usize, usize, usize);
 
 /// A slot-level Monte-Carlo simulation of a WirelessHART network.
 #[derive(Debug, Clone)]
@@ -120,15 +121,20 @@ impl Simulator {
                 ),
             });
         }
+        let link_keys: Vec<(NodeId, NodeId)> = topology.links().map(|(k, _)| k).collect();
         let mut slot_actions = vec![None; superframe.uplink_slots() as usize];
         for (slot, entry) in schedule.transmissions() {
             let hop_position = paths[entry.path_index]
                 .hops()
                 .position(|h| h == entry.hop)
                 .expect("validated schedules serve path hops");
-            slot_actions[slot] = Some((entry.path_index, hop_position, entry.hop.undirected_key()));
+            let link_key = entry.hop.undirected_key();
+            let sampler = link_keys
+                .iter()
+                .position(|k| *k == link_key)
+                .expect("validated schedules use topology links");
+            slot_actions[slot] = Some((entry.path_index, hop_position, sampler));
         }
-        let link_keys: Vec<(NodeId, NodeId)> = topology.links().map(|(k, _)| k).collect();
         Ok(Simulator {
             topology,
             paths,
@@ -186,21 +192,14 @@ impl Simulator {
             position.iter_mut().for_each(|p| *p = Some(0));
             for cycle in 0..cycles {
                 for frame_slot in 0..cycle_slots {
-                    for (key, sampler) in self.link_keys.iter().zip(samplers.iter_mut()) {
-                        let _ = key;
+                    for sampler in &mut samplers {
                         sampler.step(&mut rng, absolute_slot);
                     }
                     if frame_slot < f_up {
-                        if let Some((path, hop, link_key)) = self.slot_actions[frame_slot as usize]
-                        {
+                        if let Some((path, hop, sampler)) = self.slot_actions[frame_slot as usize] {
                             if position[path] == Some(hop) {
                                 paths[path].slots_used += 1;
-                                let idx = self
-                                    .link_keys
-                                    .iter()
-                                    .position(|k| *k == link_key)
-                                    .expect("links indexed at construction");
-                                if samplers[idx].transmit(&mut rng) {
+                                if samplers[sampler].transmit(&mut rng) {
                                     let next = hop + 1;
                                     if next == self.paths[path].hop_count() {
                                         position[path] = None;
