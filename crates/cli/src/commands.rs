@@ -3,10 +3,11 @@
 use crate::spec::NetworkSpec;
 use crate::telemetry::TelemetryFlags;
 use std::sync::Arc;
+use whart_engine::{Engine, Scenario};
 use whart_json::Json;
 use whart_model::{
     compose, explain_path, explicit::explicit_chain, DelayConvention, ExplicitSolver, FastSolver,
-    MeasurePlan, Solver, UtilizationConvention,
+    MeasurePlan, NetworkModel, Solver, UtilizationConvention,
 };
 use whart_sim::{MonteCarloSolver, PhyMode, Simulator};
 
@@ -77,11 +78,13 @@ impl Backend {
     }
 }
 
-/// Runs `analyze`: per-path measures and network aggregates, solved
-/// through the selected backend. The `telemetry` flags record solver
-/// metrics, the event journal (per-path solve spans, per-hop
-/// provenance) and a sampled profile of the whole command, each written
-/// to its destination after the solve.
+/// Runs `analyze`: per-path measures and network aggregates, solved as
+/// a one-scenario drain of a memoizing engine on the selected backend —
+/// the same path `whart batch` and `whart serve` take. The `telemetry`
+/// flags record engine and solver metrics, the event journal (engine
+/// stages, per-path solve spans, per-hop provenance) and a sampled
+/// profile of the whole command, each written to its destination after
+/// the solve.
 pub fn analyze(
     spec: &NetworkSpec,
     json: bool,
@@ -89,27 +92,56 @@ pub fn analyze(
     telemetry: &TelemetryFlags,
 ) -> Result<String, String> {
     let model = spec.to_network()?;
-    let problem = model.compile().map_err(|e| e.to_string())?;
     let telemetry = telemetry.start();
     let profiler = &telemetry.profiler;
-    let solve_frame = profiler.frame(&format!("solver.{}", backend.solver().name()));
-    let eval = {
+    let mut engine = Engine::with_solver(1, backend.solver());
+    engine.set_metrics(telemetry.metrics.clone());
+    engine.set_trace(telemetry.trace.clone());
+    engine.set_profiler(profiler.clone());
+    let analyzed = {
         let _analyze = profiler.enter(profiler.frame("cli.analyze"));
-        let _solve = profiler.enter(solve_frame);
-        backend
-            .solver()
-            .solve_network_traced(
-                &problem,
-                MeasurePlan::default(),
-                &telemetry.metrics,
-                &telemetry.trace,
-            )
-            .map_err(|e| e.to_string())?
+        analyze_on(&mut engine, "analyze", model, json, backend)?
     };
-    let appended = telemetry.finish()?;
-    let mut out = render_analyze(json, backend, &eval);
-    out.push_str(&appended);
+    let mut out = analyzed.report;
+    out.push_str(&telemetry.finish()?);
     Ok(out)
+}
+
+/// One network solved and rendered by [`analyze_on`].
+pub(crate) struct Analyzed {
+    /// The report, byte for byte as `whart analyze` prints it.
+    pub report: String,
+    /// How many paths the network has.
+    pub paths: usize,
+    /// How many of those paths the engine answered from its cache.
+    pub cache_hits: u64,
+}
+
+/// Drains `model` through `engine` as one scenario labelled `label` and
+/// renders the result with [`render_analyze`]. `whart analyze` and
+/// serve's `/v1/analyze` both solve a network through this function.
+pub(crate) fn analyze_on(
+    engine: &mut Engine,
+    label: &str,
+    model: NetworkModel,
+    json: bool,
+    backend: &Backend,
+) -> Result<Analyzed, String> {
+    let hits_before = engine.stats().path_cache_hits;
+    engine.submit(Scenario::network(label, model));
+    let result = engine
+        .drain()
+        .map_err(|e| e.to_string())?
+        .pop()
+        .ok_or("engine returned no result")?;
+    let eval = result
+        .network()
+        .ok_or("engine returned a non-network outcome")?;
+    Ok(Analyzed {
+        report: render_analyze(json, backend, eval),
+        paths: eval.reports().len(),
+        cache_hits: engine.stats().path_cache_hits - hits_before,
+    })
 }
 
 /// Renders a solved network evaluation exactly as `whart analyze` prints

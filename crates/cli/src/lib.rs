@@ -34,16 +34,19 @@ node 0 denotes the gateway; paths are listed source-first and may omit the
 trailing gateway. Link quality accepts {p_fl,p_rc}, {ber}, {snr} or
 {availability}. batch reads a JSON list of scenarios (template or inline
 network, overrides, failure injections, measures) and streams one JSON
-line per scenario through the memoizing engine. analyze solves through a
-pluggable backend: 'fast' (analytical transient, default), 'explicit'
-(Algorithm 1 chain) or 'sim' (Monte-Carlo; --seed and --intervals set
-the estimator); batch scenarios select theirs with a \"backend\" field.
+line per scenario through the memoizing engine. analyze solves its one
+network through the same engine, on a pluggable backend: 'fast'
+(analytical transient, default), 'explicit' (Algorithm 1 chain) or 'sim'
+(Monte-Carlo; --seed and --intervals set the estimator), so analyze and
+a one-scenario batch report the same numbers; batch scenarios select
+their backend with a \"backend\" field.
 explain breaks one path down per hop (channel provenance, expected
 attempts/failures, which hop loses the packets) and per delivery cycle
 (delay decomposition); the breakdown always uses the fast evaluator,
-and --backend sim appends a sim-vs-analytic divergence table. --metrics <out.json> records solver/engine counters
-and latency histograms during the run and writes the snapshot to the
-given file; batch additionally appends one 'metrics' summary line per
+and --backend sim appends a sim-vs-analytic divergence table. --metrics <out.json> records the engine's cache
+counters, stage and per-solve latency histograms (engine.<backend>.path_solve_ns)
+and the solver's work counters during the run and writes the snapshot
+to the given file; batch additionally appends one 'metrics' summary line per
 backend. --trace <out.json> records the structured event journal (solve
 spans, per-hop provenance, engine stages) as Chrome trace_event JSON
 (Perfetto-loadable), or as JSON Lines when the path ends in .jsonl.
@@ -437,6 +440,63 @@ mod tests {
     }
 
     #[test]
+    fn sim_analyze_equals_a_one_scenario_batch_on_a_multi_path_network() {
+        let dir = std::env::temp_dir().join("whart-cli-sim-batch-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = commands::example("typical").unwrap();
+        let path = dir.join("typical.json");
+        std::fs::write(&path, &spec).unwrap();
+        let fleet = dir.join("fleet.json");
+        std::fs::write(
+            &fleet,
+            format!(
+                "[{{\"label\": \"typical\", \"network\": {spec}, \"backend\": \"sim\", \
+                 \"seed\": 7, \"intervals\": 2000, \"measures\": [\"reachability\", \
+                 \"expected_delay\", \"first_loss\", \"utilization\", \"cycle_probabilities\"]}}]"
+            ),
+        )
+        .unwrap();
+        let analyzed = run(&s(&[
+            "analyze",
+            path.to_str().unwrap(),
+            "--json",
+            "--backend",
+            "sim",
+            "--seed",
+            "7",
+            "--intervals",
+            "2000",
+        ]))
+        .unwrap();
+        let batched = run(&s(&["batch", fleet.to_str().unwrap()])).unwrap();
+        let analyzed = whart_json::Json::parse(&analyzed).unwrap();
+        let batched = whart_json::Json::parse(batched.trim()).unwrap();
+        let (whart_json::Json::Array(a), whart_json::Json::Array(b)) =
+            (&analyzed["paths"], &batched["paths"])
+        else {
+            panic!("no path lists: {analyzed:?} / {batched:?}");
+        };
+        assert_eq!(a.len(), 10, "the typical network has ten paths");
+        assert_eq!(a.len(), b.len());
+        for (i, (a, b)) in a.iter().zip(b).enumerate() {
+            for key in [
+                "reachability",
+                "expected_delay_ms",
+                "expected_intervals_to_first_loss",
+                "utilization",
+                "cycle_probabilities",
+            ] {
+                assert_eq!(a[key], b[key], "path {} {key}", i + 1);
+            }
+        }
+        assert_eq!(analyzed["mean_delay_ms"], batched["mean_delay_ms"]);
+        assert_eq!(
+            analyzed["network_utilization"],
+            batched["network_utilization"]
+        );
+    }
+
+    #[test]
     fn analyze_metrics_flag_writes_a_snapshot() {
         let dir = std::env::temp_dir().join("whart-cli-metrics-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -453,8 +513,9 @@ mod tests {
         assert!(out.contains("0.962"), "{out}");
         let text = std::fs::read_to_string(&metrics).unwrap();
         let snapshot = whart_obs::MetricsSnapshot::parse(&text).unwrap();
-        let solves = snapshot.histogram("solver.fast.solve_ns").unwrap();
+        let solves = snapshot.histogram("engine.fast.path_solve_ns").unwrap();
         assert_eq!(solves.count, 1, "one path in the Section V network");
+        assert!(snapshot.histogram("solver.fast.solve_ns").is_none());
         assert!(snapshot.counter("solver.fast.transient_steps").unwrap() > 0);
         assert!(run(&s(&["analyze", spec.to_str().unwrap(), "--metrics"])).is_err());
     }
@@ -504,7 +565,7 @@ mod tests {
         let out = run(&s(&["analyze", file, "--metrics", "-"])).unwrap();
         let start = out.find("\n{").expect("snapshot JSON after the table");
         let snapshot = whart_obs::MetricsSnapshot::parse(&out[start..]).unwrap();
-        assert!(snapshot.histogram("solver.fast.solve_ns").is_some());
+        assert!(snapshot.histogram("engine.fast.path_solve_ns").is_some());
 
         let out = run(&s(&["analyze", file, "--trace", "-"])).unwrap();
         let jsonl: Vec<&str> = out.lines().filter(|l| l.starts_with('{')).collect();

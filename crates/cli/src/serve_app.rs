@@ -1,8 +1,9 @@
 //! The `whart serve` application: the CLI's evaluation pipeline behind a
 //! long-running HTTP service.
 //!
-//! One process holds one [`EngineStore`] (an engine per solver backend,
-//! all sharing a metrics registry and trace journal), so the engines'
+//! One process holds one [`EngineStore`] (a fast and an explicit engine,
+//! plus a sim engine per request that asks for one, all sharing a
+//! metrics registry and trace journal), so the deterministic engines'
 //! path caches stay warm across requests — repeated or overlapping
 //! specs answer from memo instead of re-solving. The HTTP machinery
 //! itself lives in the `whart-serve` crate; this module wires the
@@ -44,13 +45,13 @@
 //!   `--metrics`/`--trace` artifacts, exit.
 
 use crate::batch::{decode_fleet, stats_line, write_result_line, BatchEntry};
-use crate::commands::{example, render_analyze, Backend};
+use crate::commands::{analyze_on, example, Analyzed, Backend};
 use crate::spec::NetworkSpec;
 use crate::telemetry::{TelemetryFlags, MAX_PROFILE_HZ};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use whart_engine::{Engine, MeasureSet, Scenario, ScenarioResult};
-use whart_model::{MeasurePlan, NetworkModel};
+use whart_engine::{Engine, MeasureSet, ScenarioResult};
+use whart_model::NetworkModel;
 use whart_obs::prometheus::{self, DerivedGauge};
 use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler, ResourceSampler};
@@ -198,10 +199,12 @@ const DEFAULT_SLO_TARGET_MS: f64 = 5.0;
 /// Requests slower than the benchmarked tail are the ones worth keeping.
 const DEFAULT_FLIGHT_THRESHOLD_MS: f64 = 0.91;
 
-/// One engine per solver backend, find-or-created on first use. All
-/// engines share the service's metrics registry and trace journal, and
-/// their path caches persist for the life of the process, each bounded
-/// at `cache_capacity` entries (oldest evicted first).
+/// The service's engines, find-or-created on first use, all sharing the
+/// service's metrics registry and trace journal. The fast and explicit
+/// engines persist for the life of the process, each path cache bounded
+/// at `cache_capacity` entries (oldest evicted first). A sim engine is
+/// keyed by its seed and replication count, so it lives for one request
+/// only: kept, every new sim configuration would add an engine for good.
 struct EngineStore {
     threads: usize,
     cache_capacity: usize,
@@ -243,41 +246,55 @@ impl EngineStore {
         self.engines.len() - 1
     }
 
-    /// Solves one network scenario through `backend`'s warm engine.
-    /// Returns the result and how many path-cache hits the solve scored.
-    /// `request_id` is stamped on every trace span the solve emits, so
+    /// Path-cache hits summed over the live engines.
+    fn path_cache_hits(&self) -> u64 {
+        self.engines
+            .iter()
+            .map(|(_, e)| e.stats().path_cache_hits)
+            .sum()
+    }
+
+    /// Runs one request's work against the store, then drops the
+    /// request's sim engines, whether the work succeeded or not.
+    /// `request_id` is stamped on every trace span the work emits, so
     /// the journal links back to the originating HTTP request.
-    fn solve_network(
+    fn request<R>(
+        &mut self,
+        request_id: &str,
+        work: impl FnOnce(&mut EngineStore) -> Result<R, String>,
+    ) -> Result<R, String> {
+        let scope = self
+            .trace
+            .context_scope([("request_id", request_id.into())]);
+        let result = work(self);
+        drop(scope);
+        self.engines
+            .retain(|(backend, _)| !matches!(backend, Backend::Sim { .. }));
+        result
+    }
+
+    /// Solves one network through `backend`'s engine and renders it as
+    /// `whart analyze` does.
+    fn analyze(
         &mut self,
         backend: Backend,
         model: NetworkModel,
-        request_id: &str,
-    ) -> Result<(ScenarioResult, u64), String> {
-        let _scope = self
-            .trace
-            .context_scope([("request_id", request_id.into())]);
+        json: bool,
+    ) -> Result<Analyzed, String> {
         let slot = self.slot(backend);
-        let engine = &mut self.engines[slot].1;
-        let before = engine.stats().path_cache_hits;
-        engine.submit(Scenario::network("http", model));
-        let mut results = engine.drain().map_err(|e| e.to_string())?;
-        let result = results.pop().ok_or("engine returned no result")?;
-        let hits = engine.stats().path_cache_hits - before;
-        Ok((result, hits))
+        analyze_on(&mut self.engines[slot].1, "http", model, json, &backend)
     }
 
     /// Runs a decoded scenario fleet exactly as `whart batch` does —
     /// per-backend engines, submission-order output — but against the
-    /// store's persistent engines.
+    /// store's engines. Returns the output and the path-cache hits the
+    /// fleet scored.
     fn solve_fleet(
         &mut self,
         entries: Vec<BatchEntry>,
         with_stats: bool,
-        request_id: &str,
-    ) -> Result<String, String> {
-        let _scope = self
-            .trace
-            .context_scope([("request_id", request_id.into())]);
+    ) -> Result<(String, u64), String> {
+        let hits_before = self.path_cache_hits();
         let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
         let mut placements: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
         let mut used: Vec<usize> = Vec::new();
@@ -306,7 +323,7 @@ impl EngineStore {
                 out.push('\n');
             }
         }
-        Ok(out)
+        Ok((out, self.path_cache_hits() - hits_before))
     }
 }
 
@@ -480,67 +497,35 @@ fn analyze_handler(app: &App, request: &Request) -> Result<Response, String> {
         Some(other) => return Err(format!("unknown format '{other}' (expected json or text)")),
     };
     let model = spec.to_network()?;
-    let request_id = request.request_id().unwrap_or("-").to_owned();
+    let request_id = request.request_id().unwrap_or("-");
     let solve_started = Instant::now();
-    // The sim backend solves directly (its per-path seeds are positional
-    // in the network, which the engine's per-path routing would not
-    // reproduce); the deterministic backends go through the warm engine.
-    let (body, paths, hits) = match backend {
-        Backend::Sim { .. } => {
-            let _scope = app
-                .trace
-                .context_scope([("request_id", request_id.as_str().into())]);
-            let problem = model.compile().map_err(|e| e.to_string())?;
-            let eval = backend
-                .solver()
-                .solve_network_traced(&problem, MeasurePlan::default(), &app.metrics, &app.trace)
-                .map_err(|e| e.to_string())?;
-            let paths = eval.reports().len();
-            (render_analyze(json, &backend, &eval), paths, 0)
-        }
-        Backend::Fast | Backend::Explicit => {
-            let (result, hits) = app.store()?.solve_network(backend, model, &request_id)?;
-            let eval = result
-                .network()
-                .ok_or("engine returned a non-network outcome")?;
-            let paths = eval.reports().len();
-            (render_analyze(json, &backend, eval), paths, hits)
-        }
-    };
+    let analyzed = app
+        .store()?
+        .request(request_id, |store| store.analyze(backend, model, json))?;
     let engine_ns = u64::try_from(solve_started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    app.memo_store(request, fingerprint, json, &body, paths as u64);
+    let paths = analyzed.paths as u64;
+    app.memo_store(request, fingerprint, json, &analyzed.report, paths);
     let response = if json {
-        Response::json(200, body)
+        Response::json(200, analyzed.report)
     } else {
-        Response::text(200, body)
+        Response::text(200, analyzed.report)
     };
     Ok(response
-        .with_trace_arg("paths", paths as u64)
-        .with_trace_arg("cache_hits", hits)
+        .with_trace_arg("paths", paths)
+        .with_trace_arg("cache_hits", analyzed.cache_hits)
         .with_trace_arg("engine_ns", engine_ns))
 }
 
-/// `POST /v1/batch`: the `batch` pipeline against the persistent engines.
+/// `POST /v1/batch`: the `batch` pipeline against the store's engines.
 fn batch_handler(app: &App, request: &Request) -> Result<Response, String> {
     let _frame = app.profiler.enter(app.frames.batch);
     let entries = decode_fleet(request.body_text()?, MAX_FLEET_SCENARIOS, &check_solve_size)?;
     let with_stats = matches!(request.query_param("stats"), Some("true") | Some("1"));
     let scenarios = entries.len();
-    let request_id = request.request_id().unwrap_or("-").to_owned();
-    let mut store = app.store()?;
-    let before: u64 = store
-        .engines
-        .iter()
-        .map(|(_, e)| e.stats().path_cache_hits)
-        .sum();
-    let out = store.solve_fleet(entries, with_stats, &request_id)?;
-    let hits: u64 = store
-        .engines
-        .iter()
-        .map(|(_, e)| e.stats().path_cache_hits)
-        .sum::<u64>()
-        - before;
-    drop(store);
+    let request_id = request.request_id().unwrap_or("-");
+    let (out, hits) = app
+        .store()?
+        .request(request_id, |store| store.solve_fleet(entries, with_stats))?;
     let mut response = Response::json(200, out);
     response.content_type = "application/x-ndjson".into();
     Ok(maybe_chunked(response)
@@ -624,15 +609,11 @@ fn optimize_handler(app: &App, request: &Request) -> Result<Response, String> {
         max_rounds: uint("rounds", s.max_rounds as u64, 16)? as usize,
     };
     let net = whart_opt::generate(&generator).map_err(|e| e.to_string())?;
-    let request_id = request.request_id().unwrap_or("-").to_owned();
-    let mut store = app.store()?;
-    let _scope = store
-        .trace
-        .context_scope([("request_id", request_id.as_str().into())]);
-    let slot = store.slot(Backend::Fast);
-    let result = whart_opt::optimize(&mut store.engines[slot].1, &net, &search)
-        .map_err(|e| e.to_string())?;
-    drop(store);
+    let request_id = request.request_id().unwrap_or("-");
+    let result = app.store()?.request(request_id, |store| {
+        let slot = store.slot(Backend::Fast);
+        whart_opt::optimize(&mut store.engines[slot].1, &net, &search).map_err(|e| e.to_string())
+    })?;
     let candidates = result.candidates_evaluated;
     let with_spec = matches!(request.query_param("spec"), Some("true") | Some("1"));
     let payload = if with_spec {
@@ -972,8 +953,9 @@ fn build_router(app: &Arc<App>, shutdown: whart_serve::Flag) -> Router {
 fn self_check(app: &App) -> Result<(), String> {
     let spec = NetworkSpec::from_json(&example("section-v")?)?;
     let model = spec.to_network()?;
-    app.store()?
-        .solve_network(Backend::Fast, model, "self-check")?;
+    app.store()?.request("self-check", |store| {
+        store.analyze(Backend::Fast, model, true)
+    })?;
     Ok(())
 }
 

@@ -153,11 +153,6 @@ fn analyze_is_byte_identical_to_the_cli_for_every_backend() {
     await_ready(&serve.addr);
     let dir = std::env::temp_dir().join("whart-serve-parity-test");
     std::fs::create_dir_all(&dir).unwrap();
-    let spec_path = dir.join("section_v.json");
-    let spec = section_v_spec();
-    std::fs::write(&spec_path, &spec).unwrap();
-    let file = spec_path.to_str().unwrap();
-
     let cases = [
         ("fast", "/v1/analyze", vec!["--backend", "fast"]),
         (
@@ -171,24 +166,35 @@ fn analyze_is_byte_identical_to_the_cli_for_every_backend() {
             vec!["--backend", "sim", "--seed", "7", "--intervals", "5000"],
         ),
     ];
-    for (name, target, flags) in cases {
-        let mut args = vec!["analyze", file, "--json"];
-        args.extend(&flags);
-        let expected = cli(&args);
-        let (status, body) = http(&serve.addr, "POST", target, &spec);
-        assert_eq!(status, 200, "{name}: {body}");
-        assert_eq!(body, expected, "{name} report drifted from the CLI");
-        // A second, cache-warm solve must not change a byte either.
-        let (status, warm) = http(&serve.addr, "POST", target, &spec);
-        assert_eq!(status, 200);
-        assert_eq!(warm, expected, "{name} warm solve drifted");
-    }
+    // Section V has one path; the typical network's ten paths share one
+    // network solve, so per-path seeding shows up there.
+    for example in ["section-v", "typical"] {
+        let spec_path = dir.join(format!("{example}.json"));
+        let spec = cli(&["example", example]);
+        std::fs::write(&spec_path, &spec).unwrap();
+        let file = spec_path.to_str().unwrap();
+        for (name, target, flags) in &cases {
+            let mut args = vec!["analyze", file, "--json"];
+            args.extend(flags);
+            let expected = cli(&args);
+            let (status, body) = http(&serve.addr, "POST", target, &spec);
+            assert_eq!(status, 200, "{example} {name}: {body}");
+            assert_eq!(
+                body, expected,
+                "{example} {name} report drifted from the CLI"
+            );
+            // A second, cache-warm solve must not change a byte either.
+            let (status, warm) = http(&serve.addr, "POST", target, &spec);
+            assert_eq!(status, 200);
+            assert_eq!(warm, expected, "{example} {name} warm solve drifted");
+        }
 
-    // The text rendering matches the CLI table too.
-    let expected = cli(&["analyze", file]);
-    let (status, body) = http(&serve.addr, "POST", "/v1/analyze?format=text", &spec);
-    assert_eq!(status, 200);
-    assert_eq!(body, expected, "text report drifted from the CLI");
+        // The text rendering matches the CLI table too.
+        let expected = cli(&["analyze", file]);
+        let (status, body) = http(&serve.addr, "POST", "/v1/analyze?format=text", &spec);
+        assert_eq!(status, 200);
+        assert_eq!(body, expected, "{example} text report drifted from the CLI");
+    }
 }
 
 #[test]
@@ -244,6 +250,39 @@ fn metrics_exposition_is_valid_and_instruments_the_requests() {
     );
     // Three identical solves after the self-check: the cache must hit.
     assert!(ratio > 0.0, "warm solves scored no cache hits");
+}
+
+#[test]
+fn sim_requests_leave_no_engine_behind() {
+    let serve = spawn_serve(&[]);
+    await_ready(&serve.addr);
+    let fleet = r#"[
+        { "label": "s1", "network": "section-v", "backend": "sim", "seed": 1, "intervals": 500 },
+        { "label": "s2", "network": "section-v", "backend": "sim", "seed": 2, "intervals": 500 },
+        { "label": "s3", "network": "section-v", "backend": "sim", "seed": 3, "intervals": 500 },
+        { "label": "f", "network": "section-v" }
+    ]"#;
+    let (status, body) = http(&serve.addr, "POST", "/v1/batch", fleet);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(body.lines().count(), 4, "{body}");
+    let (status, body) = http(
+        &serve.addr,
+        "POST",
+        "/v1/analyze?backend=sim&seed=4&intervals=500",
+        &section_v_spec(),
+    );
+    assert_eq!(status, 200, "{body}");
+    let (status, text) = http(&serve.addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let exposition = whart_obs::prometheus::parse(&text).expect("parse exposition");
+    exposition.validate().expect("valid exposition");
+    // Four sim configurations came and went; only the deterministic
+    // backends keep an engine, one each.
+    let backends: Vec<&str> = exposition
+        .named("engine_cache_path_entries")
+        .filter_map(|s| s.label("backend"))
+        .collect();
+    assert_eq!(backends, ["fast"], "{text}");
 }
 
 #[test]

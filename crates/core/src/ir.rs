@@ -30,10 +30,8 @@
 use crate::dynamics::LinkDynamics;
 use crate::error::Result;
 use crate::explicit::explicit_chain;
-use crate::network::{NetworkEvaluation, PathReport};
 use crate::path::{fast_evaluate_counted, fast_evaluate_observed, PathEvaluation, StepEvent};
 use crate::signature::PathSignature;
-use std::sync::Arc;
 use whart_channel::{ber_from_failure_probability, Modulation, WIRELESSHART_MESSAGE_BITS};
 use whart_dtmc::Pmf;
 use whart_net::{NodeId, Path, ReportingInterval, Superframe};
@@ -335,13 +333,13 @@ pub trait Solver: Send + Sync {
     }
 
     /// Solves one compiled path problem — the one method every backend
-    /// implements. Backend observability goes to `obs`: every backend
-    /// times the solve into the `solver.<name>.solve_ns` histogram, plus
-    /// backend-specific work counters (transient steps, chain sizes,
-    /// Monte-Carlo draws). Structured provenance goes to `trace`: a
-    /// `path_solve` span per solve plus backend-specific events (per-hop
-    /// link provenance, per-cycle transition mass, chain sizes,
-    /// Monte-Carlo seeds).
+    /// implements. Backend observability goes to `obs` as work counters
+    /// (transient steps, chain sizes, Monte-Carlo draws); the solve's
+    /// latency is timed by the caller (the engine's
+    /// `engine.<name>.path_solve_ns`), not here. Structured provenance
+    /// goes to `trace`: a `path_solve` span per solve plus
+    /// backend-specific events (per-hop link provenance, per-cycle
+    /// transition mass, chain sizes, Monte-Carlo seeds).
     ///
     /// Telemetry only observes: the evaluation is bit-identical whatever
     /// the handles, and with disabled handles the solve reads no clock
@@ -366,46 +364,6 @@ pub trait Solver: Send + Sync {
     /// As [`Solver::solve_path_traced`].
     fn solve_path(&self, problem: &PathProblem, plan: MeasurePlan) -> Result<PathEvaluation> {
         self.solve_path_traced(problem, plan, &Metrics::disabled(), &Trace::disabled())
-    }
-
-    /// Solves a compiled network problem path by path, in path order,
-    /// through [`Solver::solve_path_traced`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first path-solve failure.
-    fn solve_network_traced(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<NetworkEvaluation> {
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .map(|(path, p)| {
-                Ok(PathReport {
-                    path: path.clone(),
-                    evaluation: Arc::new(self.solve_path_traced(p, plan, obs, trace)?),
-                })
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(NetworkEvaluation::from_reports(reports))
-    }
-
-    /// Solves a compiled network problem without telemetry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first path-solve failure.
-    fn solve_network(
-        &self,
-        problem: &NetworkProblem,
-        plan: MeasurePlan,
-    ) -> Result<NetworkEvaluation> {
-        self.solve_network_traced(problem, plan, &Metrics::disabled(), &Trace::disabled())
     }
 }
 
@@ -496,9 +454,7 @@ impl Solver for FastSolver {
         trace: &Trace,
     ) -> Result<PathEvaluation> {
         if !trace.has_room_or_drop(|| traced_fast_events(problem)) {
-            let (evaluation, steps) = obs.time("solver.fast.solve_ns", || {
-                fast_evaluate_counted(problem, plan)
-            })?;
+            let (evaluation, steps) = fast_evaluate_counted(problem, plan)?;
             obs.add("solver.fast.transient_steps", steps);
             return Ok(evaluation);
         }
@@ -507,41 +463,38 @@ impl Solver for FastSolver {
         let mut attempts = vec![0.0f64; n];
         let mut failures = vec![0.0f64; n];
         let mut loss = vec![0.0f64; n];
-        let solved = obs.time("solver.fast.solve_ns", || {
-            fast_evaluate_observed(problem, plan, |event| match event {
-                StepEvent::Transmission {
-                    hop, mass, moved, ..
-                } => {
-                    attempts[hop] += mass;
-                    failures[hop] += mass - moved;
-                }
-                StepEvent::CycleEnd {
-                    cycle,
-                    goal_mass,
-                    delivered,
-                    in_flight,
-                } => {
-                    trace.instant_with("cycle", "solver.fast", || {
-                        [
-                            ("cycle", ArgValue::from(cycle as u64 + 1)),
-                            ("goal_mass", ArgValue::from(goal_mass)),
-                            ("delivered", ArgValue::from(delivered)),
-                            ("residual", ArgValue::from(in_flight)),
-                        ]
-                    });
-                }
-                StepEvent::Discard { step, in_flight } => {
-                    loss.copy_from_slice(in_flight);
-                    trace.instant_with("discard", "solver.fast", || {
-                        [
-                            ("step", ArgValue::from(step)),
-                            ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
-                        ]
-                    });
-                }
-            })
-        });
-        let (evaluation, steps) = solved?;
+        let (evaluation, steps) = fast_evaluate_observed(problem, plan, |event| match event {
+            StepEvent::Transmission {
+                hop, mass, moved, ..
+            } => {
+                attempts[hop] += mass;
+                failures[hop] += mass - moved;
+            }
+            StepEvent::CycleEnd {
+                cycle,
+                goal_mass,
+                delivered,
+                in_flight,
+            } => {
+                trace.instant_with("cycle", "solver.fast", || {
+                    [
+                        ("cycle", ArgValue::from(cycle as u64 + 1)),
+                        ("goal_mass", ArgValue::from(goal_mass)),
+                        ("delivered", ArgValue::from(delivered)),
+                        ("residual", ArgValue::from(in_flight)),
+                    ]
+                });
+            }
+            StepEvent::Discard { step, in_flight } => {
+                loss.copy_from_slice(in_flight);
+                trace.instant_with("discard", "solver.fast", || {
+                    [
+                        ("step", ArgValue::from(step)),
+                        ("mass", ArgValue::from(in_flight.iter().sum::<f64>())),
+                    ]
+                });
+            }
+        })?;
         obs.add("solver.fast.transient_steps", steps);
         for (hop, h) in problem.hops().iter().enumerate() {
             trace.instant_with("hop", "solver.fast", || {
@@ -593,7 +546,6 @@ impl Solver for ExplicitSolver {
         trace: &Trace,
     ) -> Result<PathEvaluation> {
         let mut tspan = trace.span("path_solve", "solver.explicit");
-        let span = obs.timer("solver.explicit.solve_ns");
         let chain = explicit_chain(problem);
         obs.counter("solver.explicit.states")
             .add(chain.state_count() as u64);
@@ -603,7 +555,6 @@ impl Solver for ExplicitSolver {
         tspan.arg("transitions", chain.transition_count());
         let (cycle_probabilities, discard) = chain.solve()?;
         let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
-        span.stop();
         trace_hops(problem, "solver.explicit", trace);
         tspan.arg("hops", problem.hop_count());
         tspan.arg("reachability", evaluation.reachability());
@@ -784,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn solve_network_agrees_across_analytical_backends() {
+    fn network_paths_agree_across_analytical_backends() {
         use whart_net::typical::TypicalNetwork;
         let net = TypicalNetwork::new(LinkModel::from_availability(0.83, 0.9).unwrap());
         let model = crate::NetworkModel::from_typical(
@@ -794,15 +745,13 @@ mod tests {
         )
         .unwrap();
         let problem = model.compile().unwrap();
-        let fast = FastSolver
-            .solve_network(&problem, MeasurePlan::SCALAR)
-            .unwrap();
         // Both backends agree to solver round-off, path by path.
-        let explicit = ExplicitSolver
-            .solve_network(&problem, MeasurePlan::SCALAR)
-            .unwrap();
-        for (a, b) in fast.reports().iter().zip(explicit.reports()) {
-            assert!((a.evaluation.reachability() - b.evaluation.reachability()).abs() < 1e-12);
+        for path in problem.path_problems() {
+            let fast = FastSolver.solve_path(path, MeasurePlan::SCALAR).unwrap();
+            let explicit = ExplicitSolver
+                .solve_path(path, MeasurePlan::SCALAR)
+                .unwrap();
+            assert!((fast.reachability() - explicit.reachability()).abs() < 1e-12);
         }
     }
 }

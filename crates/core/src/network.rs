@@ -211,15 +211,22 @@ impl NetworkModel {
         ))
     }
 
-    /// Evaluates every path with the fast backend. Path models are
-    /// independent, so they are solved on parallel worker threads;
-    /// equivalent to `FastSolver.solve_network(&self.compile()?, ..)`.
+    /// Evaluates every path with the fast backend, one after another in
+    /// path order — the serial reference the engine's drains are
+    /// checked against bit for bit.
     ///
     /// # Errors
     ///
     /// Propagates the first path-model construction failure.
     pub fn evaluate(&self) -> Result<NetworkEvaluation> {
-        FastSolver.solve_network(&self.compile()?, MeasurePlan::default())
+        let mut reports = Vec::with_capacity(self.paths.len());
+        for (path, problem) in self.paths.iter().zip(self.path_problems()?) {
+            reports.push(PathReport {
+                path: path.clone(),
+                evaluation: Arc::new(FastSolver.solve_path(&problem, MeasurePlan::default())?),
+            });
+        }
+        Ok(NetworkEvaluation::from_reports(reports))
     }
 }
 

@@ -57,10 +57,11 @@ fn scenario_latency_histogram_counts_every_scenario() {
         .histogram("engine.fast.path_solve_ns")
         .expect("per-path latency histogram present");
     assert_eq!(paths.count, 3, "one observation per distinct solve");
-    // Solver-level instruments flow through the same registry.
+    // The engine's histogram is the one per-solve timer; the solver's
+    // work counters flow through the same registry.
     assert_eq!(
         snapshot.histogram("solver.fast.solve_ns").map(|h| h.count),
-        Some(3)
+        None
     );
     assert!(snapshot.counter("solver.fast.transient_steps").unwrap_or(0) > 0);
 }

@@ -33,12 +33,12 @@
 //! let metrics = Metrics::new();
 //! metrics.counter("engine.path_cache.hits").add(3);
 //! {
-//!     let _span = metrics.timer("solver.fast.solve_ns");
+//!     let _span = metrics.histogram("engine.fast.path_solve_ns").start();
 //!     // ... timed work ...
 //! }
 //! let snapshot = metrics.snapshot();
 //! assert_eq!(snapshot.counter("engine.path_cache.hits"), Some(3));
-//! assert_eq!(snapshot.histogram("solver.fast.solve_ns").unwrap().count, 1);
+//! assert_eq!(snapshot.histogram("engine.fast.path_solve_ns").unwrap().count, 1);
 //!
 //! // Disabled: same call sites, no effect, no cost beyond one branch.
 //! let off = Metrics::disabled();
@@ -225,25 +225,6 @@ impl Metrics {
         }
     }
 
-    /// Runs `work` and records its elapsed nanoseconds into the
-    /// histogram named `name`, as a [`Metrics::timer`] span around it
-    /// would. On a disabled handle the clock is not read.
-    pub fn time<R>(&self, name: &str, work: impl FnOnce() -> R) -> R {
-        if !self.is_enabled() {
-            return work();
-        }
-        let start = Instant::now();
-        let result = work();
-        self.record(name, elapsed_ns(start));
-        result
-    }
-
-    /// Starts a scoped span recording elapsed nanoseconds into the
-    /// histogram named `name` when the returned guard drops.
-    pub fn timer(&self, name: &str) -> SpanTimer {
-        self.histogram(name).into_timer()
-    }
-
     /// A point-in-time copy of every instrument. Empty for disabled
     /// handles.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -347,13 +328,9 @@ impl Histogram {
     /// Starts a span whose elapsed nanoseconds are recorded here when
     /// the guard drops. On a disabled histogram the clock is not read.
     pub fn start(&self) -> SpanTimer {
-        self.clone().into_timer()
-    }
-
-    fn into_timer(self) -> SpanTimer {
         SpanTimer {
             start: self.core.as_ref().map(|_| Instant::now()),
-            histogram: self,
+            histogram: self.clone(),
         }
     }
 }
@@ -373,14 +350,10 @@ impl SpanTimer {
 
     fn finish(&mut self) {
         if let Some(start) = self.start.take() {
-            self.histogram.record(elapsed_ns(start));
+            let elapsed = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            self.histogram.record(elapsed);
         }
     }
-}
-
-/// Nanoseconds since `start`, saturating.
-fn elapsed_ns(start: Instant) -> u64 {
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 impl Drop for SpanTimer {
@@ -432,17 +405,13 @@ mod tests {
         metrics.counter("events").add(3);
         metrics.record("size", 7);
         metrics.histogram("size").record(9);
-        let doubled = metrics.time("work_ns", || 21 * 2);
-        assert_eq!(doubled, 42);
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.counter("events"), Some(5));
         let size = snapshot.histogram("size").unwrap();
         assert_eq!((size.count, size.sum, size.min, size.max), (2, 16, 7, 9));
-        assert_eq!(snapshot.histogram("work_ns").unwrap().count, 1);
         let off = Metrics::disabled();
         off.add("events", 1);
         off.record("size", 1);
-        assert_eq!(off.time("work_ns", || 5), 5);
         assert!(off.snapshot().is_empty());
     }
 
@@ -461,9 +430,9 @@ mod tests {
     fn timers_record_into_histograms() {
         let metrics = Metrics::new();
         {
-            let _span = metrics.timer("work_ns");
+            let _span = metrics.histogram("work_ns").start();
         }
-        metrics.timer("work_ns").stop();
+        metrics.histogram("work_ns").start().stop();
         let snapshot = metrics.snapshot();
         let h = snapshot.histogram("work_ns").unwrap();
         assert_eq!(h.count, 2);
@@ -477,7 +446,7 @@ mod tests {
         metrics.counter("c").add(7);
         metrics.gauge("g").set(7);
         metrics.histogram("h").record(7);
-        let span = metrics.timer("t");
+        let span = metrics.histogram("t").start();
         assert!(span.start.is_none(), "disabled spans never touch the clock");
         drop(span);
         assert!(metrics.snapshot().is_empty());

@@ -20,7 +20,7 @@
 
 use crate::histogram::bucket_upper_bound;
 use crate::{HistogramSnapshot, MetricsSnapshot};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// A derived, float-valued gauge sample appended to an exposition by
@@ -332,15 +332,29 @@ impl Exposition {
             .map(|s| s.value)
     }
 
-    /// Structural validation beyond line syntax: for every declared
-    /// histogram family (per distinct non-`le` label set), cumulative
-    /// bucket counts must be monotone in `le`, the `+Inf` bucket must
-    /// exist and equal `_count`, and a `_sum` must be present.
+    /// Structural validation beyond line syntax: no series (sample name
+    /// plus label set, in any label order) may appear twice, and for
+    /// every declared histogram family (per distinct non-`le` label
+    /// set), cumulative bucket counts must be monotone in `le`, the
+    /// `+Inf` bucket must exist and equal `_count`, and a `_sum` must be
+    /// present.
     ///
     /// # Errors
     ///
     /// Describes the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
+        let mut series = BTreeSet::new();
+        for sample in &self.samples {
+            let mut labels: Vec<&(String, String)> = sample.labels.iter().collect();
+            labels.sort();
+            if !series.insert((sample.name.as_str(), labels)) {
+                return Err(format!(
+                    "{}{}: repeated series",
+                    sample.name,
+                    format_labels(&sample.labels)
+                ));
+            }
+        }
         for (family, kind) in &self.types {
             if kind != "histogram" {
                 continue;
@@ -718,6 +732,27 @@ h_count 1
         let no_buckets = "# TYPE h histogram\nh_sum 1\nh_count 1\n";
         let err = parse(no_buckets).unwrap().validate().unwrap_err();
         assert!(err.contains("no _bucket"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_a_repeated_series() {
+        let repeated = "\
+# TYPE engine_cache_path_entries gauge
+engine_cache_path_entries{backend=\"sim\"} 3
+engine_cache_path_entries{backend=\"fast\"} 5
+engine_cache_path_entries{backend=\"sim\"} 3
+";
+        let err = parse(repeated).unwrap().validate().unwrap_err();
+        assert!(
+            err.contains("engine_cache_path_entries{backend=\"sim\"}: repeated series"),
+            "{err}"
+        );
+        // Label order does not make a series distinct.
+        let reordered = "x{a=\"1\",b=\"2\"} 1\nx{b=\"2\",a=\"1\"} 1\n";
+        assert!(parse(reordered).unwrap().validate().is_err());
+        // Same name, other labels, or same labels, other name: distinct.
+        let distinct = "x{a=\"1\"} 1\nx{a=\"2\"} 1\nx 1\ny{a=\"1\"} 1\n";
+        parse(distinct).unwrap().validate().unwrap();
     }
 
     #[test]

@@ -96,30 +96,33 @@ impl MonteCarloSolver {
         }
         (None, attempts)
     }
+}
 
-    /// The seed used for `problem` when solved in a batch at `index`
-    /// (mixed so per-path streams are independent).
-    fn path_seed(&self, index: u64) -> u64 {
-        self.seed
-            .wrapping_add(SEED_MIX.wrapping_mul(index.wrapping_add(1)))
+impl Solver for MonteCarloSolver {
+    fn name(&self) -> &'static str {
+        "sim"
     }
 
-    /// Solves `problem` from `seed`: one sequential RNG stream across
-    /// all replications (replication `k` consumes the draws replication
-    /// `k-1` left off at — reseeding per replication would change the
-    /// estimates). With an enabled `trace` it also emits a `path_solve`
-    /// span carrying the seed and the aggregate draw statistics, and one
-    /// `hop` provenance instant per hop; the estimates are identical
-    /// either way.
-    fn solve_path_seeded(
+    /// Statistical estimates of the path measures. Total — never fails.
+    /// Trajectory requests are ignored (the estimator keeps no per-slot
+    /// record); the returned evaluation carries scalars only.
+    ///
+    /// Every problem is solved from the same stream, `seed` mixed with
+    /// `SEED_MIX`: one sequential RNG stream across all replications
+    /// (replication `k` consumes the draws replication `k-1` left off
+    /// at — reseeding per replication would change the estimates). With
+    /// an enabled `trace` it also emits a `path_solve` span carrying the
+    /// seed and the aggregate draw statistics, and one `hop` provenance
+    /// instant per hop; the estimates are identical either way.
+    fn solve_path_traced(
         &self,
         problem: &PathProblem,
-        seed: u64,
+        _plan: MeasurePlan,
         obs: &Metrics,
         trace: &Trace,
-    ) -> PathEvaluation {
+    ) -> Result<PathEvaluation> {
         let mut tspan = trace.span("path_solve", "solver.sim");
-        let span = obs.timer("solver.sim.solve_ns");
+        let seed = self.seed.wrapping_add(SEED_MIX);
         let cycles = problem.interval().cycles() as usize;
         let mut rng = StdRng::seed_from_u64(seed);
         let mut deliveries = vec![0u64; cycles];
@@ -140,7 +143,6 @@ impl MonteCarloSolver {
             discards as f64 / reps,
             attempts as f64 / reps,
         );
-        span.stop();
         // One Bernoulli draw per attempted transmission.
         obs.counter("solver.sim.draws").add(attempts);
         obs.counter("solver.sim.replications").add(self.intervals);
@@ -157,56 +159,7 @@ impl MonteCarloSolver {
             tspan.arg("reachability", evaluation.reachability());
             tspan.arg("discard_probability", evaluation.discard_probability());
         }
-        evaluation
-    }
-}
-
-impl Solver for MonteCarloSolver {
-    fn name(&self) -> &'static str {
-        "sim"
-    }
-
-    /// Statistical estimates of the path measures. Total — never fails.
-    /// Trajectory requests are ignored (the estimator keeps no per-slot
-    /// record); the returned evaluation carries scalars only.
-    fn solve_path_traced(
-        &self,
-        problem: &PathProblem,
-        _plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<PathEvaluation> {
-        Ok(self.solve_path_seeded(problem, self.path_seed(0), obs, trace))
-    }
-
-    /// Seeds each path from its position in the network (`path_seed(i)`
-    /// for the path at index `i`), so the per-path streams are
-    /// independent; the trait default would solve every path from
-    /// `path_seed(0)`.
-    fn solve_network_traced(
-        &self,
-        problem: &whart_model::NetworkProblem,
-        _plan: MeasurePlan,
-        obs: &Metrics,
-        trace: &Trace,
-    ) -> Result<whart_model::NetworkEvaluation> {
-        use std::sync::Arc;
-        let reports = problem
-            .paths()
-            .iter()
-            .zip(problem.path_problems())
-            .enumerate()
-            .map(|(i, (path, p))| whart_model::PathReport {
-                path: path.clone(),
-                evaluation: Arc::new(self.solve_path_seeded(
-                    p,
-                    self.path_seed(i as u64),
-                    obs,
-                    trace,
-                )),
-            })
-            .collect();
-        Ok(whart_model::NetworkEvaluation::from_reports(reports))
+        Ok(evaluation)
     }
 }
 
@@ -263,43 +216,5 @@ mod tests {
     #[test]
     fn replication_count_is_clamped_positive() {
         assert_eq!(MonteCarloSolver::new(1, 0).intervals(), 1);
-    }
-
-    #[test]
-    fn network_solves_are_bit_identical_with_tracing_enabled() {
-        use whart_channel::LinkModel;
-        use whart_model::NetworkModel;
-        use whart_net::typical::TypicalNetwork;
-        use whart_obs::Metrics;
-        use whart_trace::Trace;
-
-        let net = TypicalNetwork::new(LinkModel::from_availability(0.83, 0.9).unwrap());
-        let problem =
-            NetworkModel::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR)
-                .unwrap()
-                .compile()
-                .unwrap();
-        let solver = MonteCarloSolver::new(7, 5_000);
-        let plain = solver.solve_network(&problem, MeasurePlan::SCALAR).unwrap();
-        let trace = Trace::new();
-        let traced = solver
-            .solve_network_traced(&problem, MeasurePlan::SCALAR, &Metrics::disabled(), &trace)
-            .unwrap();
-        assert_eq!(plain.reports().len(), traced.reports().len());
-        for (a, b) in plain.reports().iter().zip(traced.reports()) {
-            assert_eq!(a.evaluation, b.evaluation, "{}", a.path);
-        }
-        // The journal records one solve span per path, each with the
-        // per-index seed the untraced network solve uses.
-        let log = trace.drain();
-        let seeds: std::collections::HashSet<u64> = log
-            .named("path_solve")
-            .map(|e| e.arg("seed").and_then(|a| a.as_u64()).unwrap())
-            .collect();
-        assert_eq!(
-            seeds.len(),
-            problem.paths().len(),
-            "per-path seeds distinct"
-        );
     }
 }

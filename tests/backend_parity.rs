@@ -7,10 +7,11 @@
 //! changes) is cross-validated structurally: there is no hand-wired
 //! per-backend scenario setup that could drift.
 
+use std::sync::Arc;
 use wirelesshart::channel::{LinkModel, LinkState};
 use wirelesshart::model::{
-    ExplicitSolver, FastSolver, LinkDynamics, MeasurePlan, NetworkEvaluation, NetworkModel, Outage,
-    Solver,
+    ExplicitSolver, FastSolver, LinkDynamics, MeasurePlan, NetworkEvaluation, NetworkModel,
+    NetworkProblem, Outage, PathReport, Solver,
 };
 use wirelesshart::net::typical::TypicalNetwork;
 use wirelesshart::net::{Hop, NodeId, ReportingInterval};
@@ -24,6 +25,20 @@ fn typical_model(availability: f64, is: u32) -> NetworkModel {
         ReportingInterval::new(is).unwrap(),
     )
     .unwrap()
+}
+
+/// Solves every path of `problem` through `solver`, in path order.
+fn solve(solver: &dyn Solver, problem: &NetworkProblem) -> NetworkEvaluation {
+    let reports = problem
+        .paths()
+        .iter()
+        .zip(problem.path_problems())
+        .map(|(path, p)| PathReport {
+            path: path.clone(),
+            evaluation: Arc::new(solver.solve_path(p, MeasurePlan::default()).unwrap()),
+        })
+        .collect();
+    NetworkEvaluation::from_reports(reports)
 }
 
 /// Fast and explicit must agree to analytical precision on every path.
@@ -82,12 +97,8 @@ fn fast_and_explicit_agree_across_the_typical_fleet() {
     for &pi in &[0.693, 0.83, 0.948] {
         for &is in &[1u32, 2, 4] {
             let problem = typical_model(pi, is).compile().unwrap();
-            let fast = FastSolver
-                .solve_network(&problem, MeasurePlan::default())
-                .unwrap();
-            let explicit = ExplicitSolver
-                .solve_network(&problem, MeasurePlan::default())
-                .unwrap();
+            let fast = solve(&FastSolver, &problem);
+            let explicit = solve(&ExplicitSolver, &problem);
             assert_analytical_parity(&fast, &explicit, &format!("pi={pi} Is={is}"));
         }
     }
@@ -96,12 +107,8 @@ fn fast_and_explicit_agree_across_the_typical_fleet() {
 #[test]
 fn monte_carlo_converges_on_the_typical_network() {
     let problem = typical_model(0.83, 4).compile().unwrap();
-    let fast = FastSolver
-        .solve_network(&problem, MeasurePlan::default())
-        .unwrap();
-    let mc = MonteCarloSolver::new(20130624, 60_000)
-        .solve_network(&problem, MeasurePlan::default())
-        .unwrap();
+    let fast = solve(&FastSolver, &problem);
+    let mc = solve(&MonteCarloSolver::new(20130624, 60_000), &problem);
     assert_statistical_parity(&fast, &mc, "pi=0.83 Is=4");
 }
 
@@ -134,27 +141,16 @@ fn all_three_backends_agree_under_injection_and_interval_override() {
         .unwrap();
 
     let problem = model.compile().unwrap();
-    let fast = FastSolver
-        .solve_network(&problem, MeasurePlan::default())
-        .unwrap();
-    let explicit = ExplicitSolver
-        .solve_network(&problem, MeasurePlan::default())
-        .unwrap();
-    let mc = MonteCarloSolver::new(7, 60_000)
-        .solve_network(&problem, MeasurePlan::default())
-        .unwrap();
+    let fast = solve(&FastSolver, &problem);
+    let explicit = solve(&ExplicitSolver, &problem);
+    let mc = solve(&MonteCarloSolver::new(7, 60_000), &problem);
     assert_analytical_parity(&fast, &explicit, "injected");
     assert_statistical_parity(&fast, &mc, "injected");
 
     // Sanity: the injection really flowed through the IR — path 3
     // (index 2) crosses e3 and must be visibly degraded relative to the
     // clean network at the same overridden interval.
-    let clean = FastSolver
-        .solve_network(
-            &typical_model(0.83, 2).compile().unwrap(),
-            MeasurePlan::default(),
-        )
-        .unwrap();
+    let clean = solve(&FastSolver, &typical_model(0.83, 2).compile().unwrap());
     let hit = fast.reports()[2].evaluation.reachability();
     let base = clean.reports()[2].evaluation.reachability();
     assert!(
