@@ -30,6 +30,8 @@ const USAGE: &str = "usage:
   whart optimize [--seed S] [--nodes N] [--degree D] [--depth H] [--extra-links E] [--availability LO:HI] [--recovery P] [--slack K] [--interval Is] [--objective reachability|delay] [--rounds R] [--threads N] [--json] [--emit-spec <spec.json>] [--metrics <out.json>] [--trace <out.json>] [--profile <out.folded>] [--profile-hz HZ]
   whart example  <typical|section-v>
 
+-h or --help anywhere prints this text; a flag the command does not read
+is an error.
 node 0 denotes the gateway; paths are listed source-first and may omit the
 trailing gateway. Link quality accepts {p_fl,p_rc}, {ber}, {snr} or
 {availability}. batch reads a JSON list of scenarios (template or inline
@@ -81,7 +83,7 @@ per-hop timeline.
 --metrics-capacity bounds each engine's path cache entries (default
 65536; the oldest are evicted first);
 --trace-capacity bounds the trace journal's retained events (default
-65536 between GET /v1/trace drains, about 450 bytes each; events past
+65536 between GET /v1/trace drains, about 100 bytes each; events past
 the bound are dropped and counted).
 Connections are HTTP/1.1 keep-alive (pipelining supported);
 --keepalive-timeout sets how many seconds an idle connection may stay
@@ -118,6 +120,10 @@ pub fn main_entry() -> ExitCode {
 /// A human-readable message for usage and evaluation failures.
 pub fn run(args: &[String]) -> Result<String, String> {
     let command = args.first().ok_or("missing command")?;
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        return Ok(format!("{USAGE}\n"));
+    }
+    check_flags(command, args)?;
     match command.as_str() {
         "example" => {
             let which = args.get(1).ok_or("missing example name")?;
@@ -303,9 +309,77 @@ pub fn run(args: &[String]) -> Result<String, String> {
                 _ => unreachable!(),
             }
         }
-        "--help" | "-h" | "help" => Ok(format!("{USAGE}\n")),
+        "help" => Ok(format!("{USAGE}\n")),
         other => Err(format!("unknown command '{other}'")),
     }
+}
+
+/// The telemetry flags, read by [`TelemetryFlags::parse`].
+const TELEMETRY: [&str; 4] = ["--metrics", "--trace", "--profile", "--profile-hz"];
+
+/// Rejects any flag of `args` that `command` reads nowhere, naming the
+/// flag and the command. A value following a flag that takes one is
+/// skipped, so `--snr -3` and `--metrics -` pass. Unknown commands are
+/// left to [`run`].
+fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
+    // The flags taking a value, then the switches.
+    let (valued, switches): (&[&str], &[&str]) = match command {
+        "analyze" => (&["--backend", "--seed", "--intervals"], &["--json"]),
+        "explain" => (&["--path", "--backend", "--seed", "--intervals"], &[]),
+        "batch" => (&["--threads"], &["--stats"]),
+        "serve" => (
+            &[
+                "--addr",
+                "--threads",
+                "--keepalive-timeout",
+                "--max-queue",
+                "--metrics-capacity",
+                "--trace-capacity",
+                "--log",
+                "--log-level",
+                "--slo-target-ms",
+                "--flight-threshold-ms",
+            ],
+            &[],
+        ),
+        "optimize" => (
+            &[
+                "--seed",
+                "--nodes",
+                "--degree",
+                "--depth",
+                "--extra-links",
+                "--availability",
+                "--recovery",
+                "--slack",
+                "--interval",
+                "--objective",
+                "--rounds",
+                "--threads",
+                "--emit-spec",
+            ],
+            &["--json"],
+        ),
+        "dot" => (&["--path"], &[]),
+        "simulate" => (
+            &["--intervals", "--seed", "--threads", "--workers"],
+            &["--json"],
+        ),
+        "predict" => (&["--path", "--snr"], &[]),
+        "sensitivity" => (&["--step"], &[]),
+        "example" | "help" => (&[], &[]),
+        _ => return Ok(()),
+    };
+    let telemetry = matches!(command, "analyze" | "batch" | "serve" | "optimize");
+    let mut rest = args.iter().skip(1).map(String::as_str);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg) || (telemetry && TELEMETRY.contains(&arg)) {
+            rest.next();
+        } else if arg.starts_with('-') && arg != "-" && !switches.contains(&arg) {
+            return Err(format!("unknown flag '{arg}' for 'whart {command}'"));
+        }
+    }
+    Ok(())
 }
 
 fn has_flag(args: &[String], flag: &str) -> bool {
@@ -649,7 +723,11 @@ mod tests {
         // the user typed.
         for command in ["explain", "dot", "predict"] {
             for index in ["0", "5"] {
-                let err = run(&s(&[command, spec, "--path", index, "--snr", "7"])).unwrap_err();
+                let mut args = vec![command, spec, "--path", index];
+                if command == "predict" {
+                    args.extend(["--snr", "7"]);
+                }
+                let err = run(&s(&args)).unwrap_err();
                 assert!(
                     err.contains(&format!("--path {index} out of range")),
                     "{err}"
@@ -765,6 +843,69 @@ mod tests {
         assert!(out.contains("simulated R"), "{out}");
         let out = run(&s(&["batch", scenarios, "--threads", "1024"])).unwrap();
         assert_eq!(out.lines().count(), 1, "{out}");
+    }
+
+    #[test]
+    fn every_command_answers_help_and_rejects_flags_it_does_not_read() {
+        let dir = std::env::temp_dir().join("whart-cli-flags-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let spec = dir.join("section_v.json");
+        std::fs::write(&spec, commands::example("section-v").unwrap()).unwrap();
+        let fleet = dir.join("fleet.json");
+        std::fs::write(&fleet, "[{\"network\":\"section-v\"}]").unwrap();
+        let (spec, fleet) = (spec.to_str().unwrap(), fleet.to_str().unwrap());
+        // Each invocation succeeds as given, except serve, whose address
+        // (TEST-NET-1) cannot be bound: a parser that skipped the help
+        // or the stray flag would fail there instead of serving.
+        let commands: [&[&str]; 10] = [
+            &["example", "typical"],
+            &["analyze", spec],
+            &["explain", spec],
+            &["batch", fleet, "--threads", "1"],
+            &["serve", "--addr", "192.0.2.1:9"],
+            &["dot", spec, "--path", "1"],
+            &["simulate", spec, "--intervals", "200", "--threads", "1"],
+            &["predict", spec, "--path", "1", "--snr", "7"],
+            &["sensitivity", spec],
+            &[
+                "optimize",
+                "--nodes",
+                "6",
+                "--rounds",
+                "1",
+                "--threads",
+                "1",
+            ],
+        ];
+        let usage = format!("{USAGE}\n");
+        for base in commands {
+            let command = base[0];
+            for help in ["-h", "--help"] {
+                let mut first = vec![command, help];
+                first.extend(&base[1..]);
+                let mut last = base.to_vec();
+                last.push(help);
+                for args in [first, last] {
+                    assert_eq!(run(&s(&args)).ok().as_ref(), Some(&usage), "{args:?}");
+                }
+            }
+            // A typo, a short flag, and a switch another command reads.
+            let borrowed = if command == "batch" {
+                "--json"
+            } else {
+                "--stats"
+            };
+            for flag in ["--trace-capcity", "-v", borrowed] {
+                let mut args = base.to_vec();
+                args.extend([flag, "4096"]);
+                let err = run(&s(&args)).unwrap_err();
+                assert!(
+                    err.contains(&format!("'{flag}'"))
+                        && err.contains(&format!("'whart {command}'")),
+                    "{args:?}: {err}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -143,14 +143,17 @@ const DEFAULT_PATH_CACHE_CAPACITY: usize = 65_536;
 /// Journal events the service keeps between `GET /v1/trace` drains when
 /// `--trace-capacity` is not given (one-shot commands keep
 /// `whart_trace::DEFAULT_CAPACITY`). A cold `/v1/batch` journals about
-/// 60 events per scenario and a retained event costs 440-520 B of RSS,
-/// so under the library default of 2^20 events seven fresh 1024-scenario
-/// fleets raised the process to 241 MB; this bound holds the journal
-/// near 30 MB (57 MB for the whole process after the same fleets).
+/// 60 events per scenario. Under the library default of 2^20 events,
+/// seven fresh 1024-scenario fleets raised the process to 241 MB.
 const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
 /// The service journal's event bound: `--trace-capacity`, else
-/// [`DEFAULT_TRACE_CAPACITY`].
+/// [`DEFAULT_TRACE_CAPACITY`]. A retained event is one packed record of
+/// about 100 bytes (about 90 B of anonymous heap per event after cold
+/// fleets, 130 B after memo replays; 440-520 B when each was a
+/// `TraceEvent`), so the default journal holds about 6 MB: after seven
+/// fresh 1024-scenario fleets a flag-less server reads 47-52 MB, where
+/// it read 71-73 MB with the journal at 30 MB.
 fn journal_capacity(flag: Option<usize>) -> usize {
     flag.unwrap_or(DEFAULT_TRACE_CAPACITY)
 }

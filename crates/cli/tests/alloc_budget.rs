@@ -3,7 +3,7 @@
 //! journal, a refused span, a registered metric's lookup, a result line
 //! rendered into a buffer with room, lowering one path of a network, a
 //! whole cold fleet drain at cache steady state, and the live bytes each
-//! cached path holds.
+//! cached path and each retained journal event hold.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,6 +16,7 @@ use whart_net::typical::TypicalNetwork;
 use whart_net::ReportingInterval;
 use whart_obs::Metrics;
 use whart_prof::Profiler;
+use whart_serve::RequestRecord;
 use whart_trace::Trace;
 
 /// Counts every allocation the calling thread makes, and the bytes it
@@ -304,5 +305,52 @@ fn a_cached_path_stays_within_its_byte_budget() {
     assert!(
         per_entry <= PATH_ENTRY_BYTES_BUDGET,
         "{per_entry} live bytes per cached path"
+    );
+}
+
+/// Events a full serve journal holds in the serve benchmark
+/// (`--trace-capacity 4096`).
+const JOURNAL_EVENTS: usize = 4096;
+
+/// Live requested bytes per retained `http_request` event of a memo
+/// replay, in a full journal: the packed records, the sink's spare
+/// capacity, and the journal's tables and thread buffer. It measures
+/// 101: a 95-byte record per event (one `TraceEvent` per event, with its
+/// name, args and strings, in a sink of events measured 380).
+const JOURNAL_EVENT_BYTES_BUDGET: i64 = 104;
+
+#[test]
+fn a_full_journal_of_request_events_stays_within_its_byte_budget() {
+    let origin = live_bytes();
+    let trace = Trace::with_capacity(JOURNAL_EVENTS);
+    for i in 0..=JOURNAL_EVENTS as u64 {
+        let record = RequestRecord {
+            id: whart_serve::next_request_id(),
+            method: "POST".into(),
+            route: "/v1/analyze",
+            status: 200,
+            started_unix_ms: 1_700_000_000_000 + i,
+            started_trace_ns: trace.now_ns(),
+            queue_ns: 900,
+            handler_ns: 14_000,
+            write_ns: 2_000,
+            total_ns: 16_000 + i,
+            bytes_in: 1_500,
+            bytes_out: 2_900,
+            reused_connection: true,
+            trace_args: vec![("paths", 10u64.into()), ("memo", 1u64.into())],
+        };
+        trace.emit_with(|| record.journal_event());
+        // A serve worker publishes its events after every request.
+        trace.flush();
+    }
+    assert_eq!(trace.dropped(), 1, "the journal is full");
+    let per_event = (live_bytes() - origin) / JOURNAL_EVENTS as i64;
+    let log = trace.drain();
+    assert_eq!(log.len(), JOURNAL_EVENTS);
+    assert_eq!(log.events[0].args.len(), 5);
+    assert!(
+        per_event <= JOURNAL_EVENT_BYTES_BUDGET,
+        "{per_event} live bytes per retained event"
     );
 }

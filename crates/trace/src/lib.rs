@@ -15,7 +15,10 @@
 //!   read, no lock.
 //! * Enabled handles buffer events in thread-local chunks, so the
 //!   per-event hot path takes no lock; chunks flush to the shared sink
-//!   every [`FLUSH_CHUNK`] events and when a thread exits.
+//!   every [`FLUSH_CHUNK`] events and when a thread exits. Both hold
+//!   each event as one packed byte record (about 100 bytes for a
+//!   service's request event; the layout is in `packed.rs`), and
+//!   [`Trace::drain`] rebuilds the [`TraceEvent`]s.
 //! * The journal is bounded: once `capacity` events have been admitted
 //!   between drains, further events are counted in
 //!   [`TraceLog::dropped`] instead of stored, so a runaway per-slot
@@ -55,9 +58,11 @@
 
 mod chrome;
 mod event;
+mod packed;
 
 pub use event::{ArgValue, Phase, TraceEvent, TraceLog};
 
+use packed::{LocalIds, Statics};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
@@ -85,8 +90,10 @@ struct Shared {
     dropped: AtomicU64,
     /// Next journal-assigned thread id.
     next_tid: AtomicU64,
-    /// Flushed events awaiting a drain.
-    sink: Mutex<Vec<TraceEvent>>,
+    /// Flushed events awaiting a drain, as packed records.
+    sink: Mutex<Vec<u8>>,
+    /// The categories and arg keys the records refer to by id.
+    statics: Mutex<Statics>,
     /// Fast-path flag: whether [`Shared::context`] holds anything.
     context_set: AtomicBool,
     /// Ambient arguments stamped on every event created while a
@@ -140,22 +147,27 @@ struct LocalBuffer {
     trace_id: u64,
     shared: Weak<Shared>,
     tid: u64,
-    events: Vec<TraceEvent>,
+    /// Packed records not yet flushed.
+    records: Vec<u8>,
+    /// How many records `records` holds.
+    pending: usize,
+    ids: LocalIds,
 }
 
 impl LocalBuffer {
     fn flush(&mut self) {
-        if self.events.is_empty() {
+        if self.pending == 0 {
             return;
         }
-        match self.shared.upgrade() {
-            Some(shared) => shared
+        if let Some(shared) = self.shared.upgrade() {
+            shared
                 .sink
                 .lock()
                 .expect("trace sink")
-                .append(&mut self.events),
-            None => self.events.clear(),
+                .extend_from_slice(&self.records);
         }
+        self.records.clear();
+        self.pending = 0;
     }
 }
 
@@ -165,11 +177,10 @@ impl Drop for LocalBuffer {
     }
 }
 
-/// Pushes an admitted event into this thread's buffer for `shared`,
+/// Packs an admitted event into this thread's buffer for `shared`,
 /// assigning the thread its journal tid on first contact.
 fn buffer_event(shared: &Arc<Shared>, event: TraceEvent) {
-    let mut slot = Some(event);
-    let _ = LOCAL.try_with(|local| {
+    let buffered = LOCAL.try_with(|local| {
         let mut buffers = local.borrow_mut();
         let buffer = match buffers.iter_mut().position(|b| b.trace_id == shared.id) {
             Some(i) => &mut buffers[i],
@@ -181,22 +192,33 @@ fn buffer_event(shared: &Arc<Shared>, event: TraceEvent) {
                     trace_id: shared.id,
                     shared: Arc::downgrade(shared),
                     tid: shared.next_tid.fetch_add(1, Ordering::Relaxed),
-                    events: Vec::with_capacity(FLUSH_CHUNK),
+                    records: Vec::new(),
+                    pending: 0,
+                    ids: LocalIds::default(),
                 });
                 buffers.last_mut().expect("just pushed")
             }
         };
-        let mut event = slot.take().expect("event emitted once");
-        event.tid = buffer.tid;
-        buffer.events.push(event);
-        if buffer.events.len() >= FLUSH_CHUNK {
+        packed::encode(&mut buffer.records, &event, buffer.tid, |s| {
+            buffer.ids.get(s, &shared.statics)
+        });
+        buffer.pending += 1;
+        if buffer.pending >= FLUSH_CHUNK {
             buffer.flush();
         }
     });
-    if let Some(event) = slot {
+    if buffered.is_err() {
         // Thread-local storage is tearing down (thread exit): bypass the
         // buffer and flush straight to the sink.
-        shared.sink.lock().expect("trace sink").push(event);
+        let mut record = Vec::new();
+        packed::encode(&mut record, &event, event.tid, |s| {
+            shared.statics.lock().expect("trace statics").intern(s)
+        });
+        shared
+            .sink
+            .lock()
+            .expect("trace sink")
+            .extend_from_slice(&record);
     }
 }
 
@@ -239,6 +261,7 @@ impl Trace {
                 dropped: AtomicU64::new(0),
                 next_tid: AtomicU64::new(0),
                 sink: Mutex::new(Vec::new()),
+                statics: Mutex::new(Statics::default()),
                 context_set: AtomicBool::new(false),
                 context: Mutex::new(Vec::new()),
             })),
@@ -433,8 +456,9 @@ impl Trace {
     }
 
     /// Drains the journal: the calling thread's pending chunk is flushed
-    /// first, then every event flushed so far is taken (sorted by
-    /// timestamp) and the capacity budget is released for them.
+    /// first, then every event flushed so far is taken, rebuilt from its
+    /// packed record and sorted by timestamp, and the capacity budget is
+    /// released for them.
     ///
     /// Events still buffered on *other* live threads appear in a later
     /// drain (threads flush every [`FLUSH_CHUNK`] events, on
@@ -446,7 +470,15 @@ impl Trace {
             return TraceLog::default();
         };
         self.flush();
-        let mut events = std::mem::take(&mut *shared.sink.lock().expect("trace sink"));
+        let records = std::mem::take(&mut *shared.sink.lock().expect("trace sink"));
+        // Copied, so emitters meeting a new key never wait on a decode.
+        let statics = shared
+            .statics
+            .lock()
+            .expect("trace statics")
+            .strs()
+            .to_vec();
+        let mut events = packed::decode(&records, &statics);
         shared.admitted.fetch_sub(events.len(), Ordering::Relaxed);
         events.sort_by_key(|a| (a.ts_ns, a.tid));
         TraceLog {
