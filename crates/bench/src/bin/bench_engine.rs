@@ -8,8 +8,9 @@
 //!
 //! Runs the engine-throughput groups (serial loop, cold and warm engine
 //! drains at 1/2/4/8 workers, the cold 1-worker drain traced into a
-//! full journal `traced/1`, and the profiler-attached `profiled/4`
-//! drain) over the 18-scenario acceptance fleet, derives one JSON line
+//! full journal `traced/1`, the profiler-attached `profiled/4` drain,
+//! and `steady/1`, a fresh fleet into a full 12 288-entry path cache)
+//! over the 18-scenario acceptance fleet, derives one JSON line
 //! per group plus the first-class scaling-ratio rows (`scale/cold/N` vs
 //! the serial loop, `scale/warm/N` vs `warm/1`, `scale/profiled/4` vs
 //! `warm/4`, `scale/traced/1` vs `cold/1`) from the `whart-obs`

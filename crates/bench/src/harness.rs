@@ -15,6 +15,13 @@
 //!   that is already full, as `whart serve`'s is in steady state:
 //!   every event is refused, so this pins what tracing costs when it
 //!   records nothing (gated at [`TRACED_CEILING`] of the `cold/1` time);
+//! * `steady/1` — a cold drain in the shape of perfbench's batch-cold
+//!   server engine: a fresh 18-scenario typical fleet (180 path solves
+//!   no earlier fleet made) into a 1-worker engine with metrics on, a
+//!   full journal and a 12 288-entry path cache (batch-cold's) filled
+//!   before timing, so every solve also inserts and evicts. It gives
+//!   the path cache an in-process number beside perfbench's end-to-end
+//!   one, under no ceiling;
 //! * `warm/{workers}` — a pre-warmed engine (pure cache traffic);
 //! * `profiled/4` — the warm 4-worker drain with a `whart-prof`
 //!   profiler attached and a live capture sampling at the default rate,
@@ -63,7 +70,7 @@ const PROFILED_WORKERS: usize = 4;
 const TRACED_WORKERS: usize = 1;
 
 /// The benchmark groups, in the order their lines are emitted.
-pub const GROUPS: [&str; 11] = [
+pub const GROUPS: [&str; 12] = [
     "serial-loop",
     "cold/1",
     "cold/2",
@@ -75,6 +82,7 @@ pub const GROUPS: [&str; 11] = [
     "warm/4",
     "warm/8",
     "profiled/4",
+    "steady/1",
 ];
 
 /// The design-ablation groups, in the order their lines are emitted
@@ -92,6 +100,10 @@ pub const ABLATIONS: [&str; 10] = [
     "ablation/fast/fup-7",
     "ablation/fast/fup-100",
 ];
+
+/// Path-cache bound of the `steady/1` group: the batch-cold server's
+/// (`--metrics-capacity 12288`).
+const STEADY_CAPACITY: usize = 12_288;
 
 /// Reporting intervals per `ablation/sim/*` iteration: a few
 /// milliseconds of simulation, so the `--short` run stays quick.
@@ -207,6 +219,33 @@ pub fn submit_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
             Scenario::network(format!("s{i}"), Arc::clone(model)).with_measures(evaluation_only()),
         );
     }
+}
+
+/// Fleet `round` of the `steady/1` group: the acceptance fleet's shape
+/// (6 availabilities x intervals 1, 2, 4) at availabilities
+/// `0.7 + (6 * round + k) * 1e-5`, so no path DTMC repeats across
+/// rounds.
+fn fresh_fleet(round: usize) -> Vec<Arc<NetworkModel>> {
+    let mut models = Vec::new();
+    for k in 0..AVAILABILITIES.len() {
+        let pi = 0.7 + (round * AVAILABILITIES.len() + k) as f64 * 1e-5;
+        let net = TypicalNetwork::new(LinkModel::from_availability(pi, 0.9).expect("valid"));
+        for &is in &INTERVALS {
+            let interval = ReportingInterval::new(is).expect("valid");
+            let model = NetworkModel::from_typical(&net, net.schedule_eta_a(), interval);
+            models.push(Arc::new(model.expect("valid")));
+        }
+    }
+    models
+}
+
+/// Submits `models` as scenarios with the default measures, as a
+/// `/v1/batch` fleet asks for them, and drains them.
+fn drain_fleet(engine: &mut Engine, models: &[Arc<NetworkModel>]) {
+    for (i, model) in models.iter().enumerate() {
+        engine.submit(Scenario::network(format!("s{i}"), Arc::clone(model)));
+    }
+    black_box(engine.drain().expect("valid"));
 }
 
 /// One ablation group's workload.
@@ -351,12 +390,30 @@ pub fn run_engine_throughput(
     };
     let untraced = Trace::disabled();
 
+    // The steady group fills its path cache before timing; every later
+    // drain takes a fleet no earlier one solved, built in advance.
+    let mut steady = Engine::new(1);
+    steady.set_metrics(Metrics::new());
+    steady.set_trace(full_journal.clone());
+    steady.set_path_cache_capacity(Some(STEADY_CAPACITY));
+    let mut round = 0;
+    while steady.cached_paths() < STEADY_CAPACITY {
+        drain_fleet(&mut steady, &fresh_fleet(round));
+        round += 1;
+    }
+    let mut steady_fleets: Vec<_> = (round..round + config.warmup + config.iterations)
+        .rev()
+        .map(fresh_fleet)
+        .collect();
+
     for _ in 0..config.warmup {
         serial();
         for workers in WORKER_COUNTS {
             cold(workers, &untraced);
         }
         cold(TRACED_WORKERS, &full_journal);
+        let fleet = steady_fleets.pop().expect("one fleet per iteration");
+        drain_fleet(&mut steady, &fleet);
     }
     for _ in 0..config.iterations {
         time_one(&metrics, "serial-loop", serial);
@@ -368,6 +425,8 @@ pub fn run_engine_throughput(
         time_one(&metrics, &format!("traced/{TRACED_WORKERS}"), || {
             cold(TRACED_WORKERS, &full_journal)
         });
+        let fleet = steady_fleets.pop().expect("one fleet per iteration");
+        time_one(&metrics, "steady/1", || drain_fleet(&mut steady, &fleet));
     }
 
     let mut engines: Vec<(usize, Engine)> = WORKER_COUNTS
@@ -811,7 +870,7 @@ mod tests {
         };
         let (snapshot, profile) = run_engine_throughput(config, &tiny_fleet());
         let lines = bench_lines(&snapshot, 1);
-        // 11 mean rows plus 9 scale rows: scale/cold/{1,2,4,8},
+        // 12 mean rows plus 9 scale rows: scale/cold/{1,2,4,8},
         // scale/warm/{2,4,8}, scale/profiled/4 and scale/traced/1, then
         // the ablation rows.
         assert_eq!(lines.lines().count(), GROUPS.len() + 9 + ABLATIONS.len());

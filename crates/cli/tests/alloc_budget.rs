@@ -192,12 +192,11 @@ fn cold_fleet(round: u32, step: f64) -> Vec<Scenario> {
 
 /// Allocations of one cold traced 18-scenario drain (180 distinct path
 /// solves) with metrics on, the profiler attached, a full journal and a
-/// full path cache, so every solve also evicts. It measures 1198, one
-/// more when the cache's table happens to grow inside the measured drain
-/// (its hash keys are randomly seeded). Before the plan tables were
-/// sized up front, the paths lowered in one pass and moved into the
-/// results, and the hit/miss counters added once per drain, it measured
-/// 1408.
+/// full path cache, so every solve also evicts. It measures 1198: the
+/// cache's ring, index and arena are full-sized by then and allocate
+/// nothing. Before the plan tables were sized up front, the paths
+/// lowered in one pass and moved into the results, and the hit/miss
+/// counters added once per drain, it measured 1408.
 const COLD_DRAIN_BUDGET: u64 = 1200;
 
 #[test]
@@ -232,10 +231,11 @@ fn a_cold_traced_drain_at_cache_steady_state_stays_within_budget() {
 /// Allocations of `whart batch --threads 1` on one 18-scenario typical
 /// fleet in batch-cold's shape, end to end: reading and decoding the
 /// fleet, lowering each spec to its model, a cold drain with no
-/// telemetry, and rendering the 18 result lines. It measures 1891
-/// (3087 when every path's node list was reallocated to append the
-/// gateway, the schedule was validated twice with two `Vec`s per path,
-/// and the plan tables grew by doubling).
+/// telemetry, and rendering the 18 result lines. It measures 1884 (1891
+/// with a `HashMap` and `VecDeque` path cache; 3087 when every path's
+/// node list was reallocated to append the gateway, the schedule was
+/// validated twice with two `Vec`s per path, and the plan tables grew
+/// by doubling).
 const BATCH_FLEET_BUDGET: u64 = 1900;
 
 #[test]
@@ -275,12 +275,14 @@ fn batch_on_a_typical_fleet_stays_within_budget() {
 /// steady state in the serve benchmark (`--metrics-capacity 12288`).
 const CACHED_PATHS: usize = 12_288;
 
-/// Live requested bytes per cached path at FIFO steady state: the
-/// signature slice, the evaluation behind its `Arc` with its cycle
-/// function, the map bucket and the eviction queue's share of the key.
-/// It measures 303 (the `(signature, plan)` key with its own 48-byte
-/// queue copy and the 96-byte evaluation measured 469).
-const PATH_ENTRY_BYTES_BUDGET: i64 = 310;
+/// Live requested bytes per cached path at FIFO steady state: the ring
+/// entry, the key's words in the arena with its spare room, the index's
+/// share and the evaluation behind its `Arc` with its cycle function.
+/// It measures 250 (a `HashMap` keyed by the shared signature slice
+/// with a `VecDeque` eviction queue of its clones measured 303; the
+/// `(signature, plan)` key with its own 48-byte queue copy and the
+/// 96-byte evaluation, 469).
+const PATH_ENTRY_BYTES_BUDGET: i64 = 257;
 
 #[test]
 fn a_cached_path_stays_within_its_byte_budget() {
@@ -291,8 +293,8 @@ fn a_cached_path_stays_within_its_byte_budget() {
     let mut engine = Engine::new(1);
     engine.set_trace(journal);
     engine.set_path_cache_capacity(Some(CACHED_PATHS));
-    // 120 rounds = 21 600 distinct solves: enough FIFO churn for the
-    // map's table to settle at the size its tombstones force.
+    // 120 rounds = 21 600 distinct solves: the cache fills, then evicts
+    // about three quarters of its entries.
     for round in 0..120 {
         for scenario in cold_fleet(round, 1e-5) {
             engine.submit(scenario);

@@ -18,9 +18,10 @@
 //! # Layout
 //!
 //! A signature is one immutable slice of `u64` words behind an
-//! `Arc<[u64]>` (16 bytes inline), so a cache map key and its FIFO
-//! eviction-queue entry share one allocation. Two `u32` fields share a
-//! word, high half first:
+//! `Arc<[u64]>` (16 bytes inline), so the engine's per-drain plan table
+//! and the solve task it plans share one allocation; the path cache
+//! copies the words ([`PathSignature::words`]) into its own arena. Two
+//! `u32` fields share a word, high half first:
 //!
 //! | words | content |
 //! |---|---|
@@ -100,7 +101,7 @@ fn encode_hop(out: &mut [u64], dynamics: &LinkDynamics, frame_slot: usize) {
 /// are the same computation.
 ///
 /// Cloning a signature is a reference-count bump, and the content hash
-/// is the slice's first word, so `HashMap` probes never re-walk the hop
+/// is the slice's first word, so hash probes never re-walk the hop
 /// list. See the [module docs](self) for the word layout.
 #[derive(Debug, Clone)]
 pub struct PathSignature {
@@ -146,6 +147,11 @@ impl PathSignature {
         out[1..].hash(&mut hasher);
         out[0] = hasher.finish();
         PathSignature { words }
+    }
+
+    /// The canonical words, content hash first.
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 }
 

@@ -14,7 +14,7 @@ use whart_obs::Metrics;
 use whart_prof::{Frame, Profiler};
 use whart_trace::Trace;
 
-use crate::cache::PathCache;
+use crate::cache::{KeyHash, Lookup, PathCache};
 use crate::pool;
 use crate::scenario::{
     extract_path_measures, Outcome, PathMeasures, Scenario, ScenarioResult, Workload,
@@ -275,7 +275,9 @@ impl Engine {
         // choosing collisions. Both are sized for a drain with no hits.
         let occurrences_total: usize = scenarios.iter().map(|s| s.workload.path_count()).sum();
         let mut slots: HashMap<PathSignature, Slot> = HashMap::with_capacity(occurrences_total);
-        let mut tasks: Vec<(PathSignature, MeasurePlan, PathProblem)> =
+        // Each task keeps its key's cache hash from the miss, for the
+        // insert.
+        let mut tasks: Vec<(PathSignature, KeyHash, MeasurePlan, PathProblem)> =
             Vec::with_capacity(occurrences_total);
         // `engine.path_cache.{hits,misses}` are added once per drain.
         let (mut drain_hits, mut drain_misses) = (0u64, 0u64);
@@ -340,14 +342,14 @@ impl Engine {
                         occupied.get().clone()
                     }
                     Entry::Vacant(vacant) => {
-                        let slot = match self.path_cache.get(vacant.key()) {
-                            Some(evaluation) => {
+                        let slot = match self.path_cache.get(vacant.key().words()) {
+                            Lookup::Hit(evaluation) => {
                                 scenario_hits += 1;
                                 Slot::Cached(evaluation)
                             }
-                            None => {
+                            Lookup::Miss(hash) => {
                                 scenario_misses += 1;
-                                tasks.push((vacant.key().clone(), plan, problem));
+                                tasks.push((vacant.key().clone(), hash, plan, problem));
                                 Slot::Planned(tasks.len() - 1)
                             }
                         };
@@ -396,7 +398,7 @@ impl Engine {
             // whole task loop, so sampled worker ticks — solving or
             // claiming — always attribute to the engine.
             |_worker| profiler.enter(frames.execute),
-            |(_, plan, problem)| {
+            |(_, _, plan, problem)| {
                 let _solve = profiler.enter(frames.solver);
                 let start = enabled.then(Instant::now);
                 let result = solver.solve_path_traced(problem, *plan, &obs, &trace);
@@ -417,8 +419,10 @@ impl Engine {
         let evaluations: Vec<Arc<PathEvaluation>> = evaluations.into_iter().map(Arc::new).collect();
         // Task order, so the cache's FIFO eviction order is deterministic.
         let mut evicted = 0u64;
-        for ((key, _, _), evaluation) in tasks.iter().zip(&evaluations) {
-            evicted += self.path_cache.insert(key.clone(), Arc::clone(evaluation));
+        for ((key, hash, _, _), evaluation) in tasks.iter().zip(&evaluations) {
+            evicted += self
+                .path_cache
+                .insert(*hash, key.words(), Arc::clone(evaluation));
         }
         drop(tasks);
         if evicted > 0 {

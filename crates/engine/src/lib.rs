@@ -16,12 +16,14 @@
 //!   canonical [`whart_model::signature::PathSignature`] of a compiled
 //!   problem under its measure plan, persistent across drains and
 //!   optionally bounded ([`Engine::set_path_cache_capacity`], FIFO
-//!   eviction). An entry is three pointers (the key's shared word slice,
-//!   the `Arc`'d evaluation, and the eviction queue's clone of the key's
-//!   `Arc`): about 300 requested bytes per typical-network path at
-//!   steady state. Link models are not cached: callers build them with
-//!   the `whart_channel::LinkModel` constructors, whose closed-form
-//!   derivation (Eqs. 1-2, 4) costs less than a cache probe;
+//!   eviction). Entries sit in a FIFO ring beside a compact hash index,
+//!   with the key words copied into a FIFO word arena, so an eviction
+//!   frees no key and never re-hashes one: about 250 requested bytes
+//!   per typical-network path at steady state, most of it the key's
+//!   words and the `Arc`'d evaluation. Link models are not cached:
+//!   callers build them with the `whart_channel::LinkModel`
+//!   constructors, whose closed-form derivation (Eqs. 1-2, 4) costs
+//!   less than a cache probe;
 //! * [`EngineStats`] — jobs, path-cache hits/misses/evictions,
 //!   per-stage wall time and worker counts;
 //! * [`available_cores`] — the machine's core count, resolved once per
