@@ -290,7 +290,7 @@ impl Ablation {
             }
             Ablation::Explicit(problem) => {
                 let chain = explicit_chain(black_box(problem));
-                black_box(chain.cycle_probabilities().expect("solvable"));
+                black_box(chain.solve().expect("solvable"));
             }
             Ablation::Sim(sim) => {
                 black_box(black_box(sim).run(1, SIM_INTERVALS));

@@ -1,9 +1,10 @@
 //! The binary symmetric channel (Section III, Fig. 2).
 //!
 //! Each transmitted bit is flipped independently with a crossover
-//! probability equal to the channel's bit error rate. The analytical model
-//! only needs the induced message failure probability (Eq. 2), but the
-//! Monte-Carlo simulator transmits actual payloads through [`BinarySymmetricChannel::transmit`].
+//! probability equal to the channel's bit error rate. Both the analytical
+//! model and the Monte-Carlo simulator only need the induced message
+//! failure probability (Eq. 2); the simulator draws each message's fate
+//! with [`BinarySymmetricChannel::sample_message_success`].
 
 use crate::error::{ChannelError, Result};
 use rand::Rng;
@@ -31,67 +32,19 @@ impl BinarySymmetricChannel {
         Ok(BinarySymmetricChannel { ber })
     }
 
-    /// The crossover (bit error) probability.
-    pub fn ber(self) -> f64 {
-        self.ber
-    }
-
-    /// The Shannon capacity in bits per channel use:
-    /// `C = 1 - H2(ber)` where `H2` is the binary entropy function.
-    pub fn capacity(self) -> f64 {
-        1.0 - binary_entropy(self.ber)
-    }
-
     /// Probability that a `bits`-bit message crosses uncorrupted:
     /// `(1 - ber)^bits`.
     pub fn message_success_probability(self, bits: u32) -> f64 {
         f64::exp(f64::from(bits) * f64::ln_1p(-self.ber))
     }
 
-    /// Transmits one bit, flipping it with probability `ber`.
-    pub fn transmit_bit<R: Rng + ?Sized>(self, rng: &mut R, bit: bool) -> bool {
-        if rng.gen::<f64>() < self.ber {
-            !bit
-        } else {
-            bit
-        }
-    }
-
-    /// Transmits a payload of packed bits, returning the received payload
-    /// and the number of bit errors introduced.
-    pub fn transmit<R: Rng + ?Sized>(self, rng: &mut R, payload: &[u8]) -> (Vec<u8>, u32) {
-        let mut received = Vec::with_capacity(payload.len());
-        let mut errors = 0;
-        for &byte in payload {
-            let mut flips = 0u8;
-            for bit in 0..8 {
-                if rng.gen::<f64>() < self.ber {
-                    flips |= 1 << bit;
-                    errors += 1;
-                }
-            }
-            received.push(byte ^ flips);
-        }
-        (received, errors)
-    }
-
     /// Samples whether a `bits`-bit message crosses without any bit error.
     ///
-    /// Statistically identical to [`transmit`] followed by an equality check,
-    /// but O(1): it draws against the aggregate success probability.
-    ///
-    /// [`transmit`]: BinarySymmetricChannel::transmit
+    /// Statistically identical to flipping each bit on its own, but O(1):
+    /// it draws against the aggregate success probability.
     pub fn sample_message_success<R: Rng + ?Sized>(self, rng: &mut R, bits: u32) -> bool {
         rng.gen::<f64>() < self.message_success_probability(bits)
     }
-}
-
-/// The binary entropy function `H2(p)` in bits, with `H2(0) = H2(1) = 0`.
-pub fn binary_entropy(p: f64) -> f64 {
-    if p <= 0.0 || p >= 1.0 {
-        return 0.0;
-    }
-    -(p * p.log2() + (1.0 - p) * (1.0 - p).log2())
 }
 
 #[cfg(test)]
@@ -108,41 +61,9 @@ mod tests {
     }
 
     #[test]
-    fn noiseless_channel_is_identity() {
+    fn noiseless_channel_always_delivers() {
         let ch = BinarySymmetricChannel::new(0.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let payload = vec![0xA5, 0x3C, 0xFF, 0x00];
-        let (rx, errors) = ch.transmit(&mut rng, &payload);
-        assert_eq!(rx, payload);
-        assert_eq!(errors, 0);
-        assert_eq!(ch.capacity(), 1.0);
         assert_eq!(ch.message_success_probability(1016), 1.0);
-    }
-
-    #[test]
-    fn always_flipping_channel_inverts() {
-        let ch = BinarySymmetricChannel::new(1.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(7);
-        let (rx, errors) = ch.transmit(&mut rng, &[0b1010_1010]);
-        assert_eq!(rx, vec![0b0101_0101]);
-        assert_eq!(errors, 8);
-        assert_eq!(ch.capacity(), 1.0); // deterministic inversion carries full information
-    }
-
-    #[test]
-    fn capacity_is_zero_at_half() {
-        let ch = BinarySymmetricChannel::new(0.5).unwrap();
-        assert!(ch.capacity().abs() < 1e-15);
-    }
-
-    #[test]
-    fn empirical_bit_error_rate_matches() {
-        let ch = BinarySymmetricChannel::new(0.02).unwrap();
-        let mut rng = StdRng::seed_from_u64(42);
-        let payload = vec![0u8; 20_000];
-        let (_, errors) = ch.transmit(&mut rng, &payload);
-        let observed = errors as f64 / (payload.len() as f64 * 8.0);
-        assert!((observed - 0.02).abs() < 0.003, "observed {observed}");
     }
 
     #[test]
@@ -163,15 +84,5 @@ mod tests {
         let want = ch.message_success_probability(1016);
         let got = successes as f64 / trials as f64;
         assert!((got - want).abs() < 0.01, "{got} vs {want}");
-    }
-
-    #[test]
-    fn binary_entropy_symmetry_and_peak() {
-        assert_eq!(binary_entropy(0.0), 0.0);
-        assert_eq!(binary_entropy(1.0), 0.0);
-        assert!((binary_entropy(0.5) - 1.0).abs() < 1e-15);
-        for &p in &[0.1, 0.3, 0.45] {
-            assert!((binary_entropy(p) - binary_entropy(1.0 - p)).abs() < 1e-12);
-        }
     }
 }

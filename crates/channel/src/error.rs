@@ -20,8 +20,6 @@ pub enum ChannelError {
     },
     /// An operation needed at least one active (non-blacklisted) channel.
     NoActiveChannels,
-    /// Estimation was asked for with zero pilot packets.
-    NoPilots,
 }
 
 impl fmt::Display for ChannelError {
@@ -37,7 +35,6 @@ impl fmt::Display for ChannelError {
                 )
             }
             ChannelError::NoActiveChannels => write!(f, "all channels are blacklisted"),
-            ChannelError::NoPilots => write!(f, "at least one pilot packet is required"),
         }
     }
 }
@@ -62,6 +59,5 @@ mod tests {
             .to_string()
             .contains('5'));
         assert!(!ChannelError::NoActiveChannels.to_string().is_empty());
-        assert!(!ChannelError::NoPilots.to_string().is_empty());
     }
 }

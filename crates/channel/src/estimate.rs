@@ -1,108 +1,5 @@
-//! Pilot-packet link estimation (Section VI-E).
-//!
-//! Before a new node joins, the SNR of a candidate link "can be conveniently
-//! measured by transmitting pilot packages via the link". The paper's
-//! testbed measures real radios; here the measurement is simulated: pilot
-//! packets are pushed through a [`BinarySymmetricChannel`] and the observed
-//! failure fraction is inverted through Eqs. 2 and 1 back to a failure
-//! probability, BER and Eb/N0 estimate. The substitution preserves the
-//! relevant behaviour because the model only ever consumes the resulting
-//! `p_fl` estimate.
-
-use crate::bsc::BinarySymmetricChannel;
-use crate::error::{ChannelError, Result};
-use crate::link::LinkModel;
-#[cfg(test)]
-use crate::modulation::message_failure_probability;
-use crate::modulation::Modulation;
-use crate::snr::EbN0;
-use rand::Rng;
-
-/// Result of a pilot measurement campaign on one link.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PilotReport {
-    /// Number of pilot packets transmitted.
-    pub pilots: u32,
-    /// Number of packets received with at least one bit error.
-    pub failures: u32,
-    /// Estimated message failure probability `failures / pilots`.
-    pub p_fl_estimate: f64,
-    /// BER estimate obtained by inverting Eq. 2, if the failure fraction
-    /// allows it (estimate is `None` when every pilot failed).
-    pub ber_estimate: Option<f64>,
-    /// Eb/N0 estimate obtained by inverting Eq. 1 on the BER estimate.
-    pub snr_estimate: Option<EbN0>,
-}
-
-impl PilotReport {
-    /// Builds a [`LinkModel`] from the estimated failure probability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::InvalidProbability`] if the estimate cannot
-    /// form a valid link model (e.g. `p_fl = p_rc = 0`).
-    pub fn to_link_model(&self, p_rc: f64) -> Result<LinkModel> {
-        LinkModel::new(self.p_fl_estimate, p_rc)
-    }
-}
-
-/// A simulated pilot-measurement campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PilotEstimator {
-    /// Pilot packet length in bits (defaults to the WirelessHART payload).
-    pub packet_bits: u32,
-    /// Number of pilots to transmit.
-    pub pilots: u32,
-    /// Modulation assumed when inverting BER back to SNR.
-    pub modulation: Modulation,
-}
-
-impl Default for PilotEstimator {
-    fn default() -> Self {
-        PilotEstimator {
-            packet_bits: crate::modulation::WIRELESSHART_MESSAGE_BITS,
-            pilots: 1000,
-            modulation: Modulation::Oqpsk,
-        }
-    }
-}
-
-impl PilotEstimator {
-    /// Runs the campaign against a channel with the given true BER.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::NoPilots`] if `self.pilots == 0` and
-    /// [`ChannelError::InvalidProbability`] for an invalid `true_ber`.
-    pub fn measure<R: Rng + ?Sized>(&self, rng: &mut R, true_ber: f64) -> Result<PilotReport> {
-        if self.pilots == 0 {
-            return Err(ChannelError::NoPilots);
-        }
-        let channel = BinarySymmetricChannel::new(true_ber)?;
-        let failures = (0..self.pilots)
-            .filter(|_| !channel.sample_message_success(rng, self.packet_bits))
-            .count() as u32;
-        Ok(self.report(failures))
-    }
-
-    /// Builds the report for an observed failure count (useful when the
-    /// counts come from a real deployment instead of the simulator).
-    pub fn report(&self, failures: u32) -> PilotReport {
-        let failures = failures.min(self.pilots);
-        let p_fl = f64::from(failures) / f64::from(self.pilots);
-        // Invert Eq. 2: ber = 1 - (1 - p_fl)^(1/bits).
-        let ber_estimate =
-            (p_fl < 1.0).then(|| -f64::exp_m1(f64::ln_1p(-p_fl) / f64::from(self.packet_bits)));
-        let snr_estimate = ber_estimate.and_then(|ber| self.modulation.required_snr(ber));
-        PilotReport {
-            pilots: self.pilots,
-            failures,
-            p_fl_estimate: p_fl,
-            ber_estimate,
-            snr_estimate,
-        }
-    }
-}
+//! Inverting Eq. 2: from a measured message failure probability back to
+//! the bit error rate that explains it.
 
 /// Inverts Eq. 2 exactly: the BER that yields the given message failure
 /// probability at the given length.
@@ -121,8 +18,7 @@ pub fn ber_from_failure_probability(p_fl: f64, bits: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use crate::modulation::message_failure_probability;
 
     #[test]
     fn ber_inversion_round_trips() {
@@ -131,90 +27,5 @@ mod tests {
             let back = ber_from_failure_probability(p_fl, 1016);
             assert!(((back - ber) / ber).abs() < 1e-10, "{back} vs {ber}");
         }
-    }
-
-    #[test]
-    fn measurement_recovers_true_ber_within_noise() {
-        let estimator = PilotEstimator {
-            pilots: 50_000,
-            ..PilotEstimator::default()
-        };
-        let mut rng = StdRng::seed_from_u64(99);
-        let true_ber = 1e-4; // p_fl ~ 0.0966
-        let report = estimator.measure(&mut rng, true_ber).unwrap();
-        assert!(
-            (report.p_fl_estimate - 0.0966).abs() < 0.005,
-            "{}",
-            report.p_fl_estimate
-        );
-        let ber = report.ber_estimate.unwrap();
-        assert!(((ber - true_ber) / true_ber).abs() < 0.06, "{ber}");
-        let snr = report.snr_estimate.unwrap();
-        // True Eb/N0 for BER 1e-4 under OQPSK is ~6.92 linear.
-        assert!((snr.linear() - 6.92).abs() < 0.3, "{}", snr.linear());
-    }
-
-    #[test]
-    fn report_handles_all_failures() {
-        let estimator = PilotEstimator {
-            pilots: 10,
-            ..PilotEstimator::default()
-        };
-        let report = estimator.report(10);
-        assert_eq!(report.p_fl_estimate, 1.0);
-        assert!(report.ber_estimate.is_none());
-        assert!(report.snr_estimate.is_none());
-        // p_fl = 1 with p_rc > 0 is still a valid (always-failing) link.
-        assert!(report.to_link_model(0.9).is_ok());
-    }
-
-    #[test]
-    fn report_handles_no_failures() {
-        let estimator = PilotEstimator {
-            pilots: 10,
-            ..PilotEstimator::default()
-        };
-        let report = estimator.report(0);
-        assert_eq!(report.p_fl_estimate, 0.0);
-        assert_eq!(report.ber_estimate, Some(0.0));
-        assert!(report.snr_estimate.is_none()); // zero BER needs infinite SNR
-    }
-
-    #[test]
-    fn failure_count_is_clamped() {
-        let estimator = PilotEstimator {
-            pilots: 10,
-            ..PilotEstimator::default()
-        };
-        let report = estimator.report(25);
-        assert_eq!(report.failures, 10);
-    }
-
-    #[test]
-    fn zero_pilots_is_an_error() {
-        let estimator = PilotEstimator {
-            pilots: 0,
-            ..PilotEstimator::default()
-        };
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(
-            estimator.measure(&mut rng, 1e-4).unwrap_err(),
-            ChannelError::NoPilots
-        );
-    }
-
-    #[test]
-    fn table_iv_snr_points_estimate_back() {
-        // The paper's Table IV scenario: measure a channel whose true SNR is
-        // Eb/N0 = 7, then check the estimated link model's p_fl ~ 0.089.
-        let estimator = PilotEstimator {
-            pilots: 100_000,
-            ..PilotEstimator::default()
-        };
-        let mut rng = StdRng::seed_from_u64(2024);
-        let true_ber = Modulation::Oqpsk.ber(EbN0::from_linear(7.0));
-        let report = estimator.measure(&mut rng, true_ber).unwrap();
-        let link = report.to_link_model(0.9).unwrap();
-        assert!((link.p_fl() - 0.089).abs() < 0.005, "{}", link.p_fl());
     }
 }

@@ -12,9 +12,9 @@
 use crate::error::{ChannelError, Result};
 
 /// Lowest IEEE 802.15.4 channel number in the 2.4 GHz band.
-pub const FIRST_CHANNEL: u8 = 11;
+pub(crate) const FIRST_CHANNEL: u8 = 11;
 /// Number of channels in the band.
-pub const CHANNEL_COUNT: usize = 16;
+pub(crate) const CHANNEL_COUNT: usize = 16;
 
 /// One of the 16 IEEE 802.15.4 channels, numbered 11..=26.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,11 +48,6 @@ impl ChannelId {
     pub fn all() -> impl Iterator<Item = ChannelId> {
         (FIRST_CHANNEL..FIRST_CHANNEL + CHANNEL_COUNT as u8).map(ChannelId)
     }
-
-    /// The channel's center frequency in MHz (2405 + 5 * (ch - 11)).
-    pub fn center_frequency_mhz(self) -> u32 {
-        2405 + 5 * u32::from(self.0 - FIRST_CHANNEL)
-    }
 }
 
 impl std::fmt::Display for ChannelId {
@@ -84,23 +79,6 @@ impl ChannelConditions {
         Ok(ChannelConditions {
             ber: [ber; CHANNEL_COUNT],
         })
-    }
-
-    /// Per-channel bit error rates, indexed by [`ChannelId::index`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::InvalidProbability`] for any non-probability.
-    pub fn from_bers(ber: [f64; CHANNEL_COUNT]) -> Result<Self> {
-        for &b in &ber {
-            if !b.is_finite() || !(0.0..=1.0).contains(&b) {
-                return Err(ChannelError::InvalidProbability {
-                    name: "ber",
-                    value: b,
-                });
-            }
-        }
-        Ok(ChannelConditions { ber })
     }
 
     /// The BER on one channel.
@@ -159,11 +137,6 @@ impl Blacklist {
         Ok(())
     }
 
-    /// Re-activates a channel.
-    pub fn unban(&mut self, channel: ChannelId) {
-        self.banned[channel.index()] = false;
-    }
-
     /// Whether a channel is banned.
     pub fn is_banned(&self, channel: ChannelId) -> bool {
         self.banned[channel.index()]
@@ -177,22 +150,6 @@ impl Blacklist {
     /// Number of active channels.
     pub fn active_count(&self) -> usize {
         self.banned.iter().filter(|b| !**b).count()
-    }
-
-    /// Bans every channel whose BER in `conditions` is at or above
-    /// `threshold`, never banning the last active channel. Returns the
-    /// channels banned by this call.
-    pub fn ban_above(&mut self, conditions: &ChannelConditions, threshold: f64) -> Vec<ChannelId> {
-        let mut banned = Vec::new();
-        for channel in ChannelId::all() {
-            if conditions.ber(channel) >= threshold
-                && !self.is_banned(channel)
-                && self.ban(channel).is_ok()
-            {
-                banned.push(channel);
-            }
-        }
-        banned
     }
 }
 
@@ -230,18 +187,6 @@ impl HopSequence {
         let idx = (self.offset as u64 + absolute_slot) % self.active.len() as u64;
         self.active[idx as usize]
     }
-
-    /// Number of active channels in the sequence.
-    pub fn period(&self) -> usize {
-        self.active.len()
-    }
-
-    /// The average BER over the hop period — the effective memoryless BER a
-    /// link sees when conditions differ per channel.
-    pub fn mean_ber(&self, conditions: &ChannelConditions) -> f64 {
-        let total: f64 = self.active.iter().map(|c| conditions.ber(*c)).sum();
-        total / self.active.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -249,13 +194,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn channel_numbers_and_frequencies() {
+    fn channel_numbers() {
         let c11 = ChannelId::new(11).unwrap();
         let c26 = ChannelId::new(26).unwrap();
         assert_eq!(c11.index(), 0);
         assert_eq!(c26.index(), 15);
-        assert_eq!(c11.center_frequency_mhz(), 2405);
-        assert_eq!(c26.center_frequency_mhz(), 2480);
+        assert_eq!(c26.number(), 26);
         assert_eq!(ChannelId::all().count(), 16);
         assert!(ChannelId::new(10).is_err());
         assert!(ChannelId::new(27).is_err());
@@ -277,20 +221,7 @@ mod tests {
         assert_eq!(bl.active_count(), 1);
         // Banning an already banned channel is fine.
         bl.ban(channels[0]).unwrap();
-        bl.unban(channels[0]);
-        assert_eq!(bl.active_count(), 2);
-    }
-
-    #[test]
-    fn ban_above_uses_threshold() {
-        let mut conditions = ChannelConditions::uniform(1e-5).unwrap();
-        let bad = ChannelId::new(15).unwrap();
-        conditions.set_ber(bad, 0.02).unwrap();
-        let mut bl = Blacklist::new();
-        let banned = bl.ban_above(&conditions, 0.01);
-        assert_eq!(banned, vec![bad]);
-        assert!(bl.is_banned(bad));
-        assert_eq!(bl.active_count(), 15);
+        assert_eq!(bl.active_count(), 1);
     }
 
     #[test]
@@ -298,7 +229,6 @@ mod tests {
         let mut bl = Blacklist::new();
         bl.ban(ChannelId::new(12).unwrap()).unwrap();
         let seq = HopSequence::new(&bl, 0).unwrap();
-        assert_eq!(seq.period(), 15);
         // Channel 12 never appears.
         for t in 0..45 {
             assert_ne!(seq.channel_at(t).number(), 12);
@@ -318,16 +248,6 @@ mod tests {
     }
 
     #[test]
-    fn mean_ber_averages_over_period() {
-        let mut conditions = ChannelConditions::uniform(0.0).unwrap();
-        conditions
-            .set_ber(ChannelId::new(11).unwrap(), 0.16)
-            .unwrap();
-        let seq = HopSequence::new(&Blacklist::new(), 3).unwrap();
-        assert!((seq.mean_ber(&conditions) - 0.01).abs() < 1e-15);
-    }
-
-    #[test]
     fn empty_blacklist_round_trip() {
         let bl = Blacklist::new();
         assert_eq!(bl.active_count(), 16);
@@ -337,7 +257,6 @@ mod tests {
     #[test]
     fn conditions_reject_bad_ber() {
         assert!(ChannelConditions::uniform(1.5).is_err());
-        assert!(ChannelConditions::from_bers([2.0; 16]).is_err());
         let mut c = ChannelConditions::uniform(0.0).unwrap();
         assert!(c.set_ber(ChannelId::new(11).unwrap(), -0.5).is_err());
     }

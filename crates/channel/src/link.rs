@@ -9,7 +9,6 @@
 use crate::error::{ChannelError, Result};
 use crate::modulation::{message_failure_probability, Modulation};
 use crate::snr::EbN0;
-use whart_dtmc::Dtmc;
 
 /// The state of a link in one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -214,22 +213,6 @@ impl LinkModel {
     pub fn mean_down_run(self) -> f64 {
         1.0 / self.p_rc
     }
-
-    /// The explicit two-state DTMC (states labelled `UP`, `DOWN`).
-    pub fn to_dtmc(self) -> Dtmc {
-        let mut b = Dtmc::builder();
-        let up = b.add_state("UP");
-        let down = b.add_state("DOWN");
-        b.add_transition(up, up, 1.0 - self.p_fl)
-            .expect("valid probability");
-        b.add_transition(up, down, self.p_fl)
-            .expect("valid probability");
-        b.add_transition(down, up, self.p_rc)
-            .expect("valid probability");
-        b.add_transition(down, down, 1.0 - self.p_rc)
-            .expect("valid probability");
-        b.build().expect("rows are stochastic by construction")
-    }
 }
 
 /// `base^exp` for possibly negative `base` and `u64` exponent, by squaring.
@@ -293,7 +276,14 @@ mod tests {
     #[test]
     fn step_matches_dtmc_transient() {
         let link = LinkModel::new(0.184, 0.9).unwrap();
-        let chain = link.to_dtmc();
+        let mut b = whart_dtmc::Dtmc::builder();
+        let up = b.add_state("UP");
+        let down = b.add_state("DOWN");
+        b.add_transition(up, up, 1.0 - link.p_fl()).unwrap();
+        b.add_transition(up, down, link.p_fl()).unwrap();
+        b.add_transition(down, up, link.p_rc()).unwrap();
+        b.add_transition(down, down, 1.0 - link.p_rc()).unwrap();
+        let chain = b.build().unwrap();
         let traj = chain.transient_trajectory(&[0.0, 1.0], 6).unwrap();
         let ours = link.up_trajectory(LinkDistribution::certain(LinkState::Down), 6);
         for (t, up) in ours.iter().enumerate() {

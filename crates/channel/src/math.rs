@@ -160,12 +160,6 @@ pub fn erfc(x: f64) -> f64 {
     }
 }
 
-/// The Gaussian tail function `Q(x) = 0.5 * erfc(x / sqrt(2))`, the
-/// probability that a standard normal exceeds `x`.
-pub fn q_function(x: f64) -> f64 {
-    0.5 * erfc(x / std::f64::consts::SQRT_2)
-}
-
 #[cfg(test)]
 #[allow(clippy::excessive_precision)]
 mod tests {
@@ -258,12 +252,5 @@ mod tests {
         // P(1/2, x) is the chi-square(1) CDF at 2x; at x = 0.5 it equals
         // erf(sqrt(0.5)) = 0.6826894921370859 (the one-sigma probability).
         assert!((gamma_p(0.5, 0.5) - 0.6826894921370859).abs() < 1e-13);
-    }
-
-    #[test]
-    fn q_function_tail_values() {
-        assert!((q_function(0.0) - 0.5).abs() < 1e-15);
-        // Q(1.96) ~ 0.025 (the 97.5th percentile of the normal).
-        assert!((q_function(1.959963984540054) - 0.025).abs() < 1e-12);
     }
 }

@@ -10,7 +10,7 @@
 //! with the received `Eb/N0` derived from the SNR via the IEEE 802.15.4
 //! processing gain (2 MHz channel bandwidth over 250 kb/s).
 
-use crate::error::{ChannelError, Result};
+use crate::error::Result;
 use crate::link::LinkModel;
 use crate::modulation::Modulation;
 use crate::snr::{EbN0, SnrDb};
@@ -49,15 +49,6 @@ impl PropagationModel {
         }
     }
 
-    /// Free-space propagation with no margin (line of sight outdoors).
-    pub fn free_space() -> Self {
-        PropagationModel {
-            path_loss_exponent: 2.0,
-            fade_margin_db: 0.0,
-            ..PropagationModel::industrial()
-        }
-    }
-
     /// The path loss in dB at a distance (meters).
     ///
     /// # Panics
@@ -90,53 +81,9 @@ impl PropagationModel {
     ///
     /// # Errors
     ///
-    /// Returns [`ChannelError::InvalidProbability`] for an invalid `p_rc`.
+    /// Returns [`crate::ChannelError::InvalidProbability`] for an invalid `p_rc`.
     pub fn link_model(&self, distance_m: f64, bits: u32, p_rc: f64) -> Result<LinkModel> {
         LinkModel::from_snr(Modulation::Oqpsk, self.eb_n0(distance_m), bits, p_rc)
-    }
-
-    /// The longest distance at which the link's stationary availability
-    /// still reaches `min_availability`, found by bisection. `None` if even
-    /// one meter cannot achieve it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ChannelError::InvalidProbability`] for invalid thresholds.
-    pub fn range_for_availability(
-        &self,
-        min_availability: f64,
-        bits: u32,
-        p_rc: f64,
-    ) -> Result<Option<f64>> {
-        if !(0.0..=1.0).contains(&min_availability) || !min_availability.is_finite() {
-            return Err(ChannelError::InvalidProbability {
-                name: "min_availability",
-                value: min_availability,
-            });
-        }
-        let available = |d: f64| -> Result<bool> {
-            Ok(self.link_model(d, bits, p_rc)?.availability() >= min_availability)
-        };
-        if !available(1.0)? {
-            return Ok(None);
-        }
-        let mut lo = 1.0f64;
-        let mut hi = 2.0f64;
-        while available(hi)? {
-            hi *= 2.0;
-            if hi > 1e5 {
-                return Ok(Some(hi)); // effectively unlimited
-            }
-        }
-        for _ in 0..64 {
-            let mid = 0.5 * (lo + hi);
-            if available(mid)? {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(Some(lo))
     }
 }
 
@@ -148,7 +95,11 @@ mod tests {
     fn path_loss_grows_with_distance_and_exponent() {
         let m = PropagationModel::industrial();
         assert!(m.path_loss_db(10.0) > m.path_loss_db(2.0));
-        let free = PropagationModel::free_space();
+        let free = PropagationModel {
+            path_loss_exponent: 2.0,
+            fade_margin_db: 0.0,
+            ..PropagationModel::industrial()
+        };
         // At 100 m the industrial environment loses much more.
         assert!(m.path_loss_db(100.0) > free.path_loss_db(100.0));
         // Free space: +6 dB per doubling (n = 2).
@@ -163,7 +114,7 @@ mod tests {
         assert!((m.received_power_dbm(1.0) + 40.0).abs() < 1e-9);
         assert!((m.snr_db(1.0).value() - 55.0).abs() < 1e-9);
         // Eb/N0 adds the 9 dB processing gain.
-        let eb = m.eb_n0(1.0).to_db().value();
+        let eb = 10.0 * m.eb_n0(1.0).linear().log10();
         assert!((eb - (55.0 + 9.03)).abs() < 0.01, "{eb}");
     }
 
@@ -185,29 +136,6 @@ mod tests {
             assert!(a <= last + 1e-12, "at {d} m");
             last = a;
         }
-    }
-
-    #[test]
-    fn range_bisection_brackets_the_threshold() {
-        let m = PropagationModel::industrial();
-        let range = m.range_for_availability(0.9, 1016, 0.9).unwrap().unwrap();
-        let at_range = m.link_model(range, 1016, 0.9).unwrap().availability();
-        let beyond = m
-            .link_model(range * 1.05, 1016, 0.9)
-            .unwrap()
-            .availability();
-        assert!(at_range >= 0.9 - 1e-6, "{at_range}");
-        assert!(beyond < 0.9, "{beyond}");
-        // A typical industrial WirelessHART hop is tens of meters.
-        assert!((10.0..200.0).contains(&range), "{range}");
-    }
-
-    #[test]
-    fn impossible_availability_yields_none() {
-        let mut m = PropagationModel::industrial();
-        m.tx_power_dbm = -80.0; // hopeless radio
-        assert_eq!(m.range_for_availability(0.99, 1016, 0.9).unwrap(), None);
-        assert!(m.range_for_availability(1.5, 1016, 0.9).is_err());
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl EbN0 {
     pub fn linear(self) -> f64 {
         self.0
     }
-
-    /// The value in decibels. Zero linear ratio maps to `-inf` dB.
-    pub fn to_db(self) -> SnrDb {
-        SnrDb::new_unchecked(10.0 * self.0.log10())
-    }
 }
 
 impl fmt::Display for EbN0 {
@@ -66,10 +61,6 @@ impl SnrDb {
     /// Panics if `db` is NaN.
     pub fn new(db: f64) -> Self {
         assert!(!db.is_nan(), "SNR in dB must not be NaN");
-        SnrDb(db)
-    }
-
-    pub(crate) fn new_unchecked(db: f64) -> Self {
         SnrDb(db)
     }
 
@@ -96,11 +87,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn db_round_trip() {
-        let x = EbN0::from_linear(7.0);
-        let db = x.to_db();
-        assert!((db.value() - 8.450980400142568).abs() < 1e-12);
-        let back = EbN0::from_db(db);
+    fn from_db_inverts_decibels() {
+        let back = EbN0::from_db(SnrDb::new(8.450980400142568));
         assert!((back.linear() - 7.0).abs() < 1e-12);
     }
 

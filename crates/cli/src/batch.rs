@@ -391,7 +391,7 @@ fn metrics_line(backend: &str, engines: &[(Backend, Engine)], snapshot: &Metrics
 /// per-path solve spans, per-hop provenance) is written after the
 /// drains; with `--profile`, the whole run (decode through drain, on
 /// every engine's workers) is sampled.
-pub fn batch(
+pub(crate) fn batch(
     text: &str,
     threads: usize,
     with_stats: bool,

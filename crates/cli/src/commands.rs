@@ -26,7 +26,7 @@ pub(crate) fn write_or_passthrough(path: &str, text: String, what: &str) -> Resu
 /// compiled [`whart_model::NetworkProblem`], so overrides and failure
 /// injections are cross-validated structurally.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Backend {
+pub(crate) enum Backend {
     /// The fast analytical transient evaluator (the default).
     Fast,
     /// Algorithm 1's explicit unrolled chain, solved by absorbing-state
@@ -43,7 +43,7 @@ pub enum Backend {
 
 impl Backend {
     /// Parses a `--backend` name, attaching `seed`/`intervals` for `sim`.
-    pub fn parse(name: &str, seed: u64, intervals: u64) -> Result<Backend, String> {
+    pub(crate) fn parse(name: &str, seed: u64, intervals: u64) -> Result<Backend, String> {
         match name {
             "fast" => Ok(Backend::Fast),
             "explicit" => Ok(Backend::Explicit),
@@ -58,7 +58,7 @@ impl Backend {
     }
 
     /// Instantiates the solver.
-    pub fn solver(&self) -> Arc<dyn Solver> {
+    pub(crate) fn solver(&self) -> Arc<dyn Solver> {
         match *self {
             Backend::Fast => Arc::new(FastSolver),
             Backend::Explicit => Arc::new(ExplicitSolver),
@@ -67,7 +67,7 @@ impl Backend {
     }
 
     /// Human-readable description for report headers.
-    pub fn describe(&self) -> String {
+    pub(crate) fn describe(&self) -> String {
         match *self {
             Backend::Fast => "fast".into(),
             Backend::Explicit => "explicit".into(),
@@ -85,7 +85,7 @@ impl Backend {
 /// stages, per-path solve spans, per-hop provenance) and a sampled
 /// profile of the whole command, each written to its destination after
 /// the solve.
-pub fn analyze(
+pub(crate) fn analyze(
     spec: &NetworkSpec,
     json: bool,
     backend: &Backend,
@@ -147,7 +147,7 @@ pub(crate) fn analyze_on(
 /// Renders a solved network evaluation exactly as `whart analyze` prints
 /// it — shared by the CLI and `whart serve` so the service's reports are
 /// byte-identical to the command line's.
-pub fn render_analyze(
+pub(crate) fn render_analyze(
     json: bool,
     backend: &Backend,
     eval: &whart_model::NetworkEvaluation,
@@ -242,7 +242,11 @@ pub fn render_analyze(
 /// `sim` backend, a divergence table cross-checks the analytical values
 /// against the Monte-Carlo estimate of the same compiled problem. Other
 /// backends are rejected rather than silently behaving like `fast`.
-pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Result<String, String> {
+pub(crate) fn explain(
+    spec: &NetworkSpec,
+    path_index: usize,
+    backend: &Backend,
+) -> Result<String, String> {
     if *backend == Backend::Explicit {
         return Err(
             "explain always breaks the path down with the fast evaluator; \
@@ -355,7 +359,7 @@ pub fn explain(spec: &NetworkSpec, path_index: usize, backend: &Backend) -> Resu
 }
 
 /// Runs `dot`: the explicit Algorithm-1 DTMC of one path, as Graphviz.
-pub fn dot(spec: &NetworkSpec, path_index: usize) -> Result<String, String> {
+pub(crate) fn dot(spec: &NetworkSpec, path_index: usize) -> Result<String, String> {
     let model = spec.to_network()?;
     let problem = model.path_problem(path_index).map_err(|e| e.to_string())?;
     let chain = explicit_chain(&problem);
@@ -363,7 +367,7 @@ pub fn dot(spec: &NetworkSpec, path_index: usize) -> Result<String, String> {
 }
 
 /// Runs `simulate`: Monte-Carlo cross-check of the analytical model.
-pub fn simulate(
+pub(crate) fn simulate(
     spec: &NetworkSpec,
     intervals: u64,
     seed: u64,
@@ -460,7 +464,7 @@ pub fn simulate(
 
 /// Runs `predict`: the Section VI-E composition prediction — a new node
 /// attaches via a peer link (measured SNR) to an existing path.
-pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String, String> {
+pub(crate) fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String, String> {
     if !(snr.is_finite() && snr >= 0.0) {
         return Err(format!("--snr must be a finite Eb/N0 >= 0 (got {snr})"));
     }
@@ -503,7 +507,7 @@ pub fn predict(spec: &NetworkSpec, path_index: usize, snr: f64) -> Result<String
 
 /// Runs `sensitivity`: ranks physical links by the network-loss reduction
 /// from improving each one (the operator's repair priority list).
-pub fn sensitivity(spec: &NetworkSpec, step: f64) -> Result<String, String> {
+pub(crate) fn sensitivity(spec: &NetworkSpec, step: f64) -> Result<String, String> {
     let model = spec.to_network()?;
     let ranking = whart_model::sensitivity::rank_link_improvements(
         &model,
@@ -530,7 +534,7 @@ pub fn sensitivity(spec: &NetworkSpec, step: f64) -> Result<String, String> {
 
 /// Options for `whart optimize`: topology generation, search and output
 /// destinations, bundled so the flag grammar stays in one place.
-pub struct OptimizeOptions {
+pub(crate) struct OptimizeOptions {
     /// Random mesh parameters (seed, size, degree/depth caps, link
     /// quality range, slot slack).
     pub generator: whart_opt::GeneratorConfig,
@@ -551,7 +555,7 @@ pub struct OptimizeOptions {
 /// Eq. 12 routing tree and hill-climbs routes and schedule order through
 /// the memoizing engine. The optimized network can be re-emitted as a
 /// spec for `analyze`/`batch` what-if follow-ups.
-pub fn optimize(options: &OptimizeOptions) -> Result<String, String> {
+pub(crate) fn optimize(options: &OptimizeOptions) -> Result<String, String> {
     let net = whart_opt::generate(&options.generator).map_err(|e| e.to_string())?;
     let telemetry = options.telemetry.start();
     let mut engine = whart_engine::Engine::new(options.threads);
@@ -653,7 +657,7 @@ fn render_optimize(net: &whart_opt::GeneratedNetwork, result: &whart_opt::Optimi
 }
 
 /// Runs `example`: prints a ready-made spec.
-pub fn example(which: &str) -> Result<String, String> {
+pub(crate) fn example(which: &str) -> Result<String, String> {
     match which {
         "typical" => Ok(NetworkSpec::typical(0.83).to_json()),
         "section-v" => Ok(NetworkSpec::section_v(0.75).to_json()),

@@ -7,6 +7,8 @@
 //!
 //! `whart help` prints the full command and flag reference (`USAGE`).
 
+#![warn(unreachable_pub)]
+
 mod batch;
 mod commands;
 mod serve_app;

@@ -19,7 +19,7 @@ use whart_net::{NodeId, Path, ReportingInterval, Schedule, Superframe, Topology}
 /// How one link's quality is specified; each variant maps onto a
 /// [`LinkModel`] constructor.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum LinkQuality {
+pub(crate) enum LinkQuality {
     /// Explicit transition probabilities.
     Transitions {
         /// Per-slot failure probability.
@@ -61,7 +61,7 @@ impl LinkQuality {
     /// # Errors
     ///
     /// Returns a message describing the invalid parameter.
-    pub fn to_link_model(self) -> Result<LinkModel, String> {
+    pub(crate) fn to_link_model(self) -> Result<LinkModel, String> {
         let model = match self {
             LinkQuality::Transitions { p_fl, p_rc } => LinkModel::new(p_fl, p_rc),
             LinkQuality::Ber { ber, p_rc } => {
@@ -90,7 +90,7 @@ impl LinkQuality {
     /// # Errors
     ///
     /// Describes the missing or mistyped keys.
-    pub fn from_json(value: &Json) -> Result<LinkQuality, String> {
+    pub(crate) fn from_json(value: &Json) -> Result<LinkQuality, String> {
         let p_rc_or_default = || -> Result<f64, String> {
             match value.get("p_rc") {
                 Some(v) => v
@@ -145,7 +145,7 @@ impl LinkQuality {
 
 /// One bidirectional link.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinkSpec {
+pub(crate) struct LinkSpec {
     /// One endpoint (0 = gateway).
     pub a: u32,
     /// The other endpoint (0 = gateway).
@@ -160,7 +160,7 @@ impl LinkSpec {
     /// # Errors
     ///
     /// Describes the first missing or mistyped key.
-    pub fn from_json(value: &Json) -> Result<LinkSpec, String> {
+    pub(crate) fn from_json(value: &Json) -> Result<LinkSpec, String> {
         Ok(LinkSpec {
             a: value.require_u32("a")?,
             b: value.require_u32("b")?,
@@ -182,7 +182,7 @@ impl LinkSpec {
 /// priority order (the paper's `eta_a`/`eta_b` style) or given slot by
 /// slot.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ScheduleSpec {
+pub(crate) enum ScheduleSpec {
     /// `Schedule::sequential` over 0-based path indices, padded to the
     /// uplink half.
     Sequential {
@@ -204,7 +204,7 @@ impl ScheduleSpec {
     /// # Errors
     ///
     /// Describes the malformed member.
-    pub fn from_json(value: &Json) -> Result<ScheduleSpec, String> {
+    pub(crate) fn from_json(value: &Json) -> Result<ScheduleSpec, String> {
         if let Some(order) = value.get("order") {
             let order = order
                 .as_array()
@@ -264,7 +264,7 @@ impl ScheduleSpec {
 
 /// A fully specified WirelessHART network.
 #[derive(Debug, Clone, PartialEq)]
-pub struct NetworkSpec {
+pub(crate) struct NetworkSpec {
     /// Uplink slots per super-frame (`F_up`).
     pub uplink_slots: u32,
     /// Downlink slots (defaults to `uplink_slots`, the paper's symmetric
@@ -310,7 +310,7 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Returns a description of the first syntax or shape error.
-    pub fn from_json(text: &str) -> Result<Self, String> {
+    pub(crate) fn from_json(text: &str) -> Result<Self, String> {
         let value = Json::parse(text).map_err(|e| format!("invalid spec: {e}"))?;
         Self::decode(&value).map_err(|e| format!("invalid spec: {e}"))
     }
@@ -320,7 +320,7 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Returns a description of the first shape error.
-    pub fn decode(value: &Json) -> Result<Self, String> {
+    pub(crate) fn decode(value: &Json) -> Result<Self, String> {
         let downlink_slots = match value.get("downlink_slots") {
             None | Some(Json::Null) => None,
             Some(_) => Some(value.require_u32("downlink_slots")?),
@@ -355,7 +355,7 @@ impl NetworkSpec {
     }
 
     /// Encodes the spec as a JSON value (field order matches the struct).
-    pub fn to_json_value(&self) -> Json {
+    pub(crate) fn to_json_value(&self) -> Json {
         Json::object([
             ("uplink_slots", Json::from(self.uplink_slots)),
             ("downlink_slots", Json::from(self.downlink_slots)),
@@ -382,7 +382,7 @@ impl NetworkSpec {
     }
 
     /// Serializes the spec to pretty JSON.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         self.to_json_value().to_pretty()
     }
 
@@ -391,7 +391,7 @@ impl NetworkSpec {
     /// # Errors
     ///
     /// Returns a human-readable description of the first inconsistency.
-    pub fn to_network(&self) -> Result<NetworkModel, String> {
+    pub(crate) fn to_network(&self) -> Result<NetworkModel, String> {
         let (topology, paths, schedule, superframe, interval) = self.lower()?;
         // `NetworkModel::new` validates the schedule, so it is checked
         // once; its errors read as `build_parts` words them, without the
@@ -409,7 +409,7 @@ impl NetworkSpec {
     ///
     /// Returns a human-readable description of the first inconsistency.
     #[allow(clippy::type_complexity)]
-    pub fn build_parts(
+    pub(crate) fn build_parts(
         &self,
     ) -> Result<(Topology, Vec<Path>, Schedule, Superframe, ReportingInterval), String> {
         let parts = self.lower()?;
@@ -484,7 +484,7 @@ impl NetworkSpec {
 
     /// The paper's typical network (Fig. 12) with homogeneous links at the
     /// given availability, under schedule `eta_a`.
-    pub fn typical(availability: f64) -> NetworkSpec {
+    pub(crate) fn typical(availability: f64) -> NetworkSpec {
         let quality = LinkQuality::Availability {
             availability,
             p_rc: 0.9,
@@ -529,7 +529,7 @@ impl NetworkSpec {
     }
 
     /// The Section V example path as a one-path network spec.
-    pub fn section_v(availability: f64) -> NetworkSpec {
+    pub(crate) fn section_v(availability: f64) -> NetworkSpec {
         let quality = LinkQuality::Availability {
             availability,
             p_rc: 0.9,

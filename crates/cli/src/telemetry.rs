@@ -11,11 +11,11 @@ use whart_trace::Trace;
 /// Largest accepted sampling rate: comfortably above useful resolution,
 /// low enough that the sampler thread cannot degenerate into a busy
 /// loop.
-pub const MAX_PROFILE_HZ: u32 = 50_000;
+pub(crate) const MAX_PROFILE_HZ: u32 = 50_000;
 
 /// The artifact destinations of one command (`-` writes to stdout).
 #[derive(Debug, Clone)]
-pub struct TelemetryFlags {
+pub(crate) struct TelemetryFlags {
     /// Metrics snapshot destination (`--metrics`).
     pub metrics: Option<String>,
     /// Trace journal destination (`--trace`): JSON Lines for `-` or a
@@ -45,7 +45,7 @@ impl TelemetryFlags {
     /// stdout-capable streams (serve's `--log`, optimize's
     /// `--emit-spec`): at most one stream in total may be `-`, or the
     /// outputs would interleave.
-    pub fn parse(
+    pub(crate) fn parse(
         args: &[String],
         others: &[(&str, Option<&str>)],
     ) -> Result<TelemetryFlags, String> {
@@ -88,7 +88,7 @@ impl TelemetryFlags {
     /// Handles for a one-shot command, each enabled exactly when its
     /// destination was given, so an absent flag keeps every
     /// instrumented site on the zero-cost disabled path.
-    pub fn start(&self) -> Telemetry<'_> {
+    pub(crate) fn start(&self) -> Telemetry<'_> {
         self.start_with(
             self.metrics
                 .as_ref()
@@ -105,7 +105,12 @@ impl TelemetryFlags {
     /// Wraps caller-owned handles (serve keeps all three on for its
     /// whole life). A sampling capture runs only when `--profile` was
     /// given.
-    pub fn start_with(&self, metrics: Metrics, trace: Trace, profiler: Profiler) -> Telemetry<'_> {
+    pub(crate) fn start_with(
+        &self,
+        metrics: Metrics,
+        trace: Trace,
+        profiler: Profiler,
+    ) -> Telemetry<'_> {
         let capture = self
             .profile
             .as_ref()
@@ -122,7 +127,7 @@ impl TelemetryFlags {
 
 /// The live handles of one command run, plus the capture its
 /// `--profile` artifact comes from.
-pub struct Telemetry<'a> {
+pub(crate) struct Telemetry<'a> {
     flags: &'a TelemetryFlags,
     /// Solver, engine and handler metrics.
     pub metrics: Metrics,
@@ -137,7 +142,7 @@ impl Telemetry<'_> {
     /// Stops the capture and writes every requested artifact — metrics
     /// snapshot, trace journal, profile, in that order. Returns the text
     /// of the `-` stream, if any, for stdout.
-    pub fn finish(self) -> Result<String, String> {
+    pub(crate) fn finish(self) -> Result<String, String> {
         let mut out = String::new();
         if let Some(path) = &self.flags.metrics {
             let mut text = self.metrics.snapshot().to_json().to_pretty();

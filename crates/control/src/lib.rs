@@ -4,12 +4,13 @@
 //! control loop"), built as an extension.
 //!
 //! * [`Pid`] — the gateway's discrete PID controller;
-//! * [`FirstOrderPlant`] / [`TankPlant`] — classic process-industry plants;
+//! * [`FirstOrderPlant`] — a classic process-industry plant behind the
+//!   [`Plant`] trait;
 //! * [`run_loop`] — the closed loop with sensor reports crossing the
 //!   network per a [`DeliveryProcess`] (sampled from an analytical
 //!   [`whart_model::PathEvaluation`] via [`ModelDelivery`], or ideal via
 //!   [`PerfectDelivery`]);
-//! * [`metrics`] — ISE/IAE, settling time and overshoot.
+//! * [`metrics`] — ISE/IAE and settling time.
 //!
 //! # Example
 //!
@@ -34,6 +35,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod loop_sim;
 mod pid;
@@ -45,4 +47,4 @@ pub use loop_sim::{
     run_loop, DeliveryProcess, LoopConfig, LoopTrace, ModelDelivery, PerfectDelivery, TracePoint,
 };
 pub use pid::{Pid, PidConfig};
-pub use plant::{FirstOrderPlant, Plant, TankPlant};
+pub use plant::{FirstOrderPlant, Plant};

@@ -39,16 +39,6 @@ pub fn settling_time_ms(trace: &LoopTrace, setpoint: f64, band: f64) -> Option<u
     settled_since
 }
 
-/// The maximum overshoot above the setpoint (zero if never exceeded).
-pub fn overshoot(trace: &LoopTrace, setpoint: f64) -> f64 {
-    trace
-        .points
-        .iter()
-        .map(|p| p.output - setpoint)
-        .fold(0.0, f64::max)
-        .max(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,17 +78,9 @@ mod tests {
     }
 
     #[test]
-    fn overshoot_measures_peak() {
-        let t = trace(&[0.0, 1.3, 0.9]);
-        assert!((overshoot(&t, 1.0) - 0.3).abs() < 1e-12);
-        assert_eq!(overshoot(&trace(&[0.0, 0.5]), 1.0), 0.0);
-    }
-
-    #[test]
     fn empty_trace_is_safe() {
         let t = LoopTrace::default();
         assert_eq!(integral_squared_error(&t, 1.0), 0.0);
         assert_eq!(settling_time_ms(&t, 1.0, 0.1), None);
-        assert_eq!(overshoot(&t, 1.0), 0.0);
     }
 }

@@ -62,11 +62,6 @@ impl Pid {
         }
     }
 
-    /// The configuration.
-    pub fn config(&self) -> PidConfig {
-        self.config
-    }
-
     /// Computes the control output for one sample.
     ///
     /// `dt` is the time since the previous update in seconds (the reporting
@@ -98,12 +93,6 @@ impl Pid {
         }
         output
     }
-
-    /// Resets the integral and derivative memory.
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.last_measurement = None;
-    }
 }
 
 #[cfg(test)]
@@ -132,8 +121,6 @@ mod tests {
         let o2 = pid.update(1.0, 0.0, 1.0);
         assert!((o1 - 1.0).abs() < 1e-12);
         assert!((o2 - 2.0).abs() < 1e-12);
-        pid.reset();
-        assert!((pid.update(1.0, 0.0, 1.0) - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! Simple process models.
 //!
 //! The paper's motivating applications are process-industry loops (flow
-//! speeds, fluid levels, temperatures). Two classic plants cover them:
-//! a first-order lag (temperature/flow) and a leaky integrator (tank
-//! level). Both are integrated with forward Euler at the 10 ms slot rate,
-//! far below their time constants.
+//! speeds, fluid levels, temperatures). A first-order lag covers
+//! temperature and flow; it is integrated with forward Euler at the 10 ms
+//! slot rate, far below its time constant.
 
 /// A continuous-time process integrated in discrete steps.
 pub trait Plant {
@@ -52,43 +51,6 @@ impl Plant for FirstOrderPlant {
     }
 }
 
-/// A leaky tank: `dy/dt = K * u - leak * y` (level rises with inflow `u`,
-/// drains proportionally to level).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TankPlant {
-    inflow_gain: f64,
-    leak: f64,
-    level: f64,
-}
-
-impl TankPlant {
-    /// Creates a tank at initial level `y0`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `leak` is negative.
-    pub fn new(inflow_gain: f64, leak: f64, y0: f64) -> Self {
-        assert!(leak >= 0.0, "leak must be non-negative");
-        TankPlant {
-            inflow_gain,
-            leak,
-            level: y0,
-        }
-    }
-}
-
-impl Plant for TankPlant {
-    fn step(&mut self, u: f64, dt: f64) -> f64 {
-        self.level += (self.inflow_gain * u - self.leak * self.level) * dt;
-        self.level = self.level.max(0.0); // tanks do not go negative
-        self.level
-    }
-
-    fn output(&self) -> f64 {
-        self.level
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,26 +71,6 @@ mod tests {
         let mut p = FirstOrderPlant::new(3.0, 2.0, 0.0);
         let y = p.step(1.0, 0.01);
         assert!((y - 3.0 / 2.0 * 0.01).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tank_balances_inflow_and_leak() {
-        let mut t = TankPlant::new(1.0, 0.5, 0.0);
-        let mut y = 0.0;
-        for _ in 0..200_000 {
-            y = t.step(1.0, 0.001);
-        }
-        // Equilibrium: K u / leak = 2.
-        assert!((y - 2.0).abs() < 1e-6, "{y}");
-    }
-
-    #[test]
-    fn tank_never_negative() {
-        let mut t = TankPlant::new(1.0, 0.1, 0.5);
-        for _ in 0..1000 {
-            let y = t.step(-10.0, 0.01);
-            assert!(y >= 0.0);
-        }
     }
 
     #[test]

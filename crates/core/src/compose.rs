@@ -69,23 +69,6 @@ pub fn predict_composition(
     })
 }
 
-/// Converts a prediction into a [`PathEvaluation`] so the usual measures
-/// apply (the composed path inherits the existing path's super-frame and
-/// arrival slot; with `extra_slots` more transmissions the arrival slot
-/// shifts accordingly once the schedule is extended).
-pub fn prediction_to_evaluation(
-    prediction: &CompositionPrediction,
-    existing: &PathEvaluation,
-) -> PathEvaluation {
-    PathEvaluation::from_parts(
-        prediction.cycle_probabilities.clone(),
-        existing.arrival_slot_number(),
-        prediction.hop_count,
-        existing.superframe(),
-        existing.interval(),
-    )
-}
-
 /// Builds a full [`PathEvaluation`] from an Eq. 12 composed cycle
 /// probability function and an explicit schedule placement.
 ///
@@ -291,19 +274,6 @@ mod tests {
                 "cycle {i}"
             );
         }
-    }
-
-    #[test]
-    fn prediction_to_evaluation_supports_measures() {
-        let peer = peer_cycle_probabilities(peer_from_snr(7.0), ReportingInterval::REGULAR);
-        let ex = existing(2, 0.83);
-        let prediction = predict_composition(&peer, 1, &ex).unwrap();
-        let eval = prediction_to_evaluation(&prediction, &ex);
-        assert!((eval.reachability() - prediction.reachability).abs() < 1e-12);
-        assert_eq!(eval.hop_count(), 3);
-        assert!(eval
-            .expected_delay_ms(crate::measures::DelayConvention::Absolute)
-            .is_some());
     }
 
     #[test]

@@ -133,12 +133,6 @@ impl LinkDynamics {
         (0..=slots).map(|t| self.up_probability(t)).collect()
     }
 
-    /// Whether the dynamics are constant over time (steady start, no
-    /// outages) — enables a fast path in the evaluator.
-    pub fn is_time_invariant(&self) -> bool {
-        self.outages.is_empty() && (self.initial.up() - self.model.availability()).abs() < 1e-15
-    }
-
     /// Whether `up_probability` returns the *same bits* at every slot:
     /// no outages and an initial distribution exactly on the stationary
     /// point, so the transient term of Eq. 3 is exactly `0.0` rather
@@ -169,7 +163,6 @@ mod tests {
     #[test]
     fn steady_links_are_constant() {
         let d = LinkDynamics::steady(model());
-        assert!(d.is_time_invariant());
         let pi = model().availability();
         for t in [0, 1, 5, 100, 10_000] {
             assert!((d.up_probability(t) - pi).abs() < 1e-12);
@@ -181,7 +174,6 @@ mod tests {
         // Fig. 17: starting DOWN, P(up) jumps to 0.9 after one slot and is at
         // steady state almost immediately.
         let d = LinkDynamics::starting_in(model(), LinkState::Down);
-        assert!(!d.is_time_invariant());
         let traj = d.up_trajectory(6);
         assert_eq!(traj[0], 0.0);
         assert!((traj[1] - 0.9).abs() < 1e-12);
@@ -213,7 +205,6 @@ mod tests {
         assert_eq!(d.up_probability(31), 0.0);
         assert!((d.up_probability(32) - 0.9).abs() < 1e-12);
         assert!((d.up_probability(12) - 0.9).abs() < 1e-12);
-        assert!(!d.is_time_invariant());
     }
 
     #[test]
@@ -234,7 +225,6 @@ mod tests {
     #[test]
     fn from_link_model_is_steady() {
         let d: LinkDynamics = model().into();
-        assert!(d.is_time_invariant());
         assert_eq!(d.model(), model());
         assert!((d.initial().up() - model().availability()).abs() < 1e-15);
     }

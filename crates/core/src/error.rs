@@ -69,7 +69,7 @@ mod tests {
 
     #[test]
     fn conversions_and_sources() {
-        let e: ModelError = whart_dtmc::DtmcError::EmptyChain.into();
+        let e: ModelError = whart_dtmc::DtmcError::NoAbsorbingStates.into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("dtmc"));
         let e: ModelError = whart_channel::ChannelError::NoActiveChannels.into();

@@ -116,15 +116,6 @@ impl PathExplanation {
     pub fn total_loss(&self) -> f64 {
         self.hops.iter().map(|h| h.loss_mass).sum()
     }
-
-    /// Sum of the per-cycle contributions — equals
-    /// `E[delay | delivered]` up to floating-point round-off.
-    pub fn expected_delay_ms(&self) -> Option<f64> {
-        if self.evaluation.reachability() <= 0.0 {
-            return None;
-        }
-        Some(self.cycles.iter().map(|c| c.contribution_ms).sum())
-    }
 }
 
 /// Evaluates `problem` with the fast solver and decomposes the result
@@ -260,7 +251,8 @@ mod tests {
             .evaluation()
             .expected_delay_ms(DelayConvention::Absolute)
             .unwrap();
-        assert!((ex.expected_delay_ms().unwrap() - expected).abs() < 1e-9);
+        let sum: f64 = ex.cycles().iter().map(|c| c.contribution_ms).sum();
+        assert!((sum - expected).abs() < 1e-9);
     }
 
     #[test]

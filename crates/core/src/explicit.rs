@@ -33,19 +33,9 @@ pub struct ExplicitChain {
 }
 
 impl ExplicitChain {
-    /// The initial state `(0, -, ..., -)`.
-    pub fn initial(&self) -> StateId {
-        self.initial
-    }
-
     /// The goal states, one per reporting cycle, in cycle order.
     pub fn goals(&self) -> &[StateId] {
         &self.goals
-    }
-
-    /// The discard state.
-    pub fn discard(&self) -> StateId {
-        self.discard
     }
 
     /// Number of states.
@@ -58,25 +48,9 @@ impl ExplicitChain {
         self.dtmc.transition_count()
     }
 
-    /// The cycle probability function computed by absorbing-state analysis
-    /// of the explicit chain — the slow, exact cross-check of
-    /// [`PathProblem::evaluate`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver failures (cannot happen for chains produced by
-    /// [`explicit_chain`], which always reach an absorbing state).
-    pub fn cycle_probabilities(&self) -> DtmcResult<Pmf> {
-        let absorption = self.dtmc.absorption()?;
-        Ok(self
-            .goals
-            .iter()
-            .map(|&g| absorption.probability(self.initial, g))
-            .collect())
-    }
-
     /// Solves the chain once for both absorption targets: the cycle
-    /// probability function and the discard probability. This is the
+    /// probability function and the discard probability — the slow, exact
+    /// cross-check of [`PathProblem::evaluate`] and the
     /// [`crate::ir::ExplicitSolver`] backend's workhorse.
     ///
     /// # Errors
@@ -300,8 +274,8 @@ mod tests {
             for is in 1..=4 {
                 let model = example_model(pi, is);
                 let fast = model.evaluate();
-                let chain = explicit_chain(&model);
-                let slow = chain.cycle_probabilities().unwrap();
+                let (slow, discard) = explicit_chain(&model).solve().unwrap();
+                assert!((fast.discard_probability() - discard).abs() < 1e-12);
                 for i in 0..is as usize {
                     assert!(
                         (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-12,
@@ -316,8 +290,7 @@ mod tests {
     fn discard_probability_matches() {
         let model = example_model(0.75, 4);
         let chain = explicit_chain(&model);
-        let absorption = chain.dtmc.absorption().unwrap();
-        let p_discard = absorption.probability(chain.initial(), chain.discard());
+        let (_, p_discard) = chain.solve().unwrap();
         assert!((p_discard - model.evaluate().discard_probability()).abs() < 1e-12);
     }
 
@@ -353,8 +326,7 @@ mod tests {
             .interval(ReportingInterval::new(4).unwrap())
             .ttl(7);
         let model = b.build().unwrap();
-        let chain = explicit_chain(&model);
-        let slow = chain.cycle_probabilities().unwrap();
+        let (slow, _) = explicit_chain(&model).solve().unwrap();
         let fast = model.evaluate();
         for i in 0..4 {
             assert!((slow.get(i) - fast.cycle_probabilities().get(i)).abs() < 1e-12);

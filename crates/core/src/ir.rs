@@ -286,16 +286,6 @@ impl NetworkProblem {
         &self.problems
     }
 
-    /// Number of paths.
-    pub fn len(&self) -> usize {
-        self.problems.len()
-    }
-
-    /// Whether the network has no paths.
-    pub fn is_empty(&self) -> bool {
-        self.problems.is_empty()
-    }
-
     /// Decomposes into `(paths, problems)` — the shape batch planners
     /// want.
     pub fn into_parts(self) -> (Vec<Path>, Vec<PathProblem>) {
@@ -651,12 +641,10 @@ mod tests {
         let scalar = FastSolver
             .solve_path(&problem, MeasurePlan::SCALAR)
             .unwrap();
-        assert!(!scalar.has_trajectory());
         assert!(scalar.trajectory().is_empty());
         let full = FastSolver
             .solve_path(&problem, MeasurePlan::WITH_TRAJECTORY)
             .unwrap();
-        assert!(full.has_trajectory());
         assert_eq!(full.trajectory().len(), 29);
         // Scalar content is identical either way.
         assert_eq!(scalar.cycle_probabilities(), full.cycle_probabilities());
@@ -678,8 +666,7 @@ mod tests {
         )
         .unwrap();
         let problem = model.compile().unwrap();
-        assert_eq!(problem.len(), 10);
-        assert!(!problem.is_empty());
+        assert_eq!(problem.paths().len(), 10);
         for (path, p) in problem.paths().iter().zip(problem.path_problems()) {
             assert_eq!(path.hop_count(), p.hop_count());
             for hop in p.hops() {

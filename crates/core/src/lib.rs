@@ -24,8 +24,6 @@
 //! * [`compose`] — path compositionality (Eq. 12) and the performance
 //!   prediction / routing advice of Section VI-E;
 //! * [`failure`] — the robustness studies of Section VI-C;
-//! * [`closed_loop`] — round-trip control-cycle analysis (the paper's
-//!   `0.4219^2 = 0.178` one-cycle-loop figure, generalized);
 //! * [`sensitivity`] — link-repair priority ranking (quantifying the
 //!   paper's "improve the bottleneck" advice);
 //! * [`sweeps`] — the parameter sweeps behind Figs. 8-10, 18 and Table I;
@@ -61,6 +59,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod dynamics;
 mod error;
@@ -68,7 +67,6 @@ mod measures;
 mod network;
 mod path;
 
-pub mod closed_loop;
 pub mod compose;
 pub mod explain;
 pub mod explicit;

@@ -137,12 +137,6 @@ impl PathEvaluation {
             .map(f64::sqrt)
     }
 
-    /// Probability that a delivered message meets a deadline (ms) under a
-    /// convention — `P(delay <= deadline | delivered)`.
-    pub fn deadline_probability(&self, deadline_ms: f64, convention: DelayConvention) -> f64 {
-        self.delay_distribution(convention).cdf(deadline_ms)
-    }
-
     /// The path utilization `U_p` (Eq. 10): the fraction of the interval's
     /// uplink slots spent transmitting this path's message.
     pub fn utilization(&self, convention: UtilizationConvention) -> f64 {
@@ -342,21 +336,5 @@ mod tests {
             .unwrap();
         assert!(good < bad, "{good} vs {bad}");
         assert!(good > 0.0);
-    }
-
-    #[test]
-    fn deadline_probability_matches_cdf() {
-        let eval = example_eval(0.75);
-        let p = eval.deadline_probability(200.0, DelayConvention::Absolute);
-        // Only the 70 ms arrival meets a 200 ms deadline.
-        assert!((p - 0.4219 / 0.9624).abs() < 1e-3, "{p}");
-        assert_eq!(
-            eval.deadline_probability(500.0, DelayConvention::Absolute),
-            1.0
-        );
-        assert_eq!(
-            eval.deadline_probability(10.0, DelayConvention::Absolute),
-            0.0
-        );
     }
 }

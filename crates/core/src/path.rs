@@ -611,12 +611,6 @@ impl PathEvaluation {
             / f64::from(self.interval.cycles() * self.superframe.uplink_slots())
     }
 
-    /// Whether this evaluation carries a goal trajectory (i.e. it was
-    /// produced under [`MeasurePlan::WITH_TRAJECTORY`]).
-    pub fn has_trajectory(&self) -> bool {
-        self.goal_trajectory.is_some()
-    }
-
     /// The transient probability of each goal state after every uplink slot:
     /// `trajectory()[t][i]` is the probability that the message has reached
     /// goal `i + 1` within the first `t` uplink slots — the curves of the
@@ -765,7 +759,6 @@ mod tests {
         // Goals only jump at their arrival slots: goal 1 at step 7, goal 2 at
         // step 14, ... (Fig. 6's step curves).
         let eval = example_model(0.75, 4).evaluate_with(MeasurePlan::WITH_TRAJECTORY);
-        assert!(eval.has_trajectory());
         let traj = eval.trajectory();
         assert_eq!(traj.len(), 29);
         assert_eq!(traj[0], vec![0.0; 4]);
@@ -838,7 +831,6 @@ mod tests {
         }
         // Scalar evaluations carry no trajectory at all.
         let scalar = example_model(0.75, 4).evaluate();
-        assert!(!scalar.has_trajectory());
         assert!(scalar.trajectory().is_empty());
     }
 

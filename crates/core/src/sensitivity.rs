@@ -97,12 +97,13 @@ mod tests {
         let link = LinkModel::from_availability(0.9, 0.9).unwrap();
         let mut net = TypicalNetwork::new(link);
         // Degrade e3 = (n3, G), the link shared by paths 3, 7, 8, 10.
-        net.set_link(
-            NodeId::field(3),
-            NodeId::Gateway,
-            LinkModel::from_availability(0.7, 0.9).unwrap(),
-        )
-        .unwrap();
+        net.topology
+            .connect(
+                NodeId::field(3),
+                NodeId::Gateway,
+                LinkModel::from_availability(0.7, 0.9).unwrap(),
+            )
+            .unwrap();
         NetworkModel::from_typical(&net, net.schedule_eta_a(), ReportingInterval::REGULAR).unwrap()
     }
 

@@ -51,10 +51,16 @@ proptest! {
     fn explicit_chain_matches_fast_evaluator((pis, slots, f_up, is) in model_params()) {
         let model = build_model(&pis, &slots, f_up, is, None);
         let fast = model.evaluate();
-        let slow = explicit_chain(&model).cycle_probabilities().unwrap();
+        let (slow, discard) = explicit_chain(&model).solve().unwrap();
+        prop_assert!(
+            (fast.discard_probability() - discard).abs() < 1e-12,
+            "discard: fast {} vs explicit {}",
+            fast.discard_probability(),
+            discard
+        );
         for i in 0..is as usize {
             prop_assert!(
-                (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-10,
+                (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-12,
                 "cycle {i}: fast {} vs explicit {}",
                 fast.cycle_probabilities().get(i),
                 slow.get(i)

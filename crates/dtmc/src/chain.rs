@@ -1,6 +1,5 @@
 //! The labelled discrete-time Markov chain type and its analyses.
 
-use crate::dist::Pmf;
 use crate::error::{DtmcError, Result};
 use crate::linalg::DenseMatrix;
 use crate::matrix::SparseStochastic;
@@ -32,15 +31,19 @@ impl std::fmt::Display for StateId {
 ///
 /// # fn main() -> Result<(), whart_dtmc::DtmcError> {
 /// let mut b = Dtmc::builder();
-/// let up = b.add_state("UP");
-/// let down = b.add_state("DOWN");
-/// b.add_transition(up, up, 0.7)?;
-/// b.add_transition(up, down, 0.3)?;
-/// b.add_transition(down, up, 0.9)?;
-/// b.add_transition(down, down, 0.1)?;
-/// let link = b.build()?;
-/// let pi = link.steady_state()?;
-/// assert!((pi[up.index()] - 0.75).abs() < 1e-12);
+/// let s0 = b.add_state("s0");
+/// let s1 = b.add_state("s1");
+/// let goal = b.add_state("goal");
+/// let discard = b.add_state("discard");
+/// b.add_transition(s0, goal, 0.6)?;
+/// b.add_transition(s0, s1, 0.4)?;
+/// b.add_transition(s1, goal, 0.5)?;
+/// b.add_transition(s1, discard, 0.5)?;
+/// b.make_absorbing(goal)?;
+/// b.make_absorbing(discard)?;
+/// let chain = b.build()?;
+/// let a = chain.absorption()?;
+/// assert!((a.probability(s0, goal) - 0.8).abs() < 1e-12);
 /// # Ok(())
 /// # }
 /// ```
@@ -90,15 +93,6 @@ impl Dtmc {
         (0..self.len()).map(StateId)
     }
 
-    /// The transition probability `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` does not belong to this chain.
-    pub fn probability(&self, from: StateId, to: StateId) -> f64 {
-        self.matrix.get(from.0, to.0)
-    }
-
     /// The successors of a state with their probabilities.
     ///
     /// # Panics
@@ -106,11 +100,6 @@ impl Dtmc {
     /// Panics if `state` does not belong to this chain.
     pub fn successors(&self, state: StateId) -> impl Iterator<Item = (StateId, f64)> + '_ {
         self.matrix.row(state.0).map(|(s, p)| (StateId(s), p))
-    }
-
-    /// Borrow the underlying sparse matrix.
-    pub fn matrix(&self) -> &SparseStochastic {
-        &self.matrix
     }
 
     /// Whether a state is absorbing.
@@ -122,36 +111,13 @@ impl Dtmc {
         self.matrix.is_absorbing(state.0)
     }
 
-    /// All absorbing states.
-    pub fn absorbing_states(&self) -> Vec<StateId> {
-        self.matrix
-            .absorbing_states()
-            .into_iter()
-            .map(StateId)
-            .collect()
-    }
-
-    /// The distribution after `steps` transitions from `initial`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::InvalidInitialDistribution`] if `initial` has the
-    /// wrong length or does not sum to one.
-    pub fn transient(&self, initial: &[f64], steps: usize) -> Result<Vec<f64>> {
-        self.check_initial(initial)?;
-        let mut p = initial.to_vec();
-        for _ in 0..steps {
-            p = self.matrix.left_mul(&p).expect("validated length");
-        }
-        Ok(p)
-    }
-
     /// The full trajectory `p(0), p(1), ..., p(steps)` of transient
     /// distributions.
     ///
     /// # Errors
     ///
-    /// See [`Dtmc::transient`].
+    /// Returns [`DtmcError::InvalidInitialDistribution`] if `initial` has the
+    /// wrong length or does not sum to one.
     pub fn transient_trajectory(&self, initial: &[f64], steps: usize) -> Result<Vec<Vec<f64>>> {
         self.check_initial(initial)?;
         let mut out = Vec::with_capacity(steps + 1);
@@ -166,41 +132,8 @@ impl Dtmc {
         Ok(out)
     }
 
-    /// The unique stationary distribution `pi` with `pi P = pi`.
-    ///
-    /// Solved densely; intended for small chains (links, reduced models). For
-    /// chains with several closed classes the returned solution is whichever
-    /// the elimination finds — callers should ensure irreducibility.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::EmptyChain`] for an empty chain and
-    /// [`DtmcError::SingularSystem`] if elimination fails.
-    pub fn steady_state(&self) -> Result<Vec<f64>> {
-        let n = self.len();
-        if n == 0 {
-            return Err(DtmcError::EmptyChain);
-        }
-        // Solve (P^T - I) pi = 0 with the last equation replaced by sum(pi) = 1.
-        let mut a = DenseMatrix::zeros(n, n);
-        for from in 0..n {
-            for (to, p) in self.matrix.row(from) {
-                a[(to, from)] += p;
-            }
-            a[(from, from)] -= 1.0;
-        }
-        for col in 0..n {
-            a[(n - 1, col)] = 1.0;
-        }
-        let mut b = vec![0.0; n];
-        b[n - 1] = 1.0;
-        let pi = a.solve(b)?;
-        Ok(pi)
-    }
-
-    /// Absorbing-chain analysis: for every transient state, the probability
-    /// of ending in each absorbing state and the expected number of steps to
-    /// absorption.
+    /// Absorbing-chain analysis: for every state, the probability of ending
+    /// in each absorbing state.
     ///
     /// # Errors
     ///
@@ -237,28 +170,20 @@ impl Dtmc {
                 }
             }
         }
-        // Expected steps: (I - Q) tau = 1.
-        let mut all_rhs = rhs;
-        all_rhs.push(vec![1.0; t]);
-        i_minus_q.solve_many(&mut all_rhs)?;
-        let expected_steps_t = all_rhs.pop().expect("pushed above");
-        let probs_cols = all_rhs;
+        i_minus_q.solve_many(&mut rhs)?;
 
         let mut probabilities = vec![vec![0.0; absorbing.len()]; self.len()];
-        let mut expected_steps = vec![0.0; self.len()];
         for (j, &s) in absorbing.iter().enumerate() {
             probabilities[s][j] = 1.0;
         }
         for (row, &s) in transient.iter().enumerate() {
-            for (j, col) in probs_cols.iter().enumerate() {
+            for (j, col) in rhs.iter().enumerate() {
                 probabilities[s][j] = col[row];
             }
-            expected_steps[s] = expected_steps_t[row];
         }
         Ok(Absorption {
             absorbing: absorbing.into_iter().map(StateId).collect(),
             probabilities,
-            expected_steps,
         })
     }
 
@@ -285,15 +210,9 @@ pub struct Absorption {
     /// `probabilities[s][j]`: probability that a walk from state `s` is
     /// absorbed in `absorbing[j]`.
     probabilities: Vec<Vec<f64>>,
-    expected_steps: Vec<f64>,
 }
 
 impl Absorption {
-    /// The absorbing states, in the order used by [`Absorption::probability`].
-    pub fn absorbing_states(&self) -> &[StateId] {
-        &self.absorbing
-    }
-
     /// Probability that a walk from `from` is absorbed in `target`.
     ///
     /// Returns zero if `target` is not absorbing.
@@ -306,26 +225,6 @@ impl Absorption {
             Some(j) => self.probabilities[from.0][j],
             None => 0.0,
         }
-    }
-
-    /// Absorption probabilities from `from` as a [`Pmf`] over the absorbing
-    /// states (in [`Absorption::absorbing_states`] order).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` does not belong to the analysed chain.
-    pub fn distribution_from(&self, from: StateId) -> Pmf {
-        self.probabilities[from.0].iter().copied().collect()
-    }
-
-    /// Expected number of steps until absorption starting from `from`
-    /// (zero for absorbing states).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` does not belong to the analysed chain.
-    pub fn expected_steps(&self, from: StateId) -> f64 {
-        self.expected_steps[from.0]
     }
 }
 
@@ -463,23 +362,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_of_link_chain() {
-        // pi(up) = p_rc / (p_rc + p_fl), Eq. 4 of the paper.
-        let chain = link_chain(0.3, 0.9);
-        let pi = chain.steady_state().unwrap();
-        assert!((pi[0] - 0.75).abs() < 1e-12);
-        assert!((pi[1] - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn transient_converges_to_steady_state() {
-        let chain = link_chain(0.0966, 0.9);
-        let p = chain.transient(&[0.0, 1.0], 200).unwrap();
-        let pi = chain.steady_state().unwrap();
-        assert!((p[0] - pi[0]).abs() < 1e-10);
-    }
-
-    #[test]
     fn transient_trajectory_has_expected_length_and_mass() {
         let chain = link_chain(0.184, 0.9);
         let traj = chain.transient_trajectory(&[0.0, 1.0], 6).unwrap();
@@ -495,13 +377,13 @@ mod tests {
     #[test]
     fn transient_rejects_bad_initial() {
         let chain = link_chain(0.3, 0.9);
-        assert!(chain.transient(&[0.5], 1).is_err());
-        assert!(chain.transient(&[0.7, 0.7], 1).is_err());
-        assert!(chain.transient(&[-0.5, 1.5], 1).is_err());
+        assert!(chain.transient_trajectory(&[0.5], 1).is_err());
+        assert!(chain.transient_trajectory(&[0.7, 0.7], 1).is_err());
+        assert!(chain.transient_trajectory(&[-0.5, 1.5], 1).is_err());
     }
 
     #[test]
-    fn absorption_probabilities_and_steps() {
+    fn absorption_probabilities() {
         let (chain, s0, s1, goal, discard) = absorbing_chain();
         let a = chain.absorption().unwrap();
         assert!((a.probability(s0, goal) - 0.8).abs() < 1e-12); // 0.6 + 0.4*0.5
@@ -509,10 +391,6 @@ mod tests {
         assert!((a.probability(s1, goal) - 0.5).abs() < 1e-12);
         assert!((a.probability(goal, goal) - 1.0).abs() < 1e-12);
         assert_eq!(a.probability(s0, s1), 0.0); // non-absorbing target
-        assert!((a.expected_steps(s0) - 1.4).abs() < 1e-12); // 1 + 0.4*1
-        assert_eq!(a.expected_steps(goal), 0.0);
-        let d = a.distribution_from(s0);
-        assert!((d.total_mass() - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -530,7 +408,8 @@ mod tests {
         let a = chain.absorption().unwrap();
         let mut init = vec![0.0; chain.len()];
         init[s0.index()] = 1.0;
-        let p = chain.transient(&init, 100).unwrap();
+        let traj = chain.transient_trajectory(&init, 100).unwrap();
+        let p = traj.last().unwrap();
         assert!((p[goal.index()] - a.probability(s0, goal)).abs() < 1e-12);
     }
 

@@ -132,53 +132,6 @@ impl Pmf {
         self.probs.iter().sum()
     }
 
-    /// Expected index conditioned on the event covered by the support, i.e.
-    /// `sum(i * P(i)) / total_mass`. Returns `None` for zero total mass.
-    pub fn conditional_mean_index(&self) -> Option<f64> {
-        let mass = self.total_mass();
-        if mass <= 0.0 {
-            return None;
-        }
-        let weighted: f64 = self
-            .probs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| i as f64 * p)
-            .sum();
-        Some(weighted / mass)
-    }
-
-    /// Rescales so the total mass is one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::InvalidInitialDistribution`] on zero total mass.
-    pub fn normalized(&self) -> Result<Pmf> {
-        let mass = self.total_mass();
-        if mass <= 0.0 {
-            return Err(DtmcError::InvalidInitialDistribution {
-                reason: "cannot normalize zero mass".into(),
-            });
-        }
-        Ok(Pmf {
-            probs: self.probs.iter().map(|p| p / mass).collect(),
-        })
-    }
-
-    /// Conditional variance of the index given the covered event.
-    /// `None` for zero total mass.
-    pub fn conditional_index_variance(&self) -> Option<f64> {
-        let mean = self.conditional_mean_index()?;
-        let mass = self.total_mass();
-        let second: f64 = self
-            .probs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (i as f64) * (i as f64) * p)
-            .sum();
-        Some((second / mass - mean * mean).max(0.0))
-    }
-
     /// Convolution `P(c) = sum_i self(i) * other(c - i)`.
     ///
     /// With 0-based cycle indices this is exactly the paper's path
@@ -340,24 +293,6 @@ impl ValueDistribution {
         self.values.last().copied()
     }
 
-    /// Rescales to total mass one.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::InvalidInitialDistribution`] on zero total mass.
-    pub fn normalized(&self) -> Result<ValueDistribution> {
-        let mass = self.total_mass();
-        if mass <= 0.0 {
-            return Err(DtmcError::InvalidInitialDistribution {
-                reason: "cannot normalize zero mass".into(),
-            });
-        }
-        Ok(ValueDistribution {
-            values: self.values.clone(),
-            probs: self.probs.iter().map(|p| p / mass).collect(),
-        })
-    }
-
     /// Pointwise average of several distributions (the paper's network delay
     /// distribution `Gamma`, Eq. 13 aggregates per-path distributions this
     /// way). The result's support is the union of all supports.
@@ -445,19 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn normalized_restores_unit_mass() {
-        let g = Pmf::geometric(0.5, 3).unwrap(); // mass 0.875
-        let n = g.normalized().unwrap();
-        assert!((n.total_mass() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conditional_mean_index_of_point_mass_is_zero() {
-        let p = Pmf::new(vec![1.0]).unwrap();
-        assert_eq!(p.conditional_mean_index(), Some(0.0));
-    }
-
-    #[test]
     fn value_distribution_merges_equal_values() {
         let d = ValueDistribution::new(vec![(70.0, 0.2), (70.0, 0.3), (210.0, 0.5)]).unwrap();
         assert_eq!(d.len(), 2);
@@ -486,20 +408,6 @@ mod tests {
         let avg = ValueDistribution::average(std::iter::empty());
         assert!(avg.is_empty());
         assert_eq!(avg.total_mass(), 0.0);
-    }
-
-    #[test]
-    fn pmf_variance_of_geometric() {
-        // Variance of a full geometric (failures before success) is q/p^2.
-        let p = 0.4;
-        let g = Pmf::geometric(p, 400).unwrap();
-        let var = g.conditional_index_variance().unwrap();
-        assert!((var - (1.0 - p) / (p * p)).abs() < 1e-6, "{var}");
-        // A point mass has zero variance.
-        assert_eq!(
-            Pmf::new(vec![1.0]).unwrap().conditional_index_variance(),
-            Some(0.0)
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! this module renders any [`Dtmc`] in the same style so the reproduced
 //! chains can be inspected visually with `dot -Tsvg`.
 
-use crate::chain::{Dtmc, StateId};
+use crate::chain::Dtmc;
 use std::fmt::Write as _;
 
 /// Rendering options for [`to_dot`].
@@ -76,11 +76,6 @@ pub fn to_dot(chain: &Dtmc, options: &DotOptions) -> String {
     out
 }
 
-/// Renders with default options; see [`to_dot`].
-pub fn to_dot_default(chain: &Dtmc) -> String {
-    to_dot(chain, &DotOptions::default())
-}
-
 fn sanitize(name: &str) -> String {
     let cleaned: String = name
         .chars()
@@ -103,11 +98,6 @@ fn escape(label: &str) -> String {
     label.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-#[allow(unused)]
-fn state_name(state: StateId) -> String {
-    state.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,7 +113,7 @@ mod tests {
 
     #[test]
     fn dot_contains_states_and_edges() {
-        let dot = to_dot_default(&sample_chain());
+        let dot = to_dot(&sample_chain(), &DotOptions::default());
         assert!(dot.starts_with("digraph dtmc {"));
         assert!(dot.contains("rankdir=LR"));
         assert!(dot.contains("label=\"(1,-,-)\""));
@@ -134,7 +124,7 @@ mod tests {
 
     #[test]
     fn absorbing_self_loops_are_omitted() {
-        let dot = to_dot_default(&sample_chain());
+        let dot = to_dot(&sample_chain(), &DotOptions::default());
         assert!(!dot.contains("s1 -> s1"));
     }
 
@@ -143,7 +133,7 @@ mod tests {
         let mut b = Dtmc::builder();
         let s = b.add_state("say \"hi\"");
         b.make_absorbing(s).unwrap();
-        let dot = to_dot_default(&b.build().unwrap());
+        let dot = to_dot(&b.build().unwrap(), &DotOptions::default());
         assert!(dot.contains("say \\\"hi\\\""));
     }
 

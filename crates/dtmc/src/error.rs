@@ -36,8 +36,6 @@ pub enum DtmcError {
     },
     /// A linear system was singular (or numerically so) and could not be solved.
     SingularSystem,
-    /// The requested analysis needs at least one state.
-    EmptyChain,
     /// The chain has no absorbing state but an absorbing analysis was requested.
     NoAbsorbingStates,
     /// Distribution support and probability vectors have mismatched lengths.
@@ -69,7 +67,6 @@ impl fmt::Display for DtmcError {
                 write!(f, "invalid initial distribution: {reason}")
             }
             DtmcError::SingularSystem => write!(f, "linear system is singular"),
-            DtmcError::EmptyChain => write!(f, "chain has no states"),
             DtmcError::NoAbsorbingStates => write!(f, "chain has no absorbing states"),
             DtmcError::LengthMismatch { expected, actual } => {
                 write!(f, "length mismatch: expected {expected}, got {actual}")
@@ -101,7 +98,6 @@ mod tests {
                 reason: "sums to 0".into(),
             },
             DtmcError::SingularSystem,
-            DtmcError::EmptyChain,
             DtmcError::NoAbsorbingStates,
             DtmcError::LengthMismatch {
                 expected: 2,

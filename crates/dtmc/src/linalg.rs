@@ -10,7 +10,7 @@ use crate::error::{DtmcError, Result};
 
 /// A dense row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     rows: usize,
     cols: usize,
     data: Vec<f64>,
@@ -22,7 +22,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if `rows * cols` overflows `usize`.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         let len = rows
             .checked_mul(cols)
             .expect("matrix shape overflows usize");
@@ -34,62 +34,12 @@ impl DenseMatrix {
     }
 
     /// Creates an identity matrix of order `n`.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = DenseMatrix::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::LengthMismatch`] if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != rows * cols {
-            return Err(DtmcError::LengthMismatch {
-                expected: rows * cols,
-                actual: data.len(),
-            });
-        }
-        Ok(DenseMatrix { rows, cols, data })
-    }
-
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Borrow the underlying row-major data.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// Multiplies `self` by a column vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DtmcError::LengthMismatch`] if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.cols {
-            return Err(DtmcError::LengthMismatch {
-                expected: self.cols,
-                actual: v.len(),
-            });
-        }
-        let mut out = vec![0.0; self.rows];
-        for (i, out_i) in out.iter_mut().enumerate() {
-            let row = &self.data[i * self.cols..(i + 1) * self.cols];
-            *out_i = row.iter().zip(v).map(|(a, b)| a * b).sum();
-        }
-        Ok(out)
     }
 
     /// Solves `A x = b` for each right-hand side column in `rhs`, in place,
@@ -100,7 +50,7 @@ impl DenseMatrix {
     ///
     /// Returns [`DtmcError::SingularSystem`] if a pivot underflows, and
     /// [`DtmcError::LengthMismatch`] if shapes disagree.
-    pub fn solve_many(mut self, rhs: &mut [Vec<f64>]) -> Result<()> {
+    pub(crate) fn solve_many(mut self, rhs: &mut [Vec<f64>]) -> Result<()> {
         if self.rows != self.cols {
             return Err(DtmcError::LengthMismatch {
                 expected: self.rows,
@@ -164,18 +114,6 @@ impl DenseMatrix {
         Ok(())
     }
 
-    /// Solves `A x = b` for a single right-hand side, consuming `self`.
-    ///
-    /// # Errors
-    ///
-    /// See [`DenseMatrix::solve_many`].
-    pub fn solve(self, b: Vec<f64>) -> Result<Vec<f64>> {
-        let mut rhs = [b];
-        self.solve_many(&mut rhs)?;
-        let [x] = rhs;
-        Ok(x)
-    }
-
     fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
@@ -206,18 +144,37 @@ impl std::ops::IndexMut<(usize, usize)> for DenseMatrix {
 mod tests {
     use super::*;
 
+    fn from_rows(n: usize, data: &[f64]) -> DenseMatrix {
+        let mut a = DenseMatrix::zeros(n, n);
+        a.data.copy_from_slice(data);
+        a
+    }
+
+    fn solve(a: DenseMatrix, b: Vec<f64>) -> Result<Vec<f64>> {
+        let mut rhs = [b];
+        a.solve_many(&mut rhs)?;
+        let [x] = rhs;
+        Ok(x)
+    }
+
+    fn mul_vec(a: &DenseMatrix, v: &[f64]) -> Vec<f64> {
+        (0..a.rows)
+            .map(|i| (0..a.cols).map(|j| a[(i, j)] * v[j]).sum())
+            .collect()
+    }
+
     #[test]
     fn identity_solves_to_rhs() {
         let a = DenseMatrix::identity(4);
-        let x = a.solve(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let x = solve(a, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]
     fn solves_known_system() {
         // 2x + y = 5 ; x + 3y = 10  =>  x = 1, y = 3
-        let a = DenseMatrix::from_rows(2, 2, vec![2.0, 1.0, 1.0, 3.0]).unwrap();
-        let x = a.solve(vec![5.0, 10.0]).unwrap();
+        let a = from_rows(2, &[2.0, 1.0, 1.0, 3.0]);
+        let x = solve(a, vec![5.0, 10.0]).unwrap();
         assert!((x[0] - 1.0).abs() < 1e-12);
         assert!((x[1] - 3.0).abs() < 1e-12);
     }
@@ -225,46 +182,31 @@ mod tests {
     #[test]
     fn pivoting_handles_zero_leading_entry() {
         // First pivot entry is zero; requires a row swap.
-        let a = DenseMatrix::from_rows(2, 2, vec![0.0, 1.0, 1.0, 0.0]).unwrap();
-        let x = a.solve(vec![2.0, 3.0]).unwrap();
+        let a = from_rows(2, &[0.0, 1.0, 1.0, 0.0]);
+        let x = solve(a, vec![2.0, 3.0]).unwrap();
         assert!((x[0] - 3.0).abs() < 1e-12);
         assert!((x[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn singular_system_is_detected() {
-        let a = DenseMatrix::from_rows(2, 2, vec![1.0, 2.0, 2.0, 4.0]).unwrap();
+        let a = from_rows(2, &[1.0, 2.0, 2.0, 4.0]);
         assert_eq!(
-            a.solve(vec![1.0, 2.0]).unwrap_err(),
+            solve(a, vec![1.0, 2.0]).unwrap_err(),
             DtmcError::SingularSystem
         );
     }
 
     #[test]
     fn solve_many_shares_elimination() {
-        let a = DenseMatrix::from_rows(2, 2, vec![4.0, 1.0, 1.0, 3.0]).unwrap();
+        let a = from_rows(2, &[4.0, 1.0, 1.0, 3.0]);
         let mut rhs = vec![vec![1.0, 0.0], vec![0.0, 1.0]];
-        a.solve_many(&mut rhs).unwrap();
+        a.clone().solve_many(&mut rhs).unwrap();
         // Result columns form the inverse of A; check A * inv = I.
-        let a = DenseMatrix::from_rows(2, 2, vec![4.0, 1.0, 1.0, 3.0]).unwrap();
-        let c0 = a.mul_vec(&rhs[0]).unwrap();
-        let c1 = a.mul_vec(&rhs[1]).unwrap();
+        let c0 = mul_vec(&a, &rhs[0]);
+        let c1 = mul_vec(&a, &rhs[1]);
         assert!((c0[0] - 1.0).abs() < 1e-12 && c0[1].abs() < 1e-12);
         assert!((c1[1] - 1.0).abs() < 1e-12 && c1[0].abs() < 1e-12);
-    }
-
-    #[test]
-    fn mul_vec_checks_length() {
-        let a = DenseMatrix::zeros(2, 3);
-        assert!(matches!(
-            a.mul_vec(&[1.0]),
-            Err(DtmcError::LengthMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn from_rows_checks_length() {
-        assert!(DenseMatrix::from_rows(2, 2, vec![0.0; 3]).is_err());
     }
 
     #[test]
@@ -282,8 +224,8 @@ mod tests {
             }
         }
         let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - 3.5).collect();
-        let b = a.mul_vec(&x_true).unwrap();
-        let x = a.solve(b).unwrap();
+        let b = mul_vec(&a, &x_true);
+        let x = solve(a, b).unwrap();
         for (xi, ti) in x.iter().zip(&x_true) {
             assert!((xi - ti).abs() < 1e-10, "{xi} vs {ti}");
         }

@@ -5,10 +5,9 @@
 //! compressed sparse-row layout.
 
 use crate::error::{DtmcError, Result};
-use crate::linalg::DenseMatrix;
 
 /// Tolerance used when checking that a row sums to one.
-pub const STOCHASTIC_TOL: f64 = 1e-9;
+pub(crate) const STOCHASTIC_TOL: f64 = 1e-9;
 
 /// A sparse square matrix whose rows are probability distributions.
 ///
@@ -16,7 +15,7 @@ pub const STOCHASTIC_TOL: f64 = 1e-9;
 /// validated to be sub-stochastic on insertion and fully stochastic by
 /// [`SparseStochastic::validate`].
 #[derive(Debug, Clone, PartialEq, Default)]
-pub struct SparseStochastic {
+pub(crate) struct SparseStochastic {
     /// `row_starts[i]..row_starts[i+1]` indexes `cols`/`vals` for row `i`.
     row_starts: Vec<usize>,
     cols: Vec<usize>,
@@ -33,7 +32,7 @@ impl SparseStochastic {
     ///
     /// Returns [`DtmcError::InvalidProbability`] for entries outside `[0, 1]`
     /// and [`DtmcError::StateOutOfRange`] for targets `>= rows.len()`.
-    pub fn from_rows(rows: Vec<Vec<(usize, f64)>>) -> Result<Self> {
+    pub(crate) fn from_rows(rows: Vec<Vec<(usize, f64)>>) -> Result<Self> {
         let n = rows.len();
         let mut row_starts = Vec::with_capacity(n + 1);
         let mut cols = Vec::new();
@@ -70,17 +69,17 @@ impl SparseStochastic {
     }
 
     /// Number of states (rows).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.row_starts.len().saturating_sub(1)
     }
 
     /// Whether the matrix has no states.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// Number of stored non-zero transitions.
-    pub fn nnz(&self) -> usize {
+    pub(crate) fn nnz(&self) -> usize {
         self.vals.len()
     }
 
@@ -89,7 +88,7 @@ impl SparseStochastic {
     /// # Panics
     ///
     /// Panics if `row >= self.len()`.
-    pub fn row(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+    pub(crate) fn row(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let range = self.row_starts[row]..self.row_starts[row + 1];
         self.cols[range.clone()]
             .iter()
@@ -97,23 +96,12 @@ impl SparseStochastic {
             .zip(self.vals[range].iter().copied())
     }
 
-    /// The probability of the transition `from -> to` (zero if absent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from >= self.len()`.
-    pub fn get(&self, from: usize, to: usize) -> f64 {
-        self.row(from)
-            .find(|&(c, _)| c == to)
-            .map_or(0.0, |(_, p)| p)
-    }
-
     /// Sum of one row, for stochasticity checks.
     ///
     /// # Panics
     ///
     /// Panics if `row >= self.len()`.
-    pub fn row_sum(&self, row: usize) -> f64 {
+    pub(crate) fn row_sum(&self, row: usize) -> f64 {
         let range = self.row_starts[row]..self.row_starts[row + 1];
         self.vals[range].iter().sum()
     }
@@ -123,7 +111,7 @@ impl SparseStochastic {
     /// # Errors
     ///
     /// Returns [`DtmcError::RowNotStochastic`] naming the first bad row.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         for state in 0..self.len() {
             let sum = self.row_sum(state);
             if (sum - 1.0).abs() > STOCHASTIC_TOL {
@@ -138,7 +126,7 @@ impl SparseStochastic {
     /// # Errors
     ///
     /// Returns [`DtmcError::LengthMismatch`] if `p.len() != self.len()`.
-    pub fn left_mul(&self, p: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn left_mul(&self, p: &[f64]) -> Result<Vec<f64>> {
         if p.len() != self.len() {
             return Err(DtmcError::LengthMismatch {
                 expected: self.len(),
@@ -163,7 +151,7 @@ impl SparseStochastic {
     /// # Panics
     ///
     /// Panics if `row >= self.len()`.
-    pub fn is_absorbing(&self, row: usize) -> bool {
+    pub(crate) fn is_absorbing(&self, row: usize) -> bool {
         let mut entries = self.row(row);
         matches!(
             (entries.next(), entries.next()),
@@ -172,26 +160,18 @@ impl SparseStochastic {
     }
 
     /// Indices of all absorbing states.
-    pub fn absorbing_states(&self) -> Vec<usize> {
+    pub(crate) fn absorbing_states(&self) -> Vec<usize> {
         (0..self.len()).filter(|&s| self.is_absorbing(s)).collect()
-    }
-
-    /// Converts to a dense matrix (intended for small chains and tests).
-    pub fn to_dense(&self) -> DenseMatrix {
-        let n = self.len();
-        let mut m = DenseMatrix::zeros(n, n);
-        for from in 0..n {
-            for (to, p) in self.row(from) {
-                m[(from, to)] += p;
-            }
-        }
-        m
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn get(m: &SparseStochastic, from: usize, to: usize) -> f64 {
+        m.row(from).find(|&(c, _)| c == to).map_or(0.0, |(_, p)| p)
+    }
 
     fn two_state() -> SparseStochastic {
         // UP/DOWN link chain with p_fl = 0.3, p_rc = 0.9.
@@ -204,9 +184,9 @@ mod tests {
         let m = two_state();
         assert_eq!(m.len(), 2);
         assert_eq!(m.nnz(), 4);
-        assert_eq!(m.get(0, 1), 0.3);
-        assert_eq!(m.get(1, 0), 0.9);
-        assert_eq!(m.get(1, 1), 0.1);
+        assert_eq!(get(&m, 0, 1), 0.3);
+        assert_eq!(get(&m, 1, 0), 0.9);
+        assert_eq!(get(&m, 1, 1), 0.1);
         m.validate().unwrap();
     }
 
@@ -214,7 +194,7 @@ mod tests {
     fn duplicate_targets_are_merged() {
         let m = SparseStochastic::from_rows(vec![vec![(0, 0.25), (0, 0.75)]]).unwrap();
         assert_eq!(m.nnz(), 1);
-        assert_eq!(m.get(0, 0), 1.0);
+        assert_eq!(get(&m, 0, 0), 1.0);
     }
 
     #[test]
@@ -265,16 +245,5 @@ mod tests {
     fn zero_probability_edges_are_dropped() {
         let m = SparseStochastic::from_rows(vec![vec![(0, 0.0), (0, 1.0)]]).unwrap();
         assert_eq!(m.nnz(), 1);
-    }
-
-    #[test]
-    fn to_dense_matches_sparse() {
-        let m = two_state();
-        let d = m.to_dense();
-        for i in 0..2 {
-            for j in 0..2 {
-                assert_eq!(d[(i, j)], m.get(i, j));
-            }
-        }
     }
 }

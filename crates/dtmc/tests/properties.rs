@@ -1,7 +1,7 @@
 //! Property-based tests for the DTMC substrate.
 
 use proptest::prelude::*;
-use whart_dtmc::{classify, expected_visits, Dtmc, Pmf, SparseStochastic, ValueDistribution};
+use whart_dtmc::{Dtmc, Pmf, ValueDistribution};
 
 /// Strategy: a random row-stochastic matrix of `n` states where each row has
 /// 1..=3 successors.
@@ -50,17 +50,6 @@ fn build_chain(rows: Vec<Vec<(usize, f64)>>) -> Dtmc {
 
 proptest! {
     #[test]
-    fn left_mul_preserves_probability_mass(rows in (2usize..8).prop_flat_map(stochastic_rows)) {
-        let m = SparseStochastic::from_rows(rows).unwrap();
-        let n = m.len();
-        let uniform = vec![1.0 / n as f64; n];
-        let stepped = m.left_mul(&uniform).unwrap();
-        let mass: f64 = stepped.iter().sum();
-        prop_assert!((mass - 1.0).abs() < 1e-9);
-        prop_assert!(stepped.iter().all(|p| (-1e-12..=1.0 + 1e-9).contains(p)));
-    }
-
-    #[test]
     fn transient_mass_is_conserved_over_many_steps(
         rows in (2usize..6).prop_flat_map(stochastic_rows),
         steps in 0usize..50,
@@ -69,19 +58,9 @@ proptest! {
         let n = chain.len();
         let mut init = vec![0.0; n];
         init[0] = 1.0;
-        let p = chain.transient(&init, steps).unwrap();
-        prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn steady_state_is_fixed_point(rows in (2usize..6).prop_flat_map(stochastic_rows)) {
-        let chain = build_chain(rows);
-        if let Ok(pi) = chain.steady_state() {
-            let stepped = chain.matrix().left_mul(&pi).unwrap();
-            for (a, b) in pi.iter().zip(&stepped) {
-                prop_assert!((a - b).abs() < 1e-8, "pi not stationary: {a} vs {b}");
-            }
-            prop_assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-8);
+        for p in chain.transient_trajectory(&init, steps).unwrap() {
+            prop_assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            prop_assert!(p.iter().all(|x| (-1e-12..=1.0 + 1e-9).contains(x)));
         }
     }
 
@@ -165,53 +144,5 @@ proptest! {
         // Closed form: from the head, P(goal) = branch^chain_len.
         let head = states[0];
         prop_assert!((a.probability(head, goal) - branch.powi(chain_len as i32)).abs() < 1e-9);
-    }
-}
-
-proptest! {
-    #[test]
-    fn classification_partitions_the_state_space(
-        rows in (2usize..8).prop_flat_map(stochastic_rows),
-    ) {
-        let chain = build_chain(rows);
-        let c = classify(&chain);
-        // Every state appears in exactly one class.
-        let mut seen = vec![0usize; chain.len()];
-        for class in &c.classes {
-            for s in class {
-                seen[s.index()] += 1;
-            }
-        }
-        prop_assert!(seen.iter().all(|&n| n == 1));
-        // At least one class is closed (a finite chain always has a
-        // recurrent class).
-        prop_assert!(c.closed.iter().any(|&b| b));
-    }
-
-    #[test]
-    fn visit_counts_sum_to_absorption_time(
-        branch in 0.1f64..0.9,
-        chain_len in 1usize..6,
-    ) {
-        // Line of transient states draining into goal/discard.
-        let mut b = Dtmc::builder();
-        let states: Vec<_> = (0..chain_len).map(|i| b.add_state(format!("t{i}"))).collect();
-        let goal = b.add_state("goal");
-        let discard = b.add_state("discard");
-        for (i, &s) in states.iter().enumerate() {
-            let next = if i + 1 < chain_len { states[i + 1] } else { goal };
-            b.add_transition(s, next, branch).unwrap();
-            b.add_transition(s, discard, 1.0 - branch).unwrap();
-        }
-        b.make_absorbing(goal).unwrap();
-        b.make_absorbing(discard).unwrap();
-        let chain = b.build().unwrap();
-        let absorption = chain.absorption().unwrap();
-        for &start in &states {
-            let visits = expected_visits(&chain, start).unwrap();
-            let total: f64 = visits.iter().sum();
-            prop_assert!((total - absorption.expected_steps(start)).abs() < 1e-9);
-            prop_assert!(visits.iter().all(|v| *v >= 0.0));
-        }
     }
 }

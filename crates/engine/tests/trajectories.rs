@@ -26,7 +26,7 @@ fn typical_model(availability: f64, is: u32) -> NetworkModel {
 fn assert_no_trajectories(evaluations: &[&PathEvaluation], label: &str) {
     for (i, e) in evaluations.iter().enumerate() {
         assert!(
-            !e.has_trajectory(),
+            e.trajectory().is_empty(),
             "{label}: path {i} materialized a goal trajectory for a scalar-only request"
         );
         assert!(e.trajectory().is_empty());
@@ -87,7 +87,10 @@ fn trajectory_requests_get_distinct_cache_entries() {
     assert_eq!(engine.stats().paths_evaluated, 13);
     assert_no_trajectories(&results[0].path_evaluations(), "scalar");
     for e in results[1].path_evaluations() {
-        assert!(e.has_trajectory(), "trajectory request must materialize");
+        assert!(
+            !e.trajectory().is_empty(),
+            "trajectory request must materialize"
+        );
         let traj = e.trajectory();
         assert_eq!(traj.len(), 4 * 20 + 1);
         // Scalars agree with the scalar-only twin bit-exactly.
@@ -107,6 +110,6 @@ fn trajectory_requests_get_distinct_cache_entries() {
     let warm = engine.drain().expect("warm drain");
     assert_eq!(engine.stats().paths_evaluated, 13, "no re-solve");
     for e in warm[0].path_evaluations() {
-        assert!(e.has_trajectory());
+        assert!(!e.trajectory().is_empty());
     }
 }

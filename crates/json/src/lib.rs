@@ -11,6 +11,8 @@
 //! a third of `core::fmt` for the magnitudes the tools print
 //! ([`write_number`]).
 
+#![warn(unreachable_pub)]
+
 mod number;
 
 use std::fmt::{self, Write as _};
@@ -121,13 +123,6 @@ impl Json {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[Json]> {
         match self {
             Json::Array(values) => Some(values),
@@ -140,10 +135,6 @@ impl Json {
             Json::Object(pairs) => Some(pairs),
             _ => None,
         }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Json::Null)
     }
 
     /// Compact rendering (no whitespace).
@@ -627,7 +618,7 @@ mod tests {
     fn parses_nested_structures() {
         let v = Json::parse(r#"{"a":[1,2,{"b":null}],"c":{"d":true}}"#).unwrap();
         assert_eq!(v["a"][2]["b"], Json::Null);
-        assert_eq!(v["c"]["d"].as_bool(), Some(true));
+        assert_eq!(v["c"]["d"], Json::Bool(true));
         assert_eq!(v["a"].as_array().unwrap().len(), 3);
         assert_eq!(v["missing"], Json::Null);
     }

@@ -53,14 +53,6 @@ impl Hop {
         Hop { from, to }
     }
 
-    /// The same physical link used in the opposite direction.
-    pub fn reversed(self) -> Hop {
-        Hop {
-            from: self.to,
-            to: self.from,
-        }
-    }
-
     /// A canonical (order-independent) key for the underlying physical link,
     /// used to identify the bidirectional link regardless of direction.
     pub fn undirected_key(self) -> (NodeId, NodeId) {
@@ -99,10 +91,10 @@ mod tests {
     }
 
     #[test]
-    fn reversal_and_undirected_key() {
+    fn undirected_key_ignores_direction() {
         let h = Hop::new(NodeId::field(2), NodeId::field(7));
-        assert_eq!(h.reversed(), Hop::new(NodeId::field(7), NodeId::field(2)));
-        assert_eq!(h.undirected_key(), h.reversed().undirected_key());
+        let back = Hop::new(NodeId::field(7), NodeId::field(2));
+        assert_eq!(h.undirected_key(), back.undirected_key());
     }
 
     #[test]

@@ -5,13 +5,12 @@
 //!
 //! * [`NodeId`] / [`Hop`] — nodes and directed hops in the paper's notation;
 //! * [`Topology`] — the connectivity graph with per-link [`whart_channel::LinkModel`]s;
-//! * [`Path`] / [`shortest_path`] / [`uplink_paths`] — routing, with path
-//!   composition (Section V-D) and the 4-hop guideline;
+//! * [`Path`] / [`shortest_path`] / [`uplink_paths`] — routing, with the
+//!   4-hop guideline;
 //! * [`Superframe`] / [`ReportingInterval`] — 10 ms TDMA slots, uplink and
 //!   downlink halves, delay conversion;
 //! * [`Schedule`] — the communication schedule `eta` with validation and
 //!   the sequential builder behind `eta_a`/`eta_b`;
-//! * [`Message`] — the message life cycle with uplink-only TTL;
 //! * [`typical`] — the paper's evaluation scenarios (Section V example,
 //!   Fig. 12 network, hop-count chains) ready-made.
 //!
@@ -33,11 +32,11 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod error;
 mod geometry;
 mod ids;
-mod message;
 mod route;
 mod schedule;
 mod superframe;
@@ -48,7 +47,6 @@ pub mod typical;
 pub use error::{NetError, Result};
 pub use geometry::{Deployment, Position};
 pub use ids::{Hop, NodeId};
-pub use message::Message;
 pub use route::{shortest_path, uplink_paths, Path, MAX_HOPS_GUIDELINE};
 pub use schedule::{Schedule, ScheduleEntry, SchedulePriority};
 pub use superframe::{ReportingInterval, Superframe, SLOT_MS};

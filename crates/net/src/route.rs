@@ -1,9 +1,8 @@
-//! Routing: paths, shortest-path extraction and path composition.
+//! Routing: paths and shortest-path extraction.
 //!
 //! WirelessHART networks use upstream graph routing computed by the network
 //! manager; for the model, what matters is the resulting uplink *path* of
-//! each field device. Paths can also be composed (Section V-D): a peer path
-//! ending where an existing path starts forms a longer route to the gateway.
+//! each field device.
 
 use crate::error::{NetError, Result};
 use crate::ids::{Hop, NodeId};
@@ -60,16 +59,6 @@ impl Path {
         Ok(path)
     }
 
-    /// The source node.
-    pub fn source(&self) -> NodeId {
-        self.nodes[0]
-    }
-
-    /// The destination node.
-    pub fn destination(&self) -> NodeId {
-        *self.nodes.last().expect("paths have >= 2 nodes")
-    }
-
     /// The ordered nodes.
     pub fn nodes(&self) -> &[NodeId] {
         &self.nodes
@@ -85,11 +74,6 @@ impl Path {
         self.nodes.len() - 1
     }
 
-    /// Whether the path ends at the gateway.
-    pub fn is_uplink(&self) -> bool {
-        self.destination().is_gateway()
-    }
-
     /// Checks the WirelessHART hop-count guideline.
     ///
     /// # Errors
@@ -103,28 +87,6 @@ impl Path {
             });
         }
         Ok(())
-    }
-
-    /// Composes a peer path with a continuation path sharing its endpoint
-    /// (Section V-D, Fig. 11): `self` must end where `continuation` starts.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetError::InvalidPath`] if the endpoints do not meet or the
-    /// combined path would repeat a node.
-    pub fn compose(&self, continuation: &Path) -> Result<Path> {
-        if self.destination() != continuation.source() {
-            return Err(NetError::InvalidPath {
-                reason: format!(
-                    "peer path ends at {} but continuation starts at {}",
-                    self.destination(),
-                    continuation.source()
-                ),
-            });
-        }
-        let mut nodes = self.nodes.clone();
-        nodes.extend_from_slice(&continuation.nodes()[1..]);
-        Path::new(nodes)
     }
 }
 
@@ -226,10 +188,7 @@ mod tests {
     #[test]
     fn path_construction_and_accessors() {
         let p = Path::new(vec![NodeId::field(2), NodeId::field(1), NodeId::Gateway]).unwrap();
-        assert_eq!(p.source(), NodeId::field(2));
-        assert_eq!(p.destination(), NodeId::Gateway);
         assert_eq!(p.hop_count(), 2);
-        assert!(p.is_uplink());
         let hops: Vec<_> = p.hops().collect();
         assert_eq!(hops[0], Hop::new(NodeId::field(2), NodeId::field(1)));
         assert_eq!(hops[1], Hop::new(NodeId::field(1), NodeId::Gateway));
@@ -289,7 +248,9 @@ mod tests {
         let t = chain();
         let paths = uplink_paths(&t).unwrap();
         assert_eq!(paths.len(), 3);
-        assert!(paths.iter().all(Path::is_uplink));
+        assert!(paths
+            .iter()
+            .all(|p| p.nodes().last() == Some(&NodeId::Gateway)));
         assert_eq!(paths[1].hop_count(), 2);
     }
 
@@ -310,32 +271,5 @@ mod tests {
             NetError::TooManyHops { hops: 5, max: 4 }
         );
         assert!(p.check_hop_guideline(5).is_ok());
-    }
-
-    #[test]
-    fn composition_joins_at_shared_node() {
-        // Fig. 11: peer path n5 -> n3 composed with existing n3 -> G.
-        let peer = Path::new(vec![NodeId::field(5), NodeId::field(3)]).unwrap();
-        let existing = Path::new(vec![NodeId::field(3), NodeId::Gateway]).unwrap();
-        let composed = peer.compose(&existing).unwrap();
-        assert_eq!(
-            composed.nodes(),
-            &[NodeId::field(5), NodeId::field(3), NodeId::Gateway]
-        );
-    }
-
-    #[test]
-    fn composition_rejects_mismatched_ends() {
-        let peer = Path::new(vec![NodeId::field(5), NodeId::field(3)]).unwrap();
-        let existing = Path::new(vec![NodeId::field(4), NodeId::Gateway]).unwrap();
-        assert!(peer.compose(&existing).is_err());
-    }
-
-    #[test]
-    fn composition_rejects_cycles() {
-        let peer = Path::new(vec![NodeId::field(1), NodeId::field(3)]).unwrap();
-        let existing =
-            Path::new(vec![NodeId::field(3), NodeId::field(1), NodeId::Gateway]).unwrap();
-        assert!(peer.compose(&existing).is_err());
     }
 }

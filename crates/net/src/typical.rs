@@ -182,17 +182,6 @@ impl TypicalNetwork {
         Schedule::sequential_padded(&self.paths, &[8, 9, 3, 4, 5, 7, 6, 0, 1, 2], len)
             .expect("static order is a permutation")
     }
-
-    /// Replaces the link between `a` and `b` (e.g. to degrade `e3 =
-    /// (n3, G)` as in the Table III failure study).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::NetError::UnknownLink`] if the nodes are not
-    /// connected.
-    pub fn set_link(&mut self, a: NodeId, b: NodeId, link: LinkModel) -> Result<()> {
-        self.topology.set_link(a, b, link)
-    }
 }
 
 #[cfg(test)]
@@ -221,9 +210,8 @@ mod tests {
     #[test]
     fn typical_network_hop_distribution() {
         let net = TypicalNetwork::new(link());
-        assert_eq!(net.topology.node_count(), 11);
+        assert_eq!(net.topology.field_devices().count(), 10);
         assert_eq!(net.topology.link_count(), 10);
-        assert!(net.topology.is_connected());
         let hops: Vec<usize> = net.paths.iter().map(Path::hop_count).collect();
         assert_eq!(hops, vec![1, 1, 1, 2, 2, 2, 2, 2, 3, 3]);
         // 30% one hop, 50% two hops, 20% three hops — the HCF field ratio.
@@ -284,22 +272,5 @@ mod tests {
                 .unwrap();
         }
         assert!(chain_path(0, link()).is_err());
-    }
-
-    #[test]
-    fn set_link_degrades_e3() {
-        let mut net = TypicalNetwork::new(link());
-        let degraded = LinkModel::from_availability(0.693, 0.9).unwrap();
-        net.set_link(NodeId::field(3), NodeId::Gateway, degraded)
-            .unwrap();
-        assert_eq!(
-            net.topology
-                .link(NodeId::field(3), NodeId::Gateway)
-                .unwrap(),
-            degraded
-        );
-        assert!(net
-            .set_link(NodeId::field(1), NodeId::field(2), degraded)
-            .is_err());
     }
 }

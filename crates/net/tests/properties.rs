@@ -30,7 +30,7 @@ proptest! {
     #[test]
     fn random_trees_are_connected(attach in proptest::collection::vec(0usize..100, 1..30)) {
         let t = random_tree(&attach);
-        prop_assert!(t.is_connected());
+        prop_assert!(uplink_paths(&t).is_ok());
         prop_assert_eq!(t.link_count(), attach.len());
     }
 
@@ -40,7 +40,7 @@ proptest! {
         let paths = uplink_paths(&t).unwrap();
         prop_assert_eq!(paths.len(), attach.len());
         for p in &paths {
-            prop_assert!(p.is_uplink());
+            prop_assert_eq!(p.nodes().last(), Some(&NodeId::Gateway));
             prop_assert!(p.hop_count() >= 1);
             // BFS paths through a tree are the unique simple paths.
             for hop in p.hops() {

@@ -10,7 +10,7 @@
 //!   every instrument resolved through it is a no-op whose record path
 //!   is a single `Option` branch, no locks, no clock reads, no
 //!   allocation.
-//! * [`Counter`] / [`Gauge`] — atomic monotone counts and last/max
+//! * [`Counter`] / [`Gauge`] — atomic monotone counts and last-written
 //!   values.
 //! * [`Histogram`] — fixed log2-bucket latency/size histograms with an
 //!   explicit overflow bucket, exact `count`/`sum`/`min`/`max`.
@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod histogram;
 pub mod prometheus;
@@ -288,7 +289,7 @@ impl Counter {
     }
 }
 
-/// A last-written / running-max value.
+/// A last-written value.
 #[derive(Clone)]
 pub struct Gauge {
     cell: Option<Arc<AtomicU64>>,
@@ -299,13 +300,6 @@ impl Gauge {
     pub fn set(&self, value: u64) {
         if let Some(cell) = &self.cell {
             cell.store(value, Ordering::Relaxed);
-        }
-    }
-
-    /// Raises the value to `value` if larger.
-    pub fn record_max(&self, value: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_max(value, Ordering::Relaxed);
         }
     }
 }
@@ -416,14 +410,13 @@ mod tests {
     }
 
     #[test]
-    fn gauges_set_and_max() {
+    fn gauges_keep_the_last_value() {
         let metrics = Metrics::new();
         let g = metrics.gauge("depth");
         g.set(5);
-        g.record_max(3);
         assert_eq!(metrics.snapshot().gauge("depth"), Some(5));
-        g.record_max(9);
-        assert_eq!(metrics.snapshot().gauge("depth"), Some(9));
+        g.set(3);
+        assert_eq!(metrics.snapshot().gauge("depth"), Some(3));
     }
 
     #[test]

@@ -3,19 +3,15 @@
 //!
 //! A [`Conn`] owns the socket and a receive buffer that survives across
 //! requests, so bytes of a pipelined second request read together with
-//! the first are not lost. On Unix the socket is nonblocking and reads
-//! and writes park in [`crate::poll::wait_fd`] under an explicit
-//! deadline; elsewhere the std blocking timeouts are used and the
-//! server falls back to worker-owned connections (no parking).
+//! the first are not lost. The socket is nonblocking and reads and
+//! writes park in [`crate::poll::wait_fd`] under an explicit deadline.
 
 use crate::http::{self, Request, RequestError, Response};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-#[cfg(unix)]
 use crate::poll;
-#[cfg(unix)]
 use std::os::unix::io::{AsRawFd, RawFd};
 
 /// What a connection should do after a response was written.
@@ -44,15 +40,14 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Wraps an accepted stream: disables Nagle, and on Unix switches
-    /// the socket to nonblocking mode for readiness-driven I/O.
+    /// Wraps an accepted stream: disables Nagle and switches the socket
+    /// to nonblocking mode for readiness-driven I/O.
     ///
     /// # Errors
     ///
     /// When the socket options cannot be set.
     pub fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nodelay(true)?;
-        #[cfg(unix)]
         stream.set_nonblocking(true)?;
         Ok(Conn {
             stream,
@@ -63,7 +58,6 @@ impl Conn {
     }
 
     /// The raw descriptor, for the event loop's poll set.
-    #[cfg(unix)]
     pub fn fd(&self) -> RawFd {
         self.stream.as_raw_fd()
     }
@@ -130,22 +124,17 @@ impl Conn {
         }
         // Probe without blocking: data already in the socket buffer is
         // a pipelined request we should serve now; EOF is a close.
-        #[cfg(unix)]
-        {
-            let mut probe = [0u8; 4096];
-            match self.stream.read(&mut probe) {
-                Ok(0) => After::Closed,
-                Ok(n) => {
-                    self.buf.extend_from_slice(&probe[..n]);
-                    After::Buffered
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => After::Idle,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => After::Idle,
-                Err(_) => After::Closed,
+        let mut probe = [0u8; 4096];
+        match self.stream.read(&mut probe) {
+            Ok(0) => After::Closed,
+            Ok(n) => {
+                self.buf.extend_from_slice(&probe[..n]);
+                After::Buffered
             }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => After::Idle,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => After::Idle,
+            Err(_) => After::Closed,
         }
-        #[cfg(not(unix))]
-        After::Idle
     }
 
     /// Reads at least one more byte into the buffer, waiting for
@@ -177,7 +166,6 @@ impl Conn {
         }
     }
 
-    #[cfg(unix)]
     fn wait_readable(&mut self, deadline: Instant) -> Result<(), RequestError> {
         let remaining = deadline.saturating_duration_since(Instant::now());
         if remaining.is_zero() {
@@ -188,20 +176,6 @@ impl Conn {
             Ok(false) => Err(RequestError::TimedOut),
             Err(e) => Err(RequestError::Io(e.to_string())),
         }
-    }
-
-    #[cfg(not(unix))]
-    fn wait_readable(&mut self, deadline: Instant) -> Result<(), RequestError> {
-        // Blocking sockets elsewhere: arm the std read timeout and let
-        // the next read() either deliver data or report the timeout.
-        let remaining = deadline.saturating_duration_since(Instant::now());
-        if remaining.is_zero() {
-            return Err(RequestError::TimedOut);
-        }
-        self.stream
-            .set_read_timeout(Some(remaining))
-            .map_err(|e| RequestError::Io(e.to_string()))?;
-        Ok(())
     }
 
     fn write_all_deadline(&mut self, bytes: &[u8], deadline: Instant) -> io::Result<()> {
@@ -216,12 +190,9 @@ impl Conn {
                     if remaining.is_zero() {
                         return Err(io::ErrorKind::TimedOut.into());
                     }
-                    #[cfg(unix)]
                     if !poll::wait_fd(self.fd(), poll::POLLOUT, Some(remaining))? {
                         return Err(io::ErrorKind::TimedOut.into());
                     }
-                    #[cfg(not(unix))]
-                    self.stream.set_write_timeout(Some(remaining))?;
                 }
                 Err(e) => return Err(e),
             }

@@ -14,9 +14,8 @@
 //!   response bodies.
 //! * [`conn`] — persistent-connection framing: a cross-request receive
 //!   buffer (pipelining) and deadline-bounded reads and writes.
-//! * [`poll`] (Unix) — readiness polling via a thin libc-free
-//!   `poll(2)` shim, plus the wake pipe workers use to interrupt the
-//!   event loop.
+//! * [`poll`] — readiness polling via a thin libc-free `poll(2)` shim,
+//!   plus the wake pipe workers use to interrupt the event loop.
 //! * [`router`] — exact-path routing with stable route labels for
 //!   metric cardinality control.
 //! * [`server`] — the event loop and worker pool: parked keep-alive
@@ -46,6 +45,9 @@
 //! request's journal event, its structured log line, and its flight
 //! recorder entry.
 //!
+//! The crate is Unix only: its event loop waits on sockets with
+//! `poll(2)` and it catches Ctrl-C with `signal(2)`.
+//!
 //! ```no_run
 //! use whart_serve::{Response, Router, Server, ServerConfig};
 //!
@@ -61,12 +63,15 @@
 
 #![deny(unsafe_code)] // `signal` and `poll` opt out locally for their shims.
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
+
+#[cfg(not(unix))]
+compile_error!("whart-serve is Unix only: its event loop waits on sockets with poll(2)");
 
 pub mod conn;
 pub mod flight;
 pub mod http;
 pub mod log;
-#[cfg(unix)]
 pub mod poll;
 pub mod record;
 pub mod router;

@@ -8,11 +8,6 @@
 //! byte into to interrupt a sleeping `poll` — the std-only stand-in for
 //! a self-pipe — so a connection handed back for parking is observed
 //! immediately instead of on the next timeout tick.
-//!
-//! On non-Unix targets this module is absent; the server falls back to
-//! a blocking worker-per-connection mode (see `server.rs`).
-
-#![cfg(unix)]
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,10 +18,6 @@ use std::time::Duration;
 pub const POLLIN: i16 = 0x001;
 /// `POLLOUT`: a write would not block.
 pub const POLLOUT: i16 = 0x004;
-/// `POLLERR`: an error condition is pending (revents only).
-pub const POLLERR: i16 = 0x008;
-/// `POLLHUP`: the peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
 
 /// One `pollfd` entry, layout-compatible with the C struct.
 #[repr(C)]
@@ -47,17 +38,6 @@ impl PollFd {
         }
     }
 
-    /// Whether the kernel reported readability.
-    pub fn readable(&self) -> bool {
-        self.revents & POLLIN != 0
-    }
-
-    /// Whether the kernel reported an error or hangup. Readability may
-    /// accompany it (buffered data before a FIN is still readable).
-    pub fn hangup(&self) -> bool {
-        self.revents & (POLLERR | POLLHUP) != 0
-    }
-
     /// Whether any watched or error condition fired.
     pub fn ready(&self) -> bool {
         self.revents != 0
@@ -75,7 +55,7 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     }
 
-    pub fn poll_raw(fds: &mut [PollFd], timeout_ms: c_int) -> c_int {
+    pub(super) fn poll_raw(fds: &mut [PollFd], timeout_ms: c_int) -> c_int {
         // SAFETY: `fds` is a valid, exclusively borrowed slice of
         // #[repr(C)] pollfd entries; the kernel writes only `revents`.
         unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) }
@@ -223,7 +203,7 @@ mod tests {
         let mut fds = [PollFd::new(pipe.fd(), POLLIN)];
         let n = poll(&mut fds, Some(Duration::from_secs(5))).unwrap();
         assert_eq!(n, 1);
-        assert!(fds[0].readable());
+        assert!(fds[0].ready());
         pipe.drain();
 
         // Drained: back to timing out.

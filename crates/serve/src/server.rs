@@ -3,7 +3,7 @@
 //! health/readiness probes, and per-request metrics and tracing
 //! middleware.
 //!
-//! ## Threading model (Unix)
+//! ## Threading model
 //!
 //! One event loop (the thread calling [`Server::serve`]) owns a poll
 //! set holding the nonblocking listener, a wake pipe, and every idle
@@ -19,10 +19,6 @@
 //! the event loop for parking and wakes its poll via the wake pipe. Idle
 //! connections past [`ServerConfig::keepalive_timeout`] are closed by
 //! the event loop.
-//!
-//! On non-Unix targets there is no poller: workers own connections for
-//! their whole lifetime and idle keep-alive waits consume a worker (a
-//! documented fallback, not the production path).
 //!
 //! ## Shutdown and drain
 //!
@@ -70,18 +66,12 @@ use whart_json::Json;
 use whart_obs::Metrics;
 use whart_trace::Trace;
 
-#[cfg(unix)]
 use crate::poll;
-#[cfg(unix)]
 use std::os::unix::io::AsRawFd;
 
 /// Event-loop tick: the upper bound on how long a poll sleeps, so
 /// shutdown flags and idle expiry are observed promptly.
 const TICK: Duration = Duration::from_millis(250);
-
-/// How long the non-Unix accept loop sleeps when nothing is pending.
-#[cfg(not(unix))]
-const ACCEPT_POLL: Duration = Duration::from_millis(15);
 
 /// How long the event loop spends writing a queue-full rejection.
 const REJECT_WRITE_TIMEOUT: Duration = Duration::from_millis(500);
@@ -392,7 +382,6 @@ impl Server {
     ///
     /// When the listener cannot be switched to nonblocking mode or the
     /// wake pipe cannot be created.
-    #[cfg(unix)]
     pub fn serve(mut self) -> io::Result<()> {
         signal::install();
         self.listener.set_nonblocking(true)?;
@@ -507,60 +496,6 @@ impl Server {
         }
         Ok(())
     }
-
-    /// Fallback accept loop for non-Unix targets: workers own their
-    /// connections end-to-end (idle keep-alive waits consume a worker).
-    ///
-    /// # Errors
-    ///
-    /// When the listener cannot be switched to nonblocking mode.
-    #[cfg(not(unix))]
-    pub fn serve(mut self) -> io::Result<()> {
-        signal::install();
-        self.listener.set_nonblocking(true)?;
-        let ctx = self.make_ctx();
-        let (work_tx, work_rx) = mpsc::channel::<Tracked>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-        let workers: Vec<_> = (0..self.threads)
-            .map(|i| {
-                let ctx = Arc::clone(&ctx);
-                let work_rx = Arc::clone(&work_rx);
-                std::thread::Builder::new()
-                    .name(format!("whart-serve-{i}"))
-                    .spawn(move || worker_loop_blocking(&ctx, &work_rx))
-                    .expect("spawn worker")
-            })
-            .collect();
-        while !ctx.draining() {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if let Ok(conn) = Conn::new(stream) {
-                        let open = ctx.open.fetch_add(1, Ordering::SeqCst) + 1;
-                        ctx.metrics.gauge("http.connections_open").set(open);
-                        dispatch(
-                            &ctx,
-                            Tracked {
-                                conn,
-                                ctx: Arc::clone(&ctx),
-                                enqueued_at: None,
-                            },
-                            &work_tx,
-                        );
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => std::thread::sleep(ACCEPT_POLL),
-            }
-        }
-        drop(work_tx);
-        for worker in workers {
-            let _ = worker.join();
-        }
-        Ok(())
-    }
 }
 
 impl std::fmt::Debug for Server {
@@ -614,13 +549,11 @@ fn dispatch(ctx: &Arc<Ctx>, mut tracked: Tracked, work_tx: &mpsc::Sender<Tracked
 /// What a worker should do with a connection after serving it.
 enum Disposition {
     /// Hand the connection back to the event loop's idle set.
-    #[cfg_attr(not(unix), allow(dead_code))]
     Park,
     /// Drop the connection.
     Close,
 }
 
-#[cfg(unix)]
 fn worker_loop(
     ctx: &Arc<Ctx>,
     work_rx: &Mutex<mpsc::Receiver<Tracked>>,
@@ -651,26 +584,6 @@ fn worker_loop(
             }
             Disposition::Close => drop(tracked),
         }
-    }
-}
-
-#[cfg(not(unix))]
-fn worker_loop_blocking(ctx: &Arc<Ctx>, work_rx: &Mutex<mpsc::Receiver<Tracked>>) {
-    loop {
-        let tracked = match work_rx.lock() {
-            Ok(guard) => guard.recv(),
-            Err(_) => return,
-        };
-        let Ok(mut tracked) = tracked else {
-            return;
-        };
-        let depth = ctx.queued.fetch_sub(1, Ordering::SeqCst) - 1;
-        ctx.metrics.gauge("http.queue_depth").set(depth);
-        let queue_ns = tracked.enqueued_at.take().map_or(0, elapsed_ns);
-        // serve_conn never returns Park off-Unix (idle waits loop
-        // inside it at the keep-alive timeout).
-        let _ = serve_conn(ctx, &mut tracked.conn, queue_ns);
-        ctx.admitted.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -782,31 +695,19 @@ fn answer_error(ctx: &Ctx, conn: &mut Conn, label: &'static str, response: Respo
 }
 
 /// Serves requests on one connection until it closes, errors, or goes
-/// idle (Unix: parked; elsewhere: waits in place up to the keep-alive
-/// timeout).
+/// idle (then it is parked in the event loop).
 fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
-    // Whether the connection sits at a clean request boundary waiting
-    // for the peer's *next* request (non-Unix in-place idling): a
-    // timeout there is normal keep-alive expiry, not a client stall.
-    let mut at_boundary = false;
     loop {
-        let timeout = if at_boundary {
-            ctx.keepalive_timeout
-        } else {
-            ctx.read_timeout
-        };
-        let mut request = match conn.next_request(timeout) {
+        let mut request = match conn.next_request(ctx.read_timeout) {
             Ok(request) => request,
             Err(RequestError::Closed) => return Disposition::Close,
             Err(RequestError::TimedOut) => {
-                if !at_boundary {
-                    answer_error(
-                        ctx,
-                        conn,
-                        "timeout",
-                        Response::text(408, "request read timed out\n"),
-                    );
-                }
+                answer_error(
+                    ctx,
+                    conn,
+                    "timeout",
+                    Response::text(408, "request read timed out\n"),
+                );
                 return Disposition::Close;
             }
             Err(RequestError::TooLarge(message)) => {
@@ -829,7 +730,6 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
             }
             Err(RequestError::Io(_)) => return Disposition::Close,
         };
-        at_boundary = false;
         let reused = conn.served > 0;
         if reused {
             ctx.metrics
@@ -907,15 +807,8 @@ fn serve_conn(ctx: &Ctx, conn: &mut Conn, mut queue_ns: u64) -> Disposition {
         match conn.after_response() {
             After::Buffered => continue,
             After::Closed => return Disposition::Close,
-            After::Idle => {
-                if ctx.draining() {
-                    return Disposition::Close;
-                }
-                if cfg!(unix) {
-                    return Disposition::Park;
-                }
-                at_boundary = true;
-            }
+            After::Idle if ctx.draining() => return Disposition::Close,
+            After::Idle => return Disposition::Park,
         }
     }
 }

@@ -1,11 +1,10 @@
 //! SIGINT (Ctrl-C) observation without a libc dependency.
 //!
-//! The workspace vendors no FFI crate, so on Unix this module declares
-//! the two C symbols it needs (`signal(2)` registration) directly. The
-//! handler only performs an atomic store — the single async-signal-safe
+//! The workspace vendors no FFI crate, so this module declares the C
+//! symbol it needs (`signal(2)` registration) directly. The handler
+//! only performs an atomic store — the single async-signal-safe
 //! operation the accept loop needs to observe a Ctrl-C on its next
-//! poll. On non-Unix targets installation is a no-op and the flag never
-//! fires (the `/admin/shutdown` endpoint still works).
+//! poll.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -22,7 +21,6 @@ pub(crate) fn reset() {
     INTERRUPTED.store(false, Ordering::Relaxed);
 }
 
-#[cfg(unix)]
 #[allow(unsafe_code)]
 mod sys {
     use super::{AtomicBool, Ordering, INTERRUPTED};
@@ -44,7 +42,7 @@ mod sys {
     /// Tracks whether the handler is already installed.
     static INSTALLED: AtomicBool = AtomicBool::new(false);
 
-    pub fn install() -> bool {
+    pub(super) fn install() -> bool {
         if INSTALLED.swap(true, Ordering::SeqCst) {
             return true;
         }
@@ -56,16 +54,8 @@ mod sys {
     }
 }
 
-#[cfg(not(unix))]
-mod sys {
-    pub fn install() -> bool {
-        false
-    }
-}
-
 /// Installs the SIGINT handler (idempotent). Returns whether a handler
-/// is active; on unsupported platforms this is `false` and shutdown
-/// relies on `/admin/shutdown`.
+/// is active.
 pub fn install() -> bool {
     sys::install()
 }
@@ -78,12 +68,8 @@ mod tests {
     fn flag_starts_clear_and_install_is_idempotent() {
         reset();
         assert!(!interrupted());
-        if cfg!(unix) {
-            assert!(install());
-            assert!(install(), "second install is a no-op");
-            assert!(!interrupted(), "installation alone does not fire");
-        } else {
-            assert!(!install());
-        }
+        assert!(install());
+        assert!(install(), "second install is a no-op");
+        assert!(!interrupted(), "installation alone does not fire");
     }
 }

@@ -87,7 +87,6 @@ type SlotAction = (usize, usize, usize);
 pub struct Simulator {
     topology: Topology,
     paths: Vec<Path>,
-    schedule: Schedule,
     superframe: Superframe,
     interval: ReportingInterval,
     phy: PhyMode,
@@ -138,7 +137,6 @@ impl Simulator {
         Ok(Simulator {
             topology,
             paths,
-            schedule,
             superframe,
             interval,
             phy,
@@ -166,11 +164,6 @@ impl Simulator {
             interval,
             phy,
         )
-    }
-
-    /// The communication schedule.
-    pub fn schedule(&self) -> &Schedule {
-        &self.schedule
     }
 
     /// Runs `intervals` reporting intervals on one thread with the given

@@ -210,7 +210,7 @@ mod tests {
         let mc = MonteCarloSolver::new(1, 1_000)
             .solve_path(&problem, MeasurePlan::WITH_TRAJECTORY)
             .unwrap();
-        assert!(!mc.has_trajectory());
+        assert!(mc.trajectory().is_empty());
     }
 
     #[test]

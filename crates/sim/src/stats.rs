@@ -90,20 +90,13 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Empirical utilization of one path: transmissions per available slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `path` is out of range.
-    pub fn path_utilization(&self, path: usize) -> f64 {
-        self.paths[path].slots_used as f64
-            / (self.intervals * self.uplink_slots_per_interval) as f64
-    }
-
-    /// Empirical network utilization: the sum over paths (Eq. 11).
+    /// Empirical network utilization: the sum over paths (Eq. 11) of each
+    /// path's transmissions per available slot.
     pub fn network_utilization(&self) -> f64 {
-        (0..self.paths.len())
-            .map(|p| self.path_utilization(p))
+        let available = (self.intervals * self.uplink_slots_per_interval) as f64;
+        self.paths
+            .iter()
+            .map(|p| p.slots_used as f64 / available)
             .sum()
     }
 
@@ -212,7 +205,6 @@ mod tests {
             intervals: 100,
             uplink_slots_per_interval: 28,
         };
-        assert!((report.path_utilization(0) - 260.0 / 2800.0).abs() < 1e-12);
         assert!((report.network_utilization() - 520.0 / 2800.0).abs() < 1e-12);
         assert!((report.mean_delay_ms().unwrap() - 100.0).abs() < 1e-12);
     }

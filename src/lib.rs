@@ -7,13 +7,12 @@
 //!
 //! This facade crate re-exports the workspace:
 //!
-//! * [`dtmc`] — Markov-chain substrate (sparse stochastic matrices,
-//!   transient/absorbing analysis, discrete distributions, DOT export);
+//! * [`dtmc`] — Markov-chain substrate (absorbing-chain analysis,
+//!   discrete distributions, DOT export);
 //! * [`channel`] — physical layer (OQPSK BER over AWGN, binary symmetric
-//!   channel, two-state link model, 16-channel hopping, blacklisting,
-//!   pilot estimation);
+//!   channel, two-state link model, 16-channel hopping, blacklisting);
 //! * [`net`] — protocol substrate (topology, routing, TDMA super-frames,
-//!   communication schedules, message life cycle, the paper's scenarios);
+//!   communication schedules, the paper's scenarios);
 //! * [`model`] — **the paper's contribution**: the hierarchical path DTMC,
 //!   all quality-of-service measures, network evaluation, composition,
 //!   failure studies and prediction;
@@ -49,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use whart_channel as channel;
 pub use whart_control as control;

@@ -21,7 +21,11 @@ fn evaluator_vs_explicit_chain_on_every_network_path() {
     for index in 0..net.paths.len() {
         let problem = model.path_problem(index).unwrap();
         let fast = problem.evaluate();
-        let slow = explicit_chain(&problem).cycle_probabilities().unwrap();
+        let (slow, discard) = explicit_chain(&problem).solve().unwrap();
+        assert!(
+            (fast.discard_probability() - discard).abs() < 1e-12,
+            "path {index} discard"
+        );
         for i in 0..4 {
             assert!(
                 (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-12,
