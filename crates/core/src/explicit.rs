@@ -19,7 +19,6 @@
 //! round-off on every model.
 
 use crate::ir::PathProblem;
-use std::collections::HashMap;
 use whart_dtmc::{Dtmc, Pmf, Result as DtmcResult, StateId};
 
 /// The unrolled chain with its distinguished states.
@@ -96,17 +95,14 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
     }
 
     let mut builder = Dtmc::builder();
-    // (slots_processed, position) -> state.
-    let mut states: HashMap<(usize, usize), StateId> = HashMap::new();
     let initial = builder.add_state(age_label(0, 0, n));
-    states.insert((0, 0), initial);
-    let mut goals = Vec::with_capacity(cycles);
-    let mut goal_by_cycle: HashMap<usize, StateId> = HashMap::new();
+    let mut goal_by_cycle: Vec<Option<StateId>> = vec![None; cycles];
     let discard = builder.add_state("Discard");
 
     // Frontier of transient states at the current age. The chain keeps the
     // final-age states explicit (Fig. 4's `(7,-,-)`, `(7,7,-)`, `(7,7,7)`)
-    // and routes them to `Discard` with probability one.
+    // and routes them to `Discard` with probability one. Each frontier is
+    // kept in position order, so state ids are a function of the problem.
     let horizon = ttl.min(total);
     let mut frontier: Vec<(usize, StateId)> = vec![(0, initial)];
     for age in 0..horizon {
@@ -115,8 +111,7 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
         }
         let slot_in_frame = age % f_up;
         let cycle = age / f_up;
-        let mut next_frontier: Vec<(usize, StateId)> = Vec::new();
-        let mut next_states: HashMap<usize, StateId> = HashMap::new();
+        let mut next_states: Vec<Option<StateId>> = vec![None; n];
         for (position, state) in frontier {
             let transmitting_hop = by_slot[slot_in_frame].filter(|&h| h == position);
             match transmitting_hop {
@@ -125,9 +120,8 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
                     let ps = problem.hops()[hop].dynamics().up_probability(abs_slot);
                     // Success branch.
                     if hop + 1 == n {
-                        let goal = *goal_by_cycle
-                            .entry(cycle)
-                            .or_insert_with(|| builder.add_state(format!("R{}", age + 1)));
+                        let goal = *goal_by_cycle[cycle]
+                            .get_or_insert_with(|| builder.add_state(format!("R{}", age + 1)));
                         builder
                             .add_transition(state, goal, ps)
                             .expect("valid probability");
@@ -154,11 +148,11 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
                 }
             }
         }
-        for (position, state) in next_states {
-            states.insert((age + 1, position), state);
-            next_frontier.push((position, state));
-        }
-        frontier = next_frontier;
+        frontier = next_states
+            .into_iter()
+            .enumerate()
+            .filter_map(|(position, state)| Some((position, state?)))
+            .collect();
     }
     // The TTL has expired (or the interval ended): remaining states drop
     // their message.
@@ -173,12 +167,13 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
     // cycle-probability pmf has the right length. Labels use the arrival
     // slot a0 of that cycle, matching the reachable goals.
     let a0 = problem.arrival_slot_number() as usize;
-    for cycle in 0..cycles {
-        let goal = *goal_by_cycle
-            .entry(cycle)
-            .or_insert_with(|| builder.add_state(format!("R{}", cycle * f_up + a0)));
-        goals.push(goal);
-    }
+    let goals: Vec<StateId> = goal_by_cycle
+        .into_iter()
+        .enumerate()
+        .map(|(cycle, goal)| {
+            goal.unwrap_or_else(|| builder.add_state(format!("R{}", cycle * f_up + a0)))
+        })
+        .collect();
     for &goal in &goals {
         builder.make_absorbing(goal).expect("goal exists");
     }
@@ -198,14 +193,12 @@ pub fn explicit_chain(problem: &PathProblem) -> ExplicitChain {
 /// Fetches or creates the transient successor `(age, position)`.
 fn next_transient(
     builder: &mut whart_dtmc::DtmcBuilder,
-    next_states: &mut HashMap<usize, StateId>,
+    next_states: &mut [Option<StateId>],
     age: usize,
     position: usize,
     n: usize,
 ) -> StateId {
-    *next_states
-        .entry(position)
-        .or_insert_with(|| builder.add_state(age_label(age, position, n)))
+    *next_states[position].get_or_insert_with(|| builder.add_state(age_label(age, position, n)))
 }
 
 /// The paper's age-tuple label: positions `0..=position` hold a copy of age
@@ -313,6 +306,27 @@ mod tests {
         assert!(dot.contains("R7"));
         assert!(dot.contains("Discard"));
         assert!(dot.contains("doublecircle"));
+    }
+
+    #[test]
+    fn fig4_state_numbering_is_fixed() {
+        // States are numbered age by age, each age's frontier in position
+        // order, so the DOT dump is the same bytes on every run.
+        let dot = explicit_chain(&example_model(0.75, 1)).to_dot("fig4");
+        let nodes: Vec<&str> = dot
+            .lines()
+            .filter(|line| line.contains("[label=") && !line.contains("->"))
+            .map(|line| line.split('"').nth(1).unwrap())
+            .collect();
+        assert_eq!(
+            nodes,
+            [
+                "(0,-,-)", "Discard", "(1,-,-)", "(2,-,-)", "(3,3,-)", "(3,-,-)", "(4,-,-)",
+                "(4,4,-)", "(5,-,-)", "(5,5,-)", "(6,-,-)", "(6,6,6)", "(6,6,-)", "(7,-,-)",
+                "(7,7,-)", "R7", "(7,7,7)",
+            ]
+        );
+        assert!(dot.contains("  s3 -> s4 [label=\"0.7500\"];\n  s3 -> s5 [label=\"0.2500\"];"));
     }
 
     #[test]

@@ -704,7 +704,7 @@ pub(crate) fn lost_charged_transmissions(
 mod tests {
     use super::*;
     use whart_channel::LinkModel;
-    use whart_net::typical::section_v_example;
+    use whart_net::{NodeId, Path, Schedule, ScheduleEntry, Topology};
 
     fn steady(pi: f64) -> LinkDynamics {
         LinkDynamics::steady(LinkModel::from_availability(pi, 0.9).unwrap())
@@ -869,13 +869,33 @@ mod tests {
 
     #[test]
     fn from_network_matches_hand_built() {
+        // Section V-A as a network: n1 -> n2 -> n3 -> G, every link alike,
+        // schedule (*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>).
         let link = LinkModel::from_availability(0.75, 0.9).unwrap();
-        let (topology, path, schedule, superframe) = section_v_example(link).unwrap();
+        let nodes = vec![
+            NodeId::field(1),
+            NodeId::field(2),
+            NodeId::field(3),
+            NodeId::Gateway,
+        ];
+        let mut topology = Topology::new();
+        for &node in &nodes[..3] {
+            topology.add_node(node).unwrap();
+        }
+        for pair in nodes.windows(2) {
+            topology.connect(pair[0], pair[1], link).unwrap();
+        }
+        let path = Path::through(&topology, nodes).unwrap();
+        let entries: Vec<_> = [2, 5, 6]
+            .into_iter()
+            .zip(path.hops())
+            .map(|(slot, hop)| (slot, ScheduleEntry { hop, path_index: 0 }))
+            .collect();
         let network = crate::NetworkModel::new(
             topology,
             vec![path],
-            schedule,
-            superframe,
+            Schedule::with_entries(7, &entries).unwrap(),
+            Superframe::symmetric(7).unwrap(),
             ReportingInterval::new(4).unwrap(),
         )
         .unwrap();

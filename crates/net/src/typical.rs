@@ -1,11 +1,8 @@
-//! The paper's evaluation scenarios, ready-made.
+//! The typical network of the paper's Section VI, ready-made.
 //!
-//! * [`section_v_example`] — the three-hop path of Section V-A with its
-//!   `F_up = 7` schedule `(*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>)`;
-//! * [`TypicalNetwork`] — the ten-node network of Fig. 12 (30% of nodes one
-//!   hop from the gateway, 50% two hops, 20% three hops) with the
-//!   schedules `eta_a` (short paths first) and `eta_b` (long paths first);
-//! * [`chain_path`] — an n-hop chain for the hop-count studies.
+//! [`TypicalNetwork`] is the ten-node network of Fig. 12 (30% of nodes one
+//! hop from the gateway, 50% two hops, 20% three hops) with the schedules
+//! `eta_a` (short paths first) and `eta_b` (long paths first).
 
 use crate::error::Result;
 use crate::ids::NodeId;
@@ -14,87 +11,6 @@ use crate::schedule::Schedule;
 use crate::superframe::Superframe;
 use crate::topology::Topology;
 use whart_channel::LinkModel;
-
-/// The Section V-A example: a three-hop path `n1 -> n2 -> n3 -> G` in a
-/// symmetric `F_up = 7` super-frame with communication schedule
-/// `(*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>)`.
-///
-/// All links share `link`.
-///
-/// # Errors
-///
-/// Never fails for a valid [`LinkModel`]; the `Result` covers internal
-/// construction.
-pub fn section_v_example(link: LinkModel) -> Result<(Topology, Path, Schedule, Superframe)> {
-    let mut topology = Topology::new();
-    for i in 1..=3 {
-        topology.add_node(NodeId::field(i))?;
-    }
-    topology.connect(NodeId::field(1), NodeId::field(2), link)?;
-    topology.connect(NodeId::field(2), NodeId::field(3), link)?;
-    topology.connect(NodeId::field(3), NodeId::Gateway, link)?;
-    let path = Path::through(
-        &topology,
-        vec![
-            NodeId::field(1),
-            NodeId::field(2),
-            NodeId::field(3),
-            NodeId::Gateway,
-        ],
-    )?;
-    let hops: Vec<_> = path.hops().collect();
-    let schedule = Schedule::with_entries(
-        7,
-        &[
-            (
-                2,
-                crate::schedule::ScheduleEntry {
-                    hop: hops[0],
-                    path_index: 0,
-                },
-            ),
-            (
-                5,
-                crate::schedule::ScheduleEntry {
-                    hop: hops[1],
-                    path_index: 0,
-                },
-            ),
-            (
-                6,
-                crate::schedule::ScheduleEntry {
-                    hop: hops[2],
-                    path_index: 0,
-                },
-            ),
-        ],
-    )?;
-    let superframe = Superframe::symmetric(7)?;
-    Ok((topology, path, schedule, superframe))
-}
-
-/// An n-hop chain `n_n -> ... -> n_1 -> G` with homogeneous links and the
-/// straight-through schedule (hop k in slot k), used for the paper's
-/// hop-count study (Fig. 10).
-///
-/// # Errors
-///
-/// Returns an error only for `hops = 0` (an invalid path).
-pub fn chain_path(hops: u32, link: LinkModel) -> Result<(Topology, Path, Schedule)> {
-    let mut topology = Topology::new();
-    for i in 1..=hops {
-        topology.add_node(NodeId::field(i))?;
-    }
-    topology.connect(NodeId::field(1), NodeId::Gateway, link)?;
-    for i in 2..=hops {
-        topology.connect(NodeId::field(i), NodeId::field(i - 1), link)?;
-    }
-    let mut nodes: Vec<NodeId> = (1..=hops).rev().map(NodeId::field).collect();
-    nodes.push(NodeId::Gateway);
-    let path = Path::through(&topology, nodes)?;
-    let schedule = Schedule::sequential(std::slice::from_ref(&path), &[0])?;
-    Ok((topology, path, schedule))
-}
 
 /// The typical WirelessHART network of Fig. 12: ten field devices with
 /// three 1-hop, five 2-hop and two 3-hop uplink paths.
@@ -193,21 +109,6 @@ mod tests {
     }
 
     #[test]
-    fn section_v_example_shape() {
-        let (topology, path, schedule, superframe) = section_v_example(link()).unwrap();
-        assert_eq!(path.hop_count(), 3);
-        assert_eq!(schedule.len(), 7);
-        assert_eq!(superframe.uplink_slots(), 7);
-        schedule
-            .validate(&topology, std::slice::from_ref(&path))
-            .unwrap();
-        assert_eq!(
-            schedule.to_string(),
-            "(*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>)"
-        );
-    }
-
-    #[test]
     fn typical_network_hop_distribution() {
         let net = TypicalNetwork::new(link());
         assert_eq!(net.topology.field_devices().count(), 10);
@@ -259,18 +160,5 @@ mod tests {
         // 1-hop paths close the schedule.
         assert_eq!(s.last_slot_for_path(0), Some(16));
         assert_eq!(s.last_slot_for_path(2), Some(18));
-    }
-
-    #[test]
-    fn chain_path_shapes() {
-        for hops in 1..=4 {
-            let (topology, path, schedule) = chain_path(hops, link()).unwrap();
-            assert_eq!(path.hop_count(), hops as usize);
-            assert_eq!(schedule.len(), hops as usize);
-            schedule
-                .validate(&topology, std::slice::from_ref(&path))
-                .unwrap();
-        }
-        assert!(chain_path(0, link()).is_err());
     }
 }

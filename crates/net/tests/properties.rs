@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 use whart_channel::LinkModel;
-use whart_net::typical::chain_path;
 use whart_net::{shortest_path, uplink_paths, NodeId, Path, Schedule, Superframe, Topology};
 
 fn link() -> LinkModel {
@@ -106,13 +105,6 @@ proptest! {
         prop_assert_eq!(padded.len(), target);
         prop_assert_eq!(padded.transmissions().count(), before);
         padded.validate(&t, &paths).unwrap();
-    }
-
-    #[test]
-    fn chain_paths_have_exact_hops(hops in 1u32..10) {
-        let (t, path, schedule) = chain_path(hops, link()).unwrap();
-        prop_assert_eq!(path.hop_count(), hops as usize);
-        schedule.validate(&t, std::slice::from_ref(&path)).unwrap();
     }
 
     #[test]

@@ -194,13 +194,9 @@ fn push_sample(
     ));
 }
 
-/// Renders the snapshot as Prometheus text exposition (version 0.0.4).
-pub fn render(snapshot: &MetricsSnapshot) -> String {
-    render_with(snapshot, &[])
-}
-
 /// Renders the snapshot plus `derived` float gauges (scrape-time values
-/// such as cache hit ratios and latency quantiles).
+/// such as cache hit ratios and latency quantiles) as Prometheus text
+/// exposition (version 0.0.4).
 pub fn render_with(snapshot: &MetricsSnapshot, derived: &[DerivedGauge]) -> String {
     let mut families: BTreeMap<String, Family> = BTreeMap::new();
     for (name, &value) in &snapshot.counters {
@@ -452,7 +448,7 @@ fn valid_label_name(name: &str) -> bool {
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*` metric- / `[a-zA-Z_][a-zA-Z0-9_]*`
 /// label-name charsets.
 ///
-/// This is the parser side of [`render`]: the golden and property tests
+/// This is the parser side of [`render_with`]: the golden and property tests
 /// round-trip through it, and the CI smoke job reuses it (via the
 /// `promcheck` example) to assert a live scrape parses.
 ///
@@ -602,7 +598,7 @@ mod tests {
         for v in [1u64, 3, 900, 70_000] {
             h.record(v);
         }
-        let text = render(&metrics.snapshot());
+        let text = render_with(&metrics.snapshot(), &[]);
         let expected = "\
 # TYPE engine_path_cache_hits counter
 engine_path_cache_hits 17
@@ -656,7 +652,7 @@ solver_fast_solve_ns_count 4
         let h = metrics.histogram("h");
         h.record(5);
         h.record(u64::MAX); // overflow bucket
-        let text = render(&metrics.snapshot());
+        let text = render_with(&metrics.snapshot(), &[]);
         let parsed = parse(&text).unwrap();
         parsed.validate().unwrap();
         let inf = parsed
@@ -685,7 +681,7 @@ solver_fast_solve_ns_count 4
         assert_eq!(sanitize_label_name("9code"), "_9code");
         let metrics = Metrics::new();
         metrics.counter("weird métric näme{röute=a\"b\\c}").add(1);
-        let text = render(&metrics.snapshot());
+        let text = render_with(&metrics.snapshot(), &[]);
         let parsed = parse(&text).unwrap();
         parsed.validate().unwrap();
         for sample in &parsed.samples {
@@ -759,7 +755,7 @@ engine_cache_path_entries{backend=\"sim\"} 3
     fn escaped_label_values_round_trip() {
         let metrics = Metrics::new();
         metrics.gauge("g{path=a\\b\"c}").set(1);
-        let text = render(&metrics.snapshot());
+        let text = render_with(&metrics.snapshot(), &[]);
         let parsed = parse(&text).unwrap();
         let sample = parsed.named("g").next().unwrap();
         assert_eq!(sample.label("path"), Some("a\\b\"c"));
@@ -767,7 +763,7 @@ engine_cache_path_entries{backend=\"sim\"} 3
 
     #[test]
     fn empty_snapshot_renders_empty() {
-        assert_eq!(render(&MetricsSnapshot::default()), "");
+        assert_eq!(render_with(&MetricsSnapshot::default(), &[]), "");
         let parsed = parse("").unwrap();
         assert!(parsed.samples.is_empty());
         parsed.validate().unwrap();

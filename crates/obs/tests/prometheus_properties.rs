@@ -5,7 +5,7 @@
 //! names and labels land in the Prometheus charsets after sanitization.
 
 use proptest::prelude::*;
-use whart_obs::prometheus::{parse, render, render_with, DerivedGauge};
+use whart_obs::prometheus::{parse, render_with, DerivedGauge};
 use whart_obs::Metrics;
 
 fn metric_name_ok(name: &str) -> bool {
@@ -160,6 +160,6 @@ proptest! {
         }
         metrics.counter("events").add(values.len() as u64);
         let snapshot = metrics.snapshot();
-        prop_assert_eq!(render(&snapshot), render(&snapshot));
+        prop_assert_eq!(render_with(&snapshot, &[]), render_with(&snapshot, &[]));
     }
 }

@@ -9,8 +9,10 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use whart_channel::{LinkModel, LinkState};
 use whart_model::{LinkDynamics, NetworkModel, Outage, PathProblem};
-use whart_net::typical::{section_v_example, TypicalNetwork};
-use whart_net::{Hop, NodeId, Path, ReportingInterval, Schedule};
+use whart_net::typical::TypicalNetwork;
+use whart_net::{
+    Hop, NodeId, Path, ReportingInterval, Schedule, ScheduleEntry, Superframe, Topology,
+};
 use whart_opt::{generate, greedy_tree, GeneratorConfig};
 
 type Overrides = BTreeMap<(NodeId, NodeId), LinkDynamics>;
@@ -120,13 +122,27 @@ proptest! {
         interval in 1u32..8,
         draws in override_draws(),
     ) {
+        // n1 -> n2 -> n3 -> G under (*, *, <n1,n2>, *, *, <n2,n3>, <n3,G>).
         let link = LinkModel::from_availability(availability, 0.9).unwrap();
-        let (topology, path, schedule, superframe) = section_v_example(link).unwrap();
+        let nodes = vec![NodeId::field(1), NodeId::field(2), NodeId::field(3), NodeId::Gateway];
+        let mut topology = Topology::new();
+        for &node in &nodes[..3] {
+            topology.add_node(node).unwrap();
+        }
+        for pair in nodes.windows(2) {
+            topology.connect(pair[0], pair[1], link).unwrap();
+        }
+        let path = Path::through(&topology, nodes).unwrap();
+        let entries: Vec<_> = [2, 5, 6]
+            .into_iter()
+            .zip(path.hops())
+            .map(|(slot, hop)| (slot, ScheduleEntry { hop, path_index: 0 }))
+            .collect();
         let mut model = NetworkModel::new(
             topology,
             vec![path],
-            schedule,
-            superframe,
+            Schedule::with_entries(7, &entries).unwrap(),
+            Superframe::symmetric(7).unwrap(),
             ReportingInterval::new(interval).unwrap(),
         )
         .unwrap();
