@@ -36,6 +36,7 @@
 //! A last phase times the design ablations of the paper's two cost
 //! claims on single problems (see [`ABLATIONS`]): the fast evaluator
 //! against the explicit Algorithm-1 chain on the Section V path, the
+//! explicit chain at the largest size `whart serve` admits, the
 //! evaluator at the end points of its `Is`, hop-count and `F_up` ranges
 //! (the O(Is · F_up · n) bound), and the simulator under both PHY
 //! fidelities. Each emits one mean row after the scale rows; none is a
@@ -88,9 +89,10 @@ pub const GROUPS: [&str; 12] = [
 /// The design-ablation groups, in the order their lines are emitted
 /// (after the scale rows); `ablation_workloads` builds them in the
 /// same order.
-pub const ABLATIONS: [&str; 10] = [
+pub const ABLATIONS: [&str; 11] = [
     "ablation/fast/section-v",
     "ablation/explicit/section-v",
+    "ablation/explicit/cap-edge",
     "ablation/sim/gilbert",
     "ablation/sim/hopping",
     "ablation/fast/is-1",
@@ -290,7 +292,7 @@ impl Ablation {
             }
             Ablation::Explicit(problem) => {
                 let chain = explicit_chain(black_box(problem));
-                black_box(chain.solve().expect("solvable"));
+                black_box(chain.solve());
             }
             Ablation::Sim(sim) => {
                 black_box(black_box(sim).run(1, SIM_INTERVALS));
@@ -303,12 +305,16 @@ impl Ablation {
 /// path (`pi = 0.75`, `Is = 4` unless the id says otherwise), n-hop
 /// chains at `pi = 0.83` and `Is = 4` (`F_up = n` for the hop rows, 3
 /// hops for the frame rows), and the typical network under `eta_a` at
-/// `pi = 0.83`.
-fn ablation_workloads() -> [Ablation; 10] {
+/// `pi = 0.83`. The explicit `cap-edge` row solves the 16-hop chain at
+/// `Is = 8`: `hops * Is * F_up` = 2048, the largest explicit solve
+/// `whart serve` admits (1953 states).
+fn ablation_workloads() -> [Ablation; 11] {
     let section_v = |is: u32| {
         section_v_model(0.75, ReportingInterval::new(is).expect("positive")).expect("valid")
     };
     let chain = |hops: u32| chain_model(hops, 0.83, ReportingInterval::REGULAR).expect("valid");
+    let cap_edge =
+        chain_model(16, 0.83, ReportingInterval::new(8).expect("positive")).expect("valid");
     let framed = |f_up: u32| {
         let link = LinkModel::from_availability(0.83, LinkModel::DEFAULT_RECOVERY).expect("valid");
         let mut b = PathProblem::builder();
@@ -336,6 +342,7 @@ fn ablation_workloads() -> [Ablation; 10] {
     [
         Ablation::Fast(section_v(4)),
         Ablation::Explicit(section_v(4)),
+        Ablation::Explicit(cap_edge),
         Ablation::Sim(sim(PhyMode::Gilbert)),
         Ablation::Sim(sim(hopping)),
         Ablation::Fast(section_v(1)),
@@ -931,6 +938,7 @@ mod tests {
         let ablation_rows = [
             ("ablation/fast/section-v", 4 * 7 * 3),
             ("ablation/explicit/section-v", 4 * 7 * 3),
+            ("ablation/explicit/cap-edge", 8 * 16 * 16),
             ("ablation/sim/gilbert", SIM_INTERVALS),
             ("ablation/sim/hopping", SIM_INTERVALS),
             ("ablation/fast/is-1", 7 * 3),

@@ -283,14 +283,7 @@ pub fn run(args: &[String]) -> Result<String, String> {
                         return Err("--intervals must be at least 1".into());
                     }
                     let seed = parse_or(args, "--seed", 42u64)?;
-                    // --threads is the documented spelling; --workers stays
-                    // accepted for compatibility. Both go through the
-                    // shared validating parser.
-                    let workers = if has_flag(args, "--threads") {
-                        parse_threads(args, "--threads")?
-                    } else {
-                        parse_threads(args, "--workers")?
-                    };
+                    let workers = parse_threads(args, "--threads")?;
                     commands::simulate(&spec, intervals, seed, workers, has_flag(args, "--json"))
                 }
                 "sensitivity" => {
@@ -363,10 +356,7 @@ fn check_flags(command: &str, args: &[String]) -> Result<(), String> {
             &["--json"],
         ),
         "dot" => (&["--path"], &[]),
-        "simulate" => (
-            &["--intervals", "--seed", "--threads", "--workers"],
-            &["--json"],
-        ),
+        "simulate" => (&["--intervals", "--seed", "--threads"], &["--json"]),
         "predict" => (&["--path", "--snr"], &[]),
         "sensitivity" => (&["--step"], &[]),
         "example" | "help" => (&[], &[]),
@@ -812,12 +802,11 @@ mod tests {
 
         // Every worker-spawning command rejects 0 and absurd counts with
         // the same message shape, before doing any work.
-        let cases: [&[&str]; 5] = [
+        let cases: [&[&str]; 4] = [
             &["batch", scenarios, "--threads"],
             &["serve", "--threads"],
             &["optimize", "--threads"],
             &["simulate", spec, "--threads"],
-            &["simulate", spec, "--workers"],
         ];
         for case in cases {
             let flag = case[case.len() - 1];
@@ -832,6 +821,9 @@ mod tests {
             assert!(err.contains(flag), "{err}");
             assert!(err.contains("at most 1024"), "{err}");
         }
+        // `simulate` reads `--threads` only; `--workers` is an unknown flag.
+        let err = run(&s(&["simulate", spec, "--workers", "2"])).unwrap_err();
+        assert!(err.contains("unknown flag '--workers'"), "{err}");
         // The bounds are inclusive: 1 and 1024 are accepted.
         let out = run(&s(&[
             "simulate",

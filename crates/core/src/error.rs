@@ -6,7 +6,7 @@ use std::fmt;
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ModelError {
-    /// An underlying DTMC operation failed.
+    /// An underlying distribution operation failed.
     Dtmc(whart_dtmc::DtmcError),
     /// An underlying channel-layer operation failed.
     Channel(whart_channel::ChannelError),
@@ -69,7 +69,10 @@ mod tests {
 
     #[test]
     fn conversions_and_sources() {
-        let e: ModelError = whart_dtmc::DtmcError::NoAbsorbingStates.into();
+        let e: ModelError = whart_dtmc::DtmcError::InvalidInitialDistribution {
+            reason: "sums to 2".into(),
+        }
+        .into();
         assert!(e.source().is_some());
         assert!(e.to_string().contains("dtmc"));
         let e: ModelError = whart_channel::ChannelError::NoActiveChannels.into();

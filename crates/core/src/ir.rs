@@ -374,7 +374,7 @@ pub(crate) fn channel_figures(p_fl: f64) -> (f64, Option<f64>) {
 /// the resolved transition probabilities, and the channel figures
 /// they imply (stationary availability, BER and — when defined — the
 /// implied `Eb/N0`).
-pub fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {
+pub(crate) fn hop_provenance(hop: usize, h: &ProblemHop) -> Vec<(&'static str, ArgValue)> {
     let model = h.dynamics().model();
     let (ber, snr) = channel_figures(model.p_fl());
     let mut args = vec![
@@ -512,10 +512,12 @@ fn traced_fast_events(problem: &PathProblem) -> u64 {
 }
 
 /// The reference backend: Algorithm 1's explicit unrolled DTMC (Figs.
-/// 4-5), solved by absorbing-state analysis. Slower than [`FastSolver`]
+/// 4-5), built state by state and solved by one forward sweep of its
+/// acyclic rows ([`crate::explicit::ExplicitChain::solve`]). Slower than
+/// [`FastSolver`], since it enumerates every `(age, position)` state,
 /// but independent of the transient iteration, so it serves as the exact
-/// cross-check. Does not materialize trajectories (the absorbing-state
-/// solve yields end-of-horizon probabilities only); a
+/// cross-check. Does not materialize trajectories (the sweep yields
+/// end-of-horizon probabilities only); a
 /// [`MeasurePlan::WITH_TRAJECTORY`] request is ignored.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExplicitSolver;
@@ -525,7 +527,7 @@ impl Solver for ExplicitSolver {
         "explicit"
     }
 
-    /// The absorbing-state solve of the enumerated chain. Traced solves
+    /// The forward sweep of the enumerated chain. Traced solves
     /// add a `path_solve` span carrying the chain's state/transition
     /// counts and one `hop` provenance instant per hop.
     fn solve_path_traced(
@@ -543,7 +545,7 @@ impl Solver for ExplicitSolver {
             .add(chain.transition_count() as u64);
         tspan.arg("states", chain.state_count());
         tspan.arg("transitions", chain.transition_count());
-        let (cycle_probabilities, discard) = chain.solve()?;
+        let (cycle_probabilities, discard) = chain.solve();
         let evaluation = problem.evaluation_from_cycles(cycle_probabilities, discard);
         trace_hops(problem, "solver.explicit", trace);
         tspan.arg("hops", problem.hop_count());

@@ -45,7 +45,7 @@ pub fn section_v_model(availability: f64, interval: ReportingInterval) -> Result
 /// # Errors
 ///
 /// Propagates path construction failures.
-pub fn section_v_model_with_link(
+pub(crate) fn section_v_model_with_link(
     link: LinkModel,
     interval: ReportingInterval,
 ) -> Result<PathProblem> {
@@ -78,7 +78,7 @@ pub fn chain_model(
 /// # Errors
 ///
 /// Propagates path construction failures.
-pub fn chain_model_with_link(
+pub(crate) fn chain_model_with_link(
     hops: u32,
     link: LinkModel,
     interval: ReportingInterval,

@@ -6,8 +6,9 @@ use proptest::prelude::*;
 use whart_channel::{LinkModel, LinkState};
 use whart_dtmc::Pmf;
 use whart_model::{
-    compose, explicit::explicit_chain, DelayConvention, LinkDynamics, Outage, PathProblem,
-    UtilizationConvention,
+    compose,
+    explicit::{explicit_chain, ExplicitChain},
+    DelayConvention, LinkDynamics, Outage, PathProblem, UtilizationConvention,
 };
 use whart_net::{ReportingInterval, Superframe};
 
@@ -44,28 +45,102 @@ fn model_params() -> impl Strategy<Value = (Vec<f64>, Vec<usize>, u32, u32)> {
     })
 }
 
+/// The dense absorbing-chain reference for [`ExplicitChain::solve`]:
+/// Gauss-Jordan elimination with partial pivoting of `(I - Q) X = R`,
+/// where `Q` is the transient-to-transient block and `R` the
+/// transient-to-absorbing block, both read from the chain's own rows.
+/// Returns the initial state's goal probabilities (cycle order) and its
+/// discard mass.
+fn dense_absorption(chain: &ExplicitChain) -> (Vec<f64>, f64) {
+    let n = chain.state_count();
+    let targets: Vec<usize> = chain
+        .goals()
+        .iter()
+        .copied()
+        .chain(chain.state_by_label("Discard"))
+        .collect();
+    let transient: Vec<usize> = (0..n).filter(|s| !targets.contains(s)).collect();
+    let (t, m) = (transient.len(), targets.len());
+    let mut row_of = vec![usize::MAX; n];
+    for (i, &s) in transient.iter().enumerate() {
+        row_of[s] = i;
+    }
+    // Augmented rows `[I - Q | R]`.
+    let mut a = vec![vec![0.0; t + m]; t];
+    for (i, &s) in transient.iter().enumerate() {
+        a[i][i] = 1.0;
+        for (to, p) in chain.successors(s) {
+            match targets.iter().position(|&g| g == to) {
+                Some(j) => a[i][t + j] += p,
+                None => a[i][row_of[to]] -= p,
+            }
+        }
+    }
+    for col in 0..t {
+        let pivot = (col..t)
+            .max_by(|&x, &y| a[x][col].abs().total_cmp(&a[y][col].abs()))
+            .unwrap();
+        a.swap(col, pivot);
+        let pivot_row = a[col].clone();
+        for (_, r) in a.iter_mut().enumerate().filter(|&(row, _)| row != col) {
+            let factor = r[col] / pivot_row[col];
+            for (x, p) in r[col..].iter_mut().zip(&pivot_row[col..]) {
+                *x -= factor * p;
+            }
+        }
+    }
+    let initial = row_of[0];
+    let x: Vec<f64> = (0..m)
+        .map(|j| a[initial][t + j] / a[initial][initial])
+        .collect();
+    (x[..m - 1].to_vec(), x[m - 1])
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn explicit_chain_matches_fast_evaluator((pis, slots, f_up, is) in model_params()) {
-        let model = build_model(&pis, &slots, f_up, is, None);
-        let fast = model.evaluate();
-        let (slow, discard) = explicit_chain(&model).solve().unwrap();
-        prop_assert!(
-            (fast.discard_probability() - discard).abs() < 1e-12,
-            "discard: fast {} vs explicit {}",
-            fast.discard_probability(),
-            discard
-        );
-        for i in 0..is as usize {
-            prop_assert!(
-                (fast.cycle_probabilities().get(i) - slow.get(i)).abs() < 1e-12,
-                "cycle {i}: fast {} vs explicit {}",
-                fast.cycle_probabilities().get(i),
-                slow.get(i)
-            );
+    fn explicit_sweep_matches_fast_evaluator_and_dense_elimination(
+        (pis, slots, f_up, is) in model_params(),
+        hop_dynamics in proptest::collection::vec((0u8..3, 0u64..60, 0u64..12), 4),
+        ttl in 0u32..40,
+    ) {
+        // Hop k starts steady, down or up and carries an outage window
+        // when `len > 0`.
+        let mut b = PathProblem::builder();
+        for (k, &pi) in pis.iter().enumerate() {
+            let link = LinkModel::from_availability(pi, 0.9).unwrap();
+            let (start_kind, start, len) = hop_dynamics[k];
+            let mut dynamics = match start_kind {
+                0 => LinkDynamics::steady(link),
+                1 => LinkDynamics::starting_in(link, LinkState::Down),
+                _ => LinkDynamics::starting_in(link, LinkState::Up),
+            };
+            if len > 0 {
+                dynamics = dynamics.with_outage(Outage::new(start, start + len));
+            }
+            b.add_hop(dynamics, slots[k]);
         }
+        b.superframe(Superframe::symmetric(f_up).unwrap())
+            .interval(ReportingInterval::new(is).unwrap());
+        if ttl > 0 {
+            b.ttl(ttl);
+        }
+        let problem = b.build().unwrap();
+        let fast = problem.evaluate();
+        let chain = explicit_chain(&problem);
+        let (sweep, discard) = chain.solve();
+        let (dense, dense_discard) = dense_absorption(&chain);
+        prop_assert_eq!(sweep.len(), is as usize);
+        prop_assert_eq!(dense.len(), is as usize);
+        for (i, &dense_i) in dense.iter().enumerate() {
+            let (sweep_i, fast_i) = (sweep.get(i), fast.cycle_probabilities().get(i));
+            prop_assert!((sweep_i - fast_i).abs() < 1e-12, "cycle {i}: sweep {sweep_i} vs fast {fast_i}");
+            prop_assert!((sweep_i - dense_i).abs() < 1e-12, "cycle {i}: sweep {sweep_i} vs dense {dense_i}");
+        }
+        prop_assert!((discard - fast.discard_probability()).abs() < 1e-12, "discard: sweep {discard} vs fast {}", fast.discard_probability());
+        prop_assert!((discard - dense_discard).abs() < 1e-12, "discard: sweep {discard} vs dense {dense_discard}");
+        prop_assert!((sweep.total_mass() + discard - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -1,41 +1,43 @@
-//! Discrete-time Markov chain substrate for the WirelessHART performance
-//! model.
+//! Discrete distributions for the WirelessHART performance model.
 //!
-//! This crate provides the generic machinery the hierarchical model of
-//! Remke & Wu (DSN 2013) is built on:
+//! The hierarchical model of Remke & Wu (DSN 2013) reports its path
+//! results as distributions, and this crate provides them:
 //!
-//! * [`Dtmc`] — labelled chains over validated sparse row-stochastic
-//!   matrices, with absorbing-state analysis (the goal and discard
-//!   probabilities of the paper's path model, Eqs. 6-9) and transient
-//!   trajectories;
-//! * [`Pmf`] / [`ValueDistribution`] — finite discrete distributions with
-//!   the convolution used for path composition (Eq. 12 of the paper);
-//! * [`dot`] — Graphviz export in the style of the paper's Figs. 4-5.
+//! * [`Pmf`] — the cycle probability function `g(x)` of a path (index `i`
+//!   is delivery in reporting cycle `i + 1`; the missing mass is the loss
+//!   probability), with the convolution used for path composition
+//!   (Eq. 12 of the paper);
+//! * [`ValueDistribution`] — a distribution over real values, such as
+//!   end-to-end delays in milliseconds, with expectation, variance and
+//!   quantiles.
+//!
+//! The path chains themselves (Algorithm 1, Figs. 4-5) live in
+//! `whart_model::explicit`.
 //!
 //! # Example
 //!
-//! A message that must cross two hops, each delivered with probability
-//! 0.9 and otherwise discarded, reaches its goal with probability 0.81:
+//! Two path segments, each delivering in its first cycle with probability
+//! 0.9 and otherwise in the next, compose into a path that delivers in
+//! cycle 1 with probability 0.81:
 //!
 //! ```
-//! use whart_dtmc::Dtmc;
+//! use whart_dtmc::{Pmf, ValueDistribution};
 //!
 //! # fn main() -> Result<(), whart_dtmc::DtmcError> {
-//! let mut b = Dtmc::builder();
-//! let hop1 = b.add_state("hop 1");
-//! let hop2 = b.add_state("hop 2");
-//! let goal = b.add_state("goal");
-//! let discard = b.add_state("discard");
-//! b.add_transition(hop1, hop2, 0.9)?;
-//! b.add_transition(hop1, discard, 0.1)?;
-//! b.add_transition(hop2, goal, 0.9)?;
-//! b.add_transition(hop2, discard, 0.1)?;
-//! b.make_absorbing(goal)?;
-//! b.make_absorbing(discard)?;
-//! let path = b.build()?;
+//! let segment = Pmf::geometric(0.9, 2)?;
+//! let path = segment.convolve(&segment);
+//! assert!((path.get(0) - 0.81).abs() < 1e-12);
+//! assert!((path.total_mass() - 0.99 * 0.99).abs() < 1e-12);
 //!
-//! let absorption = path.absorption()?;
-//! assert!((absorption.probability(hop1, goal) - 0.81).abs() < 1e-12);
+//! // One cycle lasts 1 s: the delay of a delivered message.
+//! let delay = ValueDistribution::new(
+//!     path.as_slice()
+//!         .iter()
+//!         .enumerate()
+//!         .map(|(i, &p)| (1000.0 * (i + 1) as f64, p))
+//!         .collect(),
+//! )?;
+//! assert_eq!(delay.quantile(0.5), Some(1000.0));
 //! # Ok(())
 //! # }
 //! ```
@@ -44,14 +46,8 @@
 #![warn(missing_docs)]
 #![warn(unreachable_pub)]
 
-mod chain;
 mod dist;
 mod error;
-mod linalg;
-mod matrix;
 
-pub mod dot;
-
-pub use chain::{Absorption, Dtmc, DtmcBuilder, StateId};
 pub use dist::{Pmf, ValueDistribution};
 pub use error::{DtmcError, Result};

@@ -61,7 +61,7 @@ pub fn fig5() -> ExperimentReport {
         chain.goals().len() as f64,
         0.0,
     ));
-    let has_r14 = chain.dtmc.state_by_label("R14").is_some();
+    let has_r14 = chain.state_by_label("R14").is_some();
     report.check(Check::new(
         "R14 present",
         1.0,

@@ -16,7 +16,7 @@ use std::os::unix::io::{AsRawFd, RawFd};
 
 /// What a connection should do after a response was written.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum After {
+pub(crate) enum After {
     /// More request bytes are already buffered (pipelining): serve the
     /// next request immediately, without going back through the poller.
     Buffered,
@@ -28,15 +28,15 @@ pub enum After {
 }
 
 /// One client connection with its cross-request receive buffer.
-pub struct Conn {
+pub(crate) struct Conn {
     stream: TcpStream,
     buf: Vec<u8>,
     /// Requests served on this connection so far (maintained by the
     /// server; `> 0` means the connection was reused).
-    pub served: u64,
+    pub(crate) served: u64,
     /// When the connection last finished a request (or was accepted);
     /// the event loop expires idle connections against this.
-    pub idle_since: Instant,
+    pub(crate) idle_since: Instant,
 }
 
 impl Conn {
@@ -46,7 +46,7 @@ impl Conn {
     /// # Errors
     ///
     /// When the socket options cannot be set.
-    pub fn new(stream: TcpStream) -> io::Result<Conn> {
+    pub(crate) fn new(stream: TcpStream) -> io::Result<Conn> {
         stream.set_nodelay(true)?;
         stream.set_nonblocking(true)?;
         Ok(Conn {
@@ -58,7 +58,7 @@ impl Conn {
     }
 
     /// The raw descriptor, for the event loop's poll set.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.stream.as_raw_fd()
     }
 
@@ -72,7 +72,7 @@ impl Conn {
     /// [`RequestError::Closed`] on a clean close at a request boundary,
     /// [`RequestError::TimedOut`] when the deadline passes, and the
     /// parse-level `TooLarge`/`Malformed` errors from [`http`].
-    pub fn next_request(&mut self, timeout: Duration) -> Result<Request, RequestError> {
+    pub(crate) fn next_request(&mut self, timeout: Duration) -> Result<Request, RequestError> {
         let deadline = Instant::now() + timeout;
         // Head: buffer until the blank line (or the size cap trips).
         let head_end = loop {
@@ -103,7 +103,7 @@ impl Conn {
     ///
     /// [`io::ErrorKind::TimedOut`] when the peer stops reading, or any
     /// underlying socket error.
-    pub fn write_response(
+    pub(crate) fn write_response(
         &mut self,
         response: &Response,
         keep_alive: bool,
@@ -116,7 +116,7 @@ impl Conn {
     }
 
     /// What to do with the connection after a keep-alive response.
-    pub fn after_response(&mut self) -> After {
+    pub(crate) fn after_response(&mut self) -> After {
         self.served += 1;
         self.idle_since = Instant::now();
         if !self.buf.is_empty() {

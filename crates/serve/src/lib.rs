@@ -12,10 +12,10 @@
 //!   keep-alive/`Connection` semantics, hardened `Content-Length`
 //!   validation, query strings, and chunked streaming for large
 //!   response bodies.
-//! * [`conn`] — persistent-connection framing: a cross-request receive
-//!   buffer (pipelining) and deadline-bounded reads and writes.
-//! * [`poll`] — readiness polling via a thin libc-free `poll(2)` shim,
-//!   plus the wake pipe workers use to interrupt the event loop.
+//! * `conn` (private) — persistent-connection framing: a cross-request
+//!   receive buffer (pipelining) and deadline-bounded reads and writes.
+//! * `poll` (private) — readiness polling via a thin libc-free `poll(2)`
+//!   shim, plus the wake pipe workers use to interrupt the event loop.
 //! * [`router`] — exact-path routing with stable route labels for
 //!   metric cardinality control.
 //! * [`server`] — the event loop and worker pool: parked keep-alive
@@ -68,11 +68,11 @@
 #[cfg(not(unix))]
 compile_error!("whart-serve is Unix only: its event loop waits on sockets with poll(2)");
 
-pub mod conn;
+mod conn;
 pub mod flight;
 pub mod http;
 pub mod log;
-pub mod poll;
+mod poll;
 pub mod record;
 pub mod router;
 pub mod server;

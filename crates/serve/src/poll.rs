@@ -15,14 +15,14 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::time::Duration;
 
 /// `POLLIN`: data is readable (or a peer close is observable).
-pub const POLLIN: i16 = 0x001;
+pub(crate) const POLLIN: i16 = 0x001;
 /// `POLLOUT`: a write would not block.
-pub const POLLOUT: i16 = 0x004;
+pub(crate) const POLLOUT: i16 = 0x004;
 
 /// One `pollfd` entry, layout-compatible with the C struct.
 #[repr(C)]
 #[derive(Debug, Clone, Copy)]
-pub struct PollFd {
+pub(crate) struct PollFd {
     fd: i32,
     events: i16,
     revents: i16,
@@ -30,7 +30,7 @@ pub struct PollFd {
 
 impl PollFd {
     /// An entry watching `fd` for `events` (e.g. [`POLLIN`]).
-    pub fn new(fd: RawFd, events: i16) -> PollFd {
+    pub(crate) fn new(fd: RawFd, events: i16) -> PollFd {
         PollFd {
             fd,
             events,
@@ -39,7 +39,7 @@ impl PollFd {
     }
 
     /// Whether any watched or error condition fired.
-    pub fn ready(&self) -> bool {
+    pub(crate) fn ready(&self) -> bool {
         self.revents != 0
     }
 }
@@ -69,7 +69,7 @@ mod sys {
 ///
 /// The OS error, including [`io::ErrorKind::Interrupted`] when a signal
 /// (e.g. the SIGINT the drain path watches) cut the wait short.
-pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
+pub(crate) fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
     let timeout_ms: i32 = match timeout {
         None => -1,
         Some(t) => i32::try_from(t.as_millis().max(1)).unwrap_or(i32::MAX),
@@ -86,7 +86,7 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
 /// # Errors
 ///
 /// Any OS error other than `EINTR`.
-pub fn wait_fd(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<bool> {
+pub(crate) fn wait_fd(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<bool> {
     let deadline = timeout.map(|t| std::time::Instant::now() + t);
     loop {
         let remaining = match deadline {
@@ -119,7 +119,7 @@ pub fn wait_fd(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::Result<
 /// Workers hold cloned write ends; writing one byte makes the read end
 /// readable and wakes the event loop. The read end is nonblocking so
 /// draining accumulated wake bytes never stalls the loop.
-pub struct WakePipe {
+pub(crate) struct WakePipe {
     reader: TcpStream,
     writer: TcpStream,
 }
@@ -132,7 +132,7 @@ impl WakePipe {
     /// # Errors
     ///
     /// When the loopback sockets cannot be created.
-    pub fn new() -> io::Result<WakePipe> {
+    pub(crate) fn new() -> io::Result<WakePipe> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let writer = TcpStream::connect(listener.local_addr()?)?;
         writer.set_nodelay(true)?;
@@ -150,7 +150,7 @@ impl WakePipe {
     }
 
     /// The descriptor the event loop adds to its poll set.
-    pub fn fd(&self) -> RawFd {
+    pub(crate) fn fd(&self) -> RawFd {
         self.reader.as_raw_fd()
     }
 
@@ -159,28 +159,28 @@ impl WakePipe {
     /// # Errors
     ///
     /// When the descriptor cannot be duplicated.
-    pub fn waker(&self) -> io::Result<Waker> {
+    pub(crate) fn waker(&self) -> io::Result<Waker> {
         Ok(Waker {
             stream: self.writer.try_clone()?,
         })
     }
 
     /// Consumes every pending wake byte.
-    pub fn drain(&mut self) {
+    pub(crate) fn drain(&mut self) {
         let mut buf = [0u8; 64];
         while matches!(self.reader.read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
 /// A worker-side handle that interrupts the event loop's poll.
-pub struct Waker {
+pub(crate) struct Waker {
     stream: TcpStream,
 }
 
 impl Waker {
     /// Wakes the event loop (best-effort: a full socket buffer already
     /// guarantees a pending wakeup).
-    pub fn wake(&mut self) {
+    pub(crate) fn wake(&mut self) {
         let _ = self.stream.write(&[1]);
     }
 }

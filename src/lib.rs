@@ -60,7 +60,7 @@ pub use whart_sim as sim;
 /// The most commonly used items, for glob import.
 pub mod prelude {
     pub use whart_channel::{EbN0, LinkModel, Modulation, WIRELESSHART_MESSAGE_BITS};
-    pub use whart_dtmc::{Dtmc, Pmf, ValueDistribution};
+    pub use whart_dtmc::{Pmf, ValueDistribution};
     pub use whart_model::{
         DelayConvention, LinkDynamics, NetworkModel, PathEvaluation, PathProblem,
         UtilizationConvention,

@@ -21,7 +21,7 @@ fn evaluator_vs_explicit_chain_on_every_network_path() {
     for index in 0..net.paths.len() {
         let problem = model.path_problem(index).unwrap();
         let fast = problem.evaluate();
-        let (slow, discard) = explicit_chain(&problem).solve().unwrap();
+        let (slow, discard) = explicit_chain(&problem).solve();
         assert!(
             (fast.discard_probability() - discard).abs() < 1e-12,
             "path {index} discard"
