@@ -33,8 +33,7 @@ impl Pmf {
         for (i, &p) in probs.iter().enumerate() {
             if !p.is_finite() || p < 0.0 {
                 return Err(DtmcError::InvalidProbability {
-                    from: i,
-                    to: i,
+                    index: Some(i),
                     value: p,
                 });
             }
@@ -58,8 +57,7 @@ impl Pmf {
     pub fn geometric(p: f64, len: usize) -> Result<Self> {
         if !(0.0..=1.0).contains(&p) || !p.is_finite() {
             return Err(DtmcError::InvalidProbability {
-                from: 0,
-                to: 0,
+                index: None,
                 value: p,
             });
         }
@@ -87,8 +85,7 @@ impl Pmf {
     pub fn negative_binomial(p: f64, n: u32, len: usize) -> Result<Self> {
         if !(0.0..=1.0).contains(&p) || !p.is_finite() {
             return Err(DtmcError::InvalidProbability {
-                from: 0,
-                to: 0,
+                index: None,
                 value: p,
             });
         }
@@ -194,8 +191,7 @@ impl ValueDistribution {
         for (i, &(v, p)) in pairs.iter().enumerate() {
             if !p.is_finite() || p < 0.0 || !v.is_finite() {
                 return Err(DtmcError::InvalidProbability {
-                    from: i,
-                    to: i,
+                    index: Some(i),
                     value: p,
                 });
             }
@@ -377,6 +373,18 @@ mod tests {
     #[test]
     fn pmf_rejects_negative() {
         assert!(Pmf::new(vec![-0.1]).is_err());
+    }
+
+    #[test]
+    fn invalid_probabilities_name_their_entry_or_parameter() {
+        let entry = Pmf::new(vec![0.5, 0.1, -0.2]).unwrap_err().to_string();
+        assert!(entry.contains("entry 2"), "{entry}");
+        assert!(!entry.contains("->"), "{entry}");
+        let pair = ValueDistribution::new(vec![(1.0, 0.5), (2.0, f64::NAN)]).unwrap_err();
+        assert!(pair.to_string().contains("entry 1"), "{pair}");
+        let parameter = Pmf::geometric(1.5, 4).unwrap_err().to_string();
+        assert!(parameter.contains("parameter"), "{parameter}");
+        assert!(!parameter.contains("->"), "{parameter}");
     }
 
     #[test]

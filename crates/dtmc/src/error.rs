@@ -8,10 +8,9 @@ use std::fmt;
 pub enum DtmcError {
     /// A probability was negative, above one or not finite.
     InvalidProbability {
-        /// Index of the offending entry.
-        from: usize,
-        /// Index of the offending entry (equal to `from`).
-        to: usize,
+        /// Index of the offending entry, or `None` for a distribution
+        /// parameter.
+        index: Option<usize>,
         /// The offending value.
         value: f64,
     },
@@ -25,10 +24,13 @@ pub enum DtmcError {
 impl fmt::Display for DtmcError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            DtmcError::InvalidProbability { from, to, value } => write!(
-                f,
-                "invalid transition probability {value} on edge {from} -> {to}"
-            ),
+            DtmcError::InvalidProbability {
+                index: Some(index),
+                value,
+            } => write!(f, "invalid probability {value} at entry {index}"),
+            DtmcError::InvalidProbability { index: None, value } => {
+                write!(f, "invalid probability parameter {value}")
+            }
             DtmcError::InvalidInitialDistribution { reason } => {
                 write!(f, "invalid initial distribution: {reason}")
             }
@@ -49,8 +51,11 @@ mod tests {
     fn display_is_nonempty_and_lowercase() {
         let errors = [
             DtmcError::InvalidProbability {
-                from: 0,
-                to: 1,
+                index: Some(1),
+                value: 1.5,
+            },
+            DtmcError::InvalidProbability {
+                index: None,
                 value: 1.5,
             },
             DtmcError::InvalidInitialDistribution {

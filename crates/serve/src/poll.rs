@@ -4,14 +4,15 @@
 //! descriptors is readable, or has `timeout` elapsed?". On Unix that is
 //! `poll(2)`, declared here directly (the workspace vendors no FFI
 //! crate, mirroring [`crate::signal`]). The module also provides
-//! [`WakePipe`], a loopback socket pair the worker threads write one
-//! byte into to interrupt a sleeping `poll` — the std-only stand-in for
-//! a self-pipe — so a connection handed back for parking is observed
-//! immediately instead of on the next timeout tick.
+//! [`WakePipe`], a Unix socket pair one thread writes a byte into to
+//! interrupt another thread's sleeping `poll` — the std-only stand-in
+//! for a self-pipe. Workers wake the event loop with it when they hand a
+//! connection back for parking, and the event loop wakes a worker with
+//! its own pipe when that worker must give up the connection it holds.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
 use std::time::Duration;
 
 /// `POLLIN`: data is readable (or a peer close is observable).
@@ -114,47 +115,36 @@ pub(crate) fn wait_fd(fd: RawFd, events: i16, timeout: Option<Duration>) -> io::
     }
 }
 
-/// A loopback socket pair used to interrupt a sleeping [`poll`].
+/// A Unix socket pair used to interrupt a sleeping [`poll`].
 ///
-/// Workers hold cloned write ends; writing one byte makes the read end
-/// readable and wakes the event loop. The read end is nonblocking so
-/// draining accumulated wake bytes never stalls the loop.
+/// Wakers hold cloned write ends; writing one byte makes the read end
+/// readable and wakes the thread polling it. Both ends are nonblocking,
+/// so draining accumulated wake bytes never stalls the reader and a wake
+/// into a full buffer (one is already pending) never stalls the writer.
 pub(crate) struct WakePipe {
-    reader: TcpStream,
-    writer: TcpStream,
+    reader: UnixStream,
+    writer: UnixStream,
 }
 
 impl WakePipe {
-    /// Builds the pair from an ephemeral loopback listener. The accept
-    /// is matched against the connecting end's address so an unrelated
-    /// process racing for the port cannot slip in.
+    /// Creates the pair.
     ///
     /// # Errors
     ///
-    /// When the loopback sockets cannot be created.
+    /// When the sockets cannot be created.
     pub(crate) fn new() -> io::Result<WakePipe> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let writer = TcpStream::connect(listener.local_addr()?)?;
-        writer.set_nodelay(true)?;
-        let ours = writer.local_addr()?;
-        let reader = loop {
-            let (stream, peer) = listener.accept()?;
-            if peer == ours {
-                break stream;
-            }
-            // A stranger connected to the ephemeral port: drop it and
-            // keep waiting for our own end.
-        };
+        let (reader, writer) = UnixStream::pair()?;
         reader.set_nonblocking(true)?;
+        writer.set_nonblocking(true)?;
         Ok(WakePipe { reader, writer })
     }
 
-    /// The descriptor the event loop adds to its poll set.
+    /// The descriptor the waiting thread adds to its poll set.
     pub(crate) fn fd(&self) -> RawFd {
         self.reader.as_raw_fd()
     }
 
-    /// A cloned write end for a worker thread.
+    /// A cloned write end for another thread.
     ///
     /// # Errors
     ///
@@ -172,13 +162,13 @@ impl WakePipe {
     }
 }
 
-/// A worker-side handle that interrupts the event loop's poll.
+/// A write end that interrupts the poll of the [`WakePipe`]'s reader.
 pub(crate) struct Waker {
-    stream: TcpStream,
+    stream: UnixStream,
 }
 
 impl Waker {
-    /// Wakes the event loop (best-effort: a full socket buffer already
+    /// Wakes the reader (best-effort: a full socket buffer already
     /// guarantees a pending wakeup).
     pub(crate) fn wake(&mut self) {
         let _ = self.stream.write(&[1]);
