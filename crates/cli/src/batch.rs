@@ -36,11 +36,10 @@ use whart_model::{LinkDynamics, NetworkModel, Outage};
 use whart_net::Hop;
 use whart_obs::MetricsSnapshot;
 
-/// One decoded batch entry: the scenario, which measures its output
-/// lines should carry, and the solver backend it runs on.
+/// One decoded batch entry: the scenario (whose measures its output
+/// line carries) and the solver backend it runs on.
 pub(crate) struct BatchEntry {
     pub(crate) scenario: Scenario,
-    pub(crate) measures: MeasureSet,
     pub(crate) backend: Backend,
 }
 
@@ -230,7 +229,6 @@ fn decode_entry(
     let measures = decode_measures(value).map_err(wrap)?;
     Ok(BatchEntry {
         scenario: Scenario::network(label, model).with_measures(measures),
-        measures,
         backend,
     })
 }
@@ -306,7 +304,7 @@ fn write_measure(out: &mut String, value: Option<f64>) {
     }
 }
 
-pub(crate) fn stats_line(engine: &Engine) -> Json {
+fn stats_line(engine: &Engine) -> Json {
     let stats = engine.stats();
     let ms = |d: std::time::Duration| d.as_secs_f64() * 1e3;
     Json::object([(
@@ -382,6 +380,64 @@ fn metrics_line(backend: &str, engines: &[(Backend, Engine)], snapshot: &Metrics
     )])
 }
 
+/// The index of `backend`'s engine in `engines`, appending one built by
+/// `make` on first use.
+pub(crate) fn engine_slot(
+    engines: &mut Vec<(Backend, Engine)>,
+    backend: Backend,
+    make: impl FnOnce(Backend) -> Engine,
+) -> usize {
+    match engines.iter().position(|(b, _)| *b == backend) {
+        Some(i) => i,
+        None => {
+            engines.push((backend, make(backend)));
+            engines.len() - 1
+        }
+    }
+}
+
+/// Runs a decoded fleet on `engines`, one engine per distinct backend
+/// configuration (`make` builds a missing one), so scenarios sharing a
+/// backend share its cache. Drains the engines the fleet used and
+/// returns one result line per entry in submission order, then, with
+/// `with_stats`, one `stats` line per used engine. The fleet runner of
+/// both `whart batch` and `POST /v1/batch`.
+pub(crate) fn run_fleet(
+    engines: &mut Vec<(Backend, Engine)>,
+    make: impl Fn(Backend) -> Engine,
+    entries: Vec<BatchEntry>,
+    with_stats: bool,
+) -> Result<String, String> {
+    let mut placements = Vec::with_capacity(entries.len());
+    let mut used: Vec<usize> = Vec::new();
+    for entry in entries {
+        let slot = engine_slot(engines, entry.backend, &make);
+        if !used.contains(&slot) {
+            used.push(slot);
+        }
+        let measures = entry.scenario.measures;
+        let index = engines[slot].1.submit(entry.scenario);
+        placements.push((slot, index, measures));
+    }
+    let mut drained: Vec<Vec<ScenarioResult>> = Vec::new();
+    drained.resize_with(engines.len(), Vec::new);
+    for &slot in &used {
+        drained[slot] = engines[slot].1.drain().map_err(|e| e.to_string())?;
+    }
+    let mut out = String::new();
+    for &(slot, index, measures) in &placements {
+        write_result_line(&mut out, &drained[slot][index], measures);
+        out.push('\n');
+    }
+    if with_stats {
+        for &slot in &used {
+            out.push_str(&stats_line(&engines[slot].1).to_compact());
+            out.push('\n');
+        }
+    }
+    Ok(out)
+}
+
 /// Runs `batch`: evaluates every scenario in the list through a shared
 /// engine and returns one compact JSON line per scenario (submission
 /// order), plus a final `stats` line when requested. All engines record
@@ -401,43 +457,16 @@ pub(crate) fn batch(
     let profiler = &telemetry.profiler;
     let batch_guard = profiler.enter(profiler.frame("cli.batch"));
     let entries = decode_fleet(text, usize::MAX, &|_, _| Ok(()))?;
-    let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
-    // One engine per distinct backend configuration; scenarios sharing a
-    // backend share its caches. `placements` remembers where each entry
-    // went so the output stays in submission order.
     let mut engines: Vec<(Backend, Engine)> = Vec::new();
-    let mut placements: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
-    for entry in entries {
-        let slot = match engines.iter().position(|(b, _)| *b == entry.backend) {
-            Some(i) => i,
-            None => {
-                let mut engine = Engine::with_solver(threads, entry.backend.solver());
-                engine.set_metrics(telemetry.metrics.clone());
-                engine.set_trace(telemetry.trace.clone());
-                engine.set_profiler(profiler.clone());
-                engines.push((entry.backend, engine));
-                engines.len() - 1
-            }
-        };
-        let index = engines[slot].1.submit(entry.scenario);
-        placements.push((slot, index));
-    }
-    let mut drained: Vec<Vec<ScenarioResult>> = Vec::with_capacity(engines.len());
-    for (_, engine) in &mut engines {
-        drained.push(engine.drain().map_err(|e| e.to_string())?);
-    }
+    let make = |backend: Backend| {
+        let mut engine = Engine::with_solver(threads, backend.solver());
+        engine.set_metrics(telemetry.metrics.clone());
+        engine.set_trace(telemetry.trace.clone());
+        engine.set_profiler(profiler.clone());
+        engine
+    };
+    let mut out = run_fleet(&mut engines, make, entries, with_stats)?;
     drop(batch_guard);
-    let mut out = String::new();
-    for ((slot, index), measures) in placements.iter().zip(measure_sets) {
-        write_result_line(&mut out, &drained[*slot][*index], measures);
-        out.push('\n');
-    }
-    if with_stats {
-        for (_, engine) in &engines {
-            out.push_str(&stats_line(engine).to_compact());
-            out.push('\n');
-        }
-    }
     if telemetry.metrics.is_enabled() {
         let snapshot = telemetry.metrics.snapshot();
         // One summary line per backend *name*: differently-seeded sim

@@ -328,7 +328,7 @@ pub(crate) fn explain(
     if let Backend::Sim { seed, intervals } = *backend {
         let solver = MonteCarloSolver::new(seed, intervals);
         let sim = solver
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .map_err(|e| e.to_string())?;
         out.push_str(&format!(
             "\nsim cross-check (seed {seed}, {intervals} intervals)\n"

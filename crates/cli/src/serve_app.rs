@@ -44,13 +44,13 @@
 //!   stop accepting, finish in-flight solves, write the final
 //!   `--metrics`/`--trace` artifacts, exit.
 
-use crate::batch::{decode_fleet, stats_line, write_result_line, BatchEntry};
+use crate::batch::{decode_fleet, engine_slot, run_fleet, BatchEntry};
 use crate::commands::{analyze_on, example, Analyzed, Backend};
 use crate::spec::NetworkSpec;
 use crate::telemetry::{TelemetryFlags, MAX_PROFILE_HZ};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-use whart_engine::{Engine, MeasureSet, ScenarioResult};
+use whart_engine::Engine;
 use whart_model::NetworkModel;
 use whart_obs::prometheus::{self, DerivedGauge};
 use whart_obs::Metrics;
@@ -241,18 +241,26 @@ impl EngineStore {
         }
     }
 
+    /// The store's engines, and a constructor for a missing one that
+    /// records into the service's handles.
+    fn engines_and_make(
+        &mut self,
+    ) -> (&mut Vec<(Backend, Engine)>, impl Fn(Backend) -> Engine + '_) {
+        let make = |backend: Backend| {
+            let mut engine = Engine::with_solver(self.threads, backend.solver());
+            engine.set_metrics(self.metrics.clone());
+            engine.set_trace(self.trace.clone());
+            engine.set_profiler(self.profiler.clone());
+            engine.set_path_cache_capacity(Some(self.cache_capacity));
+            engine
+        };
+        (&mut self.engines, make)
+    }
+
     /// The engine slot for `backend`, creating it on first use.
     fn slot(&mut self, backend: Backend) -> usize {
-        if let Some(i) = self.engines.iter().position(|(b, _)| *b == backend) {
-            return i;
-        }
-        let mut engine = Engine::with_solver(self.threads, backend.solver());
-        engine.set_metrics(self.metrics.clone());
-        engine.set_trace(self.trace.clone());
-        engine.set_profiler(self.profiler.clone());
-        engine.set_path_cache_capacity(Some(self.cache_capacity));
-        self.engines.push((backend, engine));
-        self.engines.len() - 1
+        let (engines, make) = self.engines_and_make();
+        engine_slot(engines, backend, make)
     }
 
     /// Path-cache hits summed over the live engines.
@@ -304,34 +312,8 @@ impl EngineStore {
         with_stats: bool,
     ) -> Result<(String, u64), String> {
         let hits_before = self.path_cache_hits();
-        let measure_sets: Vec<MeasureSet> = entries.iter().map(|e| e.measures).collect();
-        let mut placements: Vec<(usize, usize)> = Vec::with_capacity(entries.len());
-        let mut used: Vec<usize> = Vec::new();
-        for entry in entries {
-            let slot = self.slot(entry.backend);
-            if !used.contains(&slot) {
-                used.push(slot);
-            }
-            let index = self.engines[slot].1.submit(entry.scenario);
-            placements.push((slot, index));
-        }
-        let mut drained: Vec<Option<Vec<ScenarioResult>>> = Vec::new();
-        drained.resize_with(self.engines.len(), || None);
-        for &slot in &used {
-            drained[slot] = Some(self.engines[slot].1.drain().map_err(|e| e.to_string())?);
-        }
-        let mut out = String::new();
-        for ((slot, index), measures) in placements.iter().zip(measure_sets) {
-            let results = drained[*slot].as_ref().expect("used slot was drained");
-            write_result_line(&mut out, &results[*index], measures);
-            out.push('\n');
-        }
-        if with_stats {
-            for &slot in &used {
-                out.push_str(&stats_line(&self.engines[slot].1).to_compact());
-                out.push('\n');
-            }
-        }
+        let (engines, make) = self.engines_and_make();
+        let out = run_fleet(engines, make, entries, with_stats)?;
         Ok((out, self.path_cache_hits() - hits_before))
     }
 }

@@ -21,7 +21,7 @@
 use whart_net::NodeId;
 
 use crate::error::Result;
-use crate::ir::{channel_figures, MeasurePlan, PathProblem};
+use crate::ir::{channel_figures, PathProblem};
 use crate::measures::DelayConvention;
 use crate::path::{fast_evaluate_observed, PathEvaluation, StepEvent};
 
@@ -130,17 +130,16 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> Resul
     let mut attempts = vec![0.0f64; n];
     let mut failures = vec![0.0f64; n];
     let mut loss = vec![0.0f64; n];
-    let (evaluation, _steps) =
-        fast_evaluate_observed(problem, MeasurePlan::SCALAR, |event| match event {
-            StepEvent::Transmission {
-                hop, mass, moved, ..
-            } => {
-                attempts[hop] += mass;
-                failures[hop] += mass - moved;
-            }
-            StepEvent::CycleEnd { .. } => {}
-            StepEvent::Discard { in_flight, .. } => loss.copy_from_slice(in_flight),
-        })?;
+    let (evaluation, _steps) = fast_evaluate_observed(problem, |event| match event {
+        StepEvent::Transmission {
+            hop, mass, moved, ..
+        } => {
+            attempts[hop] += mass;
+            failures[hop] += mass - moved;
+        }
+        StepEvent::CycleEnd { .. } => {}
+        StepEvent::Discard { in_flight, .. } => loss.copy_from_slice(in_flight),
+    })?;
 
     let hops = problem
         .hops()
@@ -195,7 +194,7 @@ pub fn explain_path(problem: &PathProblem, convention: DelayConvention) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{FastSolver, Solver};
+    use crate::ir::{FastSolver, MeasurePlan, Solver};
     use crate::sweeps::section_v_model;
     use whart_channel::{LinkModel, WIRELESSHART_MESSAGE_BITS};
     use whart_net::ReportingInterval;
@@ -224,7 +223,7 @@ mod tests {
         let problem = problem(0.83);
         let ex = explain_path(&problem, DelayConvention::Absolute).unwrap();
         let baseline = FastSolver
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         assert_eq!(
             ex.evaluation().cycle_probabilities().as_slice(),

@@ -22,10 +22,6 @@
 //!   three consume the identical [`PathProblem`], scenarios with link
 //!   overrides and failure injections can be cross-validated between the
 //!   analytical and simulative backends without re-deriving anything.
-//! * [`MeasurePlan`] — demand-driven measure extraction. The transient
-//!   goal trajectory (Fig. 6's step curves) costs `O(Is^2 * F_up)` memory
-//!   per evaluation; scalar-measure sweeps never look at it, so
-//!   retention is opt-in.
 
 use crate::dynamics::LinkDynamics;
 use crate::error::Result;
@@ -38,31 +34,13 @@ use whart_net::{NodeId, Path, ReportingInterval, Superframe};
 use whart_obs::Metrics;
 use whart_trace::{ArgValue, Trace};
 
-/// Which optional artifacts a solve should materialize.
-///
-/// Scalar measures (reachability, delays, utilization — everything
-/// derived from the cycle probability function) are always available.
-/// The full per-slot goal trajectory is opt-in: cache entries for
-/// scalar-measure fleets then hold `O(Is)` cycle PMFs instead of
-/// `O(Is * F_up * Is)` trajectories.
+/// The plan parameter of [`Solver::solve_path`] and
+/// [`Solver::solve_path_traced`]. It carries nothing: every measure,
+/// the Fig. 6 goal trajectory included ([`PathEvaluation::trajectory`]),
+/// derives from the cycle function each solve returns. It goes away
+/// when the solve methods take `(&PathProblem, &Obs)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct MeasurePlan {
-    /// Materialize the transient goal-state trajectory
-    /// ([`PathEvaluation::trajectory`], the paper's Fig. 6 curves).
-    pub goal_trajectory: bool,
-}
-
-impl MeasurePlan {
-    /// Scalar measures only (the default): no trajectory retention.
-    pub const SCALAR: MeasurePlan = MeasurePlan {
-        goal_trajectory: false,
-    };
-
-    /// Scalar measures plus the full goal trajectory.
-    pub const WITH_TRAJECTORY: MeasurePlan = MeasurePlan {
-        goal_trajectory: true,
-    };
-}
+pub struct MeasurePlan {}
 
 /// One fully-resolved hop of a compiled path problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +203,7 @@ impl PathProblem {
     /// cycle function `g`, `discard_probability` the loss mass and
     /// `expected_transmissions` the (estimated) attempt count; the
     /// structural fields (`a0`, hop count, super-frame, interval) come
-    /// from the problem itself. No trajectory is attached.
+    /// from the problem itself.
     pub fn evaluation_from_measures(
         &self,
         cycle_probabilities: Pmf,
@@ -439,12 +417,12 @@ impl Solver for FastSolver {
     fn solve_path_traced(
         &self,
         problem: &PathProblem,
-        plan: MeasurePlan,
+        _plan: MeasurePlan,
         obs: &Metrics,
         trace: &Trace,
     ) -> Result<PathEvaluation> {
         if !trace.has_room_or_drop(|| traced_fast_events(problem)) {
-            let (evaluation, steps) = fast_evaluate_counted(problem, plan)?;
+            let (evaluation, steps) = fast_evaluate_counted(problem)?;
             obs.add("solver.fast.transient_steps", steps);
             return Ok(evaluation);
         }
@@ -453,7 +431,7 @@ impl Solver for FastSolver {
         let mut attempts = vec![0.0f64; n];
         let mut failures = vec![0.0f64; n];
         let mut loss = vec![0.0f64; n];
-        let (evaluation, steps) = fast_evaluate_observed(problem, plan, |event| match event {
+        let (evaluation, steps) = fast_evaluate_observed(problem, |event| match event {
             StepEvent::Transmission {
                 hop, mass, moved, ..
             } => {
@@ -516,9 +494,7 @@ fn traced_fast_events(problem: &PathProblem) -> u64 {
 /// acyclic rows ([`crate::explicit::ExplicitChain::solve`]). Slower than
 /// [`FastSolver`], since it enumerates every `(age, position)` state,
 /// but independent of the transient iteration, so it serves as the exact
-/// cross-check. Does not materialize trajectories (the sweep yields
-/// end-of-horizon probabilities only); a
-/// [`MeasurePlan::WITH_TRAJECTORY`] request is ignored.
+/// cross-check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExplicitSolver;
 
@@ -560,11 +536,9 @@ impl Solver for ExplicitSolver {
 /// dynamics and slots, super-frame, interval, TTL) and deliberately
 /// excludes physical-link identity and measure conventions.
 impl PathProblem {
-    /// The signature of solving this problem under the default
-    /// [`MeasurePlan`] (what [`PathProblem::evaluate`] runs); see
-    /// [`PathSignature::of`] for other plans.
+    /// The signature of solving this problem; see [`PathSignature::of`].
     pub fn signature(&self) -> PathSignature {
-        PathSignature::of(self, MeasurePlan::default())
+        PathSignature::of(self)
     }
 }
 
@@ -583,7 +557,9 @@ mod tests {
     #[test]
     fn fast_solver_matches_model_evaluate() {
         let model = example();
-        let via_solver = FastSolver.solve_path(&model, MeasurePlan::SCALAR).unwrap();
+        let via_solver = FastSolver
+            .solve_path(&model, MeasurePlan::default())
+            .unwrap();
         assert_eq!(via_solver, model.evaluate());
     }
 
@@ -592,10 +568,10 @@ mod tests {
         for &pi in &[0.693, 0.83, 0.948] {
             let problem = chain_model(2, pi, ReportingInterval::REGULAR).unwrap();
             let fast = FastSolver
-                .solve_path(&problem, MeasurePlan::SCALAR)
+                .solve_path(&problem, MeasurePlan::default())
                 .unwrap();
             let explicit = ExplicitSolver
-                .solve_path(&problem, MeasurePlan::SCALAR)
+                .solve_path(&problem, MeasurePlan::default())
                 .unwrap();
             for i in 0..4 {
                 assert!(
@@ -624,10 +600,10 @@ mod tests {
             .interval(ReportingInterval::REGULAR);
         let problem = b.build().unwrap();
         let fast = FastSolver
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         let explicit = ExplicitSolver
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         for i in 0..4 {
             assert!(
@@ -635,26 +611,6 @@ mod tests {
                     < 1e-12
             );
         }
-    }
-
-    #[test]
-    fn measure_plan_gates_the_trajectory() {
-        let problem = example();
-        let scalar = FastSolver
-            .solve_path(&problem, MeasurePlan::SCALAR)
-            .unwrap();
-        assert!(scalar.trajectory().is_empty());
-        let full = FastSolver
-            .solve_path(&problem, MeasurePlan::WITH_TRAJECTORY)
-            .unwrap();
-        assert_eq!(full.trajectory().len(), 29);
-        // Scalar content is identical either way.
-        assert_eq!(scalar.cycle_probabilities(), full.cycle_probabilities());
-        assert_eq!(scalar.discard_probability(), full.discard_probability());
-        assert_eq!(
-            scalar.expected_transmissions(),
-            full.expected_transmissions()
-        );
     }
 
     #[test]
@@ -698,22 +654,21 @@ mod tests {
                 problems.push(chain_model(hops, 0.9, interval).unwrap());
             }
         }
+        let plan = MeasurePlan::default();
         for problem in &problems {
-            for plan in [MeasurePlan::SCALAR, MeasurePlan::WITH_TRAJECTORY] {
-                let room = Trace::new();
-                let traced = FastSolver
-                    .solve_path_traced(problem, plan, &Metrics::disabled(), &room)
-                    .unwrap();
-                let admitted = room.drain().len() as u64;
-                assert_eq!(admitted, traced_fast_events(problem));
-                let full = Trace::with_capacity(1);
-                full.instant("fill", "test", []);
-                let refused = FastSolver
-                    .solve_path_traced(problem, plan, &Metrics::disabled(), &full)
-                    .unwrap();
-                assert_eq!(full.dropped(), admitted);
-                assert_eq!(refused, traced);
-            }
+            let room = Trace::new();
+            let traced = FastSolver
+                .solve_path_traced(problem, plan, &Metrics::disabled(), &room)
+                .unwrap();
+            let admitted = room.drain().len() as u64;
+            assert_eq!(admitted, traced_fast_events(problem));
+            let full = Trace::with_capacity(1);
+            full.instant("fill", "test", []);
+            let refused = FastSolver
+                .solve_path_traced(problem, plan, &Metrics::disabled(), &full)
+                .unwrap();
+            assert_eq!(full.dropped(), admitted);
+            assert_eq!(refused, traced);
         }
     }
 
@@ -736,9 +691,9 @@ mod tests {
         let problem = model.compile().unwrap();
         // Both backends agree to solver round-off, path by path.
         for path in problem.path_problems() {
-            let fast = FastSolver.solve_path(path, MeasurePlan::SCALAR).unwrap();
+            let fast = FastSolver.solve_path(path, MeasurePlan::default()).unwrap();
             let explicit = ExplicitSolver
-                .solve_path(path, MeasurePlan::SCALAR)
+                .solve_path(path, MeasurePlan::default())
                 .unwrap();
             assert!((fast.reachability() - explicit.reachability()).abs() < 1e-12);
         }

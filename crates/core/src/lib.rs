@@ -13,8 +13,7 @@
 //!   network, with the fast transient evaluator (Eq. 5);
 //! * [`ir`] — the problem IR ([`PathProblem`] / [`NetworkProblem`]) and
 //!   the pluggable [`Solver`] backends ([`FastSolver`], [`ExplicitSolver`],
-//!   and `whart-sim`'s Monte-Carlo adapter), plus the [`MeasurePlan`] for
-//!   demand-driven artifacts;
+//!   and `whart-sim`'s Monte-Carlo adapter);
 //! * [`explicit`] — Algorithm 1's explicit unrolled DTMC (Figs. 4-5),
 //!   equivalent to the fast evaluator and exportable to Graphviz;
 //! * [`PathEvaluation`] — reachability (Eq. 6), delay distribution and

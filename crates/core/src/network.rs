@@ -232,10 +232,8 @@ impl NetworkModel {
 
 /// One path's evaluation inside a network.
 ///
-/// The evaluation is immutable once solved and can be large (under
-/// [`MeasurePlan::WITH_TRAJECTORY`] it carries the transient goal
-/// trajectory), so it is shared behind an [`Arc`]:
-/// batch evaluators that answer repeated paths from a cache hand out
+/// The evaluation is immutable once solved, so it is shared behind an
+/// [`Arc`]: batch evaluators that answer repeated paths from a cache hand out
 /// references instead of deep copies. All read access goes through
 /// `Deref`, so `report.evaluation.reachability()` reads as before.
 #[derive(Debug, Clone)]

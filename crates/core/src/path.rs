@@ -19,7 +19,7 @@
 
 use crate::dynamics::LinkDynamics;
 use crate::error::{ModelError, Result};
-use crate::ir::{MeasurePlan, PathProblem, ProblemHop};
+use crate::ir::{PathProblem, ProblemHop};
 use whart_dtmc::Pmf;
 use whart_net::{ReportingInterval, Superframe};
 
@@ -51,24 +51,16 @@ impl PathProblem {
         ))
     }
 
-    /// Evaluates the problem with scalar measures only: the transient
-    /// iteration of Eq. 5 over the whole reporting interval. Equivalent
-    /// to `evaluate_with(MeasurePlan::SCALAR)`; use
-    /// [`PathProblem::evaluate_with`] to also retain the goal trajectory.
-    pub fn evaluate(&self) -> PathEvaluation {
-        self.evaluate_with(MeasurePlan::default())
-    }
-
-    /// Evaluates the problem, materializing the optional artifacts `plan`
-    /// requests.
+    /// Evaluates the problem: the transient iteration of Eq. 5 over
+    /// the whole reporting interval.
     ///
     /// # Panics
     ///
     /// If the per-interval solver buffers cannot be allocated (an
     /// interval of billions of cycles); the [`crate::ir::Solver`]
     /// backends report that as an error instead.
-    pub fn evaluate_with(&self, plan: MeasurePlan) -> PathEvaluation {
-        match fast_evaluate_counted(self, plan) {
+    pub fn evaluate(&self) -> PathEvaluation {
+        match fast_evaluate_counted(self) {
             Ok((evaluation, _)) => evaluation,
             Err(e) => panic!("{e}"),
         }
@@ -121,14 +113,9 @@ pub(crate) enum StepEvent<'a> {
 /// over a compiled [`PathProblem`], plus the number of transient
 /// iteration steps the solve actually executed (the TTL can cut the
 /// horizon short) — the quantity the fast backend reports to the
-/// observability layer. Trajectory rows are recorded only when `plan`
-/// asks for them, and only up to the TTL expiry (goals are constant
-/// afterwards); [`PathEvaluation::trajectory`] re-pads on demand.
-pub(crate) fn fast_evaluate_counted(
-    problem: &PathProblem,
-    plan: MeasurePlan,
-) -> Result<(PathEvaluation, u64)> {
-    fast_evaluate_observed(problem, plan, |_| {})
+/// observability layer.
+pub(crate) fn fast_evaluate_counted(problem: &PathProblem) -> Result<(PathEvaluation, u64)> {
+    fast_evaluate_observed(problem, |_| {})
 }
 
 /// Sums `values` four lanes at a time: manual unroll over `[f64; 4]`
@@ -137,10 +124,7 @@ pub(crate) fn fast_evaluate_counted(
 ///
 /// The lane split changes the association order relative to
 /// `iter().sum()`, so the result is a *different* (equally valid)
-/// floating-point sum. Every result-feeding reduction in the evaluator
-/// goes through this one helper — both the per-slot recording loop and
-/// the event-driven scalar loop — which is what keeps the two loops
-/// bit-identical to each other.
+/// floating-point sum; the evaluator's discard reductions all use it.
 #[inline]
 fn sum_lanes4(values: &[f64]) -> f64 {
     let mut acc = [0.0f64; 4];
@@ -199,22 +183,14 @@ impl<'a> SuccessFeed<'a> {
 /// so an interval too long to hold in memory is an error rather than
 /// an allocation abort.
 ///
-/// Two loop shapes share one set of state-update expressions:
-///
-/// * the **per-slot loop** walks every uplink slot (the trajectory plan
-///   needs one goal row per slot, observers see empty-slot boundaries);
-/// * the **event-driven loop** (scalar plan) visits only the scheduled
-///   transmissions plus cycle boundaries, skipping the empty slots that
-///   dominate sparse schedules.
-///
-/// Both apply transmissions in the same (cycle, slot) order with
-/// identical arithmetic and reduce through [`sum_lanes4`], so their
-/// results are bit-identical (asserted by the scalar-vs-trajectory
-/// parity test in `ir.rs`), and a no-op observer monomorphizes each to
-/// its plain loop.
+/// The loop is event-driven: it visits only the scheduled transmissions
+/// plus cycle boundaries, skipping the empty slots that dominate sparse
+/// schedules. Goal `i` can gain mass only at step `i * F_up + a0`, so the
+/// per-slot goal trajectory needs no loop of its own
+/// ([`PathEvaluation::trajectory`] derives it from the result), and a
+/// no-op observer monomorphizes to the plain loop.
 pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     problem: &PathProblem,
-    plan: MeasurePlan,
     mut observe: F,
 ) -> Result<(PathEvaluation, u64)> {
     let n = problem.hop_count();
@@ -222,8 +198,7 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     let cycles = problem.interval().cycles() as usize;
     let total = f_up * cycles;
     let cycle_slots = u64::from(problem.superframe().cycle_slots());
-    let ttl = problem.ttl();
-    let record = plan.goal_trajectory;
+    let ttl = problem.ttl() as usize;
     let success = SuccessFeed::new(problem.hops());
     let unallocatable = |_| ModelError::Inconsistent {
         reason: format!(
@@ -240,10 +215,9 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
     goals.resize(cycles, 0.0f64);
     let mut discard = 0.0f64;
     let mut expected_transmissions = 0.0f64;
-    let mut goal_trajectory: Vec<Vec<f64>> = Vec::new();
 
-    // One scheduled transmission: the shared state update of both loops.
-    // Returns the success probability and the moved mass for observers.
+    // One scheduled transmission. Returns the success probability and
+    // the moved mass for observers.
     let transmit = |hop: usize,
                     cycle: usize,
                     frame_slot: usize,
@@ -268,116 +242,52 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
         Some((mass, ps, moved))
     };
 
-    let steps;
-    if record {
-        // Per-slot loop: one trajectory row per uplink slot.
-        goal_trajectory
-            .try_reserve_exact((ttl as usize).min(total) + 1)
-            .map_err(unallocatable)?;
-        goal_trajectory.push(goals.clone());
-
-        // Which hop (if any) transmits in each frame slot for this path.
-        let mut by_slot: Vec<Option<usize>> = vec![None; f_up];
+    // The builder guarantees `0 < ttl <= total` and hop slots strictly
+    // increasing, so the TTL always expires inside some cycle and the
+    // transmissions of one cycle fire in slot order. Within the step at
+    // which the TTL expires: transmission, then cycle end, then discard.
+    for cycle in 0..cycles {
+        let base = cycle * f_up;
         for (hop, h) in problem.hops().iter().enumerate() {
-            by_slot[h.frame_slot()] = Some(hop);
-        }
-
-        let mut counted = 0u64;
-        for step in 1..=total {
-            counted += 1;
-            let frame_slot = (step - 1) % f_up;
-            let cycle = (step - 1) / f_up;
-            if let Some(hop) = by_slot[frame_slot] {
-                if let Some((mass, ps, moved)) = transmit(
-                    hop,
-                    cycle,
-                    frame_slot,
-                    &mut position,
-                    &mut goals,
-                    &mut expected_transmissions,
-                ) {
-                    observe(StepEvent::Transmission {
-                        hop,
-                        mass,
-                        success: ps,
-                        moved,
-                    });
-                }
-            }
-            goal_trajectory.push(goals.clone());
-            if frame_slot + 1 == f_up {
-                observe(StepEvent::CycleEnd {
-                    cycle,
-                    goal_mass: goals[cycle],
-                    delivered: goals.iter().sum(),
-                    in_flight: position.iter().sum(),
-                });
-            }
-            // TTL expiry: the message is dropped once it has lived `ttl`
-            // uplink slots without reaching the gateway. Goals can no
-            // longer change, so the recorded trajectory ends here.
-            if step as u32 >= ttl {
-                observe(StepEvent::Discard {
-                    step,
-                    in_flight: &position,
-                });
-                discard += sum_lanes4(&position);
-                position.iter_mut().for_each(|p| *p = 0.0);
+            let step = base + h.frame_slot() + 1;
+            if step > ttl {
                 break;
             }
-        }
-        steps = counted;
-    } else {
-        // Event-driven loop: visit scheduled transmissions and cycle
-        // boundaries only. The builder guarantees `0 < ttl <= total` and
-        // hop slots strictly increasing, so the TTL always expires inside
-        // some cycle and transmissions replay in exactly the per-slot
-        // loop's order; within one step the per-slot loop fires
-        // transmission, then cycle end, then discard, replicated here.
-        let ttl = ttl as usize;
-        'cycles: for cycle in 0..cycles {
-            let base = cycle * f_up;
-            for (hop, h) in problem.hops().iter().enumerate() {
-                let step = base + h.frame_slot() + 1;
-                if step > ttl {
-                    break;
-                }
-                if let Some((mass, ps, moved)) = transmit(
+            if let Some((mass, ps, moved)) = transmit(
+                hop,
+                cycle,
+                h.frame_slot(),
+                &mut position,
+                &mut goals,
+                &mut expected_transmissions,
+            ) {
+                observe(StepEvent::Transmission {
                     hop,
-                    cycle,
-                    h.frame_slot(),
-                    &mut position,
-                    &mut goals,
-                    &mut expected_transmissions,
-                ) {
-                    observe(StepEvent::Transmission {
-                        hop,
-                        mass,
-                        success: ps,
-                        moved,
-                    });
-                }
-            }
-            if base + f_up <= ttl {
-                observe(StepEvent::CycleEnd {
-                    cycle,
-                    goal_mass: goals[cycle],
-                    delivered: goals.iter().sum(),
-                    in_flight: position.iter().sum(),
+                    mass,
+                    success: ps,
+                    moved,
                 });
-            }
-            if ttl <= base + f_up {
-                observe(StepEvent::Discard {
-                    step: ttl,
-                    in_flight: &position,
-                });
-                discard += sum_lanes4(&position);
-                position.iter_mut().for_each(|p| *p = 0.0);
-                break 'cycles;
             }
         }
-        steps = ttl.min(total) as u64;
+        if base + f_up <= ttl {
+            observe(StepEvent::CycleEnd {
+                cycle,
+                goal_mass: goals[cycle],
+                delivered: goals.iter().sum(),
+                in_flight: position.iter().sum(),
+            });
+        }
+        if ttl <= base + f_up {
+            observe(StepEvent::Discard {
+                step: ttl,
+                in_flight: &position,
+            });
+            discard += sum_lanes4(&position);
+            position.iter_mut().for_each(|p| *p = 0.0);
+            break;
+        }
     }
+    let steps = ttl.min(total) as u64;
     // Mass still in flight at the end of the interval is lost.
     discard += sum_lanes4(&position);
 
@@ -389,12 +299,6 @@ pub(crate) fn fast_evaluate_observed<F: for<'a> FnMut(StepEvent<'a>)>(
         hop_count: n as u32,
         superframe: problem.superframe(),
         interval: problem.interval(),
-        goal_trajectory: record.then(|| {
-            Box::new(GoalTrajectory {
-                rows: goal_trajectory,
-                len: total + 1,
-            })
-        }),
         expected_transmissions,
     };
     Ok((evaluation, steps))
@@ -501,14 +405,9 @@ impl PathProblemBuilder {
 /// The result of [`PathProblem::evaluate`]: the absorption probabilities of
 /// the path DTMC, plus everything the measures of Section V need.
 ///
-/// Scalar measures are always present; the per-slot goal trajectory is
-/// only attached when the evaluation was run with
-/// [`MeasurePlan::WITH_TRAJECTORY`], and even then only the rows up to
-/// the TTL expiry are stored (goals are constant afterwards).
-///
 /// Cached evaluations live behind an `Arc` in the engine's path cache, so
-/// the struct is kept small (72 bytes): the rarely requested trajectory
-/// sits behind one pointer.
+/// the struct is kept small (64 bytes): the per-slot goal trajectory is
+/// derived on demand ([`PathEvaluation::trajectory`]), never stored.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PathEvaluation {
     cycle_probabilities: Pmf,
@@ -517,19 +416,7 @@ pub struct PathEvaluation {
     hop_count: u32,
     superframe: Superframe,
     interval: ReportingInterval,
-    /// `None` unless the trajectory was requested.
-    goal_trajectory: Option<Box<GoalTrajectory>>,
     expected_transmissions: f64,
-}
-
-/// A recorded goal trajectory.
-#[derive(Debug, Clone, PartialEq)]
-struct GoalTrajectory {
-    /// One row per uplink slot up to the TTL expiry.
-    rows: Vec<Vec<f64>>,
-    /// Logical length, `Is * F_up + 1` rows;
-    /// [`PathEvaluation::trajectory`] pads to it.
-    len: usize,
 }
 
 impl PathEvaluation {
@@ -613,25 +500,36 @@ impl PathEvaluation {
 
     /// The transient probability of each goal state after every uplink slot:
     /// `trajectory()[t][i]` is the probability that the message has reached
-    /// goal `i + 1` within the first `t` uplink slots — the curves of the
-    /// paper's Fig. 6. Rows after the TTL expiry repeat the final recorded
-    /// row (goals are constant once the message is discarded). Empty
-    /// unless the evaluation was run with
-    /// [`MeasurePlan::WITH_TRAJECTORY`].
+    /// goal `i + 1` within the first `t` uplink slots, for `t` in
+    /// `0..=Is * F_up` — the curves of the paper's Fig. 6.
+    ///
+    /// Goal state `R_{a0 + i * F_up}` can be entered only at uplink slot
+    /// `i * F_up + a0`, so each curve is a step: `0` before that slot and
+    /// the cycle probability `g[i]` from then on. The rows are therefore
+    /// derived from the cycle function and the arrival slot, whichever
+    /// backend produced them.
     pub fn trajectory(&self) -> Vec<Vec<f64>> {
-        let Some(trajectory) = &self.goal_trajectory else {
-            return Vec::new();
-        };
-        let mut rows = trajectory.rows.clone();
-        if let Some(last) = rows.last().cloned() {
-            rows.resize(trajectory.len, last);
-        }
-        rows
+        let f_up = self.superframe.uplink_slots() as usize;
+        let a0 = self.arrival_slot_number as usize;
+        let cycles = self.interval.cycles() as usize;
+        (0..=cycles * f_up)
+            .map(|t| {
+                (0..cycles)
+                    .map(|i| {
+                        if i * f_up + a0 <= t {
+                            self.cycle_probabilities.get(i)
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
     }
 
     /// Constructs an evaluation from raw parts (used by the composition and
     /// prediction machinery, where cycle probabilities come from Eq. 12
-    /// rather than a transient solve). The trajectory is left empty.
+    /// rather than a transient solve).
     pub(crate) fn from_parts(
         cycle_probabilities: Pmf,
         arrival_slot_number: u32,
@@ -658,7 +556,7 @@ impl PathEvaluation {
     }
 
     /// Constructs an evaluation from externally computed measures (the
-    /// explicit-chain and Monte-Carlo backends). No trajectory attached.
+    /// explicit-chain and Monte-Carlo backends).
     pub(crate) fn from_measures(
         cycle_probabilities: Pmf,
         discard_probability: f64,
@@ -675,7 +573,6 @@ impl PathEvaluation {
             hop_count: u32::try_from(hop_count).expect("hop counts fit in u32"),
             superframe,
             interval,
-            goal_trajectory: None,
             expected_transmissions,
         }
     }
@@ -758,7 +655,7 @@ mod tests {
     fn trajectory_is_step_shaped() {
         // Goals only jump at their arrival slots: goal 1 at step 7, goal 2 at
         // step 14, ... (Fig. 6's step curves).
-        let eval = example_model(0.75, 4).evaluate_with(MeasurePlan::WITH_TRAJECTORY);
+        let eval = example_model(0.75, 4).evaluate();
         let traj = eval.trajectory();
         assert_eq!(traj.len(), 29);
         assert_eq!(traj[0], vec![0.0; 4]);
@@ -815,23 +712,17 @@ mod tests {
         b.superframe(Superframe::symmetric(7).unwrap())
             .interval(ReportingInterval::new(4).unwrap())
             .ttl(7);
-        let eval = b
-            .build()
-            .unwrap()
-            .evaluate_with(MeasurePlan::WITH_TRAJECTORY);
+        let eval = b.build().unwrap().evaluate();
         assert!((eval.cycle_probabilities().get(0) - 0.75f64.powi(3)).abs() < 1e-12);
         assert_eq!(eval.cycle_probabilities().get(1), 0.0);
         assert!((eval.discard_probability() - (1.0 - 0.75f64.powi(3))).abs() < 1e-12);
-        // The returned trajectory still spans the whole interval, but only
-        // the rows up to the TTL expiry are stored.
+        // The trajectory still spans the whole interval; goals are
+        // constant after the TTL expiry.
         let traj = eval.trajectory();
         assert_eq!(traj.len(), 29);
         for row in &traj[7..] {
             assert_eq!(row, &traj[7]);
         }
-        // Scalar evaluations carry no trajectory at all.
-        let scalar = example_model(0.75, 4).evaluate();
-        assert!(scalar.trajectory().is_empty());
     }
 
     #[test]

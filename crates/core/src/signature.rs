@@ -3,8 +3,8 @@
 //! The batch engine (`whart-engine`) memoizes path solves across
 //! scenario fleets. Two solves share work exactly when their inputs are
 //! bit-identical, so a [`PathSignature`] encodes every input of a solve
-//! ([`crate::ir::Solver::solve_path`]: the compiled problem and the
-//! [`MeasurePlan`]) with bit-exact `f64` encoding (`f64::to_bits`, with
+//! ([`crate::ir::Solver::solve_path`]: the compiled problem) with
+//! bit-exact `f64` encoding (`f64::to_bits`, with
 //! `-0.0` normalized to `0.0`): equal signatures produce bit-identical
 //! evaluations, and solves that differ in any evaluation-relevant input
 //! get different signatures.
@@ -28,7 +28,7 @@
 //! | 0 | content hash of words 1.. (fixed-key SipHash) |
 //! | 1 | `F_up`, `T_down` |
 //! | 2 | `Is`, TTL |
-//! | 3 | trajectory plan flag, hop count |
+//! | 3 | hop count |
 //! | per hop | `p_fl`, `p_rc`, initial `pi(up)` bits; frame slot, outage count; `(start, end)` per outage window |
 //!
 //! Every variable-length run is preceded by its count, so no two inputs
@@ -40,7 +40,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::dynamics::LinkDynamics;
-use crate::ir::{MeasurePlan, PathProblem};
+use crate::ir::PathProblem;
 
 /// Words before the first hop: the hash and three packed header words.
 const HEADER_WORDS: usize = 4;
@@ -92,8 +92,8 @@ fn encode_hop(out: &mut [u64], dynamics: &LinkDynamics, frame_slot: usize) {
 
 /// Canonical signature of one path solve: a compiled [`PathProblem`]
 /// (per-hop dynamics with their frame slots, the super-frame shape
-/// `(F_up, T_down)`, the reporting interval `Is` and the message TTL)
-/// under a [`MeasurePlan`]. This is the complete input of a path solve,
+/// `(F_up, T_down)`, the reporting interval `Is` and the message TTL).
+/// This is the complete input of a path solve,
 /// so equal signatures guarantee bit-identical
 /// [`crate::path::PathEvaluation`]s from the fast backend. Physical-link
 /// identity ([`crate::ir::ProblemHop::link`]) is deliberately excluded:
@@ -125,9 +125,9 @@ impl Hash for PathSignature {
 }
 
 impl PathSignature {
-    /// Derives the signature of solving `problem` under `plan`. The words
-    /// are written straight into the shared slice: one allocation.
-    pub fn of(problem: &PathProblem, plan: MeasurePlan) -> PathSignature {
+    /// Derives the signature of solving `problem`. The words are written
+    /// straight into the shared slice: one allocation.
+    pub fn of(problem: &PathProblem) -> PathSignature {
         let hops = problem.hops();
         let len = HEADER_WORDS + hops.iter().map(|h| hop_len(h.dynamics())).sum::<usize>();
         let mut words: Arc<[u64]> = std::iter::repeat(0).take(len).collect();
@@ -136,7 +136,7 @@ impl PathSignature {
         out[1] = pack(superframe.uplink_slots(), superframe.downlink_slots());
         out[2] = pack(problem.interval().cycles(), problem.ttl());
         // Each hop holds a distinct slot below `F_up`, so the count fits.
-        out[3] = pack(u32::from(plan.goal_trajectory), hops.len() as u32);
+        out[3] = u64::from(hops.len() as u32);
         let mut at = HEADER_WORDS;
         for hop in hops {
             let end = at + hop_len(hop.dynamics());

@@ -12,10 +12,15 @@ fn fast_solver_is_inert_when_observability_is_off() {
     let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
     let disabled = Metrics::disabled();
     let plain = FastSolver
-        .solve_path(&problem, MeasurePlan::SCALAR)
+        .solve_path(&problem, MeasurePlan::default())
         .unwrap();
     let observed = FastSolver
-        .solve_path_traced(&problem, MeasurePlan::SCALAR, &disabled, &Trace::disabled())
+        .solve_path_traced(
+            &problem,
+            MeasurePlan::default(),
+            &disabled,
+            &Trace::disabled(),
+        )
         .unwrap();
     assert_eq!(plain, observed, "bit-identical evaluation");
     assert!(
@@ -30,10 +35,15 @@ fn fast_solver_records_steps_without_perturbing_results() {
     let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
     let metrics = Metrics::new();
     let plain = FastSolver
-        .solve_path(&problem, MeasurePlan::SCALAR)
+        .solve_path(&problem, MeasurePlan::default())
         .unwrap();
     let observed = FastSolver
-        .solve_path_traced(&problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
+        .solve_path_traced(
+            &problem,
+            MeasurePlan::default(),
+            &metrics,
+            &Trace::disabled(),
+        )
         .unwrap();
     assert_eq!(plain, observed, "metrics must not perturb the solve");
     let snapshot = metrics.snapshot();
@@ -51,10 +61,15 @@ fn explicit_solver_reports_chain_dimensions() {
     let problem = chain_model(2, 0.83, ReportingInterval::REGULAR).unwrap();
     let metrics = Metrics::new();
     let observed = ExplicitSolver
-        .solve_path_traced(&problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
+        .solve_path_traced(
+            &problem,
+            MeasurePlan::default(),
+            &metrics,
+            &Trace::disabled(),
+        )
         .unwrap();
     let plain = ExplicitSolver
-        .solve_path(&problem, MeasurePlan::SCALAR)
+        .solve_path(&problem, MeasurePlan::default())
         .unwrap();
     assert_eq!(plain, observed);
     let snapshot = metrics.snapshot();
@@ -83,13 +98,20 @@ fn network_solves_share_the_registry_across_paths() {
     let mut steps = 0;
     for problem in network.path_problems() {
         let observed = FastSolver
-            .solve_path_traced(problem, MeasurePlan::SCALAR, &metrics, &Trace::disabled())
+            .solve_path_traced(
+                problem,
+                MeasurePlan::default(),
+                &metrics,
+                &Trace::disabled(),
+            )
             .unwrap();
-        let plain = FastSolver.solve_path(problem, MeasurePlan::SCALAR).unwrap();
+        let plain = FastSolver
+            .solve_path(problem, MeasurePlan::default())
+            .unwrap();
         assert_eq!(plain, observed);
         let alone = Metrics::new();
         FastSolver
-            .solve_path_traced(problem, MeasurePlan::SCALAR, &alone, &Trace::disabled())
+            .solve_path_traced(problem, MeasurePlan::default(), &alone, &Trace::disabled())
             .unwrap();
         steps += alone
             .snapshot()

@@ -96,8 +96,99 @@ fn dense_absorption(chain: &ExplicitChain) -> (Vec<f64>, f64) {
     (x[..m - 1].to_vec(), x[m - 1])
 }
 
+/// The oracle for the derived [`whart_model::PathEvaluation::trajectory`]:
+/// the goal vector recorded slot by slot. Every uplink slot applies its
+/// scheduled transmission, if any, with the evaluator's arithmetic
+/// (`moved = mass * pi_up(k)`, added to the next hop or to the cycle's
+/// goal) and appends the goals, until the TTL expires; later rows repeat
+/// the last one.
+fn recorded_trajectory(problem: &PathProblem) -> Vec<Vec<f64>> {
+    let n = problem.hop_count();
+    let f_up = problem.superframe().uplink_slots() as usize;
+    let cycles = problem.interval().cycles() as usize;
+    let total = f_up * cycles;
+    let cycle_slots = u64::from(problem.superframe().cycle_slots());
+    let mut by_slot = vec![None; f_up];
+    for (hop, h) in problem.hops().iter().enumerate() {
+        by_slot[h.frame_slot()] = Some(hop);
+    }
+    let mut position = vec![0.0f64; n];
+    position[0] = 1.0;
+    let mut goals = vec![0.0f64; cycles];
+    let mut rows = vec![goals.clone()];
+    for step in 1..=total {
+        let frame_slot = (step - 1) % f_up;
+        let cycle = (step - 1) / f_up;
+        if let Some(hop) = by_slot[frame_slot] {
+            let mass = position[hop];
+            if mass > 0.0 {
+                let abs_slot = cycle as u64 * cycle_slots + frame_slot as u64;
+                let moved = mass * problem.hops()[hop].dynamics().up_probability(abs_slot);
+                position[hop] = mass - moved;
+                if hop + 1 == n {
+                    goals[cycle] += moved;
+                } else {
+                    position[hop + 1] += moved;
+                }
+            }
+        }
+        rows.push(goals.clone());
+        if step as u32 >= problem.ttl() {
+            break;
+        }
+    }
+    let last = rows.last().cloned().expect("row 0 is always recorded");
+    rows.resize(total + 1, last);
+    rows
+}
+
+/// A block's configuration: `PROPTEST_CASES` cases when that variable is
+/// set (the deep release sweep), `default` otherwise.
+fn config(default: u32) -> ProptestConfig {
+    if std::env::var_os("PROPTEST_CASES").is_some() {
+        ProptestConfig::default()
+    } else {
+        ProptestConfig::with_cases(default)
+    }
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(config(64))]
+
+    #[test]
+    fn derived_trajectory_matches_the_recorded_one_bit_for_bit(
+        (pis, slots, f_up, is) in model_params(),
+        hop_dynamics in proptest::collection::vec((0u8..3, 0u64..60, 0u64..12), 4),
+        ttl_pick in any::<u32>(),
+    ) {
+        // Hop k starts steady, down or up and carries an outage window
+        // when `len > 0`; the TTL is anywhere in `1..=Is * F_up`.
+        let mut b = PathProblem::builder();
+        for (k, &pi) in pis.iter().enumerate() {
+            let link = LinkModel::from_availability(pi, 0.9).unwrap();
+            let (start_kind, start, len) = hop_dynamics[k];
+            let mut dynamics = match start_kind {
+                0 => LinkDynamics::steady(link),
+                1 => LinkDynamics::starting_in(link, LinkState::Down),
+                _ => LinkDynamics::starting_in(link, LinkState::Up),
+            };
+            if len > 0 {
+                dynamics = dynamics.with_outage(Outage::new(start, start + len));
+            }
+            b.add_hop(dynamics, slots[k]);
+        }
+        b.superframe(Superframe::symmetric(f_up).unwrap())
+            .interval(ReportingInterval::new(is).unwrap())
+            .ttl(1 + ttl_pick % (is * f_up));
+        let problem = b.build().unwrap();
+        let derived = problem.evaluate().trajectory();
+        let recorded = recorded_trajectory(&problem);
+        prop_assert_eq!(derived.len(), recorded.len());
+        for (t, (d, r)) in derived.iter().zip(&recorded).enumerate() {
+            let bits = |row: &[f64]| row.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(d), bits(r), "row {}", t);
+        }
+    }
 
     #[test]
     fn explicit_sweep_matches_fast_evaluator_and_dense_elimination(

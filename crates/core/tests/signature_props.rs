@@ -10,7 +10,7 @@ use std::hash::{Hash, Hasher};
 use proptest::prelude::*;
 use whart_channel::{LinkDistribution, LinkModel};
 use whart_model::signature::PathSignature;
-use whart_model::{LinkDynamics, MeasurePlan, Outage, PathProblem};
+use whart_model::{LinkDynamics, Outage, PathProblem};
 use whart_net::{ReportingInterval, Superframe};
 
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +29,6 @@ struct Inputs {
     t_down: u32,
     is: u32,
     ttl: u32,
-    plan: MeasurePlan,
 }
 
 impl Inputs {
@@ -51,7 +50,7 @@ impl Inputs {
     }
 
     fn signature(&self) -> PathSignature {
-        PathSignature::of(&self.problem(), self.plan)
+        PathSignature::of(&self.problem())
     }
 }
 
@@ -83,9 +82,6 @@ fn single_changes(inputs: &Inputs) -> Vec<(String, Inputs)> {
     change("F_up".into(), &|c| c.f_up += 1);
     change("T_down".into(), &|c| c.t_down += 1);
     change("Is".into(), &|c| c.is += 1);
-    change("plan".into(), &|c| {
-        c.plan.goal_trajectory = !c.plan.goal_trajectory;
-    });
     let ttl = if inputs.ttl > 1 {
         inputs.ttl - 1
     } else {
@@ -165,7 +161,7 @@ fn hop() -> impl Strategy<Value = Hop> {
 }
 
 /// 1-6 hops on random increasing slots, random `F_up`, `T_down`, `Is`,
-/// TTL and plan.
+/// and TTL.
 fn inputs() -> impl Strategy<Value = Inputs> {
     (1usize..=6, 0u32..=6, 0u32..=8, 1u32..=5).prop_flat_map(|(n, extra, t_down, is)| {
         let f_up = n as u32 + extra;
@@ -173,9 +169,8 @@ fn inputs() -> impl Strategy<Value = Inputs> {
             proptest::collection::vec(hop(), n),
             proptest::sample::subsequence((0..f_up as usize).collect::<Vec<_>>(), n),
             1..=is * f_up,
-            any::<bool>(),
         )
-            .prop_map(move |(mut hops, slots, ttl, trajectory)| {
+            .prop_map(move |(mut hops, slots, ttl)| {
                 for (hop, slot) in hops.iter_mut().zip(slots) {
                     hop.slot = slot;
                 }
@@ -185,9 +180,6 @@ fn inputs() -> impl Strategy<Value = Inputs> {
                     t_down,
                     is,
                     ttl,
-                    plan: MeasurePlan {
-                        goal_trajectory: trajectory,
-                    },
                 }
             })
     })

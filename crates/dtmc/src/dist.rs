@@ -186,10 +186,13 @@ impl ValueDistribution {
     /// # Errors
     ///
     /// Returns [`DtmcError::InvalidProbability`] for negative or non-finite
-    /// probabilities or non-finite values.
+    /// probabilities and [`DtmcError::InvalidValue`] for non-finite values.
     pub fn new(mut pairs: Vec<(f64, f64)>) -> Result<Self> {
         for (i, &(v, p)) in pairs.iter().enumerate() {
-            if !p.is_finite() || p < 0.0 || !v.is_finite() {
+            if !v.is_finite() {
+                return Err(DtmcError::InvalidValue { index: i, value: v });
+            }
+            if !p.is_finite() || p < 0.0 {
                 return Err(DtmcError::InvalidProbability {
                     index: Some(i),
                     value: p,
@@ -385,6 +388,14 @@ mod tests {
         let parameter = Pmf::geometric(1.5, 4).unwrap_err().to_string();
         assert!(parameter.contains("parameter"), "{parameter}");
         assert!(!parameter.contains("->"), "{parameter}");
+    }
+
+    #[test]
+    fn a_non_finite_value_is_reported_as_the_value() {
+        let err = ValueDistribution::new(vec![(f64::NAN, 0.5)]).unwrap_err();
+        assert_eq!(err.to_string(), "invalid value NaN at entry 0");
+        let err = ValueDistribution::new(vec![(1.0, 0.5), (f64::INFINITY, 0.5)]).unwrap_err();
+        assert_eq!(err.to_string(), "invalid value inf at entry 1");
     }
 
     #[test]

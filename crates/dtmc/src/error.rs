@@ -14,6 +14,13 @@ pub enum DtmcError {
         /// The offending value.
         value: f64,
     },
+    /// A distribution's support value was not finite.
+    InvalidValue {
+        /// Index of the offending entry.
+        index: usize,
+        /// The offending value.
+        value: f64,
+    },
     /// The probabilities sum to more than one.
     InvalidInitialDistribution {
         /// Explanation of the defect.
@@ -30,6 +37,9 @@ impl fmt::Display for DtmcError {
             } => write!(f, "invalid probability {value} at entry {index}"),
             DtmcError::InvalidProbability { index: None, value } => {
                 write!(f, "invalid probability parameter {value}")
+            }
+            DtmcError::InvalidValue { index, value } => {
+                write!(f, "invalid value {value} at entry {index}")
             }
             DtmcError::InvalidInitialDistribution { reason } => {
                 write!(f, "invalid initial distribution: {reason}")
@@ -57,6 +67,10 @@ mod tests {
             DtmcError::InvalidProbability {
                 index: None,
                 value: 1.5,
+            },
+            DtmcError::InvalidValue {
+                index: 0,
+                value: f64::NAN,
             },
             DtmcError::InvalidInitialDistribution {
                 reason: "sums to 0".into(),

@@ -2,10 +2,9 @@
 //!
 //! [`PathCache`] holds path evaluations keyed by the canonical
 //! [`whart_model::signature::PathSignature`] words of a compiled
-//! [`whart_model::PathProblem`] under the requested
-//! [`whart_model::MeasurePlan`]; a fleet that revisits a path DTMC (same
-//! hop dynamics, slots, super-frame, `Is` and TTL, same artifact demand)
-//! solves it exactly once. Link models are not cached: the channel-layer
+//! [`whart_model::PathProblem`]; a fleet that revisits a path DTMC (same
+//! hop dynamics, slots, super-frame, `Is` and TTL) solves it exactly
+//! once. Link models are not cached: the channel-layer
 //! derivation (Eqs. 1-2, 4) is closed-form and costs less than a probe.
 //!
 //! The cache has a single owner: only [`crate::Engine`] touches it,
@@ -84,11 +83,7 @@ struct Entry {
 ///
 /// Entries are shared behind an [`Arc`]: a cache hit hands out a
 /// reference, not a copy of the evaluation, so warm drains never
-/// deep-clone until a scenario result materializes its own copy. The
-/// measure plan is part of the key: scalar-only entries hold `O(Is)`
-/// cycle PMFs, while trajectory entries additionally carry the
-/// `O(Is^2 * F_up)` goal trajectory — the two must not answer for each
-/// other.
+/// deep-clone until a scenario result materializes its own copy.
 ///
 /// Keys are word slices. Only word 0 is hashed (through `std`'s
 /// per-process random state, so a hostile spec cannot choose

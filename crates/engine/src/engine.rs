@@ -66,11 +66,11 @@ enum Slot {
 ///
 /// Every scenario is lowered to the compiled problem IR
 /// ([`PathProblem`]), planned into a deduplicated set of path solves
-/// (keyed by the [`PathSignature`] of each problem under the requested
-/// [`MeasurePlan`]), executed on a worker pool through the
-/// engine's [`Solver`] backend, and assembled back into per-scenario
-/// results in submission order. The path cache persists across drains,
-/// so a warm engine answers repeated fleets without solving anything.
+/// (keyed by the [`PathSignature`] of each problem), executed on a
+/// worker pool through the engine's [`Solver`] backend, and assembled
+/// back into per-scenario results in submission order. The path cache
+/// persists across drains, so a warm engine answers repeated fleets
+/// without solving anything.
 /// The solver backend is fixed at construction (the cache holds that
 /// backend's results); use one engine per backend when comparing them.
 ///
@@ -243,9 +243,7 @@ impl Engine {
 
         // Plan: lower each workload to compiled problems, derive canonical
         // signatures, answer warm entries from the cache, deduplicate the
-        // rest into a distinct task list. The measure plan is part of the
-        // signature: a trajectory-requesting scenario must not be answered
-        // by a scalar-only cache entry (or vice versa).
+        // rest into a distinct task list.
         let obs = self.metrics.clone();
         let compile_hist = obs.histogram("engine.compile_ns");
         let plan_start = Instant::now();
@@ -260,7 +258,7 @@ impl Engine {
         let mut slots: HashMap<PathSignature, Slot> = HashMap::with_capacity(occurrences_total);
         // Each task keeps its key's cache hash from the miss, for the
         // insert.
-        let mut tasks: Vec<(PathSignature, KeyHash, MeasurePlan, PathProblem)> =
+        let mut tasks: Vec<(PathSignature, KeyHash, PathProblem)> =
             Vec::with_capacity(occurrences_total);
         // `engine.path_cache.{hits,misses}` are added once per drain.
         let (mut drain_hits, mut drain_misses) = (0u64, 0u64);
@@ -269,8 +267,8 @@ impl Engine {
             obs.counter("engine.path_cache.misses").add(misses);
         };
         // Slot-shift canonicalization: when the backend guarantees
-        // bit-identical solves under a common slot shift, scalar-plan
-        // problems are cached (and solved) in shift-normalized form and
+        // bit-identical solves under a common slot shift, problems are
+        // cached (and solved) in shift-normalized form and
         // each occurrence rebases the arrival slot at assembly, so
         // schedules differing only by a slot offset share one solve.
         // Tracing pins the real frame slots into hop provenance, so a
@@ -280,7 +278,6 @@ impl Engine {
             let mut scenario_span = self.trace.span("scenario", "engine");
             let mut scenario_hits = 0u64;
             let mut scenario_misses = 0u64;
-            let plan = scenario.measures.plan();
             let compile_span = compile_hist.start();
             let problems: Vec<PathProblem> = match &mut scenario.workload {
                 Workload::Network(model) => match model.path_problems() {
@@ -301,10 +298,9 @@ impl Engine {
             // dominated by signature derivation and path-cache lookups.
             let cache_guard = self.profiler.enter(self.frames.path_get);
             for problem in problems {
-                // The trajectory plan records per-slot rows, which a
-                // slot shift would visibly move — only scalar solves
-                // canonicalize.
-                let (problem, rebase) = if canonicalize && !plan.goal_trajectory {
+                // Every measure, the goal trajectory included, follows the
+                // rebased arrival slot.
+                let (problem, rebase) = if canonicalize {
                     match problem.shift_normalized() {
                         Some(canonical) => {
                             let arrival = problem.arrival_slot_number();
@@ -316,7 +312,7 @@ impl Engine {
                     (problem, None)
                 };
                 self.stats.paths_requested += 1;
-                let slot = match slots.entry(PathSignature::of(&problem, plan)) {
+                let slot = match slots.entry(PathSignature::of(&problem)) {
                     // An earlier occurrence in this drain already found or
                     // planned it.
                     Entry::Occupied(occupied) => {
@@ -332,7 +328,7 @@ impl Engine {
                             }
                             Lookup::Miss(hash) => {
                                 scenario_misses += 1;
-                                tasks.push((vacant.key().clone(), hash, plan, problem));
+                                tasks.push((vacant.key().clone(), hash, problem));
                                 Slot::Planned(tasks.len() - 1)
                             }
                         };
@@ -381,10 +377,11 @@ impl Engine {
             // whole task loop, so sampled worker ticks — solving or
             // claiming — always attribute to the engine.
             |_worker| profiler.enter(frames.execute),
-            |(_, _, plan, problem)| {
+            |(_, _, problem)| {
                 let _solve = profiler.enter(frames.solver);
                 let start = enabled.then(Instant::now);
-                let result = solver.solve_path_traced(problem, *plan, &obs, &trace);
+                let result =
+                    solver.solve_path_traced(problem, MeasurePlan::default(), &obs, &trace);
                 (result, start.map(|s| s.elapsed()).unwrap_or_default())
             },
         );
@@ -402,7 +399,7 @@ impl Engine {
         let evaluations: Vec<Arc<PathEvaluation>> = evaluations.into_iter().map(Arc::new).collect();
         // Task order, so the cache's FIFO eviction order is deterministic.
         let mut evicted = 0u64;
-        for ((key, hash, _, _), evaluation) in tasks.iter().zip(&evaluations) {
+        for ((key, hash, _), evaluation) in tasks.iter().zip(&evaluations) {
             evicted += self
                 .path_cache
                 .insert(*hash, key.words(), Arc::clone(evaluation));

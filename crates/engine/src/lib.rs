@@ -14,7 +14,7 @@
 //!   worker pool, and assemble results in submission order;
 //! * one memoization layer — a path-evaluation cache keyed by the
 //!   canonical [`whart_model::signature::PathSignature`] of a compiled
-//!   problem under its measure plan, persistent across drains and
+//!   problem, persistent across drains and
 //!   optionally bounded ([`Engine::set_path_cache_capacity`], FIFO
 //!   eviction). Entries sit in a FIFO ring beside a compact hash index,
 //!   with the key words copied into a FIFO word arena, so an eviction

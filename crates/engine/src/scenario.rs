@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use whart_model::{
-    DelayConvention, MeasurePlan, NetworkEvaluation, NetworkModel, PathEvaluation, PathProblem,
+    DelayConvention, NetworkEvaluation, NetworkModel, PathEvaluation, PathProblem,
     UtilizationConvention,
 };
 
@@ -53,11 +53,6 @@ pub struct MeasureSet {
     pub utilization: bool,
     /// The raw cycle probability function (Fig. 4's `g`).
     pub cycle_probabilities: bool,
-    /// The full per-slot goal trajectory (Fig. 6's step curves). Off by
-    /// default: unlike the other measures this one changes what the solve
-    /// materializes and caches (it is part of the path cache key), and it
-    /// costs `O(Is^2 * F_up)` memory per cached evaluation.
-    pub goal_trajectory: bool,
     /// Delay accounting convention.
     pub delay_convention: DelayConvention,
     /// Utilization accounting convention.
@@ -72,19 +67,8 @@ impl Default for MeasureSet {
             expected_intervals_to_first_loss: true,
             utilization: true,
             cycle_probabilities: false,
-            goal_trajectory: false,
             delay_convention: DelayConvention::Absolute,
             utilization_convention: UtilizationConvention::AsEvaluated,
-        }
-    }
-}
-
-impl MeasureSet {
-    /// The solve-time plan this measure set demands: everything except
-    /// the goal trajectory is derived from the always-present scalars.
-    pub fn plan(&self) -> MeasurePlan {
-        MeasurePlan {
-            goal_trajectory: self.goal_trajectory,
         }
     }
 }

@@ -1,12 +1,13 @@
-//! Demand-driven trajectories: a fleet requesting only scalar measures
-//! must never materialize a goal trajectory — cold or warm — and
-//! trajectory-requesting scenarios get their own cache entries.
+//! The goal trajectory follows the cached evaluation: slot-shift
+//! canonicalization folds a fleet into few solves, and a rebased cache
+//! hit yields the trajectory a direct solve of the original schedule
+//! does.
 
 use whart_channel::LinkModel;
-use whart_engine::{Engine, MeasureSet, Scenario};
-use whart_model::{NetworkModel, PathEvaluation};
+use whart_engine::{Engine, Scenario};
+use whart_model::{LinkDynamics, NetworkModel, PathProblem};
 use whart_net::typical::TypicalNetwork;
-use whart_net::ReportingInterval;
+use whart_net::{ReportingInterval, Superframe};
 
 const AVAILABILITIES: [f64; 6] = [0.693, 0.774, 0.83, 0.903, 0.948, 0.989];
 const INTERVALS: [u32; 3] = [1, 2, 4];
@@ -23,93 +24,69 @@ fn typical_model(availability: f64, is: u32) -> NetworkModel {
     .expect("typical network is valid")
 }
 
-fn assert_no_trajectories(evaluations: &[&PathEvaluation], label: &str) {
-    for (i, e) in evaluations.iter().enumerate() {
-        assert!(
-            e.trajectory().is_empty(),
-            "{label}: path {i} materialized a goal trajectory for a scalar-only request"
-        );
-        assert!(e.trajectory().is_empty());
-    }
-}
-
 #[test]
-fn scalar_fleet_materializes_zero_trajectories() {
+fn typical_fleet_folds_into_54_distinct_solves() {
     let mut engine = Engine::new(4);
-    // Cold drain of the full typical fleet with default (scalar) measures.
-    for &pi in &AVAILABILITIES {
-        for &is in &INTERVALS {
-            let model = typical_model(pi, is);
-            engine.submit(Scenario::network(format!("pi={pi} Is={is}"), model));
+    for label in ["cold", "warm"] {
+        for &pi in &AVAILABILITIES {
+            for &is in &INTERVALS {
+                let model = typical_model(pi, is);
+                engine.submit(Scenario::network(format!("{label} pi={pi} Is={is}"), model));
+            }
         }
+        engine.drain().expect("fleet drains");
     }
-    let cold = engine.drain().expect("cold fleet drains");
-    for result in &cold {
-        assert_no_trajectories(&result.path_evaluations(), &result.label);
-    }
-
-    // Warm drain: every evaluation comes out of the cache, still scalar.
-    for &pi in &AVAILABILITIES {
-        for &is in &INTERVALS {
-            let model = typical_model(pi, is);
-            engine.submit(Scenario::network(format!("warm pi={pi} Is={is}"), model));
-        }
-    }
-    let warm = engine.drain().expect("warm fleet drains");
-    for result in &warm {
-        assert_no_trajectories(&result.path_evaluations(), &result.label);
-    }
-    // 360 scalar requests (cold + warm); slot-shift canonicalization
+    // 360 path requests (cold + warm); slot-shift canonicalization
     // folds the cold fleet into 54 distinct solves and the warm drain
     // answers entirely from the cache.
+    assert_eq!(engine.stats().paths_requested, 360);
     assert_eq!(engine.stats().paths_evaluated, 54);
 }
 
+/// The Section V path (hops in frame slots `first`, `first + 3`,
+/// `first + 4` of a 7-slot uplink half).
+fn shifted_path(first: usize) -> PathProblem {
+    let link = LinkModel::from_availability(0.75, 0.9).expect("representable availability");
+    let mut b = PathProblem::builder();
+    for offset in [0, 3, 4] {
+        b.add_hop(LinkDynamics::steady(link), first + offset);
+    }
+    b.superframe(Superframe::symmetric(7).expect("valid super-frame"))
+        .interval(ReportingInterval::REGULAR);
+    b.build().expect("valid path")
+}
+
 #[test]
-fn trajectory_requests_get_distinct_cache_entries() {
-    let mut engine = Engine::new(2);
-    let scalar_measures = MeasureSet::default();
-    let full_measures = MeasureSet {
-        goal_trajectory: true,
-        ..MeasureSet::default()
-    };
+fn a_rebased_cache_hit_yields_the_direct_solves_trajectory() {
+    let mut engine = Engine::new(1);
+    let problems: Vec<PathProblem> = (0..3).map(shifted_path).collect();
+    // The canonical schedule first, so the shifted ones hit its entry.
+    engine.submit(Scenario::paths("canonical", vec![problems[0].clone()]));
+    engine.drain().expect("canonical drain");
+    engine.submit(Scenario::paths("shifted", problems[1..].to_vec()));
+    let results = engine.drain().expect("shifted drain");
+    assert_eq!(engine.stats().paths_evaluated, 1, "one canonical solve");
+    assert_eq!(engine.stats().path_cache_hits, 2);
 
-    let model = typical_model(0.83, 4);
-    engine.submit(Scenario::network("scalar", model.clone()).with_measures(scalar_measures));
-    engine.submit(Scenario::network("full", model.clone()).with_measures(full_measures));
-    let results = engine.drain().expect("mixed drain");
-
-    // Same compiled problems, but the measure plan splits the cache key:
-    // the 10 scalar requests canonicalize into 3 distinct solves, while
-    // the 10 trajectory solves are never canonicalized (the trajectory
-    // is indexed by absolute slot, so a shifted solve would record the
-    // wrong curve).
-    assert_eq!(engine.stats().paths_evaluated, 13);
-    assert_no_trajectories(&results[0].path_evaluations(), "scalar");
-    for e in results[1].path_evaluations() {
-        assert!(
-            !e.trajectory().is_empty(),
-            "trajectory request must materialize"
+    let cached = results[0].path_evaluations();
+    for (problem, evaluation) in problems[1..].iter().zip(cached) {
+        let direct = problem.evaluate();
+        assert_eq!(
+            evaluation.arrival_slot_number(),
+            direct.arrival_slot_number()
         );
-        let traj = e.trajectory();
-        assert_eq!(traj.len(), 4 * 20 + 1);
-        // Scalars agree with the scalar-only twin bit-exactly.
+        let bits = |rows: Vec<Vec<f64>>| -> Vec<Vec<u64>> {
+            rows.iter()
+                .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(evaluation.trajectory()), bits(direct.trajectory()));
     }
-    for (a, b) in results[0]
-        .path_evaluations()
-        .iter()
-        .zip(results[1].path_evaluations())
-    {
-        assert_eq!(a.cycle_probabilities(), b.cycle_probabilities());
-        assert_eq!(a.discard_probability(), b.discard_probability());
-        assert_eq!(a.expected_transmissions(), b.expected_transmissions());
-    }
-
-    // A warm trajectory request answers from the trajectory entry.
-    engine.submit(Scenario::network("full-warm", model).with_measures(full_measures));
-    let warm = engine.drain().expect("warm drain");
-    assert_eq!(engine.stats().paths_evaluated, 13, "no re-solve");
-    for e in warm[0].path_evaluations() {
-        assert!(!e.trajectory().is_empty());
+    // The curves follow the arrival slot: goal 1 steps up at slot `a0`.
+    for (first, problem) in problems.iter().enumerate() {
+        let trajectory = problem.evaluate().trajectory();
+        let a0 = first + 5;
+        assert_eq!(trajectory[a0 - 1][0], 0.0);
+        assert!(trajectory[a0][0] > 0.0);
     }
 }

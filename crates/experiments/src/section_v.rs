@@ -91,11 +91,9 @@ pub fn fig6() -> ExperimentReport {
         "fig6",
         "transient goal-state probabilities, Is = 4, pi = 0.75",
     );
-    // The one artifact that plots the transient curve, so the one place
-    // that opts into trajectory retention.
     let eval = section_v_model(0.75, interval(4))
         .expect("valid")
-        .evaluate_with(whart_model::MeasurePlan::WITH_TRAJECTORY);
+        .evaluate();
     let trajectory = eval.trajectory();
     for (t, row) in trajectory.iter().enumerate() {
         if t % 7 == 0 && t > 0 {

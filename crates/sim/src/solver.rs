@@ -62,36 +62,36 @@ impl MonteCarloSolver {
 
     /// Simulates one replication: returns `(delivery_cycle, attempts)`,
     /// with `delivery_cycle = None` when the message was discarded.
+    ///
+    /// Walks the hops in slot order, cycle by cycle, as the fast kernel
+    /// does: the message attempts its current hop at that hop's slot and,
+    /// on success, the next hop later in the same cycle (hop slots
+    /// strictly increase); a failure waits for the next cycle. The walk
+    /// stops at the first attempt past the TTL, which the builder caps at
+    /// `Is * F_up`.
     fn replicate(problem: &PathProblem, rng: &mut StdRng) -> (Option<usize>, u64) {
-        let n = problem.hop_count();
+        let hops = problem.hops();
         let f_up = problem.superframe().uplink_slots() as usize;
-        let total = f_up * problem.interval().cycles() as usize;
         let cycle_slots = u64::from(problem.superframe().cycle_slots());
-        let ttl = problem.ttl();
-
-        let mut by_slot: Vec<Option<usize>> = vec![None; f_up];
-        for (hop, h) in problem.hops().iter().enumerate() {
-            by_slot[h.frame_slot()] = Some(hop);
-        }
+        let ttl = problem.ttl() as usize;
 
         let mut position = 0usize;
         let mut attempts = 0u64;
-        for step in 1..=total {
-            let frame_slot = (step - 1) % f_up;
-            let cycle = (step - 1) / f_up;
-            if by_slot[frame_slot] == Some(position) {
+        for cycle in 0..problem.interval().cycles() as usize {
+            while let Some(hop) = hops.get(position) {
+                let frame_slot = hop.frame_slot();
+                if cycle * f_up + frame_slot + 1 > ttl {
+                    return (None, attempts);
+                }
                 attempts += 1;
                 let abs_slot = cycle as u64 * cycle_slots + frame_slot as u64;
-                let ps = problem.hops()[position].dynamics().up_probability(abs_slot);
-                if rng.gen::<f64>() < ps {
-                    position += 1;
-                    if position == n {
-                        return (Some(cycle), attempts);
-                    }
+                if rng.gen::<f64>() >= hop.dynamics().up_probability(abs_slot) {
+                    break;
                 }
+                position += 1;
             }
-            if step as u32 >= ttl {
-                break;
+            if position == hops.len() {
+                return (Some(cycle), attempts);
             }
         }
         (None, attempts)
@@ -104,8 +104,6 @@ impl Solver for MonteCarloSolver {
     }
 
     /// Statistical estimates of the path measures. Total — never fails.
-    /// Trajectory requests are ignored (the estimator keeps no per-slot
-    /// record); the returned evaluation carries scalars only.
     ///
     /// Every problem is solved from the same stream, `seed` mixed with
     /// `SEED_MIX`: one sequential RNG stream across all replications
@@ -174,10 +172,10 @@ mod tests {
     fn estimates_converge_to_the_analytical_values() {
         let problem = section_v_model(0.75, ReportingInterval::REGULAR).unwrap();
         let exact = FastSolver
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         let mc = MonteCarloSolver::new(7, 200_000)
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         for i in 0..4 {
             assert!(
@@ -195,22 +193,92 @@ mod tests {
     fn solves_are_deterministic_per_seed() {
         let problem = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
         let solver = MonteCarloSolver::new(42, 10_000);
-        let a = solver.solve_path(&problem, MeasurePlan::SCALAR).unwrap();
-        let b = solver.solve_path(&problem, MeasurePlan::SCALAR).unwrap();
+        let a = solver.solve_path(&problem, MeasurePlan::default()).unwrap();
+        let b = solver.solve_path(&problem, MeasurePlan::default()).unwrap();
         assert_eq!(a, b);
         let other = MonteCarloSolver::new(43, 10_000)
-            .solve_path(&problem, MeasurePlan::SCALAR)
+            .solve_path(&problem, MeasurePlan::default())
             .unwrap();
         assert_ne!(a.cycle_probabilities(), other.cycle_probabilities());
     }
 
+    /// The reference replication walk: every uplink slot in turn,
+    /// attempting when the slot belongs to the hop the message waits at.
+    fn per_slot_replicate(problem: &PathProblem, rng: &mut StdRng) -> (Option<usize>, u64) {
+        let n = problem.hop_count();
+        let f_up = problem.superframe().uplink_slots() as usize;
+        let total = f_up * problem.interval().cycles() as usize;
+        let cycle_slots = u64::from(problem.superframe().cycle_slots());
+        let mut by_slot: Vec<Option<usize>> = vec![None; f_up];
+        for (hop, h) in problem.hops().iter().enumerate() {
+            by_slot[h.frame_slot()] = Some(hop);
+        }
+        let mut position = 0usize;
+        let mut attempts = 0u64;
+        for step in 1..=total {
+            let frame_slot = (step - 1) % f_up;
+            let cycle = (step - 1) / f_up;
+            if by_slot[frame_slot] == Some(position) {
+                attempts += 1;
+                let abs_slot = cycle as u64 * cycle_slots + frame_slot as u64;
+                let ps = problem.hops()[position].dynamics().up_probability(abs_slot);
+                if rng.gen::<f64>() < ps {
+                    position += 1;
+                    if position == n {
+                        return (Some(cycle), attempts);
+                    }
+                }
+            }
+            if step as u32 >= problem.ttl() {
+                break;
+            }
+        }
+        (None, attempts)
+    }
+
     #[test]
-    fn trajectory_requests_stay_scalar() {
-        let problem = section_v_model(0.83, ReportingInterval::REGULAR).unwrap();
-        let mc = MonteCarloSolver::new(1, 1_000)
-            .solve_path(&problem, MeasurePlan::WITH_TRAJECTORY)
-            .unwrap();
-        assert!(mc.trajectory().is_empty());
+    fn replications_match_the_per_slot_walk_draw_for_draw() {
+        use whart_channel::{LinkModel, LinkState};
+        use whart_model::{LinkDynamics, Outage};
+        use whart_net::Superframe;
+        let link = LinkModel::from_availability(0.7, 0.9).unwrap();
+        let starts = [
+            LinkDynamics::steady(link),
+            LinkDynamics::starting_in(link, LinkState::Down),
+            LinkDynamics::starting_in(link, LinkState::Up).with_outage(Outage::new(3, 12)),
+        ];
+        let mut problems = Vec::new();
+        for hops in 1..=4 {
+            for ttl in 1..=9u32 {
+                for (k, start) in starts.iter().enumerate() {
+                    let mut b = PathProblem::builder();
+                    for hop in 0..hops {
+                        let dynamics = if hop == k % hops {
+                            start.clone()
+                        } else {
+                            LinkDynamics::steady(link)
+                        };
+                        b.add_hop(dynamics, hop + 1);
+                    }
+                    b.superframe(Superframe::symmetric(5).unwrap())
+                        .interval(ReportingInterval::new(3).unwrap())
+                        .ttl(ttl);
+                    problems.push(b.build().unwrap());
+                }
+            }
+        }
+        for problem in &problems {
+            let mut walk = StdRng::seed_from_u64(11);
+            let mut oracle = StdRng::seed_from_u64(11);
+            for _ in 0..500 {
+                assert_eq!(
+                    MonteCarloSolver::replicate(problem, &mut walk),
+                    per_slot_replicate(problem, &mut oracle),
+                    "{problem:?}"
+                );
+            }
+            assert_eq!(walk.gen::<u64>(), oracle.gen::<u64>());
+        }
     }
 
     #[test]
